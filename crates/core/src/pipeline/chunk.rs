@@ -4082,10 +4082,9 @@ mod tests {
     fn coalescing_queries_saves_finder_launches() {
         // k queries on one chunk must cost 1 finder launch, not k.
         let (asm, _) = toy();
-        let input = SearchInput::parse(
-            "toy\nNNNNNNNNNRG\nACGTACGTNNN 3\nTTTACGTACNN 3\nCCCCCACGTNN 3\n",
-        )
-        .unwrap();
+        let input =
+            SearchInput::parse("toy\nNNNNNNNNNRG\nACGTACGTNNN 3\nTTTACGTACNN 3\nCCCCCACGTNN 3\n")
+                .unwrap();
         let cfg = config().chunk_size(64);
         let runner = OclChunkRunner::new(&cfg, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&input.queries).unwrap();
@@ -4451,5 +4450,327 @@ mod tests {
             .unwrap();
         assert_eq!(on_nibble, baseline);
         runner.wait();
+    }
+
+    /// Chunk payload of one characterization cell.
+    #[derive(Clone, Copy)]
+    enum Payload<'a> {
+        Raw(&'a [u8]),
+        Packed(&'a PackedSeq),
+        Nibble(&'a NibbleSeq),
+    }
+
+    /// Where one characterization run takes its candidate sites from.
+    #[derive(Clone, Copy)]
+    enum Sites<'a> {
+        Find,
+        Capture,
+        Replay(&'a CandidateSites),
+    }
+
+    /// The runner calls a characterization cell makes, uniform over both
+    /// APIs: one chunk run (entries, reuse verdict, captured sites) and one
+    /// upload-only prefetch.
+    trait Harness: Sized {
+        type Tables;
+        fn build(cfg: &PipelineConfig, pattern: &[u8]) -> Self;
+        fn tables(&self, queries: &[Query]) -> Self::Tables;
+        #[allow(clippy::too_many_arguments)]
+        fn go(
+            &self,
+            p: Payload<'_>,
+            scan_len: usize,
+            token: Option<u64>,
+            s: Sites<'_>,
+            tables: &Self::Tables,
+            timing: &mut TimingBreakdown,
+            profile: &mut gpu_sim::profile::Profile,
+        ) -> (Vec<QueryEntries>, bool, Option<CandidateSites>);
+        fn pre(&self, token: u64, p: Payload<'_>) -> bool;
+        fn elapsed(&self) -> f64;
+        fn snapshot(&self) -> TrafficSnapshot;
+    }
+
+    impl Harness for OclChunkRunner {
+        type Tables = OclQueryTables;
+        fn build(cfg: &PipelineConfig, pattern: &[u8]) -> Self {
+            OclChunkRunner::new(cfg, pattern).unwrap()
+        }
+        fn tables(&self, queries: &[Query]) -> OclQueryTables {
+            self.prepare_queries(queries).unwrap()
+        }
+        fn go(
+            &self,
+            p: Payload<'_>,
+            scan_len: usize,
+            token: Option<u64>,
+            s: Sites<'_>,
+            tables: &OclQueryTables,
+            timing: &mut TimingBreakdown,
+            profile: &mut gpu_sim::profile::Profile,
+        ) -> (Vec<QueryEntries>, bool, Option<CandidateSites>) {
+            if let Sites::Replay(sites) = s {
+                let t = token.expect("replays carry the chunk token");
+                let (q, reused) = match p {
+                    Payload::Raw(seq) => {
+                        self.run_chunk_cached_candidates(t, seq, sites, tables, timing, profile)
+                    }
+                    Payload::Packed(pk) => self
+                        .run_packed_chunk_cached_candidates(t, pk, sites, tables, timing, profile),
+                    Payload::Nibble(nb) => self
+                        .run_nibble_chunk_cached_candidates(t, nb, sites, tables, timing, profile),
+                }
+                .unwrap();
+                return (q, reused, None);
+            }
+            self.set_capture_candidates(matches!(s, Sites::Capture));
+            let (q, reused) = match (p, token) {
+                (Payload::Raw(seq), Some(t)) => self
+                    .run_chunk_resident(t, seq, scan_len, tables, timing, profile)
+                    .unwrap(),
+                (Payload::Raw(seq), None) => (
+                    self.run_chunk(seq, scan_len, tables, timing, profile)
+                        .unwrap(),
+                    false,
+                ),
+                (Payload::Packed(pk), Some(t)) => self
+                    .run_packed_chunk_resident(t, pk, scan_len, tables, timing, profile)
+                    .unwrap(),
+                (Payload::Packed(pk), None) => (
+                    self.run_packed_chunk(pk, scan_len, tables, timing, profile)
+                        .unwrap(),
+                    false,
+                ),
+                (Payload::Nibble(nb), Some(t)) => self
+                    .run_nibble_chunk_resident(t, nb, scan_len, tables, timing, profile)
+                    .unwrap(),
+                (Payload::Nibble(nb), None) => (
+                    self.run_nibble_chunk(nb, scan_len, tables, timing, profile)
+                        .unwrap(),
+                    false,
+                ),
+            };
+            let captured = self.take_captured_candidates();
+            self.set_capture_candidates(false);
+            (q, reused, captured)
+        }
+        fn pre(&self, token: u64, p: Payload<'_>) -> bool {
+            match p {
+                Payload::Raw(seq) => self.prefetch_chunk(token, seq),
+                Payload::Packed(pk) => self.prefetch_packed_chunk(token, pk),
+                Payload::Nibble(nb) => self.prefetch_nibble_chunk(token, nb),
+            }
+            .unwrap()
+        }
+        fn elapsed(&self) -> f64 {
+            self.finish();
+            self.elapsed_s()
+        }
+        fn snapshot(&self) -> TrafficSnapshot {
+            self.traffic()
+        }
+    }
+
+    impl Harness for SyclChunkRunner {
+        type Tables = SyclQueryTables;
+        fn build(cfg: &PipelineConfig, pattern: &[u8]) -> Self {
+            SyclChunkRunner::new(cfg, pattern).unwrap()
+        }
+        fn tables(&self, queries: &[Query]) -> SyclQueryTables {
+            self.prepare_queries(queries)
+        }
+        fn go(
+            &self,
+            p: Payload<'_>,
+            scan_len: usize,
+            token: Option<u64>,
+            s: Sites<'_>,
+            tables: &SyclQueryTables,
+            timing: &mut TimingBreakdown,
+            profile: &mut gpu_sim::profile::Profile,
+        ) -> (Vec<QueryEntries>, bool, Option<CandidateSites>) {
+            if let Sites::Replay(sites) = s {
+                let t = token.expect("replays carry the chunk token");
+                let (q, reused) = match p {
+                    Payload::Raw(seq) => {
+                        self.run_chunk_cached_candidates(t, seq, sites, tables, timing, profile)
+                    }
+                    Payload::Packed(pk) => self
+                        .run_packed_chunk_cached_candidates(t, pk, sites, tables, timing, profile),
+                    Payload::Nibble(nb) => self
+                        .run_nibble_chunk_cached_candidates(t, nb, sites, tables, timing, profile),
+                }
+                .unwrap();
+                return (q, reused, None);
+            }
+            self.set_capture_candidates(matches!(s, Sites::Capture));
+            let (q, reused) = match (p, token) {
+                (Payload::Raw(seq), Some(t)) => self
+                    .run_chunk_resident(t, seq, scan_len, tables, timing, profile)
+                    .unwrap(),
+                (Payload::Raw(seq), None) => (
+                    self.run_chunk(seq, scan_len, tables, timing, profile)
+                        .unwrap(),
+                    false,
+                ),
+                (Payload::Packed(pk), Some(t)) => self
+                    .run_packed_chunk_resident(t, pk, scan_len, tables, timing, profile)
+                    .unwrap(),
+                (Payload::Packed(pk), None) => (
+                    self.run_packed_chunk(pk, scan_len, tables, timing, profile)
+                        .unwrap(),
+                    false,
+                ),
+                (Payload::Nibble(nb), Some(t)) => self
+                    .run_nibble_chunk_resident(t, nb, scan_len, tables, timing, profile)
+                    .unwrap(),
+                (Payload::Nibble(nb), None) => (
+                    self.run_nibble_chunk(nb, scan_len, tables, timing, profile)
+                        .unwrap(),
+                    false,
+                ),
+            };
+            let captured = self.take_captured_candidates();
+            self.set_capture_candidates(false);
+            (q, reused, captured)
+        }
+        fn pre(&self, token: u64, p: Payload<'_>) -> bool {
+            match p {
+                Payload::Raw(seq) => self.prefetch_chunk(token, seq),
+                Payload::Packed(pk) => self.prefetch_packed_chunk(token, pk),
+                Payload::Nibble(nb) => self.prefetch_nibble_chunk(token, nb),
+            }
+            .unwrap()
+        }
+        fn elapsed(&self) -> f64 {
+            self.wait();
+            self.elapsed_s()
+        }
+        fn snapshot(&self) -> TrafficSnapshot {
+            self.traffic()
+        }
+    }
+
+    /// A compare-safe chunk with every packed-path feature except
+    /// degenerate codes: masked `N` runs, lowercase soft-masking and `n`,
+    /// so the 2-bit payload carries exception bytes.
+    const CHARACTERIZATION_SEQ: &[u8] =
+        b"NNNNACGTACGTAGGTTTACGTACGaagCCCCCACGTACGTCGGacgtacgtaggnnnTTACGTACGTAGGACGTACGTCGGTTT";
+
+    /// One cell of the characterization matrix: a fresh runner driven
+    /// through `mode` on one payload, folded into a printable record of
+    /// every observable — entries, reuse verdicts, captured sites,
+    /// prefetch verdicts, the queue clock's bits, every timing field and
+    /// the device traffic counters.
+    fn characterization_cell<R: Harness>(enc: usize, mode: &str, spec: bool, nq: usize) -> String {
+        use std::fmt::Write;
+        const TOKEN: u64 = 0xC0FFEE;
+        let input =
+            SearchInput::parse("toy\nNNNNNNNNNRG\nACGTACGTNNN 3\nTTTACGTACNN 3\nCCCCCACGTNN 3\n")
+                .unwrap();
+        let cfg = config()
+            .chunk_size(64)
+            .resident_slots(2)
+            .specialize(spec)
+            .multi_guide(true);
+        let runner = R::build(&cfg, &input.pattern);
+        let tables = runner.tables(&input.queries[..nq]);
+        let seq = &CHARACTERIZATION_SEQ[..64 + input.pattern.len()];
+        let scan_len = 64;
+        let packed = PackedSeq::encode(seq);
+        assert!(twobit_compare_safe(&packed) && !packed.exceptions().is_empty());
+        let nibble = NibbleSeq::encode(seq);
+        let p = match enc {
+            0 => Payload::Raw(seq),
+            1 => Payload::Packed(&packed),
+            _ => Payload::Nibble(&nibble),
+        };
+        let mut timing = TimingBreakdown::default();
+        let mut profile = gpu_sim::profile::Profile::new();
+        let mut log = format!("enc={enc} mode={mode} spec={spec} nq={nq}:");
+        let mut step = |token: Option<u64>, s: Sites<'_>, log: &mut String| {
+            let (q, reused, captured) =
+                runner.go(p, scan_len, token, s, &tables, &mut timing, &mut profile);
+            write!(log, " run{q:?} reused={reused} captured={captured:?};").unwrap();
+            captured
+        };
+        match mode {
+            "fresh" => {
+                step(None, Sites::Find, &mut log);
+            }
+            "resident" => {
+                step(Some(TOKEN), Sites::Find, &mut log);
+                step(Some(TOKEN), Sites::Find, &mut log);
+            }
+            "replay" => {
+                let sites = step(None, Sites::Capture, &mut log).expect("capture yields sites");
+                step(Some(TOKEN), Sites::Replay(&sites), &mut log);
+                step(Some(TOKEN), Sites::Replay(&sites), &mut log);
+            }
+            "prefetch" => {
+                let first = runner.pre(TOKEN, p);
+                let again = runner.pre(TOKEN, p);
+                write!(log, " prefetch={first},{again};").unwrap();
+                step(Some(TOKEN), Sites::Find, &mut log);
+            }
+            _ => unreachable!("unknown mode {mode}"),
+        }
+        write!(
+            log,
+            " elapsed={:#x} timing=[{:#x} {:#x} {:#x} {:#x} {} {} {} {} {} {}] traffic={:?}",
+            runner.elapsed().to_bits(),
+            timing.elapsed_s.to_bits(),
+            timing.transfer_s.to_bits(),
+            timing.finder_s.to_bits(),
+            timing.comparer_s.to_bits(),
+            timing.finder_launches,
+            timing.finder_launches_skipped,
+            timing.comparer_launches,
+            timing.fused_launches,
+            timing.candidates,
+            timing.entries,
+            runner.snapshot(),
+        )
+        .unwrap();
+        log
+    }
+
+    /// Every cell of {raw, 2-bit, 4-bit} × {fresh, resident miss→hit,
+    /// capture→replay, prefetch→resident run} × {generic, specialized} ×
+    /// {1 query, 3 fused} on one API, folded into one FNV-1a digest. On a
+    /// mismatch the per-cell records are printed so the drifting cell can
+    /// be diffed against a known-good run.
+    fn check_characterization<R: Harness>(api: &str, pinned: u64) {
+        let mut cells = Vec::new();
+        for enc in 0..3 {
+            for mode in ["fresh", "resident", "replay", "prefetch"] {
+                for spec in [false, true] {
+                    for nq in [1, 3] {
+                        cells.push(characterization_cell::<R>(enc, mode, spec, nq));
+                    }
+                }
+            }
+        }
+        let digest = cells.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, cell| {
+            cell.bytes()
+                .chain(std::iter::once(b'\n'))
+                .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        });
+        if digest != pinned {
+            for cell in &cells {
+                eprintln!("{api} {cell}");
+            }
+            panic!("{api} characterization digest {digest:#018x} != pinned {pinned:#018x}");
+        }
+    }
+
+    #[test]
+    fn ocl_characterization_digest_is_pinned() {
+        check_characterization::<OclChunkRunner>("opencl", 0x1ac0_41cd_e55f_4f0c);
+    }
+
+    #[test]
+    fn sycl_characterization_digest_is_pinned() {
+        check_characterization::<SyclChunkRunner>("sycl", 0x171f_a308_6f57_8c16);
     }
 }
