@@ -1,23 +1,24 @@
-//! Micro-benchmark: the serving cache's raw vs 2-bit packed payloads at an
-//! equal byte budget, served through the chunk runner on three device
-//! specs. The packed cache holds ~2.7x the chunks, so a working set that
-//! thrashes the raw cache fits the packed one — the summary lines report
-//! hit rate, per-pass upload bytes, and simulated batch time per spec.
+//! Micro-benchmark: the serving cache's raw vs adaptive (2-bit packed on
+//! clean chunks) payloads at an equal byte budget, served through the
+//! chunk runner on three device specs. The packed cache holds ~2.7x the
+//! chunks, so a working set that thrashes the raw cache fits the packed
+//! one — the summary lines report hit rate, per-pass upload bytes, and
+//! simulated batch time per spec.
 //!
 //! A second group replays an **exception-dense** soft-masked assembly,
-//! where 2-bit-with-exceptions degrades to the char comparer: the adaptive
-//! encoding flips those chunks to 4-bit nibbles and keeps every pass on a
-//! packed device payload at half a byte per base.
+//! where the 2-bit form would be unsafe or heavier than nibbles: the
+//! adaptive encoding flips those chunks to 4-bit nibbles and keeps every
+//! pass on a packed device payload at half a byte per base.
 
 use std::sync::Arc;
 
-use cas_offinder::pipeline::chunk::OclChunkRunner;
+use cas_offinder::pipeline::chunk::{OclChunkRunner, Sites};
 use cas_offinder::pipeline::PipelineConfig;
 use cas_offinder::SearchInput;
 use cas_offinder::TimingBreakdown;
 use casoff_bench::microbench::Criterion;
 use casoff_bench::{criterion_group, criterion_main};
-use casoff_serve::cache::{ChunkKey, ChunkPayload, EncodedChunk};
+use casoff_serve::cache::{ChunkKey, EncodedChunk};
 use casoff_serve::{ChunkEncoding, GenomeCache};
 use genome::{synth, Assembly, Chunker};
 use gpu_sim::{DeviceSpec, ExecMode};
@@ -82,23 +83,18 @@ impl Workload {
             let chunk: Arc<EncodedChunk> = self.cache.get_or_insert_with(key, || {
                 EncodedChunk::encode(0, "chr".into(), 0, *scan_len, seq, self.encoding)
             });
-            match &chunk.payload {
-                ChunkPayload::Packed(p) => {
-                    self.runner
-                        .run_packed_chunk(p, *scan_len, &self.tables, &mut timing, &mut profile)
-                        .unwrap();
-                }
-                ChunkPayload::Nibble(n) => {
-                    self.runner
-                        .run_nibble_chunk(n, *scan_len, &self.tables, &mut timing, &mut profile)
-                        .unwrap();
-                }
-                ChunkPayload::Raw(seq) => {
-                    self.runner
-                        .run_chunk(seq, *scan_len, &self.tables, &mut timing, &mut profile)
-                        .unwrap();
-                }
-            }
+            let p = chunk.payload.as_payload();
+            self.runner
+                .run(
+                    p,
+                    *scan_len,
+                    None,
+                    Sites::Find,
+                    &self.tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap();
         }
         timing.finder_s + timing.comparer_s + timing.transfer_s
     }
@@ -107,7 +103,6 @@ impl Workload {
 fn encoding_label(encoding: ChunkEncoding) -> &'static str {
     match encoding {
         ChunkEncoding::Raw => "raw",
-        ChunkEncoding::Packed => "packed",
         ChunkEncoding::Adaptive => "adaptive",
     }
 }
@@ -154,12 +149,11 @@ fn bench_serve_cache(c: &mut Criterion) {
         c,
         "serve-cache",
         &clean,
-        &[ChunkEncoding::Raw, ChunkEncoding::Packed],
+        &[ChunkEncoding::Raw, ChunkEncoding::Adaptive],
     );
 
     // Exception-dense workload: soft-mask runs and degenerate bases push
-    // the 2-bit encoding off its compare-safe fast path, so the contrast
-    // that matters here is char fallback (raw) vs the adaptive 4-bit path.
+    // the adaptive encoding onto its 4-bit path, contrasted with raw.
     let masked = synth::hg38_masked_mini(GENOME_SCALE);
     run_group(
         c,

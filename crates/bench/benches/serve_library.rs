@@ -15,7 +15,7 @@
 
 use casoff_bench::microbench::Criterion;
 use casoff_bench::{criterion_group, criterion_main};
-use casoff_serve::{ChunkEncoding, JobSpec, Placement, Service, ServiceConfig};
+use casoff_serve::{JobSpec, Placement, Service, ServiceConfig};
 use genome::rng::Xoshiro256;
 use genome::synth::hg38_mini;
 
@@ -43,7 +43,6 @@ fn screen_spec() -> JobSpec {
 fn service_with(fast: bool) -> Service {
     let mut config = ServiceConfig::paper_pool();
     config.chunk_size = CHUNK_SIZE;
-    config.cache_encoding = ChunkEncoding::Packed;
     config.placement = Placement::EarliestCompletion;
     // Guide-block-sized groups: one fused launch per coalesced batch.
     config.max_batch = 16;

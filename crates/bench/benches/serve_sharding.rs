@@ -15,7 +15,7 @@
 
 use casoff_bench::microbench::Criterion;
 use casoff_bench::{criterion_group, criterion_main};
-use casoff_serve::{ChunkEncoding, JobSpec, MetricsReport, Placement, Service, ServiceConfig};
+use casoff_serve::{JobSpec, MetricsReport, Placement, Service, ServiceConfig};
 use genome::synth::hg38_mini;
 
 /// Scan positions per chunk — the production size the sharding demo uses.
@@ -29,7 +29,6 @@ const SCANS: usize = 4;
 fn service_with(placement: Placement) -> Service {
     let mut config = ServiceConfig::paper_pool();
     config.chunk_size = CHUNK_SIZE;
-    config.cache_encoding = ChunkEncoding::Packed;
     config.placement = placement;
     config.max_batch = 1;
     config.resident_chunks = 64;

@@ -14,12 +14,12 @@
 use std::sync::Arc;
 
 use cas_offinder::kernels::specialize::global_cache;
-use cas_offinder::pipeline::chunk::OclChunkRunner;
+use cas_offinder::pipeline::chunk::{OclChunkRunner, Sites};
 use cas_offinder::pipeline::PipelineConfig;
 use cas_offinder::{Query, SearchInput, TimingBreakdown};
 use casoff_bench::microbench::Criterion;
 use casoff_bench::{criterion_group, criterion_main};
-use casoff_serve::cache::{ChunkKey, ChunkPayload, EncodedChunk};
+use casoff_serve::cache::{ChunkKey, EncodedChunk};
 use casoff_serve::{ChunkEncoding, GenomeCache};
 use genome::{synth, Assembly, Chunker};
 use gpu_sim::{DeviceSpec, ExecMode};
@@ -96,23 +96,18 @@ impl Workload {
             let chunk: Arc<EncodedChunk> = self.cache.get_or_insert_with(key, || {
                 EncodedChunk::encode(0, "chr".into(), 0, *scan_len, seq, ChunkEncoding::Adaptive)
             });
-            match &chunk.payload {
-                ChunkPayload::Packed(p) => {
-                    self.runner
-                        .run_packed_chunk(p, *scan_len, &self.tables, &mut timing, &mut profile)
-                        .unwrap();
-                }
-                ChunkPayload::Nibble(n) => {
-                    self.runner
-                        .run_nibble_chunk(n, *scan_len, &self.tables, &mut timing, &mut profile)
-                        .unwrap();
-                }
-                ChunkPayload::Raw(seq) => {
-                    self.runner
-                        .run_chunk(seq, *scan_len, &self.tables, &mut timing, &mut profile)
-                        .unwrap();
-                }
-            }
+            let p = chunk.payload.as_payload();
+            self.runner
+                .run(
+                    p,
+                    *scan_len,
+                    None,
+                    Sites::Find,
+                    &self.tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap();
         }
         timing.finder_s + timing.comparer_s + timing.transfer_s
     }

@@ -7,8 +7,16 @@
 //! the surviving entries. This module factors that loop body into two
 //! runner types — [`OclChunkRunner`] and [`SyclChunkRunner`] — that own the
 //! context/queue, the compiled pattern tables and the reusable scratch
-//! buffers, and expose a single [`OclChunkRunner::run_chunk`] /
-//! [`SyclChunkRunner::run_chunk`] call.
+//! buffers. Each exposes one call, `run`, over a [`Payload`] (raw bases,
+//! compare-safe 2-bit words or 4-bit nibbles), an optional residency token
+//! and a [`Sites`] source (launch the finder, launch it and capture its
+//! candidate list, or replay a captured list), plus an upload-only
+//! `prefetch`. `run_chunk` is the fresh raw run the serial pipelines make.
+//!
+//! Inside, a run is three steps: *stage* uploads the payload or reuses its
+//! resident copy, *find* launches the finder or stages replayed sites, and
+//! *compare* runs the comparers over the staged encoding — one launch per
+//! query, or one fused launch per guide block on a multi-guide runner.
 //!
 //! The runners exist so a *scheduler* can drive chunks out of order and
 //! coalesce many queries onto one chunk upload: `casoff-serve` batches
@@ -16,7 +24,7 @@
 //! chunk transfer plus one finder launch per batch instead of one per job.
 
 use gpu_sim::kernel::LocalLayout;
-use gpu_sim::{NdRange, TrafficSnapshot};
+use gpu_sim::{DeviceBuffer, NdRange, TrafficSnapshot};
 use opencl_rt::{
     ClBuffer, ClDeviceId, ClResult, CommandQueue, Context, Kernel, KernelArg, KernelSource,
     MemFlags, Program,
@@ -24,7 +32,7 @@ use opencl_rt::{
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
-use sycl_rt::{AccessMode, Buffer, Queue, SpecSelector, SyclResult};
+use sycl_rt::{AccessMode, Buffer, Handler, Queue, SpecSelector, SyclEvent, SyclResult};
 
 use genome::base::is_concrete;
 use genome::fourbit::NibbleSeq;
@@ -65,36 +73,87 @@ pub fn twobit_compare_safe(packed: &PackedSeq) -> bool {
         .all(|&(_, b)| is_concrete(b) || b == b'n')
 }
 
-/// One set of device buffers holding a packed chunk payload, tagged with the
-/// caller's residency token. Interior mutability keeps the runner's `&self`
-/// API: the metadata changes on every run, the buffers never move.
-struct PackedSlot {
-    packed_buf: ClBuffer<u8>,
-    mask_buf: ClBuffer<u8>,
-    exc_pos: ClBuffer<u32>,
-    exc_val: ClBuffer<u8>,
-    token: Cell<Option<u64>>,
-    tick: Cell<u64>,
+/// The chunk bases a run stages on the device.
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// One byte per base, as the serial pipelines upload.
+    Raw(&'a [u8]),
+    /// Losslessly 2-bit packed. Must be [`twobit_compare_safe`]: a packed
+    /// run always compares with the 2-bit comparer.
+    Packed(&'a PackedSeq),
+    /// 4-bit nibbles, exact for every IUPAC code.
+    Nibble(&'a NibbleSeq),
 }
 
-/// Host-side bytes of a packed payload — what a resident hit avoids moving.
-fn packed_upload_bytes(packed: &PackedSeq) -> u64 {
-    let n_exc = packed.exceptions().len();
-    let exc = if n_exc > 0 {
-        n_exc * (std::mem::size_of::<u32>() + 1)
-    } else {
-        0
-    };
-    (packed.packed_bytes().len() + packed.mask_bytes().len() + exc) as u64
+impl Payload<'_> {
+    /// Bases the payload holds (scan positions plus trailing context).
+    fn seq_len(&self) -> usize {
+        match self {
+            Payload::Raw(seq) => seq.len(),
+            Payload::Packed(p) => p.len(),
+            Payload::Nibble(n) => n.len(),
+        }
+    }
+
+    /// Host bytes an upload of the payload moves — what a resident hit
+    /// avoids. Exception arrays only move when the chunk has any.
+    fn upload_bytes(&self) -> u64 {
+        match self {
+            Payload::Raw(seq) => seq.len() as u64,
+            Payload::Packed(p) => {
+                let exc = p.exceptions().len() * (std::mem::size_of::<u32>() + 1);
+                (p.packed_bytes().len() + p.mask_bytes().len() + exc) as u64
+            }
+            Payload::Nibble(n) => n.device_byte_len() as u64,
+        }
+    }
+
+    /// Exception count of a packed payload (0 for the other forms).
+    fn exceptions(&self) -> usize {
+        match self {
+            Payload::Packed(p) => p.exceptions().len(),
+            _ => 0,
+        }
+    }
+
+    /// Reject a packed payload the 2-bit comparer would misread.
+    fn assert_compare_safe(&self) {
+        if let Payload::Packed(p) = self {
+            assert!(
+                twobit_compare_safe(p),
+                "packed runs require 2-bit-safe payloads; encode degenerate chunks as nibbles"
+            );
+        }
+    }
 }
 
-/// One set of device buffers holding a nibble-packed chunk payload. The
-/// device side of [`NibbleSeq`] is the nibble words alone (case and host
-/// exceptions never affect matching), so a slot is a single buffer.
-struct NibbleSlot {
-    nibble_buf: ClBuffer<u8>,
-    token: Cell<Option<u64>>,
-    tick: Cell<u64>,
+/// Where a run takes its candidate sites from.
+#[derive(Debug, Clone, Copy)]
+pub enum Sites<'a> {
+    /// Launch the finder.
+    Find,
+    /// Launch the finder and read its candidate list back (a timed d2h
+    /// transfer) into [`ChunkRun::captured`] for a caller-owned cache.
+    Capture,
+    /// Skip the finder (recorded on the device and in
+    /// `timing.finder_launches_skipped`) and compare against a list
+    /// captured from an earlier run over the same chunk content and PAM
+    /// pattern. A replay needs the run's residency token: the list is
+    /// tracked under it, and a list still staged under the token is not
+    /// uploaded again.
+    Replay(&'a CandidateSites),
+}
+
+/// The outcome of one chunk run.
+#[derive(Debug, Clone)]
+pub struct ChunkRun {
+    /// Comparer entries per prepared query (empty when the chunk has no
+    /// candidates).
+    pub per_query: Vec<QueryEntries>,
+    /// The payload was resident under the run's token and not uploaded.
+    pub reused: bool,
+    /// The finder's candidate list, when the run was a [`Sites::Capture`].
+    pub captured: Option<CandidateSites>,
 }
 
 /// Comparer entries `(locus, direction, mismatches)` for one query on one
@@ -134,6 +193,63 @@ impl CandidateSites {
     }
 }
 
+/// The encoding a run staged, with the device buffers holding it — the
+/// one thing the finder and comparer steps branch on.
+enum Staged<R, P, N> {
+    /// Decoded char bases.
+    Char(R),
+    /// 2-bit packed words plus N-mask.
+    TwoBit(P),
+    /// 4-bit nibble words.
+    FourBit(N),
+}
+
+impl<R, P, N> Staged<R, P, N> {
+    /// The staged encoding's pick among per-encoding counterparts.
+    fn pick<T>(&self, char: T, two_bit: T, four_bit: T) -> T {
+        match self {
+            Staged::Char(_) => char,
+            Staged::TwoBit(_) => two_bit,
+            Staged::FourBit(_) => four_bit,
+        }
+    }
+}
+
+/// Message of the replay-without-token contract violation.
+const REPLAY_TOKEN: &str = "a replay tracks its candidate list by the run's residency token";
+
+/// One set of device buffers holding a resident payload, tagged with the
+/// caller's residency token. Interior mutability keeps the runner's `&self`
+/// API: the metadata changes on every run, the buffers never move.
+struct Slot<B> {
+    bufs: B,
+    token: Cell<Option<u64>>,
+    tick: Cell<u64>,
+}
+
+impl<B> Slot<B> {
+    fn new(bufs: B) -> Self {
+        Slot {
+            bufs,
+            token: Cell::new(None),
+            tick: Cell::new(0),
+        }
+    }
+}
+
+/// Device side of a 2-bit payload: packed words, N-mask and the exception
+/// arrays the packed finder patches in. (A nibble slot is the nibble words
+/// alone — case and host exceptions never affect matching.)
+struct PackedBufs {
+    packed: ClBuffer<u8>,
+    mask: ClBuffer<u8>,
+    exc_pos: ClBuffer<u32>,
+    exc_val: ClBuffer<u8>,
+}
+
+/// What an OpenCL run staged: the `chr` scratch, or a resident slot.
+type OclStaged<'a> = Staged<(), &'a Slot<PackedBufs>, &'a Slot<ClBuffer<u8>>>;
+
 /// Device-side machinery of the fused multi-guide comparer path: the three
 /// generic `comparer_multi*` kernels plus scratch sized for one block of up
 /// to [`GUIDE_BLOCK`] guides and its four-array compacted output (every
@@ -149,24 +265,6 @@ struct MultiScratch {
     direction: ClBuffer<u8>,
     mm_loci: ClBuffer<u32>,
     guide: ClBuffer<u16>,
-}
-
-/// Which chunk encoding a fused comparer block reads.
-enum MultiEnc<'a> {
-    Char,
-    TwoBit(&'a PackedSlot),
-    FourBit(&'a NibbleSlot),
-}
-
-impl MultiEnc<'_> {
-    /// Cache tag for the specialized fused program of this encoding.
-    fn tag(&self) -> u8 {
-        match self {
-            MultiEnc::Char => 0,
-            MultiEnc::TwoBit(_) => 1,
-            MultiEnc::FourBit(_) => 2,
-        }
-    }
 }
 
 /// Unwrap a comparison-table buffer on the generic comparer path. The
@@ -247,8 +345,8 @@ pub struct OclChunkRunner {
     pattern: CompiledSeq,
     chr: ClBuffer<u8>,
     chr_token: Cell<Option<u64>>,
-    slots: Vec<PackedSlot>,
-    nibble_slots: Vec<NibbleSlot>,
+    slots: Vec<Slot<PackedBufs>>,
+    nibble_slots: Vec<Slot<ClBuffer<u8>>>,
     slot_clock: Cell<u64>,
     pat: ClBuffer<u8>,
     pat_index: ClBuffer<i32>,
@@ -266,10 +364,6 @@ pub struct OclChunkRunner {
     /// shared block threshold) — the folded PAM pattern is fixed per runner,
     /// so it does not participate in the key.
     spec_multi_kernels: RefCell<HashMap<(u8, u16), (Program, Kernel)>>,
-    /// While set, every finder pass also reads its candidate list back into
-    /// `captured` for a caller-owned candidate cache.
-    capture: Cell<bool>,
-    captured: RefCell<Option<CandidateSites>>,
     /// Identity `(token, len)` of the candidate list currently staged in
     /// `loci`/`flags`, when the producing run carried a residency token.
     cand_token: Cell<Option<(u64, u32)>>,
@@ -333,35 +427,26 @@ impl OclChunkRunner {
         // One slot per resident chunk the runner may keep on-device.
         let slots = (0..config.resident_slots.max(1))
             .map(|_| {
-                Ok(PackedSlot {
-                    packed_buf: ClBuffer::<u8>::create(
+                Ok(Slot::new(PackedBufs {
+                    packed: ClBuffer::<u8>::create(
                         &ctx,
                         MemFlags::ReadOnly,
                         (cap + plen).div_ceil(4),
                     )?,
-                    mask_buf: ClBuffer::<u8>::create(
+                    mask: ClBuffer::<u8>::create(
                         &ctx,
                         MemFlags::ReadOnly,
                         (cap + plen).div_ceil(8),
                     )?,
                     exc_pos: ClBuffer::<u32>::create(&ctx, MemFlags::ReadOnly, cap + plen)?,
                     exc_val: ClBuffer::<u8>::create(&ctx, MemFlags::ReadOnly, cap + plen)?,
-                    token: Cell::new(None),
-                    tick: Cell::new(0),
-                })
+                }))
             })
             .collect::<ClResult<Vec<_>>>()?;
         let nibble_slots = (0..config.resident_slots.max(1))
             .map(|_| {
-                Ok(NibbleSlot {
-                    nibble_buf: ClBuffer::<u8>::create(
-                        &ctx,
-                        MemFlags::ReadOnly,
-                        (cap + plen).div_ceil(2),
-                    )?,
-                    token: Cell::new(None),
-                    tick: Cell::new(0),
-                })
+                ClBuffer::<u8>::create(&ctx, MemFlags::ReadOnly, (cap + plen).div_ceil(2))
+                    .map(Slot::new)
             })
             .collect::<ClResult<Vec<_>>>()?;
         let pat = ClBuffer::create_with_data(&ctx, MemFlags::Constant, pattern.comp())?;
@@ -389,8 +474,16 @@ impl OclChunkRunner {
                     GUIDE_BLOCK * 2 * plen,
                 )?,
                 thresholds: ClBuffer::<u16>::create(&ctx, MemFlags::ReadOnly, GUIDE_BLOCK)?,
-                mm_count: ClBuffer::<u16>::create(&ctx, MemFlags::WriteOnly, GUIDE_BLOCK * 2 * cap)?,
-                direction: ClBuffer::<u8>::create(&ctx, MemFlags::WriteOnly, GUIDE_BLOCK * 2 * cap)?,
+                mm_count: ClBuffer::<u16>::create(
+                    &ctx,
+                    MemFlags::WriteOnly,
+                    GUIDE_BLOCK * 2 * cap,
+                )?,
+                direction: ClBuffer::<u8>::create(
+                    &ctx,
+                    MemFlags::WriteOnly,
+                    GUIDE_BLOCK * 2 * cap,
+                )?,
                 mm_loci: ClBuffer::<u32>::create(&ctx, MemFlags::WriteOnly, GUIDE_BLOCK * 2 * cap)?,
                 guide: ClBuffer::<u16>::create(&ctx, MemFlags::WriteOnly, GUIDE_BLOCK * 2 * cap)?,
             })
@@ -428,27 +521,11 @@ impl OclChunkRunner {
             ecount,
             multi,
             spec_multi_kernels: RefCell::new(HashMap::new()),
-            capture: Cell::new(false),
-            captured: RefCell::new(None),
             cand_token: Cell::new(None),
             cap,
             lws,
             rounding: lws.unwrap_or(64),
         })
-    }
-
-    /// Arm or disarm candidate capture: while armed, every finder pass also
-    /// reads its candidate list back to the host (a timed d2h transfer) and
-    /// parks it for
-    /// [`take_captured_candidates`](Self::take_captured_candidates).
-    pub fn set_capture_candidates(&self, on: bool) {
-        self.capture.set(on);
-    }
-
-    /// Take the candidate list captured by the most recent finder pass
-    /// while capture was armed.
-    pub fn take_captured_candidates(&self) -> Option<CandidateSites> {
-        self.captured.borrow_mut().take()
     }
 
     /// Pattern length (PAM window) the runner was compiled for.
@@ -482,11 +559,11 @@ impl OclChunkRunner {
                 let e = if self.specialize || fused {
                     (None, None, q.max_mismatches)
                 } else {
-                    let comp_buf =
-                        ClBuffer::create(&self.ctx, MemFlags::ReadOnly, c.comp().len())?;
+                    let comp_buf = ClBuffer::create(&self.ctx, MemFlags::ReadOnly, c.comp().len())?;
                     let comp_index_buf =
                         ClBuffer::create(&self.ctx, MemFlags::ReadOnly, c.comp_index().len())?;
-                    self.queue.enqueue_write_buffer(&comp_buf, true, 0, c.comp())?;
+                    self.queue
+                        .enqueue_write_buffer(&comp_buf, true, 0, c.comp())?;
                     self.queue
                         .enqueue_write_buffer(&comp_index_buf, true, 0, c.comp_index())?;
                     (Some(comp_buf), Some(comp_index_buf), q.max_mismatches)
@@ -524,7 +601,9 @@ impl OclChunkRunner {
                     specialize::global_cache().get_or_compile(kind, &tables_queries[qi], threshold);
                 let f: Arc<dyn opencl_rt::ClKernelFunction> = match kind {
                     VariantKind::CharComparer => Arc::new(ClSpecializedComparer { variant }),
-                    VariantKind::TwoBitComparer => Arc::new(ClSpecializedTwoBitComparer { variant }),
+                    VariantKind::TwoBitComparer => {
+                        Arc::new(ClSpecializedTwoBitComparer { variant })
+                    }
                     VariantKind::FourBitComparer => {
                         Arc::new(ClSpecializedFourBitComparer { variant })
                     }
@@ -545,10 +624,52 @@ impl OclChunkRunner {
         }
     }
 
-    /// Run one finder→comparer interaction: upload `seq`, select candidate
-    /// loci once, then compare every prepared query against them. Returns
-    /// the surviving entries per query (empty inner vectors when the finder
-    /// produced no candidates).
+    /// Fetch (building on first use) the specialized fused comparer for the
+    /// staged encoding and shared block threshold. The variant folds the
+    /// runner's PAM pattern and the threshold — the guide tables stay
+    /// staged data — so the cache key is just (encoding, threshold).
+    fn spec_multi_kernel<'m>(
+        &self,
+        map: &'m mut HashMap<(u8, u16), (Program, Kernel)>,
+        staged: &OclStaged<'_>,
+        threshold: u16,
+    ) -> ClResult<&'m Kernel> {
+        use std::collections::hash_map::Entry;
+        match map.entry((staged.pick(0, 1, 2), threshold)) {
+            Entry::Occupied(e) => Ok(&e.into_mut().1),
+            Entry::Vacant(v) => {
+                let variant = specialize::global_cache().get_or_compile(
+                    VariantKind::MultiComparer,
+                    &self.pattern,
+                    threshold,
+                );
+                let (f, name): (Arc<dyn opencl_rt::ClKernelFunction>, &str) = match staged {
+                    Staged::Char(_) => (
+                        Arc::new(ClSpecializedMultiComparer { variant }),
+                        VariantKind::MultiComparer.kernel_name(),
+                    ),
+                    Staged::TwoBit(_) => (
+                        Arc::new(ClSpecializedTwoBitMultiComparer { variant }),
+                        "comparer_multi-2bit-spec",
+                    ),
+                    Staged::FourBit(_) => (
+                        Arc::new(ClSpecializedFourBitMultiComparer { variant }),
+                        "comparer_multi-4bit-spec",
+                    ),
+                };
+                let program =
+                    Program::create_with_source(&self.ctx, KernelSource::new().with_function(f));
+                program.build("-O3")?;
+                let kernel = program.create_kernel(name)?;
+                Ok(&v.insert((program, kernel)).1)
+            }
+        }
+    }
+
+    /// Run one finder→comparer interaction on raw `seq` with no residency:
+    /// upload it, select candidate loci once, then compare every prepared
+    /// query against them. Returns the surviving entries per query (empty
+    /// inner vectors when the finder produced no candidates).
     ///
     /// `seq` holds `scan_len` owned positions plus up to `plen` trailing
     /// context bases; kernel and transfer costs accumulate into `timing`
@@ -569,16 +690,32 @@ impl OclChunkRunner {
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
     ) -> ClResult<Vec<QueryEntries>> {
-        self.run_chunk_inner(None, seq, scan_len, tables, timing, profile)
-            .map(|(per_query, _)| per_query)
+        self.run(
+            Payload::Raw(seq),
+            scan_len,
+            None,
+            Sites::Find,
+            tables,
+            timing,
+            profile,
+        )
+        .map(|run| run.per_query)
     }
 
-    /// [`run_chunk`](Self::run_chunk) with residency: when the previous raw
-    /// run carried the same `token`, the chunk bytes are already in the
-    /// `chr` buffer and the upload is skipped (recorded on the device as
-    /// skipped h2d traffic). Returns the entries plus whether the resident
-    /// copy was reused. Any packed run invalidates raw residency — the
-    /// `finder_packed` kernel decodes over the same scratch.
+    /// Run one finder→comparer interaction on payload `p`.
+    ///
+    /// With a `token`, the runner keeps the payload resident: raw bases in
+    /// the `chr` scratch (which the decoding finders overwrite), 2-bit and
+    /// 4-bit payloads in the least-recently-used of their `resident_slots`
+    /// slots. A later run under the same token skips the upload (recorded
+    /// on the device as skipped h2d traffic) and reports `reused`. The
+    /// token is the *caller's* identity for the chunk content — two
+    /// different chunks must never share one.
+    ///
+    /// A 2-bit run decodes on-device in its finder and compares directly on
+    /// the packed words; a 4-bit run does the same on the nibbles, which
+    /// carry the full IUPAC semantics. Either way the entries are
+    /// byte-identical to the raw run over the decoded bases.
     ///
     /// # Errors
     ///
@@ -586,98 +723,47 @@ impl OclChunkRunner {
     ///
     /// # Panics
     ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn run_chunk_resident(
+    /// Panics if the chunk or a replayed list exceeds the runner's
+    /// capacity, if a packed payload is not [`twobit_compare_safe`], or if
+    /// a [`Sites::Replay`] carries no token.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run(
         &self,
-        token: u64,
-        seq: &[u8],
+        p: Payload<'_>,
         scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        self.run_chunk_inner(Some(token), seq, scan_len, tables, timing, profile)
-    }
-
-    fn run_chunk_inner(
-        &self,
         token: Option<u64>,
-        seq: &[u8],
-        scan_len: usize,
+        sites: Sites<'_>,
         tables: &OclQueryTables,
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        let plen = self.pattern.plen();
+    ) -> ClResult<ChunkRun> {
         assert!(
-            seq.len() <= self.cap + plen && scan_len <= self.cap,
+            p.seq_len() <= self.cap + self.pattern.plen() && scan_len <= self.cap,
             "chunk ({} bases, {scan_len} scanned) exceeds runner capacity {}",
-            seq.len(),
+            p.seq_len(),
             self.cap
         );
-        let mut per_query = vec![Vec::new(); tables.len()];
-
-        // Step 11 (host->device): upload the chunk — unless this exact chunk
-        // is still resident from the previous raw run — and reset the counter.
-        let reused = token.is_some() && self.chr_token.get() == token;
+        p.assert_compare_safe();
+        let (staged, reused) = self.stage(p, token, timing)?;
         if reused {
-            self.queue.device().record_h2d_skipped(seq.len() as u64);
-        } else {
-            let w1 = self.queue.enqueue_write_buffer(&self.chr, true, 0, seq)?;
-            timing.transfer_s += w1.duration_s();
-            self.chr_token.set(token);
+            self.queue.device().record_h2d_skipped(p.upload_bytes());
         }
-        let w2 = self.queue.enqueue_fill_buffer(&self.fcount, 0u32)?;
-        timing.transfer_s += w2.duration_s();
-
-        // Step 9: finder arguments.
-        self.finder.set_arg(0, KernelArg::BufU8(self.chr.device_buffer()))?;
-        self.finder.set_arg(1, KernelArg::BufU8(self.pat.device_buffer()))?;
-        self.finder.set_arg(2, KernelArg::BufI32(self.pat_index.device_buffer()))?;
-        self.finder.set_arg(3, KernelArg::BufU32(self.loci.device_buffer()))?;
-        self.finder.set_arg(4, KernelArg::BufU8(self.flags.device_buffer()))?;
-        self.finder.set_arg(5, KernelArg::BufU32(self.fcount.device_buffer()))?;
-        self.finder.set_arg(6, KernelArg::U32(scan_len as u32))?;
-        self.finder.set_arg(7, KernelArg::U32(seq.len() as u32))?;
-        self.finder.set_arg(8, KernelArg::U32(plen as u32))?;
-        self.finder.set_arg(9, KernelArg::Local { bytes: 2 * plen })?;
-        self.finder.set_arg(10, KernelArg::Local { bytes: 8 * plen })?;
-
-        // Step 10: enqueue the finder.
-        let gws = round_up(scan_len, self.rounding);
-        let ev = self.queue.enqueue_nd_range_kernel(&self.finder, gws, self.lws)?;
-        ev.wait(); // step 12
-        timing.finder_s += ev
-            .launch_report()
-            .map(|r| r.exec_time_s)
-            .unwrap_or_else(|| ev.duration_s());
-        if let Some(r) = ev.launch_report() {
-            profile.record_ref(r);
+        let (n, captured) = self.find(&staged, p, scan_len, token, sites, timing, profile)?;
+        let mut per_query = vec![Vec::new(); tables.len()];
+        if n > 0 {
+            self.compare(&staged, n, tables, timing, profile, &mut per_query)?;
         }
-        timing.finder_launches += 1;
-
-        let mut n = [0u32];
-        let r = self.queue.enqueue_read_buffer(&self.fcount, true, 0, &mut n)?;
-        timing.transfer_s += r.duration_s();
-        let n = n[0] as usize;
-        timing.candidates += n as u64;
-        self.note_candidates(token, n, timing)?;
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-
-        self.run_comparers(n, tables, timing, profile, &mut per_query)?;
-        Ok((per_query, reused))
+        Ok(ChunkRun {
+            per_query,
+            reused,
+            captured,
+        })
     }
 
-    /// Run one finder→comparer interaction from a losslessly 2-bit packed
-    /// chunk: upload the packed words, the N-mask and the rare exception
-    /// bytes (~0.375 bytes per base instead of 1), let the `finder_packed`
-    /// kernel decode the chunk on-device into the `chr` scratch buffer, then
-    /// compare every prepared query exactly as [`run_chunk`] does. Produces
-    /// byte-identical entries to `run_chunk(&packed.decode(), ..)`.
-    ///
-    /// [`run_chunk`]: Self::run_chunk
+    /// Upload-only warmup: stage `p` under `token` without launching a
+    /// kernel, so a later [`run`](Self::run) with the same token skips the
+    /// transfer. Returns whether an upload actually happened (`false` when
+    /// the token was already resident).
     ///
     /// # Errors
     ///
@@ -686,1028 +772,397 @@ impl OclChunkRunner {
     /// # Panics
     ///
     /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn run_packed_chunk(
-        &self,
-        packed: &PackedSeq,
-        scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<Vec<QueryEntries>> {
-        self.run_packed_inner(None, packed, scan_len, tables, timing, profile)
-            .map(|(per_query, _)| per_query)
-    }
-
-    /// [`run_packed_chunk`](Self::run_packed_chunk) with residency: the
-    /// runner keeps the packed payloads of its last `resident_slots` tokens
-    /// on-device, and a run whose `token` matches a slot skips the packed,
-    /// mask and exception uploads entirely (recorded on the device as
-    /// skipped h2d traffic). Returns the entries plus whether a resident
-    /// payload was reused. The token is the *caller's* identity for the
-    /// chunk content — two different chunks must never share a token.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn run_packed_chunk_resident(
-        &self,
-        token: u64,
-        packed: &PackedSeq,
-        scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        self.run_packed_inner(Some(token), packed, scan_len, tables, timing, profile)
-    }
-
-    fn run_packed_inner(
-        &self,
-        token: Option<u64>,
-        packed: &PackedSeq,
-        scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        let plen = self.pattern.plen();
-        let seq_len = packed.len();
+    pub fn prefetch(&self, token: u64, p: Payload<'_>) -> ClResult<bool> {
         assert!(
-            seq_len <= self.cap + plen && scan_len <= self.cap,
-            "chunk ({seq_len} bases, {scan_len} scanned) exceeds runner capacity {}",
+            p.seq_len() <= self.cap + self.pattern.plen(),
+            "chunk ({} bases) exceeds runner capacity {}",
+            p.seq_len(),
             self.cap
         );
-        let mut per_query = vec![Vec::new(); tables.len()];
-        let n_exc = packed.exceptions().len();
+        let (_, reused) = self.stage(p, Some(token), &mut TimingBreakdown::default())?;
+        Ok(!reused)
+    }
 
-        // Pick the slot: a token match reuses the resident payload, anything
-        // else claims the least-recently-used slot and re-uploads.
-        let hit = token.and_then(|t| {
-            self.slots
+    /// Claim the slot for `token`: the one already holding it (a hit), else
+    /// the least-recently-used slot, retagged.
+    fn claim<'s, B>(&self, slots: &'s [Slot<B>], token: Option<u64>) -> (&'s Slot<B>, bool) {
+        let hit = token.and_then(|t| slots.iter().find(|s| s.token.get() == Some(t)));
+        let slot = hit.unwrap_or_else(|| {
+            let lru = slots
                 .iter()
-                .position(|s| s.token.get() == Some(t))
+                .min_by_key(|s| s.tick.get())
+                .expect("runner always has at least one slot");
+            lru.token.set(token);
+            lru
         });
-        let (slot, reused) = match hit {
-            Some(i) => (&self.slots[i], true),
-            None => {
-                let i = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.tick.get())
-                    .map(|(i, _)| i)
-                    .expect("runner always has at least one slot");
-                let slot = &self.slots[i];
-                slot.token.set(token);
-                (slot, false)
-            }
-        };
         self.slot_clock.set(self.slot_clock.get() + 1);
         slot.tick.set(self.slot_clock.get());
+        (slot, hit.is_some())
+    }
 
-        // Step 11 (host->device): upload the packed payload — unless it is
-        // still resident — and reset the counter. The exception arrays only
-        // move when the chunk has any.
-        if reused {
-            self.queue
-                .device()
-                .record_h2d_skipped(packed_upload_bytes(packed));
-        } else {
-            let w1 = self
-                .queue
-                .enqueue_write_buffer(&slot.packed_buf, true, 0, packed.packed_bytes())?;
-            let w2 = self
-                .queue
-                .enqueue_write_buffer(&slot.mask_buf, true, 0, packed.mask_bytes())?;
-            timing.transfer_s += w1.duration_s() + w2.duration_s();
-            if n_exc > 0 {
-                let (pos, val) = packed.exception_arrays();
-                let e1 = self.queue.enqueue_write_buffer(&slot.exc_pos, true, 0, &pos)?;
-                let e2 = self.queue.enqueue_write_buffer(&slot.exc_val, true, 0, &val)?;
-                timing.transfer_s += e1.duration_s() + e2.duration_s();
+    /// Step 11 (host->device): put `p` on the device — unless it is still
+    /// resident under `token` — and report which encoding is staged and
+    /// whether the resident copy was reused.
+    fn stage(
+        &self,
+        p: Payload<'_>,
+        token: Option<u64>,
+        timing: &mut TimingBreakdown,
+    ) -> ClResult<(OclStaged<'_>, bool)> {
+        let q = &self.queue;
+        Ok(match p {
+            Payload::Raw(seq) => {
+                let reused = token.is_some() && self.chr_token.get() == token;
+                if !reused {
+                    timing.transfer_s += q
+                        .enqueue_write_buffer(&self.chr, true, 0, seq)?
+                        .duration_s();
+                    self.chr_token.set(token);
+                }
+                (Staged::Char(()), reused)
             }
+            Payload::Packed(packed) => {
+                let (slot, reused) = self.claim(&self.slots, token);
+                if !reused {
+                    let b = &slot.bufs;
+                    let w1 = q.enqueue_write_buffer(&b.packed, true, 0, packed.packed_bytes())?;
+                    let w2 = q.enqueue_write_buffer(&b.mask, true, 0, packed.mask_bytes())?;
+                    timing.transfer_s += w1.duration_s() + w2.duration_s();
+                    if !packed.exceptions().is_empty() {
+                        let (pos, val) = packed.exception_arrays();
+                        let e1 = q.enqueue_write_buffer(&b.exc_pos, true, 0, &pos)?;
+                        let e2 = q.enqueue_write_buffer(&b.exc_val, true, 0, &val)?;
+                        timing.transfer_s += e1.duration_s() + e2.duration_s();
+                    }
+                }
+                (Staged::TwoBit(slot), reused)
+            }
+            Payload::Nibble(nibble) => {
+                let (slot, reused) = self.claim(&self.nibble_slots, token);
+                if !reused {
+                    let w = q.enqueue_write_buffer(&slot.bufs, true, 0, nibble.nibble_bytes())?;
+                    timing.transfer_s += w.duration_s();
+                }
+                (Staged::FourBit(slot), reused)
+            }
+        })
+    }
+
+    /// Launch `k` with `args` over `items` work-items (rounded up to the
+    /// work-group size, step 10), wait (step 12) and profile it; returns
+    /// the kernel's execution time.
+    fn launch(
+        &self,
+        k: &Kernel,
+        args: Vec<KernelArg>,
+        items: usize,
+        profile: &mut gpu_sim::profile::Profile,
+    ) -> ClResult<f64> {
+        for (i, arg) in args.into_iter().enumerate() {
+            k.set_arg(i, arg)?;
         }
-        let w3 = self.queue.enqueue_fill_buffer(&self.fcount, 0u32)?;
-        timing.transfer_s += w3.duration_s();
-        // The packed finder decodes over the raw-path scratch below.
-        self.chr_token.set(None);
-
-        let k = &self.finder_packed;
-        k.set_arg(0, KernelArg::BufU8(slot.packed_buf.device_buffer()))?;
-        k.set_arg(1, KernelArg::BufU8(slot.mask_buf.device_buffer()))?;
-        k.set_arg(2, KernelArg::BufU32(slot.exc_pos.device_buffer()))?;
-        k.set_arg(3, KernelArg::BufU8(slot.exc_val.device_buffer()))?;
-        k.set_arg(4, KernelArg::U32(n_exc as u32))?;
-        k.set_arg(5, KernelArg::BufU8(self.chr.device_buffer()))?;
-        k.set_arg(6, KernelArg::BufU8(self.pat.device_buffer()))?;
-        k.set_arg(7, KernelArg::BufI32(self.pat_index.device_buffer()))?;
-        k.set_arg(8, KernelArg::BufU32(self.loci.device_buffer()))?;
-        k.set_arg(9, KernelArg::BufU8(self.flags.device_buffer()))?;
-        k.set_arg(10, KernelArg::BufU32(self.fcount.device_buffer()))?;
-        k.set_arg(11, KernelArg::U32(scan_len as u32))?;
-        k.set_arg(12, KernelArg::U32(seq_len as u32))?;
-        k.set_arg(13, KernelArg::U32(plen as u32))?;
-        k.set_arg(14, KernelArg::Local { bytes: 2 * plen })?;
-        k.set_arg(15, KernelArg::Local { bytes: 8 * plen })?;
-
-        let gws = round_up(scan_len, self.rounding);
-        let ev = self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?;
+        let ev = self
+            .queue
+            .enqueue_nd_range_kernel(k, round_up(items, self.rounding), self.lws)?;
         ev.wait();
-        timing.finder_s += ev
-            .launch_report()
-            .map(|r| r.exec_time_s)
-            .unwrap_or_else(|| ev.duration_s());
         if let Some(r) = ev.launch_report() {
             profile.record_ref(r);
         }
-        timing.finder_launches += 1;
-
-        let mut n = [0u32];
-        let r = self.queue.enqueue_read_buffer(&self.fcount, true, 0, &mut n)?;
-        timing.transfer_s += r.duration_s();
-        let n = n[0] as usize;
-        timing.candidates += n as u64;
-        self.note_candidates(token, n, timing)?;
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-
-        // The packed payload is already resident: when its exceptions are
-        // semantically transparent, compare in 2-bit form (~plen/4 + plen/8
-        // global bytes per site instead of plen). Degenerate exception
-        // bytes fall back to the char comparer on the decoded scratch.
-        if twobit_compare_safe(packed) {
-            self.run_comparers_2bit(slot, n, tables, timing, profile, &mut per_query)?;
-        } else {
-            self.run_comparers(n, tables, timing, profile, &mut per_query)?;
-        }
-        Ok((per_query, reused))
-    }
-
-    /// Run one finder→comparer interaction from a 4-bit nibble-packed chunk:
-    /// upload the nibble words (0.5 bytes per base — no mask, no exception
-    /// arrays), let the `finder_nibble` kernel decode them on-device into
-    /// the `chr` scratch, then compare every prepared query with the
-    /// `comparer_4bit` kernel directly on the nibbles. Unlike the 2-bit
-    /// path there is *no* fallback: the nibble masks carry the full IUPAC
-    /// matching semantics, so results are byte-identical to
-    /// `run_chunk(&nibble.decode(), ..)` on any input.
-    ///
-    /// [`run_chunk`]: Self::run_chunk
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn run_nibble_chunk(
-        &self,
-        nibble: &NibbleSeq,
-        scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<Vec<QueryEntries>> {
-        self.run_nibble_inner(None, nibble, scan_len, tables, timing, profile)
-            .map(|(per_query, _)| per_query)
-    }
-
-    /// [`run_nibble_chunk`](Self::run_nibble_chunk) with residency: the
-    /// runner keeps the nibble words of its last `resident_slots` tokens
-    /// on-device, and a run whose `token` matches a slot skips the upload
-    /// entirely (recorded on the device as skipped h2d traffic). Returns the
-    /// entries plus whether a resident payload was reused. Nibble slots are
-    /// independent of the 2-bit slots — the two payload forms never share a
-    /// token.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn run_nibble_chunk_resident(
-        &self,
-        token: u64,
-        nibble: &NibbleSeq,
-        scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        self.run_nibble_inner(Some(token), nibble, scan_len, tables, timing, profile)
-    }
-
-    fn run_nibble_inner(
-        &self,
-        token: Option<u64>,
-        nibble: &NibbleSeq,
-        scan_len: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        let plen = self.pattern.plen();
-        let seq_len = nibble.len();
-        assert!(
-            seq_len <= self.cap + plen && scan_len <= self.cap,
-            "chunk ({seq_len} bases, {scan_len} scanned) exceeds runner capacity {}",
-            self.cap
-        );
-        let mut per_query = vec![Vec::new(); tables.len()];
-
-        // Pick the slot: a token match reuses the resident nibbles, anything
-        // else claims the least-recently-used slot and re-uploads.
-        let hit = token.and_then(|t| {
-            self.nibble_slots
-                .iter()
-                .position(|s| s.token.get() == Some(t))
-        });
-        let (slot, reused) = match hit {
-            Some(i) => (&self.nibble_slots[i], true),
-            None => {
-                let i = self
-                    .nibble_slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.tick.get())
-                    .map(|(i, _)| i)
-                    .expect("runner always has at least one slot");
-                let slot = &self.nibble_slots[i];
-                slot.token.set(token);
-                (slot, false)
-            }
-        };
-        self.slot_clock.set(self.slot_clock.get() + 1);
-        slot.tick.set(self.slot_clock.get());
-
-        // Step 11 (host->device): upload the nibble words — unless they are
-        // still resident — and reset the counter.
-        if reused {
-            self.queue
-                .device()
-                .record_h2d_skipped(nibble.device_byte_len() as u64);
-        } else {
-            let w1 = self
-                .queue
-                .enqueue_write_buffer(&slot.nibble_buf, true, 0, nibble.nibble_bytes())?;
-            timing.transfer_s += w1.duration_s();
-        }
-        let w2 = self.queue.enqueue_fill_buffer(&self.fcount, 0u32)?;
-        timing.transfer_s += w2.duration_s();
-
-        let gws = round_up(scan_len, self.rounding);
-        let ev = if let Some(k) = &self.spec_finder_nibble {
-            // The specialized finder scans the nibble words directly, so the
-            // raw-path `chr` scratch stays untouched (and stays valid).
-            k.set_arg(0, KernelArg::BufU8(slot.nibble_buf.device_buffer()))?;
-            k.set_arg(1, KernelArg::BufU32(self.loci.device_buffer()))?;
-            k.set_arg(2, KernelArg::BufU8(self.flags.device_buffer()))?;
-            k.set_arg(3, KernelArg::BufU32(self.fcount.device_buffer()))?;
-            k.set_arg(4, KernelArg::U32(scan_len as u32))?;
-            k.set_arg(5, KernelArg::U32(seq_len as u32))?;
-            self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-        } else {
-            // The nibble finder decodes over the raw-path scratch below.
-            self.chr_token.set(None);
-
-            let k = &self.finder_nibble;
-            k.set_arg(0, KernelArg::BufU8(slot.nibble_buf.device_buffer()))?;
-            k.set_arg(1, KernelArg::BufU8(self.chr.device_buffer()))?;
-            k.set_arg(2, KernelArg::BufU8(self.pat.device_buffer()))?;
-            k.set_arg(3, KernelArg::BufI32(self.pat_index.device_buffer()))?;
-            k.set_arg(4, KernelArg::BufU32(self.loci.device_buffer()))?;
-            k.set_arg(5, KernelArg::BufU8(self.flags.device_buffer()))?;
-            k.set_arg(6, KernelArg::BufU32(self.fcount.device_buffer()))?;
-            k.set_arg(7, KernelArg::U32(scan_len as u32))?;
-            k.set_arg(8, KernelArg::U32(seq_len as u32))?;
-            k.set_arg(9, KernelArg::U32(plen as u32))?;
-            k.set_arg(10, KernelArg::Local { bytes: 2 * plen })?;
-            k.set_arg(11, KernelArg::Local { bytes: 8 * plen })?;
-            self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-        };
-        ev.wait();
-        timing.finder_s += ev
+        Ok(ev
             .launch_report()
             .map(|r| r.exec_time_s)
-            .unwrap_or_else(|| ev.duration_s());
-        if let Some(r) = ev.launch_report() {
-            profile.record_ref(r);
-        }
-        timing.finder_launches += 1;
-
-        let mut n = [0u32];
-        let r = self.queue.enqueue_read_buffer(&self.fcount, true, 0, &mut n)?;
-        timing.transfer_s += r.duration_s();
-        let n = n[0] as usize;
-        timing.candidates += n as u64;
-        self.note_candidates(token, n, timing)?;
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-
-        self.run_comparers_4bit(slot, n, tables, timing, profile, &mut per_query)?;
-        Ok((per_query, reused))
+            .unwrap_or_else(|| ev.duration_s()))
     }
 
-    /// Record a freshly produced candidate list: remember its identity for
-    /// the cached-candidate entry points and, when capture is armed, read it
-    /// back (a timed d2h transfer) for the caller's candidate cache.
-    fn note_candidates(
-        &self,
-        token: Option<u64>,
-        n: usize,
-        timing: &mut TimingBreakdown,
-    ) -> ClResult<()> {
-        self.cand_token.set(token.map(|t| (t, n as u32)));
-        if self.capture.get() {
-            let mut loci = vec![0u32; n];
-            let mut flags = vec![0u8; n];
-            if n > 0 {
-                let r1 = self.queue.enqueue_read_buffer(&self.loci, true, 0, &mut loci)?;
-                let r2 = self.queue.enqueue_read_buffer(&self.flags, true, 0, &mut flags)?;
-                timing.transfer_s += r1.duration_s() + r2.duration_s();
-            }
-            *self.captured.borrow_mut() = Some(CandidateSites { loci, flags });
-        }
-        Ok(())
-    }
-
-    /// Replace the finder pass with a cached candidate list: record the
-    /// skipped launch, then stage `sites` into the `loci`/`flags` scratch —
+    /// Produce the candidate list in `loci`/`flags` and return its length
+    /// (plus the read-back list under [`Sites::Capture`]): launch the
+    /// finder flavour of the staged encoding, or stage a replayed list —
     /// skipping even that upload when the same list is still resident from
-    /// an earlier run under `token`.
-    fn stage_cached_candidates(
+    /// an earlier run under the token.
+    #[allow(clippy::too_many_arguments)]
+    fn find(
         &self,
-        token: u64,
-        sites: &CandidateSites,
-        timing: &mut TimingBreakdown,
-    ) -> ClResult<()> {
-        let n = sites.len();
-        assert!(n <= self.cap, "candidate list exceeds runner capacity");
-        self.queue.device().record_launch_skipped();
-        timing.finder_launches_skipped += 1;
-        timing.candidates += n as u64;
-        if self.cand_token.get() == Some((token, n as u32)) {
-            self.queue.device().record_h2d_skipped(sites.byte_len() as u64);
-        } else {
-            if n > 0 {
-                let w1 = self.queue.enqueue_write_buffer(&self.loci, true, 0, &sites.loci)?;
-                let w2 = self.queue.enqueue_write_buffer(&self.flags, true, 0, &sites.flags)?;
-                timing.transfer_s += w1.duration_s() + w2.duration_s();
-            }
-            self.cand_token.set(Some((token, n as u32)));
-        }
-        Ok(())
-    }
-
-    /// [`run_chunk_resident`](Self::run_chunk_resident) with a pre-resolved
-    /// candidate list: the finder launch is skipped entirely (recorded on
-    /// the device and in `timing.finder_launches_skipped`) and the comparer
-    /// stage runs against `sites` — a capture from an earlier run over the
-    /// same chunk content and PAM pattern. `seq` is still needed because
-    /// the char comparer reads the chunk bytes; its upload is skipped when
-    /// the chunk is resident under `token`. Returns the entries plus
-    /// whether the chunk payload was resident.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk or candidate list exceeds the runner's
-    /// configured capacity.
-    pub fn run_chunk_cached_candidates(
-        &self,
-        token: u64,
-        seq: &[u8],
-        sites: &CandidateSites,
-        tables: &OclQueryTables,
+        staged: &OclStaged<'_>,
+        p: Payload<'_>,
+        scan_len: usize,
+        token: Option<u64>,
+        sites: Sites<'_>,
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
+    ) -> ClResult<(usize, Option<CandidateSites>)> {
+        if let Sites::Replay(list) = sites {
+            let (token, n) = (token.expect(REPLAY_TOKEN), list.len());
+            assert!(n <= self.cap, "candidate list exceeds runner capacity");
+            self.queue.device().record_launch_skipped();
+            timing.finder_launches_skipped += 1;
+            timing.candidates += n as u64;
+            if self.cand_token.get() == Some((token, n as u32)) {
+                self.queue
+                    .device()
+                    .record_h2d_skipped(list.byte_len() as u64);
+            } else {
+                if n > 0 {
+                    let w1 = self
+                        .queue
+                        .enqueue_write_buffer(&self.loci, true, 0, &list.loci)?;
+                    let w2 = self
+                        .queue
+                        .enqueue_write_buffer(&self.flags, true, 0, &list.flags)?;
+                    timing.transfer_s += w1.duration_s() + w2.duration_s();
+                }
+                self.cand_token.set(Some((token, n as u32)));
+            }
+            return Ok((n, None));
+        }
         let plen = self.pattern.plen();
-        assert!(
-            seq.len() <= self.cap + plen,
-            "chunk ({} bases) exceeds runner capacity {}",
-            seq.len(),
-            self.cap
-        );
-        let mut per_query = vec![Vec::new(); tables.len()];
+        let w = self.queue.enqueue_fill_buffer(&self.fcount, 0u32)?;
+        timing.transfer_s += w.duration_s();
 
-        let reused = self.chr_token.get() == Some(token);
-        if reused {
-            self.queue.device().record_h2d_skipped(seq.len() as u64);
-        } else {
-            let w1 = self.queue.enqueue_write_buffer(&self.chr, true, 0, seq)?;
-            timing.transfer_s += w1.duration_s();
-            self.chr_token.set(Some(token));
-        }
-
-        self.stage_cached_candidates(token, sites, timing)?;
-        let n = sites.len();
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-        self.run_comparers(n, tables, timing, profile, &mut per_query)?;
-        Ok((per_query, reused))
-    }
-
-    /// [`run_packed_chunk_resident`](Self::run_packed_chunk_resident) with a
-    /// pre-resolved candidate list: no finder launch, comparison in 2-bit
-    /// form against the (resident or freshly uploaded) packed payload.
-    ///
-    /// Unlike the full packed run there is no char fallback — skipping the
-    /// finder also skips the on-device decode the char comparer would read —
-    /// so callers must check [`twobit_compare_safe`] first and take the full
-    /// run (or the char cached path on decoded bytes) when it fails.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk or candidate list exceeds the runner's capacity,
-    /// or if the payload is not [`twobit_compare_safe`].
-    pub fn run_packed_chunk_cached_candidates(
-        &self,
-        token: u64,
-        packed: &PackedSeq,
-        sites: &CandidateSites,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        assert!(
-            twobit_compare_safe(packed),
-            "cached-candidate packed runs require 2-bit-safe payloads"
-        );
-        assert!(
-            packed.len() <= self.cap + self.pattern.plen(),
-            "chunk ({} bases) exceeds runner capacity {}",
-            packed.len(),
-            self.cap
-        );
-        let mut per_query = vec![Vec::new(); tables.len()];
-        let n_exc = packed.exceptions().len();
-
-        let hit = self.slots.iter().position(|s| s.token.get() == Some(token));
-        let (slot, reused) = match hit {
-            Some(i) => (&self.slots[i], true),
-            None => {
-                let i = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.tick.get())
-                    .map(|(i, _)| i)
-                    .expect("runner always has at least one slot");
-                let slot = &self.slots[i];
-                slot.token.set(Some(token));
-                (slot, false)
+        // Step 9: finder arguments. The specialized nibble finder scans the
+        // nibble words directly, leaving the `chr` scratch untouched (and
+        // valid); every other flavour scans `chr`, the packed and nibble
+        // ones after decoding their payload into it.
+        let (loci, flags) = (self.loci.device_buffer(), self.flags.device_buffer());
+        let fcount = self.fcount.device_buffer();
+        let (k, args) = match (staged, &self.spec_finder_nibble) {
+            (Staged::FourBit(slot), Some(k)) => (
+                k,
+                vec![
+                    KernelArg::BufU8(slot.bufs.device_buffer()),
+                    KernelArg::BufU32(loci),
+                    KernelArg::BufU8(flags),
+                    KernelArg::BufU32(fcount),
+                    KernelArg::U32(scan_len as u32),
+                    KernelArg::U32(p.seq_len() as u32),
+                ],
+            ),
+            _ => {
+                let (k, mut args) = match staged {
+                    Staged::Char(()) => (&self.finder, vec![]),
+                    Staged::TwoBit(slot) => (
+                        &self.finder_packed,
+                        vec![
+                            KernelArg::BufU8(slot.bufs.packed.device_buffer()),
+                            KernelArg::BufU8(slot.bufs.mask.device_buffer()),
+                            KernelArg::BufU32(slot.bufs.exc_pos.device_buffer()),
+                            KernelArg::BufU8(slot.bufs.exc_val.device_buffer()),
+                            KernelArg::U32(p.exceptions() as u32),
+                        ],
+                    ),
+                    Staged::FourBit(slot) => (
+                        &self.finder_nibble,
+                        vec![KernelArg::BufU8(slot.bufs.device_buffer())],
+                    ),
+                };
+                if !matches!(staged, Staged::Char(_)) {
+                    self.chr_token.set(None);
+                }
+                args.extend([
+                    KernelArg::BufU8(self.chr.device_buffer()),
+                    KernelArg::BufU8(self.pat.device_buffer()),
+                    KernelArg::BufI32(self.pat_index.device_buffer()),
+                    KernelArg::BufU32(loci),
+                    KernelArg::BufU8(flags),
+                    KernelArg::BufU32(fcount),
+                    KernelArg::U32(scan_len as u32),
+                    KernelArg::U32(p.seq_len() as u32),
+                    KernelArg::U32(plen as u32),
+                    KernelArg::Local { bytes: 2 * plen },
+                    KernelArg::Local { bytes: 8 * plen },
+                ]);
+                (k, args)
             }
         };
-        self.slot_clock.set(self.slot_clock.get() + 1);
-        slot.tick.set(self.slot_clock.get());
+        timing.finder_s += self.launch(k, args, scan_len, profile)?;
+        timing.finder_launches += 1;
 
-        if reused {
-            self.queue
-                .device()
-                .record_h2d_skipped(packed_upload_bytes(packed));
-        } else {
-            let w1 = self
-                .queue
-                .enqueue_write_buffer(&slot.packed_buf, true, 0, packed.packed_bytes())?;
-            let w2 = self
-                .queue
-                .enqueue_write_buffer(&slot.mask_buf, true, 0, packed.mask_bytes())?;
-            timing.transfer_s += w1.duration_s() + w2.duration_s();
-            if n_exc > 0 {
-                let (pos, val) = packed.exception_arrays();
-                let e1 = self.queue.enqueue_write_buffer(&slot.exc_pos, true, 0, &pos)?;
-                let e2 = self.queue.enqueue_write_buffer(&slot.exc_val, true, 0, &val)?;
-                timing.transfer_s += e1.duration_s() + e2.duration_s();
-            }
+        let mut n = [0u32];
+        let r = self
+            .queue
+            .enqueue_read_buffer(&self.fcount, true, 0, &mut n)?;
+        timing.transfer_s += r.duration_s();
+        let n = n[0] as usize;
+        timing.candidates += n as u64;
+        self.cand_token.set(token.map(|t| (t, n as u32)));
+        if !matches!(sites, Sites::Capture) {
+            return Ok((n, None));
         }
-
-        self.stage_cached_candidates(token, sites, timing)?;
-        let n = sites.len();
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-        self.run_comparers_2bit(slot, n, tables, timing, profile, &mut per_query)?;
-        Ok((per_query, reused))
-    }
-
-    /// [`run_nibble_chunk_resident`](Self::run_nibble_chunk_resident) with a
-    /// pre-resolved candidate list: no finder launch, comparison by mask
-    /// intersection against the (resident or freshly uploaded) nibble
-    /// payload. Valid on any input — the nibble comparer never needs the
-    /// decoded scratch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk or candidate list exceeds the runner's capacity.
-    pub fn run_nibble_chunk_cached_candidates(
-        &self,
-        token: u64,
-        nibble: &NibbleSeq,
-        sites: &CandidateSites,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ClResult<(Vec<QueryEntries>, bool)> {
-        assert!(
-            nibble.len() <= self.cap + self.pattern.plen(),
-            "chunk ({} bases) exceeds runner capacity {}",
-            nibble.len(),
-            self.cap
-        );
-        let mut per_query = vec![Vec::new(); tables.len()];
-
-        let hit = self
-            .nibble_slots
-            .iter()
-            .position(|s| s.token.get() == Some(token));
-        let (slot, reused) = match hit {
-            Some(i) => (&self.nibble_slots[i], true),
-            None => {
-                let i = self
-                    .nibble_slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.tick.get())
-                    .map(|(i, _)| i)
-                    .expect("runner always has at least one slot");
-                let slot = &self.nibble_slots[i];
-                slot.token.set(Some(token));
-                (slot, false)
-            }
+        let mut list = CandidateSites {
+            loci: vec![0u32; n],
+            flags: vec![0u8; n],
         };
-        self.slot_clock.set(self.slot_clock.get() + 1);
-        slot.tick.set(self.slot_clock.get());
-
-        if reused {
-            self.queue
-                .device()
-                .record_h2d_skipped(nibble.device_byte_len() as u64);
-        } else {
-            let w1 = self
+        if n > 0 {
+            let r1 = self
                 .queue
-                .enqueue_write_buffer(&slot.nibble_buf, true, 0, nibble.nibble_bytes())?;
-            timing.transfer_s += w1.duration_s();
+                .enqueue_read_buffer(&self.loci, true, 0, &mut list.loci)?;
+            let r2 = self
+                .queue
+                .enqueue_read_buffer(&self.flags, true, 0, &mut list.flags)?;
+            timing.transfer_s += r1.duration_s() + r2.duration_s();
         }
-
-        self.stage_cached_candidates(token, sites, timing)?;
-        let n = sites.len();
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-        self.run_comparers_4bit(slot, n, tables, timing, profile, &mut per_query)?;
-        Ok((per_query, reused))
+        Ok((n, Some(list)))
     }
 
-    /// Shared comparer stage: one launch per prepared query against `n`
-    /// candidate loci already staged in the runner's scratch buffers.
-    fn run_comparers(
+    /// Comparer stage against the `n` candidates staged in `loci`/`flags`:
+    /// one launch per prepared query on the staged encoding — or, on a
+    /// multi-guide runner with several queries, one `comparer_multi*`
+    /// launch per block of up to [`GUIDE_BLOCK`] guides (`ceil(k /
+    /// GUIDE_BLOCK)` launches instead of `k`), whose guide-tagged output
+    /// demultiplexes, in compaction order, into byte-identical per-query
+    /// entries. A fused block whose guides share one threshold runs the
+    /// threshold-folded variant when the runner specializes; mixed
+    /// thresholds stage the per-guide table instead.
+    fn compare(
         &self,
+        staged: &OclStaged<'_>,
         n: usize,
         tables: &OclQueryTables,
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
         per_query: &mut [QueryEntries],
     ) -> ClResult<()> {
-        if let Some(multi) = &self.multi {
-            if tables.len() > 1 {
-                return self.run_comparers_multi(
-                    multi,
-                    MultiEnc::Char,
-                    n,
-                    tables,
-                    timing,
-                    profile,
-                    per_query,
-                );
-            }
-        }
         let plen = self.pattern.plen();
-        for (qi, (out, (comp, comp_index, threshold))) in
-            per_query.iter_mut().zip(&tables.entries).enumerate()
-        {
-            let wz = self.queue.enqueue_fill_buffer(&self.ecount, 0u32)?;
-            timing.transfer_s += wz.duration_s();
-
-            let gws = round_up(n, self.rounding);
-            let ev = if self.specialize && !tables.spec_queries.is_empty() {
-                let mut map = tables.spec_kernels.borrow_mut();
-                let k = self.spec_kernel(
-                    &mut map,
-                    &tables.spec_queries,
-                    qi,
-                    VariantKind::CharComparer,
-                    *threshold,
-                )?;
-                k.set_arg(0, KernelArg::BufU8(self.chr.device_buffer()))?;
-                k.set_arg(1, KernelArg::BufU32(self.loci.device_buffer()))?;
-                k.set_arg(2, KernelArg::BufU8(self.flags.device_buffer()))?;
-                k.set_arg(3, KernelArg::BufU16(self.mm_count.device_buffer()))?;
-                k.set_arg(4, KernelArg::BufU8(self.direction.device_buffer()))?;
-                k.set_arg(5, KernelArg::BufU32(self.mm_loci.device_buffer()))?;
-                k.set_arg(6, KernelArg::BufU32(self.ecount.device_buffer()))?;
-                k.set_arg(7, KernelArg::U32(n as u32))?;
-                self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-            } else {
-                self.comparer.set_arg(0, KernelArg::BufU8(self.chr.device_buffer()))?;
-                self.comparer.set_arg(1, KernelArg::BufU32(self.loci.device_buffer()))?;
-                self.comparer.set_arg(2, KernelArg::BufU8(self.flags.device_buffer()))?;
-                self.comparer.set_arg(3, KernelArg::BufU8(generic_table(comp).device_buffer()))?;
-                self.comparer.set_arg(4, KernelArg::BufI32(generic_table(comp_index).device_buffer()))?;
-                self.comparer.set_arg(5, KernelArg::U32(n as u32))?;
-                self.comparer.set_arg(6, KernelArg::U32(plen as u32))?;
-                self.comparer.set_arg(7, KernelArg::U16(*threshold))?;
-                self.comparer.set_arg(8, KernelArg::BufU16(self.mm_count.device_buffer()))?;
-                self.comparer.set_arg(9, KernelArg::BufU8(self.direction.device_buffer()))?;
-                self.comparer.set_arg(10, KernelArg::BufU32(self.mm_loci.device_buffer()))?;
-                self.comparer.set_arg(11, KernelArg::BufU32(self.ecount.device_buffer()))?;
-                self.comparer.set_arg(12, KernelArg::Local { bytes: 2 * plen })?;
-                self.comparer.set_arg(13, KernelArg::Local { bytes: 8 * plen })?;
-                self.queue.enqueue_nd_range_kernel(&self.comparer, gws, self.lws)?
+        let q = &self.queue;
+        let fused = self.multi.as_ref().filter(|_| tables.len() > 1);
+        let block = if fused.is_some() { GUIDE_BLOCK } else { 1 };
+        let mut spec_kernels = tables.spec_kernels.borrow_mut();
+        let mut spec_multi_kernels = self.spec_multi_kernels.borrow_mut();
+        let mut start = 0;
+        while start < tables.len() {
+            let g = (tables.len() - start).min(block);
+            let mut args = match staged {
+                Staged::Char(()) => vec![KernelArg::BufU8(self.chr.device_buffer())],
+                Staged::TwoBit(slot) => vec![
+                    KernelArg::BufU8(slot.bufs.packed.device_buffer()),
+                    KernelArg::BufU8(slot.bufs.mask.device_buffer()),
+                ],
+                Staged::FourBit(slot) => vec![KernelArg::BufU8(slot.bufs.device_buffer())],
             };
-            ev.wait();
-            timing.comparer_s += ev
-                .launch_report()
-                .map(|r| r.exec_time_s)
-                .unwrap_or_else(|| ev.duration_s());
-            if let Some(r) = ev.launch_report() {
-                profile.record_ref(r);
-            }
+            args.extend([
+                KernelArg::BufU32(self.loci.device_buffer()),
+                KernelArg::BufU8(self.flags.device_buffer()),
+            ]);
+            let k = if let Some(multi) = fused {
+                // Concatenate the block's tables host-side: guide `bi`
+                // occupies `[fwd | rc]` at offset `bi * 2 * plen`. Uploads
+                // are per block, not per guide.
+                let mut comp = vec![0u8; g * 2 * plen];
+                let mut comp_index = vec![0i32; g * 2 * plen];
+                let mut thresholds = vec![0u16; g];
+                for bi in 0..g {
+                    let c = &tables.spec_queries[start + bi];
+                    comp[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp());
+                    comp_index[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp_index());
+                    thresholds[bi] = tables.entries[start + bi].2;
+                }
+                let w1 = q.enqueue_write_buffer(&multi.comp, true, 0, &comp)?;
+                let w2 = q.enqueue_write_buffer(&multi.comp_index, true, 0, &comp_index)?;
+                let wz = q.enqueue_fill_buffer(&self.ecount, 0u32)?;
+                timing.transfer_s += w1.duration_s() + w2.duration_s() + wz.duration_s();
+                let folded = self.specialize && thresholds.iter().all(|&t| t == thresholds[0]);
+                if !folded {
+                    let w3 = q.enqueue_write_buffer(&multi.thresholds, true, 0, &thresholds)?;
+                    timing.transfer_s += w3.duration_s();
+                }
+                args.push(KernelArg::BufU8(multi.comp.device_buffer()));
+                args.push(KernelArg::BufI32(multi.comp_index.device_buffer()));
+                if !folded {
+                    args.push(KernelArg::BufU16(multi.thresholds.device_buffer()));
+                }
+                args.extend([
+                    KernelArg::U32(n as u32),
+                    KernelArg::U32(plen as u32),
+                    KernelArg::U32(g as u32),
+                    KernelArg::BufU16(multi.mm_count.device_buffer()),
+                    KernelArg::BufU8(multi.direction.device_buffer()),
+                    KernelArg::BufU32(multi.mm_loci.device_buffer()),
+                    KernelArg::BufU16(multi.guide.device_buffer()),
+                    KernelArg::BufU32(self.ecount.device_buffer()),
+                    KernelArg::Local {
+                        bytes: g * 2 * plen,
+                    },
+                    KernelArg::Local {
+                        bytes: g * 2 * plen * 4,
+                    },
+                ]);
+                if folded {
+                    self.spec_multi_kernel(&mut spec_multi_kernels, staged, thresholds[0])?
+                } else {
+                    args.push(KernelArg::Local { bytes: g * 2 });
+                    staged.pick(
+                        &multi.comparer_multi,
+                        &multi.comparer_multi_2bit,
+                        &multi.comparer_multi_4bit,
+                    )
+                }
+            } else {
+                let wz = q.enqueue_fill_buffer(&self.ecount, 0u32)?;
+                timing.transfer_s += wz.duration_s();
+                let (comp, comp_index, threshold) = &tables.entries[start];
+                let outs = [
+                    KernelArg::BufU16(self.mm_count.device_buffer()),
+                    KernelArg::BufU8(self.direction.device_buffer()),
+                    KernelArg::BufU32(self.mm_loci.device_buffer()),
+                    KernelArg::BufU32(self.ecount.device_buffer()),
+                ];
+                if self.specialize && !tables.spec_queries.is_empty() {
+                    args.extend(outs);
+                    args.push(KernelArg::U32(n as u32));
+                    let kind = staged.pick(
+                        VariantKind::CharComparer,
+                        VariantKind::TwoBitComparer,
+                        VariantKind::FourBitComparer,
+                    );
+                    self.spec_kernel(
+                        &mut spec_kernels,
+                        &tables.spec_queries,
+                        start,
+                        kind,
+                        *threshold,
+                    )?
+                } else {
+                    args.extend([
+                        KernelArg::BufU8(generic_table(comp).device_buffer()),
+                        KernelArg::BufI32(generic_table(comp_index).device_buffer()),
+                        KernelArg::U32(n as u32),
+                        KernelArg::U32(plen as u32),
+                        KernelArg::U16(*threshold),
+                    ]);
+                    args.extend(outs);
+                    args.push(KernelArg::Local { bytes: 2 * plen });
+                    args.push(KernelArg::Local { bytes: 8 * plen });
+                    staged.pick(&self.comparer, &self.comparer_2bit, &self.comparer_4bit)
+                }
+            };
+            timing.comparer_s += self.launch(k, args, n, profile)?;
             timing.comparer_launches += 1;
+            timing.fused_launches += usize::from(fused.is_some());
 
             // Step 11 (device->host): read back the surviving entries.
             let mut m = [0u32];
-            let r = self.queue.enqueue_read_buffer(&self.ecount, true, 0, &mut m)?;
-            timing.transfer_s += r.duration_s();
-            let m = m[0] as usize;
-            timing.entries += m as u64;
-            if m == 0 {
-                continue;
-            }
-            let mut mm = vec![0u16; m];
-            let mut dir = vec![0u8; m];
-            let mut pos = vec![0u32; m];
-            let r1 = self.queue.enqueue_read_buffer(&self.mm_count, true, 0, &mut mm)?;
-            let r2 = self.queue.enqueue_read_buffer(&self.direction, true, 0, &mut dir)?;
-            let r3 = self.queue.enqueue_read_buffer(&self.mm_loci, true, 0, &mut pos)?;
-            timing.transfer_s += r1.duration_s() + r2.duration_s() + r3.duration_s();
-
-            *out = (0..m).map(|i| (pos[i], dir[i], mm[i])).collect();
-        }
-        Ok(())
-    }
-
-    /// Comparer stage over the resident 2-bit payload: one `comparer_2bit`
-    /// launch per prepared query, reading `packed_buf`/`mask_buf` directly
-    /// instead of the decoded `chr` scratch.
-    fn run_comparers_2bit(
-        &self,
-        slot: &PackedSlot,
-        n: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-        per_query: &mut [QueryEntries],
-    ) -> ClResult<()> {
-        if let Some(multi) = &self.multi {
-            if tables.len() > 1 {
-                return self.run_comparers_multi(
-                    multi,
-                    MultiEnc::TwoBit(slot),
-                    n,
-                    tables,
-                    timing,
-                    profile,
-                    per_query,
-                );
-            }
-        }
-        let plen = self.pattern.plen();
-        for (qi, (out, (comp, comp_index, threshold))) in
-            per_query.iter_mut().zip(&tables.entries).enumerate()
-        {
-            let wz = self.queue.enqueue_fill_buffer(&self.ecount, 0u32)?;
-            timing.transfer_s += wz.duration_s();
-
-            let gws = round_up(n, self.rounding);
-            let ev = if self.specialize && !tables.spec_queries.is_empty() {
-                let mut map = tables.spec_kernels.borrow_mut();
-                let k = self.spec_kernel(
-                    &mut map,
-                    &tables.spec_queries,
-                    qi,
-                    VariantKind::TwoBitComparer,
-                    *threshold,
-                )?;
-                k.set_arg(0, KernelArg::BufU8(slot.packed_buf.device_buffer()))?;
-                k.set_arg(1, KernelArg::BufU8(slot.mask_buf.device_buffer()))?;
-                k.set_arg(2, KernelArg::BufU32(self.loci.device_buffer()))?;
-                k.set_arg(3, KernelArg::BufU8(self.flags.device_buffer()))?;
-                k.set_arg(4, KernelArg::BufU16(self.mm_count.device_buffer()))?;
-                k.set_arg(5, KernelArg::BufU8(self.direction.device_buffer()))?;
-                k.set_arg(6, KernelArg::BufU32(self.mm_loci.device_buffer()))?;
-                k.set_arg(7, KernelArg::BufU32(self.ecount.device_buffer()))?;
-                k.set_arg(8, KernelArg::U32(n as u32))?;
-                self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-            } else {
-                let k = &self.comparer_2bit;
-                k.set_arg(0, KernelArg::BufU8(slot.packed_buf.device_buffer()))?;
-                k.set_arg(1, KernelArg::BufU8(slot.mask_buf.device_buffer()))?;
-                k.set_arg(2, KernelArg::BufU32(self.loci.device_buffer()))?;
-                k.set_arg(3, KernelArg::BufU8(self.flags.device_buffer()))?;
-                k.set_arg(4, KernelArg::BufU8(generic_table(comp).device_buffer()))?;
-                k.set_arg(5, KernelArg::BufI32(generic_table(comp_index).device_buffer()))?;
-                k.set_arg(6, KernelArg::U32(n as u32))?;
-                k.set_arg(7, KernelArg::U32(plen as u32))?;
-                k.set_arg(8, KernelArg::U16(*threshold))?;
-                k.set_arg(9, KernelArg::BufU16(self.mm_count.device_buffer()))?;
-                k.set_arg(10, KernelArg::BufU8(self.direction.device_buffer()))?;
-                k.set_arg(11, KernelArg::BufU32(self.mm_loci.device_buffer()))?;
-                k.set_arg(12, KernelArg::BufU32(self.ecount.device_buffer()))?;
-                k.set_arg(13, KernelArg::Local { bytes: 2 * plen })?;
-                k.set_arg(14, KernelArg::Local { bytes: 8 * plen })?;
-                self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-            };
-            ev.wait();
-            timing.comparer_s += ev
-                .launch_report()
-                .map(|r| r.exec_time_s)
-                .unwrap_or_else(|| ev.duration_s());
-            if let Some(r) = ev.launch_report() {
-                profile.record_ref(r);
-            }
-            timing.comparer_launches += 1;
-
-            let mut m = [0u32];
-            let r = self.queue.enqueue_read_buffer(&self.ecount, true, 0, &mut m)?;
-            timing.transfer_s += r.duration_s();
-            let m = m[0] as usize;
-            timing.entries += m as u64;
-            if m == 0 {
-                continue;
-            }
-            let mut mm = vec![0u16; m];
-            let mut dir = vec![0u8; m];
-            let mut pos = vec![0u32; m];
-            let r1 = self.queue.enqueue_read_buffer(&self.mm_count, true, 0, &mut mm)?;
-            let r2 = self.queue.enqueue_read_buffer(&self.direction, true, 0, &mut dir)?;
-            let r3 = self.queue.enqueue_read_buffer(&self.mm_loci, true, 0, &mut pos)?;
-            timing.transfer_s += r1.duration_s() + r2.duration_s() + r3.duration_s();
-
-            *out = (0..m).map(|i| (pos[i], dir[i], mm[i])).collect();
-        }
-        Ok(())
-    }
-
-    /// Comparer stage over the resident nibble payload: one `comparer_4bit`
-    /// launch per prepared query, counting mismatches by mask intersection
-    /// directly on the nibble words — `plen/2` global bytes per site on any
-    /// input, soft-masked and degenerate included.
-    fn run_comparers_4bit(
-        &self,
-        slot: &NibbleSlot,
-        n: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-        per_query: &mut [QueryEntries],
-    ) -> ClResult<()> {
-        if let Some(multi) = &self.multi {
-            if tables.len() > 1 {
-                return self.run_comparers_multi(
-                    multi,
-                    MultiEnc::FourBit(slot),
-                    n,
-                    tables,
-                    timing,
-                    profile,
-                    per_query,
-                );
-            }
-        }
-        let plen = self.pattern.plen();
-        for (qi, (out, (comp, comp_index, threshold))) in
-            per_query.iter_mut().zip(&tables.entries).enumerate()
-        {
-            let wz = self.queue.enqueue_fill_buffer(&self.ecount, 0u32)?;
-            timing.transfer_s += wz.duration_s();
-
-            let gws = round_up(n, self.rounding);
-            let ev = if self.specialize && !tables.spec_queries.is_empty() {
-                let mut map = tables.spec_kernels.borrow_mut();
-                let k = self.spec_kernel(
-                    &mut map,
-                    &tables.spec_queries,
-                    qi,
-                    VariantKind::FourBitComparer,
-                    *threshold,
-                )?;
-                k.set_arg(0, KernelArg::BufU8(slot.nibble_buf.device_buffer()))?;
-                k.set_arg(1, KernelArg::BufU32(self.loci.device_buffer()))?;
-                k.set_arg(2, KernelArg::BufU8(self.flags.device_buffer()))?;
-                k.set_arg(3, KernelArg::BufU16(self.mm_count.device_buffer()))?;
-                k.set_arg(4, KernelArg::BufU8(self.direction.device_buffer()))?;
-                k.set_arg(5, KernelArg::BufU32(self.mm_loci.device_buffer()))?;
-                k.set_arg(6, KernelArg::BufU32(self.ecount.device_buffer()))?;
-                k.set_arg(7, KernelArg::U32(n as u32))?;
-                self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-            } else {
-                let k = &self.comparer_4bit;
-                k.set_arg(0, KernelArg::BufU8(slot.nibble_buf.device_buffer()))?;
-                k.set_arg(1, KernelArg::BufU32(self.loci.device_buffer()))?;
-                k.set_arg(2, KernelArg::BufU8(self.flags.device_buffer()))?;
-                k.set_arg(3, KernelArg::BufU8(generic_table(comp).device_buffer()))?;
-                k.set_arg(4, KernelArg::BufI32(generic_table(comp_index).device_buffer()))?;
-                k.set_arg(5, KernelArg::U32(n as u32))?;
-                k.set_arg(6, KernelArg::U32(plen as u32))?;
-                k.set_arg(7, KernelArg::U16(*threshold))?;
-                k.set_arg(8, KernelArg::BufU16(self.mm_count.device_buffer()))?;
-                k.set_arg(9, KernelArg::BufU8(self.direction.device_buffer()))?;
-                k.set_arg(10, KernelArg::BufU32(self.mm_loci.device_buffer()))?;
-                k.set_arg(11, KernelArg::BufU32(self.ecount.device_buffer()))?;
-                k.set_arg(12, KernelArg::Local { bytes: 2 * plen })?;
-                k.set_arg(13, KernelArg::Local { bytes: 8 * plen })?;
-                self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?
-            };
-            ev.wait();
-            timing.comparer_s += ev
-                .launch_report()
-                .map(|r| r.exec_time_s)
-                .unwrap_or_else(|| ev.duration_s());
-            if let Some(r) = ev.launch_report() {
-                profile.record_ref(r);
-            }
-            timing.comparer_launches += 1;
-
-            let mut m = [0u32];
-            let r = self.queue.enqueue_read_buffer(&self.ecount, true, 0, &mut m)?;
-            timing.transfer_s += r.duration_s();
-            let m = m[0] as usize;
-            timing.entries += m as u64;
-            if m == 0 {
-                continue;
-            }
-            let mut mm = vec![0u16; m];
-            let mut dir = vec![0u8; m];
-            let mut pos = vec![0u32; m];
-            let r1 = self.queue.enqueue_read_buffer(&self.mm_count, true, 0, &mut mm)?;
-            let r2 = self.queue.enqueue_read_buffer(&self.direction, true, 0, &mut dir)?;
-            let r3 = self.queue.enqueue_read_buffer(&self.mm_loci, true, 0, &mut pos)?;
-            timing.transfer_s += r1.duration_s() + r2.duration_s() + r3.duration_s();
-
-            *out = (0..m).map(|i| (pos[i], dir[i], mm[i])).collect();
-        }
-        Ok(())
-    }
-
-    /// Fused comparer stage: the prepared queries are cut into blocks of up
-    /// to [`GUIDE_BLOCK`] guides and each block runs as one `comparer_multi*`
-    /// launch against the shared candidate list — `ceil(k / GUIDE_BLOCK)`
-    /// launches instead of `k`. The compacted four-array output is
-    /// demultiplexed by guide tag, preserving compaction order within each
-    /// guide, so the per-query entries are byte-identical to the serial
-    /// path's.
-    #[allow(clippy::too_many_arguments)]
-    fn run_comparers_multi(
-        &self,
-        multi: &MultiScratch,
-        enc: MultiEnc<'_>,
-        n: usize,
-        tables: &OclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-        per_query: &mut [QueryEntries],
-    ) -> ClResult<()> {
-        let plen = self.pattern.plen();
-        let nq = tables.len();
-        let gws = round_up(n, self.rounding);
-        let mut start = 0;
-        while start < nq {
-            let g = (nq - start).min(GUIDE_BLOCK);
-            // Concatenate the block's tables host-side: guide `bi` occupies
-            // `[fwd | rc]` at offset `bi * 2 * plen`. Uploads are per block,
-            // not per guide.
-            let mut comp = vec![0u8; g * 2 * plen];
-            let mut comp_index = vec![0i32; g * 2 * plen];
-            let mut thresholds = vec![0u16; g];
-            for bi in 0..g {
-                let c = &tables.spec_queries[start + bi];
-                comp[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp());
-                comp_index[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp_index());
-                thresholds[bi] = tables.entries[start + bi].2;
-            }
-            let w1 = self.queue.enqueue_write_buffer(&multi.comp, true, 0, &comp)?;
-            let w2 = self
-                .queue
-                .enqueue_write_buffer(&multi.comp_index, true, 0, &comp_index)?;
-            let wz = self.queue.enqueue_fill_buffer(&self.ecount, 0u32)?;
-            timing.transfer_s += w1.duration_s() + w2.duration_s() + wz.duration_s();
-
-            // A block whose guides share one threshold runs the
-            // JIT-specialized fused variant when the runner specializes;
-            // mixed thresholds stage the per-guide table instead.
-            let folded = self.specialize && thresholds.iter().all(|&t| t == thresholds[0]);
-            if !folded {
-                let w3 = self
-                    .queue
-                    .enqueue_write_buffer(&multi.thresholds, true, 0, &thresholds)?;
-                timing.transfer_s += w3.duration_s();
-            }
-            let mut map = self.spec_multi_kernels.borrow_mut();
-            let k: &Kernel = if folded {
-                self.spec_multi_kernel(&mut map, &enc, thresholds[0])?
-            } else {
-                match &enc {
-                    MultiEnc::Char => &multi.comparer_multi,
-                    MultiEnc::TwoBit(_) => &multi.comparer_multi_2bit,
-                    MultiEnc::FourBit(_) => &multi.comparer_multi_4bit,
-                }
-            };
-            let mut args: Vec<KernelArg> = match &enc {
-                MultiEnc::Char => vec![KernelArg::BufU8(self.chr.device_buffer())],
-                MultiEnc::TwoBit(slot) => vec![
-                    KernelArg::BufU8(slot.packed_buf.device_buffer()),
-                    KernelArg::BufU8(slot.mask_buf.device_buffer()),
-                ],
-                MultiEnc::FourBit(slot) => vec![KernelArg::BufU8(slot.nibble_buf.device_buffer())],
-            };
-            args.push(KernelArg::BufU32(self.loci.device_buffer()));
-            args.push(KernelArg::BufU8(self.flags.device_buffer()));
-            args.push(KernelArg::BufU8(multi.comp.device_buffer()));
-            args.push(KernelArg::BufI32(multi.comp_index.device_buffer()));
-            if !folded {
-                args.push(KernelArg::BufU16(multi.thresholds.device_buffer()));
-            }
-            args.push(KernelArg::U32(n as u32));
-            args.push(KernelArg::U32(plen as u32));
-            args.push(KernelArg::U32(g as u32));
-            args.push(KernelArg::BufU16(multi.mm_count.device_buffer()));
-            args.push(KernelArg::BufU8(multi.direction.device_buffer()));
-            args.push(KernelArg::BufU32(multi.mm_loci.device_buffer()));
-            args.push(KernelArg::BufU16(multi.guide.device_buffer()));
-            args.push(KernelArg::BufU32(self.ecount.device_buffer()));
-            args.push(KernelArg::Local { bytes: g * 2 * plen });
-            args.push(KernelArg::Local {
-                bytes: g * 2 * plen * 4,
-            });
-            if !folded {
-                args.push(KernelArg::Local { bytes: g * 2 });
-            }
-            for (i, arg) in args.into_iter().enumerate() {
-                k.set_arg(i, arg)?;
-            }
-            let ev = self.queue.enqueue_nd_range_kernel(k, gws, self.lws)?;
-            drop(map);
-            ev.wait();
-            timing.comparer_s += ev
-                .launch_report()
-                .map(|r| r.exec_time_s)
-                .unwrap_or_else(|| ev.duration_s());
-            if let Some(r) = ev.launch_report() {
-                profile.record_ref(r);
-            }
-            timing.comparer_launches += 1;
-            timing.fused_launches += 1;
-
-            let mut m = [0u32];
-            let r = self.queue.enqueue_read_buffer(&self.ecount, true, 0, &mut m)?;
+            let r = q.enqueue_read_buffer(&self.ecount, true, 0, &mut m)?;
             timing.transfer_s += r.duration_s();
             let m = m[0] as usize;
             timing.entries += m as u64;
             if m > 0 {
+                let (mm_buf, dir_buf, pos_buf) = match fused {
+                    Some(multi) => (&multi.mm_count, &multi.direction, &multi.mm_loci),
+                    None => (&self.mm_count, &self.direction, &self.mm_loci),
+                };
                 let mut mm = vec![0u16; m];
                 let mut dir = vec![0u8; m];
                 let mut pos = vec![0u32; m];
                 let mut gid = vec![0u16; m];
-                let r1 = self.queue.enqueue_read_buffer(&multi.mm_count, true, 0, &mut mm)?;
-                let r2 = self
-                    .queue
-                    .enqueue_read_buffer(&multi.direction, true, 0, &mut dir)?;
-                let r3 = self.queue.enqueue_read_buffer(&multi.mm_loci, true, 0, &mut pos)?;
-                let r4 = self.queue.enqueue_read_buffer(&multi.guide, true, 0, &mut gid)?;
-                timing.transfer_s +=
-                    r1.duration_s() + r2.duration_s() + r3.duration_s() + r4.duration_s();
+                let r1 = q.enqueue_read_buffer(mm_buf, true, 0, &mut mm)?;
+                let r2 = q.enqueue_read_buffer(dir_buf, true, 0, &mut dir)?;
+                let r3 = q.enqueue_read_buffer(pos_buf, true, 0, &mut pos)?;
+                let mut read_s = r1.duration_s() + r2.duration_s() + r3.duration_s();
+                if let Some(multi) = fused {
+                    read_s += q
+                        .enqueue_read_buffer(&multi.guide, true, 0, &mut gid)?
+                        .duration_s();
+                }
+                timing.transfer_s += read_s;
                 for i in 0..m {
                     per_query[start + gid[i] as usize].push((pos[i], dir[i], mm[i]));
                 }
@@ -1715,158 +1170,6 @@ impl OclChunkRunner {
             start += g;
         }
         Ok(())
-    }
-
-    /// Fetch (building on first use) the specialized fused comparer for the
-    /// given encoding and shared block threshold. The variant folds the
-    /// runner's PAM pattern and the threshold — the guide tables stay
-    /// staged data — so the cache key is just (encoding, threshold).
-    fn spec_multi_kernel<'m>(
-        &self,
-        map: &'m mut HashMap<(u8, u16), (Program, Kernel)>,
-        enc: &MultiEnc<'_>,
-        threshold: u16,
-    ) -> ClResult<&'m Kernel> {
-        use std::collections::hash_map::Entry;
-        match map.entry((enc.tag(), threshold)) {
-            Entry::Occupied(e) => Ok(&e.into_mut().1),
-            Entry::Vacant(v) => {
-                let variant = specialize::global_cache().get_or_compile(
-                    VariantKind::MultiComparer,
-                    &self.pattern,
-                    threshold,
-                );
-                let (f, name): (Arc<dyn opencl_rt::ClKernelFunction>, &str) = match enc {
-                    MultiEnc::Char => (
-                        Arc::new(ClSpecializedMultiComparer { variant }),
-                        VariantKind::MultiComparer.kernel_name(),
-                    ),
-                    MultiEnc::TwoBit(_) => (
-                        Arc::new(ClSpecializedTwoBitMultiComparer { variant }),
-                        "comparer_multi-2bit-spec",
-                    ),
-                    MultiEnc::FourBit(_) => (
-                        Arc::new(ClSpecializedFourBitMultiComparer { variant }),
-                        "comparer_multi-4bit-spec",
-                    ),
-                };
-                let program =
-                    Program::create_with_source(&self.ctx, KernelSource::new().with_function(f));
-                program.build("-O3")?;
-                let kernel = program.create_kernel(name)?;
-                Ok(&v.insert((program, kernel)).1)
-            }
-        }
-    }
-
-    /// Upload-only warmup for the raw path: place `seq` in the `chr`
-    /// scratch under `token` without launching a kernel, so a later
-    /// [`run_chunk_resident`](Self::run_chunk_resident) with the same token
-    /// skips the transfer. Returns whether an upload actually happened
-    /// (`false` when the token was already resident).
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn prefetch_chunk(&self, token: u64, seq: &[u8]) -> ClResult<bool> {
-        assert!(
-            seq.len() <= self.cap + self.pattern.plen(),
-            "chunk ({} bases) exceeds runner capacity {}",
-            seq.len(),
-            self.cap
-        );
-        if self.chr_token.get() == Some(token) {
-            return Ok(false);
-        }
-        self.queue.enqueue_write_buffer(&self.chr, true, 0, seq)?;
-        self.chr_token.set(Some(token));
-        Ok(true)
-    }
-
-    /// Upload-only warmup for the packed path: claim a residency slot for
-    /// `token` (evicting the least-recently-used slot if no slot already
-    /// holds the token) and upload the packed payload without launching a
-    /// kernel. Returns whether an upload actually happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn prefetch_packed_chunk(&self, token: u64, packed: &PackedSeq) -> ClResult<bool> {
-        assert!(
-            packed.len() <= self.cap + self.pattern.plen(),
-            "chunk ({} bases) exceeds runner capacity {}",
-            packed.len(),
-            self.cap
-        );
-        self.slot_clock.set(self.slot_clock.get() + 1);
-        if let Some(slot) = self.slots.iter().find(|s| s.token.get() == Some(token)) {
-            slot.tick.set(self.slot_clock.get());
-            return Ok(false);
-        }
-        let slot = self
-            .slots
-            .iter()
-            .min_by_key(|s| s.tick.get())
-            .expect("runner always has at least one slot");
-        slot.token.set(Some(token));
-        slot.tick.set(self.slot_clock.get());
-        self.queue
-            .enqueue_write_buffer(&slot.packed_buf, true, 0, packed.packed_bytes())?;
-        self.queue
-            .enqueue_write_buffer(&slot.mask_buf, true, 0, packed.mask_bytes())?;
-        if !packed.exceptions().is_empty() {
-            let (pos, val) = packed.exception_arrays();
-            self.queue.enqueue_write_buffer(&slot.exc_pos, true, 0, &pos)?;
-            self.queue.enqueue_write_buffer(&slot.exc_val, true, 0, &val)?;
-        }
-        Ok(true)
-    }
-
-    /// Upload-only warmup for the nibble path: claim a nibble residency
-    /// slot for `token` and upload the nibble words without launching a
-    /// kernel. Returns whether an upload actually happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OpenCL-level failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
-    pub fn prefetch_nibble_chunk(&self, token: u64, nibble: &NibbleSeq) -> ClResult<bool> {
-        assert!(
-            nibble.len() <= self.cap + self.pattern.plen(),
-            "chunk ({} bases) exceeds runner capacity {}",
-            nibble.len(),
-            self.cap
-        );
-        self.slot_clock.set(self.slot_clock.get() + 1);
-        if let Some(slot) = self
-            .nibble_slots
-            .iter()
-            .find(|s| s.token.get() == Some(token))
-        {
-            slot.tick.set(self.slot_clock.get());
-            return Ok(false);
-        }
-        let slot = self
-            .nibble_slots
-            .iter()
-            .min_by_key(|s| s.tick.get())
-            .expect("runner always has at least one slot");
-        slot.token.set(Some(token));
-        slot.tick.set(self.slot_clock.get());
-        self.queue
-            .enqueue_write_buffer(&slot.nibble_buf, true, 0, nibble.nibble_bytes())?;
-        Ok(true)
     }
 
     /// Block until every enqueued command completes.
@@ -1918,13 +1221,13 @@ impl OclChunkRunner {
         }
         self.chr.release();
         for slot in self.slots {
-            slot.packed_buf.release();
-            slot.mask_buf.release();
-            slot.exc_pos.release();
-            slot.exc_val.release();
+            slot.bufs.packed.release();
+            slot.bufs.mask.release();
+            slot.bufs.exc_pos.release();
+            slot.bufs.exc_val.release();
         }
         for slot in self.nibble_slots {
-            slot.nibble_buf.release();
+            slot.bufs.release();
         }
         self.pat.release();
         self.pat_index.release();
@@ -1987,33 +1290,18 @@ pub struct SyclChunkRunner {
     nibble_res: RefCell<Vec<(u64, Buffer<u8>)>>,
     /// Fuse multi-query runs into guide-block comparer launches.
     multi_guide: bool,
-    /// While set, every finder pass also reads its candidate list back into
-    /// `captured` for a caller-owned candidate cache.
-    capture: Cell<bool>,
-    captured: RefCell<Option<CandidateSites>>,
-    /// Still-bound candidate buffers of recent cached runs, keyed by chunk
-    /// token — a cached replay under a resident token rebinds instead of
-    /// re-uploading the list.
+    /// Still-bound candidate buffers of recent runs, keyed by chunk token —
+    /// a replay under a resident token rebinds instead of re-uploading the
+    /// list.
     cand_res: RefCell<Vec<(u64, SyclCandidateResident)>>,
 }
 
-/// The retained device buffers of one replayed candidate list.
+/// The retained device buffers of one candidate list.
 #[derive(Clone)]
 struct SyclCandidateResident {
     loci_buf: Buffer<u32>,
     flags_buf: Buffer<u8>,
     len: usize,
-}
-
-/// Which chunk encoding a fused SYCL comparer launch reads, with the bound
-/// chunk buffers it needs.
-enum SyclMultiEnc<'a> {
-    /// Decoded char sequence.
-    Char(&'a Buffer<u8>),
-    /// 2-bit packed words plus N-mask.
-    TwoBit(&'a Buffer<u8>, &'a Buffer<u8>),
-    /// 4-bit nibble words.
-    FourBit(&'a Buffer<u8>),
 }
 
 /// The retained device buffers of one packed chunk payload. Cloning shares
@@ -2025,6 +1313,39 @@ struct SyclPackedResident {
     mask_buf: Buffer<u8>,
     exc_pos_buf: Buffer<u32>,
     exc_val_buf: Buffer<u8>,
+}
+
+impl SyclPackedResident {
+    /// Unbound buffers for `packed`. The simulator rejects zero-length
+    /// allocations, so a one-element dummy stands in for empty exception
+    /// arrays (the finder's exception count guards their use).
+    fn new(packed: &PackedSeq) -> Self {
+        let (mut exc_pos, mut exc_val) = packed.exception_arrays();
+        if exc_pos.is_empty() {
+            exc_pos.push(0);
+            exc_val.push(0);
+        }
+        SyclPackedResident {
+            packed_buf: Buffer::from_slice(packed.packed_bytes()),
+            mask_buf: Buffer::from_slice(packed.mask_bytes()),
+            exc_pos_buf: Buffer::from_vec(exc_pos),
+            exc_val_buf: Buffer::from_vec(exc_val),
+        }
+    }
+}
+
+/// What a SYCL run staged: the bound (or about to be bound) payload buffers.
+type SyclStaged = Staged<Buffer<u8>, SyclPackedResident, Buffer<u8>>;
+
+impl SyclStaged {
+    /// The payload buffers a comparer reads, in bind order.
+    fn compare_bufs(&self) -> Vec<&Buffer<u8>> {
+        match self {
+            Staged::Char(chr) => vec![chr],
+            Staged::TwoBit(res) => vec![&res.packed_buf, &res.mask_buf],
+            Staged::FourBit(nibbles) => vec![nibbles],
+        }
+    }
 }
 
 /// Remove and return the resident entry for `token`, if any.
@@ -2042,6 +1363,23 @@ fn retain_resident<T>(list: &RefCell<Vec<(u64, T)>>, token: u64, value: T, cap: 
     let mut l = list.borrow_mut();
     l.insert(0, (token, value));
     l.truncate(cap);
+}
+
+/// Wait for a kernel command group and fold its reports into `profile`
+/// and its implicit transfers into `timing.transfer_s`; returns the
+/// kernels' execution time.
+fn account_launch(
+    ev: &SyclEvent,
+    timing: &mut TimingBreakdown,
+    profile: &mut gpu_sim::profile::Profile,
+) -> f64 {
+    ev.wait();
+    let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
+    for r in ev.launch_reports() {
+        profile.record_ref(r);
+    }
+    timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
+    ev.launch_reports().iter().map(|r| r.exec_time_s).sum()
 }
 
 impl SyclChunkRunner {
@@ -2075,8 +1413,6 @@ impl SyclChunkRunner {
             raw_res: RefCell::new(Vec::new()),
             nibble_res: RefCell::new(Vec::new()),
             multi_guide: config.multi_guide,
-            capture: Cell::new(false),
-            captured: RefCell::new(None),
             cand_res: RefCell::new(Vec::new()),
         })
     }
@@ -2084,20 +1420,6 @@ impl SyclChunkRunner {
     /// Pattern length (PAM window) the runner was compiled for.
     pub fn plen(&self) -> usize {
         self.pattern.plen()
-    }
-
-    /// Arm or disarm candidate capture: while armed, every finder pass also
-    /// reads its candidate list back to the host (a timed d2h transfer) and
-    /// parks it for
-    /// [`take_captured_candidates`](Self::take_captured_candidates).
-    pub fn set_capture_candidates(&self, on: bool) {
-        self.capture.set(on);
-    }
-
-    /// Take the candidate list captured by the most recent finder pass
-    /// while capture was armed.
-    pub fn take_captured_candidates(&self) -> Option<CandidateSites> {
-        self.captured.borrow_mut().take()
     }
 
     /// Upload the comparer tables for `queries`.
@@ -2127,9 +1449,8 @@ impl SyclChunkRunner {
         }
     }
 
-    /// Run one finder→comparer interaction on `seq` (see
-    /// [`OclChunkRunner::run_chunk`] for the contract). The SYCL flavour
-    /// reads counters and entries back through handler copies (Table III).
+    /// Run one finder→comparer interaction on raw `seq` with no residency
+    /// (see [`OclChunkRunner::run_chunk`] for the contract).
     ///
     /// # Errors
     ///
@@ -2142,101 +1463,281 @@ impl SyclChunkRunner {
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
     ) -> SyclResult<Vec<QueryEntries>> {
-        self.run_chunk_inner(None, seq, scan_len, tables, timing, profile)
-            .map(|(per_query, _)| per_query)
+        self.run(
+            Payload::Raw(seq),
+            scan_len,
+            None,
+            Sites::Find,
+            tables,
+            timing,
+            profile,
+        )
+        .map(|run| run.per_query)
     }
 
-    /// [`run_chunk`](Self::run_chunk) with residency (see
-    /// [`OclChunkRunner::run_chunk_resident`] for the contract): the chunk
-    /// buffer of the last `resident_slots` tokens stays bound on the device,
-    /// and a matching `token` rebinds it instead of uploading.
+    /// Run one finder→comparer interaction on payload `p` (see
+    /// [`OclChunkRunner::run`] for the contract). The SYCL flavour keeps a
+    /// payload resident by retaining its still-bound buffers for the last
+    /// `resident_slots` tokens per encoding, reads counters and entries
+    /// back through handler copies (Table III), and decodes packed and
+    /// nibble payloads into `no_init` scratch.
     ///
     /// # Errors
     ///
     /// Propagates SYCL exceptions.
-    pub fn run_chunk_resident(
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packed payload is not [`twobit_compare_safe`], or if a
+    /// [`Sites::Replay`] carries no token.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run(
         &self,
-        token: u64,
-        seq: &[u8],
+        p: Payload<'_>,
         scan_len: usize,
+        token: Option<u64>,
+        sites: Sites<'_>,
         tables: &SyclQueryTables,
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        self.run_chunk_inner(Some(token), seq, scan_len, tables, timing, profile)
+    ) -> SyclResult<ChunkRun> {
+        p.assert_compare_safe();
+        let (staged, reused) = self.stage(p, token);
+        if reused {
+            self.queue.device().record_h2d_skipped(p.upload_bytes());
+        }
+        let (cands, n, captured) =
+            self.find(&staged, p, scan_len, token, sites, timing, profile)?;
+        let mut per_query = vec![Vec::new(); tables.len()];
+        if n > 0 {
+            let cands = (&cands.loci_buf, &cands.flags_buf);
+            self.compare(&staged, cands, n, tables, timing, profile, &mut per_query)?;
+        }
+        // Per-run buffers drop here: implicit release. The payload survives
+        // in the residency list when a token retained it.
+        Ok(ChunkRun {
+            per_query,
+            reused,
+            captured,
+        })
     }
 
-    fn run_chunk_inner(
+    /// Upload-only warmup: bind `p`'s buffers inside a kernel-less command
+    /// group (charging the implicit accessor upload the first run would
+    /// have paid) and retain them under `token`, so a later
+    /// [`run`](Self::run) with the same token rebinds instead of uploading.
+    /// Returns whether an upload actually happened (`false` when the token
+    /// was already resident).
+    ///
+    /// # Errors
+    ///
+    /// Propagates SYCL exceptions.
+    pub fn prefetch(&self, token: u64, p: Payload<'_>) -> SyclResult<bool> {
+        let (staged, reused) = self.stage(p, Some(token));
+        if !reused {
+            self.queue.submit(|h| match &staged {
+                Staged::Char(buf) | Staged::FourBit(buf) => {
+                    h.get_access(buf, AccessMode::Read).map(|_| ())
+                }
+                Staged::TwoBit(res) => {
+                    h.get_access(&res.packed_buf, AccessMode::Read)?;
+                    h.get_access(&res.mask_buf, AccessMode::Read)?;
+                    h.get_access(&res.exc_pos_buf, AccessMode::Read)?;
+                    h.get_access(&res.exc_val_buf, AccessMode::Read)?;
+                    Ok(())
+                }
+            })?;
+        }
+        Ok(!reused)
+    }
+
+    /// Stage `p`: rebind the buffers still resident under `token`, or
+    /// create fresh ones (uploaded by their first bind), and retain them as
+    /// most-recently-used under `token`. Returns the staged buffers and
+    /// whether they were resident.
+    fn stage(&self, p: Payload<'_>, token: Option<u64>) -> (SyclStaged, bool) {
+        fn resident<T: Clone>(
+            list: &RefCell<Vec<(u64, T)>>,
+            token: Option<u64>,
+            cap: usize,
+            make: impl FnOnce() -> T,
+        ) -> (T, bool) {
+            let (value, reused) = match token.and_then(|t| take_resident(list, t)) {
+                Some(value) => (value, true),
+                None => (make(), false),
+            };
+            if let Some(t) = token {
+                retain_resident(list, t, value.clone(), cap);
+            }
+            (value, reused)
+        }
+        let cap = self.resident_cap;
+        match p {
+            Payload::Raw(seq) => {
+                let (buf, reused) = resident(&self.raw_res, token, cap, || Buffer::from_slice(seq));
+                (Staged::Char(buf), reused)
+            }
+            Payload::Packed(packed) => {
+                let make = || SyclPackedResident::new(packed);
+                let (res, reused) = resident(&self.packed_res, token, cap, make);
+                (Staged::TwoBit(res), reused)
+            }
+            Payload::Nibble(nibble) => {
+                let make = || Buffer::from_slice(nibble.nibble_bytes());
+                let (buf, reused) = resident(&self.nibble_res, token, cap, make);
+                (Staged::FourBit(buf), reused)
+            }
+        }
+    }
+
+    /// Bind the pattern tables and finder outputs and assemble the plain
+    /// finder over `chr` — the kernel every decoding finder wraps.
+    fn finder_kernel(
         &self,
-        token: Option<u64>,
-        seq: &[u8],
+        h: &mut Handler<'_>,
+        chr: DeviceBuffer<u8>,
+        out: &SyclCandidateResident,
+        fcount_buf: &Buffer<u32>,
         scan_len: usize,
-        tables: &SyclQueryTables,
+        seq_len: usize,
+    ) -> SyclResult<FinderKernel> {
+        let plen = self.pattern.plen();
+        let pat = h.get_access(&self.pat_buf, AccessMode::Read)?.raw();
+        let pat_index = h.get_access(&self.pat_index_buf, AccessMode::Read)?.raw();
+        let out = Self::finder_output(h, out, fcount_buf)?;
+        let mut layout = LocalLayout::new();
+        let l_pat = layout.array::<u8>(2 * plen);
+        let l_pat_index = layout.array::<i32>(2 * plen);
+        Ok(FinderKernel {
+            chr,
+            pat,
+            pat_index,
+            out,
+            scan_len: scan_len as u32,
+            seq_len: seq_len as u32,
+            plen: plen as u32,
+            l_pat,
+            l_pat_index,
+        })
+    }
+
+    /// Bind the finder's output arrays: loci, flags, match counter.
+    fn finder_output(
+        h: &mut Handler<'_>,
+        out: &SyclCandidateResident,
+        fcount_buf: &Buffer<u32>,
+    ) -> SyclResult<FinderOutput> {
+        Ok(FinderOutput {
+            loci: h.get_access(&out.loci_buf, AccessMode::Write)?.raw(),
+            flags: h.get_access(&out.flags_buf, AccessMode::Write)?.raw(),
+            count: h.get_access(fcount_buf, AccessMode::ReadWrite)?.raw(),
+        })
+    }
+
+    /// Produce the bound candidate buffers and their length (plus the
+    /// read-back list under [`Sites::Capture`]): launch the finder flavour
+    /// of the staged encoding, or bind a replayed list — rebinding the
+    /// still-resident buffers of an earlier run under the token when their
+    /// length matches, uploading fresh ones otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn find(
+        &self,
+        staged: &SyclStaged,
+        p: Payload<'_>,
+        scan_len: usize,
+        token: Option<u64>,
+        sites: Sites<'_>,
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        let mut per_query = vec![Vec::new(); tables.len()];
-
-        // Per-chunk buffers; released implicitly when they drop. The
-        // kernel-output arrays are `no_init`: the finder fully overwrites
-        // the slots it uses, so they carry no implicit upload. A resident
-        // token reuses the still-bound chunk buffer of an earlier run.
-        let (chr_buf, reused) = match token.and_then(|t| take_resident(&self.raw_res, t)) {
-            Some(buf) => {
-                self.queue.device().record_h2d_skipped(seq.len() as u64);
-                (buf, true)
-            }
-            None => (Buffer::from_slice(seq), false),
-        };
-        if let Some(t) = token {
-            retain_resident(&self.raw_res, t, chr_buf.clone(), self.resident_cap);
-        }
-        let loci_buf = Buffer::<u32>::uninit(scan_len);
-        let flags_buf = Buffer::<u8>::uninit(scan_len);
-        let fcount_buf = Buffer::<u32>::new(1);
-
-        // Command group: bind accessors (implicit upload) + finder kernel.
-        let ev = self.queue.submit(|h| {
-            let chr = h.get_access(&chr_buf, AccessMode::Read)?;
-            let pat = h.get_access(&self.pat_buf, AccessMode::Read)?;
-            let pat_index = h.get_access(&self.pat_index_buf, AccessMode::Read)?;
-            let loci = h.get_access(&loci_buf, AccessMode::Write)?;
-            let flags = h.get_access(&flags_buf, AccessMode::Write)?;
-            let fcount = h.get_access(&fcount_buf, AccessMode::ReadWrite)?;
-
-            let mut layout = LocalLayout::new();
-            let l_pat = layout.array::<u8>(2 * plen);
-            let l_pat_index = layout.array::<i32>(2 * plen);
-            let kernel = FinderKernel {
-                chr: chr.raw(),
-                pat: pat.raw(),
-                pat_index: pat_index.raw(),
-                out: FinderOutput {
-                    loci: loci.raw(),
-                    flags: flags.raw(),
-                    count: fcount.raw(),
+    ) -> SyclResult<(SyclCandidateResident, usize, Option<CandidateSites>)> {
+        if let Sites::Replay(list) = sites {
+            let (token, n) = (token.expect(REPLAY_TOKEN), list.len());
+            self.queue.device().record_launch_skipped();
+            timing.finder_launches_skipped += 1;
+            timing.candidates += n as u64;
+            let res = match take_resident(&self.cand_res, token) {
+                Some(res) if res.len == n => {
+                    self.queue
+                        .device()
+                        .record_h2d_skipped(list.byte_len() as u64);
+                    res
+                }
+                // The simulator rejects zero-length allocations; one-element
+                // dummies stand in for an empty list (the comparers never run).
+                _ if n == 0 => SyclCandidateResident {
+                    loci_buf: Buffer::from_slice(&[0u32]),
+                    flags_buf: Buffer::from_slice(&[0u8]),
+                    len: 0,
                 },
-                scan_len: scan_len as u32,
-                seq_len: seq.len() as u32,
-                plen: plen as u32,
-                l_pat,
-                l_pat_index,
+                _ => SyclCandidateResident {
+                    loci_buf: Buffer::from_slice(&list.loci),
+                    flags_buf: Buffer::from_slice(&list.flags),
+                    len: n,
+                },
             };
-            h.parallel_for(NdRange::linear(round_up(scan_len, wgs), wgs), &kernel)
-        })?;
-        ev.wait();
-        let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-        timing.finder_s += ev
-            .launch_reports()
-            .iter()
-            .map(|r| r.exec_time_s)
-            .sum::<f64>();
-        for r in ev.launch_reports() {
-            profile.record_ref(r);
+            retain_resident(&self.cand_res, token, res.clone(), self.resident_cap);
+            return Ok((res, n, None));
         }
-        timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
+        // Per-run buffers; the kernel-output arrays are `no_init`: the
+        // finder fully overwrites the slots it uses, so they carry no
+        // implicit upload.
+        let cands = SyclCandidateResident {
+            loci_buf: Buffer::<u32>::uninit(scan_len),
+            flags_buf: Buffer::<u8>::uninit(scan_len),
+            len: 0,
+        };
+        let fcount_buf = Buffer::<u32>::new(1);
+        let seq_len = p.seq_len();
+        let range = NdRange::linear(round_up(scan_len, self.wgs), self.wgs);
+        // Command group: bind accessors (implicit upload) + finder kernel.
+        // The packed and nibble finders decode into `no_init` scratch; the
+        // specialized nibble finder scans the nibble words directly.
+        let ev = self.queue.submit(|h| match staged {
+            Staged::Char(chr) => {
+                let chr = h.get_access(chr, AccessMode::Read)?.raw();
+                let kernel = self.finder_kernel(h, chr, &cands, &fcount_buf, scan_len, seq_len)?;
+                h.parallel_for(range, &kernel)
+            }
+            Staged::TwoBit(res) => {
+                let packed = h.get_access(&res.packed_buf, AccessMode::Read)?.raw();
+                let mask = h.get_access(&res.mask_buf, AccessMode::Read)?.raw();
+                let exc_pos = h.get_access(&res.exc_pos_buf, AccessMode::Read)?.raw();
+                let exc_val = h.get_access(&res.exc_val_buf, AccessMode::Read)?.raw();
+                let chr = h
+                    .get_access(&Buffer::<u8>::uninit(seq_len), AccessMode::ReadWrite)?
+                    .raw();
+                let inner = self.finder_kernel(h, chr, &cands, &fcount_buf, scan_len, seq_len)?;
+                let kernel = PackedFinderKernel {
+                    inner,
+                    packed,
+                    mask,
+                    exc_pos,
+                    exc_val,
+                    n_exc: p.exceptions() as u32,
+                };
+                h.parallel_for(range, &kernel)
+            }
+            Staged::FourBit(nibbles) => {
+                let nibbles = h.get_access(nibbles, AccessMode::Read)?.raw();
+                if let Some(variant) = &self.pam_variant {
+                    let kernel = SpecializedNibbleFinderKernel {
+                        nibbles,
+                        out: Self::finder_output(h, &cands, &fcount_buf)?,
+                        scan_len: scan_len as u32,
+                        seq_len: seq_len as u32,
+                        variant: Arc::clone(variant),
+                    };
+                    return h.parallel_for(range, &kernel);
+                }
+                let chr = h
+                    .get_access(&Buffer::<u8>::uninit(seq_len), AccessMode::ReadWrite)?
+                    .raw();
+                let inner = self.finder_kernel(h, chr, &cands, &fcount_buf, scan_len, seq_len)?;
+                h.parallel_for(range, &NibbleFinderKernel { inner, nibbles })
+            }
+        })?;
+        let kernel_s = account_launch(&ev, timing, profile);
+        timing.finder_s += kernel_s;
         timing.finder_launches += 1;
 
         // Read the match count back through a handler copy (Table III).
@@ -2248,1054 +1749,41 @@ impl SyclChunkRunner {
         timing.transfer_s += ev.duration_s();
         let n = count_host[0] as usize;
         timing.candidates += n as u64;
-        self.note_candidates(token, &loci_buf, &flags_buf, n, timing)?;
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-
-        self.run_comparers(&chr_buf, &loci_buf, &flags_buf, n, tables, timing, profile, &mut per_query)?;
-        // loci/flags/fcount buffers drop here: implicit release. The chunk
-        // buffer survives in the residency list when a token retained it.
-        Ok((per_query, reused))
-    }
-
-    /// Run one finder→comparer interaction from a losslessly 2-bit packed
-    /// chunk (see [`OclChunkRunner::run_packed_chunk`] for the contract):
-    /// the packed words, N-mask and rare exception bytes are uploaded
-    /// instead of the raw bases, and the `finder_packed` kernel decodes the
-    /// chunk on-device into a `no_init` scratch buffer before scanning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn run_packed_chunk(
-        &self,
-        packed: &PackedSeq,
-        scan_len: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<Vec<QueryEntries>> {
-        self.run_packed_inner(None, packed, scan_len, tables, timing, profile)
-            .map(|(per_query, _)| per_query)
-    }
-
-    /// [`run_packed_chunk`](Self::run_packed_chunk) with residency (see
-    /// [`OclChunkRunner::run_packed_chunk_resident`] for the contract): the
-    /// packed buffers of the last `resident_slots` tokens stay bound on the
-    /// device, and a matching `token` rebinds them instead of uploading.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn run_packed_chunk_resident(
-        &self,
-        token: u64,
-        packed: &PackedSeq,
-        scan_len: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        self.run_packed_inner(Some(token), packed, scan_len, tables, timing, profile)
-    }
-
-    fn run_packed_inner(
-        &self,
-        token: Option<u64>,
-        packed: &PackedSeq,
-        scan_len: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        let seq_len = packed.len();
-        let mut per_query = vec![Vec::new(); tables.len()];
-        let n_exc = packed.exceptions().len();
-
-        let (res, reused) = match token.and_then(|t| take_resident(&self.packed_res, t)) {
-            Some(res) => {
-                self.queue
-                    .device()
-                    .record_h2d_skipped(packed_upload_bytes(packed));
-                (res, true)
-            }
-            None => {
-                let (exc_pos, exc_val) = packed.exception_arrays();
-                // The simulator rejects zero-length allocations; a
-                // one-element dummy stands in when the chunk carries no
-                // exceptions (n_exc guards use).
-                (
-                    SyclPackedResident {
-                        packed_buf: Buffer::from_slice(packed.packed_bytes()),
-                        mask_buf: Buffer::from_slice(packed.mask_bytes()),
-                        exc_pos_buf: if n_exc > 0 {
-                            Buffer::from_vec(exc_pos)
-                        } else {
-                            Buffer::from_slice(&[0u32])
-                        },
-                        exc_val_buf: if n_exc > 0 {
-                            Buffer::from_vec(exc_val)
-                        } else {
-                            Buffer::from_slice(&[0u8])
-                        },
-                    },
-                    false,
-                )
-            }
-        };
-        if let Some(t) = token {
-            retain_resident(&self.packed_res, t, res.clone(), self.resident_cap);
-        }
-        let SyclPackedResident {
-            packed_buf,
-            mask_buf,
-            exc_pos_buf,
-            exc_val_buf,
-        } = res;
-        let chr_buf = Buffer::<u8>::uninit(seq_len);
-        let loci_buf = Buffer::<u32>::uninit(scan_len);
-        let flags_buf = Buffer::<u8>::uninit(scan_len);
-        let fcount_buf = Buffer::<u32>::new(1);
-
-        let ev = self.queue.submit(|h| {
-            let packed_acc = h.get_access(&packed_buf, AccessMode::Read)?;
-            let mask = h.get_access(&mask_buf, AccessMode::Read)?;
-            let exc_pos = h.get_access(&exc_pos_buf, AccessMode::Read)?;
-            let exc_val = h.get_access(&exc_val_buf, AccessMode::Read)?;
-            let chr = h.get_access(&chr_buf, AccessMode::ReadWrite)?;
-            let pat = h.get_access(&self.pat_buf, AccessMode::Read)?;
-            let pat_index = h.get_access(&self.pat_index_buf, AccessMode::Read)?;
-            let loci = h.get_access(&loci_buf, AccessMode::Write)?;
-            let flags = h.get_access(&flags_buf, AccessMode::Write)?;
-            let fcount = h.get_access(&fcount_buf, AccessMode::ReadWrite)?;
-
-            let mut layout = LocalLayout::new();
-            let l_pat = layout.array::<u8>(2 * plen);
-            let l_pat_index = layout.array::<i32>(2 * plen);
-            let kernel = PackedFinderKernel {
-                inner: FinderKernel {
-                    chr: chr.raw(),
-                    pat: pat.raw(),
-                    pat_index: pat_index.raw(),
-                    out: FinderOutput {
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        count: fcount.raw(),
-                    },
-                    scan_len: scan_len as u32,
-                    seq_len: seq_len as u32,
-                    plen: plen as u32,
-                    l_pat,
-                    l_pat_index,
-                },
-                packed: packed_acc.raw(),
-                mask: mask.raw(),
-                exc_pos: exc_pos.raw(),
-                exc_val: exc_val.raw(),
-                n_exc: n_exc as u32,
-            };
-            h.parallel_for(NdRange::linear(round_up(scan_len, wgs), wgs), &kernel)
-        })?;
-        ev.wait();
-        let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-        timing.finder_s += ev
-            .launch_reports()
-            .iter()
-            .map(|r| r.exec_time_s)
-            .sum::<f64>();
-        for r in ev.launch_reports() {
-            profile.record_ref(r);
-        }
-        timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
-        timing.finder_launches += 1;
-
-        let mut count_host = [0u32];
-        let ev = self.queue.submit(|h| {
-            let acc = h.get_access(&fcount_buf, AccessMode::Read)?;
-            h.copy_from_device(&acc, &mut count_host)
-        })?;
-        timing.transfer_s += ev.duration_s();
-        let n = count_host[0] as usize;
-        timing.candidates += n as u64;
-        self.note_candidates(token, &loci_buf, &flags_buf, n, timing)?;
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-
-        // Same dispatch as the OpenCL runner: 2-bit comparison against the
-        // resident packed buffers when the exceptions are semantically
-        // transparent, char comparison on the decoded scratch otherwise.
-        if twobit_compare_safe(packed) {
-            self.run_comparers_2bit(
-                &packed_buf, &mask_buf, &loci_buf, &flags_buf, n, tables, timing, profile,
-                &mut per_query,
-            )?;
-        } else {
-            self.run_comparers(&chr_buf, &loci_buf, &flags_buf, n, tables, timing, profile, &mut per_query)?;
-        }
-        Ok((per_query, reused))
-    }
-
-    /// Run one finder→comparer interaction from a 4-bit nibble-packed chunk
-    /// (see [`OclChunkRunner::run_nibble_chunk`] for the contract): the
-    /// nibble words are uploaded, the `finder_nibble` kernel decodes them
-    /// on-device into a `no_init` scratch buffer before scanning, and every
-    /// query compares with the `comparer_4bit` kernel directly on the
-    /// nibbles — no char fallback on any input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn run_nibble_chunk(
-        &self,
-        nibble: &NibbleSeq,
-        scan_len: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<Vec<QueryEntries>> {
-        self.run_nibble_inner(None, nibble, scan_len, tables, timing, profile)
-            .map(|(per_query, _)| per_query)
-    }
-
-    /// [`run_nibble_chunk`](Self::run_nibble_chunk) with residency (see
-    /// [`OclChunkRunner::run_nibble_chunk_resident`] for the contract): the
-    /// nibble buffer of the last `resident_slots` tokens stays bound on the
-    /// device, and a matching `token` rebinds it instead of uploading.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn run_nibble_chunk_resident(
-        &self,
-        token: u64,
-        nibble: &NibbleSeq,
-        scan_len: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        self.run_nibble_inner(Some(token), nibble, scan_len, tables, timing, profile)
-    }
-
-    fn run_nibble_inner(
-        &self,
-        token: Option<u64>,
-        nibble: &NibbleSeq,
-        scan_len: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        let seq_len = nibble.len();
-        let mut per_query = vec![Vec::new(); tables.len()];
-
-        let (nibble_buf, reused) = match token.and_then(|t| take_resident(&self.nibble_res, t)) {
-            Some(buf) => {
-                self.queue
-                    .device()
-                    .record_h2d_skipped(nibble.device_byte_len() as u64);
-                (buf, true)
-            }
-            None => (Buffer::from_slice(nibble.nibble_bytes()), false),
-        };
-        if let Some(t) = token {
-            retain_resident(&self.nibble_res, t, nibble_buf.clone(), self.resident_cap);
-        }
-        let chr_buf = Buffer::<u8>::uninit(seq_len);
-        let loci_buf = Buffer::<u32>::uninit(scan_len);
-        let flags_buf = Buffer::<u8>::uninit(scan_len);
-        let fcount_buf = Buffer::<u32>::new(1);
-
-        let ev = if let Some(variant) = &self.pam_variant {
-            // The specialized finder scans the nibble words directly; the
-            // decoded `chr` scratch is never produced or read.
-            self.queue.submit(|h| {
-                let nibbles = h.get_access(&nibble_buf, AccessMode::Read)?;
-                let loci = h.get_access(&loci_buf, AccessMode::Write)?;
-                let flags = h.get_access(&flags_buf, AccessMode::Write)?;
-                let fcount = h.get_access(&fcount_buf, AccessMode::ReadWrite)?;
-
-                let kernel = SpecializedNibbleFinderKernel {
-                    nibbles: nibbles.raw(),
-                    out: FinderOutput {
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        count: fcount.raw(),
-                    },
-                    scan_len: scan_len as u32,
-                    seq_len: seq_len as u32,
-                    variant: Arc::clone(variant),
+        let captured = match sites {
+            Sites::Capture => {
+                let mut list = CandidateSites {
+                    loci: vec![0u32; n],
+                    flags: vec![0u8; n],
                 };
-                h.parallel_for(NdRange::linear(round_up(scan_len, wgs), wgs), &kernel)
-            })?
-        } else {
-            self.queue.submit(|h| {
-                let nibbles = h.get_access(&nibble_buf, AccessMode::Read)?;
-                let chr = h.get_access(&chr_buf, AccessMode::ReadWrite)?;
-                let pat = h.get_access(&self.pat_buf, AccessMode::Read)?;
-                let pat_index = h.get_access(&self.pat_index_buf, AccessMode::Read)?;
-                let loci = h.get_access(&loci_buf, AccessMode::Write)?;
-                let flags = h.get_access(&flags_buf, AccessMode::Write)?;
-                let fcount = h.get_access(&fcount_buf, AccessMode::ReadWrite)?;
-
-                let mut layout = LocalLayout::new();
-                let l_pat = layout.array::<u8>(2 * plen);
-                let l_pat_index = layout.array::<i32>(2 * plen);
-                let kernel = NibbleFinderKernel {
-                    inner: FinderKernel {
-                        chr: chr.raw(),
-                        pat: pat.raw(),
-                        pat_index: pat_index.raw(),
-                        out: FinderOutput {
-                            loci: loci.raw(),
-                            flags: flags.raw(),
-                            count: fcount.raw(),
-                        },
-                        scan_len: scan_len as u32,
-                        seq_len: seq_len as u32,
-                        plen: plen as u32,
-                        l_pat,
-                        l_pat_index,
-                    },
-                    nibbles: nibbles.raw(),
-                };
-                h.parallel_for(NdRange::linear(round_up(scan_len, wgs), wgs), &kernel)
-            })?
-        };
-        ev.wait();
-        let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-        timing.finder_s += ev
-            .launch_reports()
-            .iter()
-            .map(|r| r.exec_time_s)
-            .sum::<f64>();
-        for r in ev.launch_reports() {
-            profile.record_ref(r);
-        }
-        timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
-        timing.finder_launches += 1;
-
-        let mut count_host = [0u32];
-        let ev = self.queue.submit(|h| {
-            let acc = h.get_access(&fcount_buf, AccessMode::Read)?;
-            h.copy_from_device(&acc, &mut count_host)
-        })?;
-        timing.transfer_s += ev.duration_s();
-        let n = count_host[0] as usize;
-        timing.candidates += n as u64;
-        self.note_candidates(token, &loci_buf, &flags_buf, n, timing)?;
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-
-        self.run_comparers_4bit(
-            &nibble_buf, &loci_buf, &flags_buf, n, tables, timing, profile, &mut per_query,
-        )?;
-        Ok((per_query, reused))
-    }
-
-    /// Record a freshly produced candidate list: retain its still-bound
-    /// buffers for the cached-candidate entry points and, when capture is
-    /// armed, read it back (a timed d2h transfer) for the caller's
-    /// candidate cache.
-    fn note_candidates(
-        &self,
-        token: Option<u64>,
-        loci_buf: &Buffer<u32>,
-        flags_buf: &Buffer<u8>,
-        n: usize,
-        timing: &mut TimingBreakdown,
-    ) -> SyclResult<()> {
-        if self.capture.get() {
-            let mut loci = vec![0u32; n];
-            let mut flags = vec![0u8; n];
-            if n > 0 {
-                let ev = self.queue.submit(|h| {
-                    let l = h.get_access(loci_buf, AccessMode::Read)?;
-                    let f = h.get_access(flags_buf, AccessMode::Read)?;
-                    h.copy_from_device(&l, &mut loci)?;
-                    h.copy_from_device(&f, &mut flags)
-                })?;
-                timing.transfer_s += ev.duration_s();
+                if n > 0 {
+                    let ev = self.queue.submit(|h| {
+                        let l = h.get_access(&cands.loci_buf, AccessMode::Read)?;
+                        let f = h.get_access(&cands.flags_buf, AccessMode::Read)?;
+                        h.copy_from_device(&l, &mut list.loci)?;
+                        h.copy_from_device(&f, &mut list.flags)
+                    })?;
+                    timing.transfer_s += ev.duration_s();
+                }
+                Some(list)
             }
-            *self.captured.borrow_mut() = Some(CandidateSites { loci, flags });
-        }
+            _ => None,
+        };
+        let cands = SyclCandidateResident { len: n, ..cands };
         if let Some(t) = token {
-            retain_resident(
-                &self.cand_res,
-                t,
-                SyclCandidateResident {
-                    loci_buf: loci_buf.clone(),
-                    flags_buf: flags_buf.clone(),
-                    len: n,
-                },
-                self.resident_cap,
-            );
+            retain_resident(&self.cand_res, t, cands.clone(), self.resident_cap);
         }
-        Ok(())
+        Ok((cands, n, captured))
     }
 
-    /// Replace the finder pass with a cached candidate list: record the
-    /// skipped launch, then produce bound loci/flags buffers — rebinding
-    /// the still-resident buffers of an earlier run under `token` when
-    /// their length matches, uploading fresh ones otherwise.
-    fn stage_cached_candidates(
-        &self,
-        token: u64,
-        sites: &CandidateSites,
-        timing: &mut TimingBreakdown,
-    ) -> (Buffer<u32>, Buffer<u8>) {
-        let n = sites.len();
-        self.queue.device().record_launch_skipped();
-        timing.finder_launches_skipped += 1;
-        timing.candidates += n as u64;
-        let res = match take_resident(&self.cand_res, token) {
-            Some(res) if res.len == n => {
-                self.queue
-                    .device()
-                    .record_h2d_skipped(sites.byte_len() as u64);
-                res
-            }
-            // The simulator rejects zero-length allocations; one-element
-            // dummies stand in for an empty list (the comparers never run).
-            _ => SyclCandidateResident {
-                loci_buf: if n > 0 {
-                    Buffer::from_slice(&sites.loci)
-                } else {
-                    Buffer::from_slice(&[0u32])
-                },
-                flags_buf: if n > 0 {
-                    Buffer::from_slice(&sites.flags)
-                } else {
-                    Buffer::from_slice(&[0u8])
-                },
-                len: n,
-            },
-        };
-        retain_resident(&self.cand_res, token, res.clone(), self.resident_cap);
-        (res.loci_buf, res.flags_buf)
-    }
-
-    /// [`run_chunk_resident`](Self::run_chunk_resident) with a pre-resolved
-    /// candidate list (see
-    /// [`OclChunkRunner::run_chunk_cached_candidates`] for the contract):
-    /// the finder launch is skipped and the comparer stage runs against
-    /// `sites`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn run_chunk_cached_candidates(
-        &self,
-        token: u64,
-        seq: &[u8],
-        sites: &CandidateSites,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        let mut per_query = vec![Vec::new(); tables.len()];
-        let (chr_buf, reused) = match take_resident(&self.raw_res, token) {
-            Some(buf) => {
-                self.queue.device().record_h2d_skipped(seq.len() as u64);
-                (buf, true)
-            }
-            None => (Buffer::from_slice(seq), false),
-        };
-        retain_resident(&self.raw_res, token, chr_buf.clone(), self.resident_cap);
-
-        let (loci_buf, flags_buf) = self.stage_cached_candidates(token, sites, timing);
-        let n = sites.len();
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-        self.run_comparers(
-            &chr_buf, &loci_buf, &flags_buf, n, tables, timing, profile, &mut per_query,
-        )?;
-        Ok((per_query, reused))
-    }
-
-    /// [`run_packed_chunk_resident`](Self::run_packed_chunk_resident) with a
-    /// pre-resolved candidate list (see
-    /// [`OclChunkRunner::run_packed_chunk_cached_candidates`] for the
-    /// contract): no finder launch, 2-bit comparison only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not [`twobit_compare_safe`] — skipping the
-    /// finder also skips the decode the char fallback would read.
-    pub fn run_packed_chunk_cached_candidates(
-        &self,
-        token: u64,
-        packed: &PackedSeq,
-        sites: &CandidateSites,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        assert!(
-            twobit_compare_safe(packed),
-            "cached-candidate packed runs require 2-bit-safe payloads"
-        );
-        let mut per_query = vec![Vec::new(); tables.len()];
-        let n_exc = packed.exceptions().len();
-        let (res, reused) = match take_resident(&self.packed_res, token) {
-            Some(res) => {
-                self.queue
-                    .device()
-                    .record_h2d_skipped(packed_upload_bytes(packed));
-                (res, true)
-            }
-            None => {
-                let (exc_pos, exc_val) = packed.exception_arrays();
-                (
-                    SyclPackedResident {
-                        packed_buf: Buffer::from_slice(packed.packed_bytes()),
-                        mask_buf: Buffer::from_slice(packed.mask_bytes()),
-                        exc_pos_buf: if n_exc > 0 {
-                            Buffer::from_vec(exc_pos)
-                        } else {
-                            Buffer::from_slice(&[0u32])
-                        },
-                        exc_val_buf: if n_exc > 0 {
-                            Buffer::from_vec(exc_val)
-                        } else {
-                            Buffer::from_slice(&[0u8])
-                        },
-                    },
-                    false,
-                )
-            }
-        };
-        retain_resident(&self.packed_res, token, res.clone(), self.resident_cap);
-
-        let (loci_buf, flags_buf) = self.stage_cached_candidates(token, sites, timing);
-        let n = sites.len();
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-        self.run_comparers_2bit(
-            &res.packed_buf,
-            &res.mask_buf,
-            &loci_buf,
-            &flags_buf,
-            n,
-            tables,
-            timing,
-            profile,
-            &mut per_query,
-        )?;
-        Ok((per_query, reused))
-    }
-
-    /// [`run_nibble_chunk_resident`](Self::run_nibble_chunk_resident) with a
-    /// pre-resolved candidate list (see
-    /// [`OclChunkRunner::run_nibble_chunk_cached_candidates`] for the
-    /// contract): no finder launch, mask-intersection comparison on the
-    /// nibble words — valid on any input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn run_nibble_chunk_cached_candidates(
-        &self,
-        token: u64,
-        nibble: &NibbleSeq,
-        sites: &CandidateSites,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> SyclResult<(Vec<QueryEntries>, bool)> {
-        let mut per_query = vec![Vec::new(); tables.len()];
-        let (nibble_buf, reused) = match take_resident(&self.nibble_res, token) {
-            Some(buf) => {
-                self.queue
-                    .device()
-                    .record_h2d_skipped(nibble.device_byte_len() as u64);
-                (buf, true)
-            }
-            None => (Buffer::from_slice(nibble.nibble_bytes()), false),
-        };
-        retain_resident(&self.nibble_res, token, nibble_buf.clone(), self.resident_cap);
-
-        let (loci_buf, flags_buf) = self.stage_cached_candidates(token, sites, timing);
-        let n = sites.len();
-        if n == 0 {
-            return Ok((per_query, reused));
-        }
-        self.run_comparers_4bit(
-            &nibble_buf,
-            &loci_buf,
-            &flags_buf,
-            n,
-            tables,
-            timing,
-            profile,
-            &mut per_query,
-        )?;
-        Ok((per_query, reused))
-    }
-
-    /// Shared comparer stage: one command group per prepared query against
-    /// `n` candidate loci staged in the given chunk buffers.
+    /// Comparer stage (see [`OclChunkRunner::compare`]'s contract): one
+    /// command group per prepared query on the staged encoding, or one
+    /// `comparer_multi*` command group per guide block on a multi-guide
+    /// runner with several queries.
     #[allow(clippy::too_many_arguments)]
-    fn run_comparers(
+    fn compare(
         &self,
-        chr_buf: &Buffer<u8>,
-        loci_buf: &Buffer<u32>,
-        flags_buf: &Buffer<u8>,
-        n: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-        per_query: &mut [QueryEntries],
-    ) -> SyclResult<()> {
-        if self.multi_guide && tables.len() > 1 {
-            return self.run_comparers_multi(
-                SyclMultiEnc::Char(chr_buf),
-                loci_buf,
-                flags_buf,
-                n,
-                tables,
-                timing,
-                profile,
-                per_query,
-            );
-        }
-        let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        for (qi, (out, (comp_buf, comp_index_buf, threshold))) in
-            per_query.iter_mut().zip(&tables.entries).enumerate()
-        {
-            let out_mm = Buffer::<u16>::uninit(2 * n);
-            let out_dir = Buffer::<u8>::uninit(2 * n);
-            let out_loci = Buffer::<u32>::uninit(2 * n);
-            let out_count = Buffer::<u32>::new(1);
-
-            let ev = if self.specialize && !tables.spec_queries.is_empty() {
-                let variant = specialize::global_cache().get_or_compile(
-                    VariantKind::CharComparer,
-                    &tables.spec_queries[qi],
-                    *threshold,
-                );
-                self.queue.submit(|h| {
-                    let chr = h.get_access(chr_buf, AccessMode::Read)?;
-                    let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                    let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                    let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                    let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                    let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                    let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-
-                    let kernel = SpecializedComparerKernel {
-                        chr: chr.raw(),
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        locicnt: n as u32,
-                        out: ComparerOutput {
-                            mm_count: mm.raw(),
-                            direction: dir.raw(),
-                            loci: mloci.raw(),
-                            count: count.raw(),
-                        },
-                        variant: Arc::clone(&variant),
-                    };
-                    h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
-                })?
-            } else {
-                self.queue.submit(|h| {
-                    let chr = h.get_access(chr_buf, AccessMode::Read)?;
-                    let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                    let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                    let comp = h.get_access(comp_buf, AccessMode::Read)?;
-                    let comp_index = h.get_access(comp_index_buf, AccessMode::Read)?;
-                    let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                    let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                    let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                    let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-
-                    let mut layout = LocalLayout::new();
-                    let l_comp = layout.array::<u8>(2 * plen);
-                    let l_comp_index = layout.array::<i32>(2 * plen);
-                    let kernel = ComparerKernel {
-                        opt: self.opt,
-                        chr: chr.raw(),
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        comp: comp.raw(),
-                        comp_index: comp_index.raw(),
-                        locicnt: n as u32,
-                        plen: plen as u32,
-                        threshold: *threshold,
-                        out: ComparerOutput {
-                            mm_count: mm.raw(),
-                            direction: dir.raw(),
-                            loci: mloci.raw(),
-                            count: count.raw(),
-                        },
-                        l_comp,
-                        l_comp_index,
-                    };
-                    h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
-                })?
-            };
-            ev.wait();
-            let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-            timing.comparer_s += ev
-                .launch_reports()
-                .iter()
-                .map(|r| r.exec_time_s)
-                .sum::<f64>();
-            for r in ev.launch_reports() {
-                profile.record_ref(r);
-            }
-            timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
-            timing.comparer_launches += 1;
-
-            let mut entry_count = [0u32];
-            let ev = self.queue.submit(|h| {
-                let acc = h.get_access(&out_count, AccessMode::Read)?;
-                h.copy_from_device(&acc, &mut entry_count)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            let m = entry_count[0] as usize;
-            timing.entries += m as u64;
-            if m == 0 {
-                continue;
-            }
-            let mut mm = vec![0u16; m];
-            let mut dir = vec![0u8; m];
-            let mut pos = vec![0u32; m];
-            let ev = self.queue.submit(|h| {
-                let mm_acc = h.get_access(&out_mm, AccessMode::Read)?;
-                let dir_acc = h.get_access(&out_dir, AccessMode::Read)?;
-                let pos_acc = h.get_access(&out_loci, AccessMode::Read)?;
-                h.copy_from_device(&mm_acc, &mut mm)?;
-                h.copy_from_device(&dir_acc, &mut dir)?;
-                h.copy_from_device(&pos_acc, &mut pos)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            *out = (0..m).map(|i| (pos[i], dir[i], mm[i])).collect();
-        }
-        Ok(())
-    }
-
-    /// Comparer stage over the resident 2-bit payload: one command group
-    /// per prepared query running [`TwoBitComparerKernel`] against the
-    /// packed words and N-mask, skipping the decoded scratch entirely.
-    #[allow(clippy::too_many_arguments)]
-    fn run_comparers_2bit(
-        &self,
-        packed_buf: &Buffer<u8>,
-        mask_buf: &Buffer<u8>,
-        loci_buf: &Buffer<u32>,
-        flags_buf: &Buffer<u8>,
-        n: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-        per_query: &mut [QueryEntries],
-    ) -> SyclResult<()> {
-        if self.multi_guide && tables.len() > 1 {
-            return self.run_comparers_multi(
-                SyclMultiEnc::TwoBit(packed_buf, mask_buf),
-                loci_buf,
-                flags_buf,
-                n,
-                tables,
-                timing,
-                profile,
-                per_query,
-            );
-        }
-        let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        for (qi, (out, (comp_buf, comp_index_buf, threshold))) in
-            per_query.iter_mut().zip(&tables.entries).enumerate()
-        {
-            let out_mm = Buffer::<u16>::uninit(2 * n);
-            let out_dir = Buffer::<u8>::uninit(2 * n);
-            let out_loci = Buffer::<u32>::uninit(2 * n);
-            let out_count = Buffer::<u32>::new(1);
-
-            let ev = if self.specialize && !tables.spec_queries.is_empty() {
-                let variant = specialize::global_cache().get_or_compile(
-                    VariantKind::TwoBitComparer,
-                    &tables.spec_queries[qi],
-                    *threshold,
-                );
-                self.queue.submit(|h| {
-                    let packed = h.get_access(packed_buf, AccessMode::Read)?;
-                    let mask = h.get_access(mask_buf, AccessMode::Read)?;
-                    let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                    let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                    let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                    let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                    let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                    let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-
-                    let kernel = SpecializedTwoBitComparerKernel {
-                        packed: packed.raw(),
-                        mask: mask.raw(),
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        locicnt: n as u32,
-                        out: ComparerOutput {
-                            mm_count: mm.raw(),
-                            direction: dir.raw(),
-                            loci: mloci.raw(),
-                            count: count.raw(),
-                        },
-                        variant: Arc::clone(&variant),
-                    };
-                    h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
-                })?
-            } else {
-                self.queue.submit(|h| {
-                    let packed = h.get_access(packed_buf, AccessMode::Read)?;
-                    let mask = h.get_access(mask_buf, AccessMode::Read)?;
-                    let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                    let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                    let comp = h.get_access(comp_buf, AccessMode::Read)?;
-                    let comp_index = h.get_access(comp_index_buf, AccessMode::Read)?;
-                    let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                    let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                    let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                    let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-
-                    let mut layout = LocalLayout::new();
-                    let l_comp = layout.array::<u8>(2 * plen);
-                    let l_comp_index = layout.array::<i32>(2 * plen);
-                    let kernel = TwoBitComparerKernel {
-                        packed: packed.raw(),
-                        mask: mask.raw(),
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        comp: comp.raw(),
-                        comp_index: comp_index.raw(),
-                        locicnt: n as u32,
-                        plen: plen as u32,
-                        threshold: *threshold,
-                        out: ComparerOutput {
-                            mm_count: mm.raw(),
-                            direction: dir.raw(),
-                            loci: mloci.raw(),
-                            count: count.raw(),
-                        },
-                        l_comp,
-                        l_comp_index,
-                    };
-                    h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
-                })?
-            };
-            ev.wait();
-            let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-            timing.comparer_s += ev
-                .launch_reports()
-                .iter()
-                .map(|r| r.exec_time_s)
-                .sum::<f64>();
-            for r in ev.launch_reports() {
-                profile.record_ref(r);
-            }
-            timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
-            timing.comparer_launches += 1;
-
-            let mut entry_count = [0u32];
-            let ev = self.queue.submit(|h| {
-                let acc = h.get_access(&out_count, AccessMode::Read)?;
-                h.copy_from_device(&acc, &mut entry_count)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            let m = entry_count[0] as usize;
-            timing.entries += m as u64;
-            if m == 0 {
-                continue;
-            }
-            let mut mm = vec![0u16; m];
-            let mut dir = vec![0u8; m];
-            let mut pos = vec![0u32; m];
-            let ev = self.queue.submit(|h| {
-                let mm_acc = h.get_access(&out_mm, AccessMode::Read)?;
-                let dir_acc = h.get_access(&out_dir, AccessMode::Read)?;
-                let pos_acc = h.get_access(&out_loci, AccessMode::Read)?;
-                h.copy_from_device(&mm_acc, &mut mm)?;
-                h.copy_from_device(&dir_acc, &mut dir)?;
-                h.copy_from_device(&pos_acc, &mut pos)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            *out = (0..m).map(|i| (pos[i], dir[i], mm[i])).collect();
-        }
-        Ok(())
-    }
-
-    /// Comparer stage over the resident nibble payload: one command group
-    /// per prepared query running [`FourBitComparerKernel`] by mask
-    /// intersection directly on the nibble words.
-    #[allow(clippy::too_many_arguments)]
-    fn run_comparers_4bit(
-        &self,
-        nibble_buf: &Buffer<u8>,
-        loci_buf: &Buffer<u32>,
-        flags_buf: &Buffer<u8>,
-        n: usize,
-        tables: &SyclQueryTables,
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-        per_query: &mut [QueryEntries],
-    ) -> SyclResult<()> {
-        if self.multi_guide && tables.len() > 1 {
-            return self.run_comparers_multi(
-                SyclMultiEnc::FourBit(nibble_buf),
-                loci_buf,
-                flags_buf,
-                n,
-                tables,
-                timing,
-                profile,
-                per_query,
-            );
-        }
-        let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        for (qi, (out, (comp_buf, comp_index_buf, threshold))) in
-            per_query.iter_mut().zip(&tables.entries).enumerate()
-        {
-            let out_mm = Buffer::<u16>::uninit(2 * n);
-            let out_dir = Buffer::<u8>::uninit(2 * n);
-            let out_loci = Buffer::<u32>::uninit(2 * n);
-            let out_count = Buffer::<u32>::new(1);
-
-            let ev = if self.specialize && !tables.spec_queries.is_empty() {
-                let variant = specialize::global_cache().get_or_compile(
-                    VariantKind::FourBitComparer,
-                    &tables.spec_queries[qi],
-                    *threshold,
-                );
-                self.queue.submit(|h| {
-                    let nibbles = h.get_access(nibble_buf, AccessMode::Read)?;
-                    let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                    let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                    let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                    let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                    let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                    let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-
-                    let kernel = SpecializedFourBitComparerKernel {
-                        nibbles: nibbles.raw(),
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        locicnt: n as u32,
-                        out: ComparerOutput {
-                            mm_count: mm.raw(),
-                            direction: dir.raw(),
-                            loci: mloci.raw(),
-                            count: count.raw(),
-                        },
-                        variant: Arc::clone(&variant),
-                    };
-                    h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
-                })?
-            } else {
-                self.queue.submit(|h| {
-                    let nibbles = h.get_access(nibble_buf, AccessMode::Read)?;
-                    let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                    let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                    let comp = h.get_access(comp_buf, AccessMode::Read)?;
-                    let comp_index = h.get_access(comp_index_buf, AccessMode::Read)?;
-                    let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                    let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                    let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                    let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-
-                    let mut layout = LocalLayout::new();
-                    let l_comp = layout.array::<u8>(2 * plen);
-                    let l_comp_index = layout.array::<i32>(2 * plen);
-                    let kernel = FourBitComparerKernel {
-                        nibbles: nibbles.raw(),
-                        loci: loci.raw(),
-                        flags: flags.raw(),
-                        comp: comp.raw(),
-                        comp_index: comp_index.raw(),
-                        locicnt: n as u32,
-                        plen: plen as u32,
-                        threshold: *threshold,
-                        out: ComparerOutput {
-                            mm_count: mm.raw(),
-                            direction: dir.raw(),
-                            loci: mloci.raw(),
-                            count: count.raw(),
-                        },
-                        l_comp,
-                        l_comp_index,
-                    };
-                    h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
-                })?
-            };
-            ev.wait();
-            let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-            timing.comparer_s += ev
-                .launch_reports()
-                .iter()
-                .map(|r| r.exec_time_s)
-                .sum::<f64>();
-            for r in ev.launch_reports() {
-                profile.record_ref(r);
-            }
-            timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
-            timing.comparer_launches += 1;
-
-            let mut entry_count = [0u32];
-            let ev = self.queue.submit(|h| {
-                let acc = h.get_access(&out_count, AccessMode::Read)?;
-                h.copy_from_device(&acc, &mut entry_count)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            let m = entry_count[0] as usize;
-            timing.entries += m as u64;
-            if m == 0 {
-                continue;
-            }
-            let mut mm = vec![0u16; m];
-            let mut dir = vec![0u8; m];
-            let mut pos = vec![0u32; m];
-            let ev = self.queue.submit(|h| {
-                let mm_acc = h.get_access(&out_mm, AccessMode::Read)?;
-                let dir_acc = h.get_access(&out_dir, AccessMode::Read)?;
-                let pos_acc = h.get_access(&out_loci, AccessMode::Read)?;
-                h.copy_from_device(&mm_acc, &mut mm)?;
-                h.copy_from_device(&dir_acc, &mut dir)?;
-                h.copy_from_device(&pos_acc, &mut pos)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            *out = (0..m).map(|i| (pos[i], dir[i], mm[i])).collect();
-        }
-        Ok(())
-    }
-
-    /// Fused comparer stage (see
-    /// [`OclChunkRunner::run_comparers_multi`]'s contract): blocks of up to
-    /// [`GUIDE_BLOCK`] guides run as single `comparer_multi*` command
-    /// groups, and the guide-tagged compacted output is demultiplexed back
-    /// into byte-identical per-query entry lists. Uniform-threshold blocks
-    /// fold the threshold into a JIT-specialized variant when the runner
-    /// specializes.
-    #[allow(clippy::too_many_arguments)]
-    fn run_comparers_multi(
-        &self,
-        enc: SyclMultiEnc<'_>,
-        loci_buf: &Buffer<u32>,
-        flags_buf: &Buffer<u8>,
+        staged: &SyclStaged,
+        (loci_buf, flags_buf): (&Buffer<u32>, &Buffer<u8>),
         n: usize,
         tables: &SyclQueryTables,
         timing: &mut TimingBreakdown,
@@ -3303,250 +1791,240 @@ impl SyclChunkRunner {
         per_query: &mut [QueryEntries],
     ) -> SyclResult<()> {
         let plen = self.pattern.plen();
-        let wgs = self.wgs;
-        let nq = tables.len();
+        let range = NdRange::linear(round_up(n, self.wgs), self.wgs);
+        let fused = self.multi_guide && tables.len() > 1;
+        let block = if fused { GUIDE_BLOCK } else { 1 };
         let mut start = 0;
-        while start < nq {
-            let g = (nq - start).min(GUIDE_BLOCK);
-            // Concatenate the block's tables host-side: guide `bi` occupies
-            // `[fwd | rc]` at offset `bi * 2 * plen`.
-            let mut comp = vec![0u8; g * 2 * plen];
-            let mut comp_index = vec![0i32; g * 2 * plen];
-            let mut thr = vec![0u16; g];
-            for bi in 0..g {
-                let c = &tables.spec_queries[start + bi];
-                comp[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp());
-                comp_index[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp_index());
-                thr[bi] = tables.entries[start + bi].2;
-            }
-            let comp_buf = Buffer::from_vec(comp);
-            let comp_index_buf = Buffer::from_vec(comp_index);
-
-            // A block whose guides share one threshold runs the
-            // JIT-specialized fused variant when the runner specializes;
-            // mixed thresholds stage the per-guide table instead.
-            let folded = self.specialize && thr.iter().all(|&t| t == thr[0]);
-            let variant = folded.then(|| {
-                specialize::global_cache().get_or_compile(
-                    VariantKind::MultiComparer,
-                    &self.pattern,
-                    thr[0],
-                )
-            });
-            let thr_buf = (!folded).then(|| Buffer::from_vec(thr.clone()));
-
-            let out_mm = Buffer::<u16>::uninit(2 * g * n);
-            let out_dir = Buffer::<u8>::uninit(2 * g * n);
-            let out_loci = Buffer::<u32>::uninit(2 * g * n);
-            let out_guide = Buffer::<u16>::uninit(2 * g * n);
-            let out_count = Buffer::<u32>::new(1);
-
-            let ev = self.queue.submit(|h| {
-                let loci = h.get_access(loci_buf, AccessMode::Read)?;
-                let flags = h.get_access(flags_buf, AccessMode::Read)?;
-                let comp = h.get_access(&comp_buf, AccessMode::Read)?;
-                let comp_index = h.get_access(&comp_index_buf, AccessMode::Read)?;
-                let mm = h.get_access(&out_mm, AccessMode::Write)?;
-                let dir = h.get_access(&out_dir, AccessMode::Write)?;
-                let mloci = h.get_access(&out_loci, AccessMode::Write)?;
-                let guide = h.get_access(&out_guide, AccessMode::Write)?;
-                let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-                let thresholds = match (&thr_buf, &variant) {
-                    (Some(b), _) => GuideThresholds::PerGuide(h.get_access(b, AccessMode::Read)?.raw()),
-                    (None, Some(v)) => GuideThresholds::Folded {
-                        threshold: thr[0],
-                        variant: Arc::clone(v),
-                    },
-                    (None, None) => unreachable!("thr_buf and variant are complementary"),
-                };
-                let out = MultiComparerOutput {
-                    mm_count: mm.raw(),
-                    direction: dir.raw(),
-                    loci: mloci.raw(),
-                    guide: guide.raw(),
-                    count: count.raw(),
-                };
-                let range = NdRange::linear(round_up(n, wgs), wgs);
-                match &enc {
-                    SyclMultiEnc::Char(chr_buf) => {
-                        let chr = h.get_access(chr_buf, AccessMode::Read)?;
-                        let (kernel, _) = MultiComparerKernel::new(
-                            chr.raw(),
-                            loci.raw(),
-                            flags.raw(),
-                            comp.raw(),
-                            comp_index.raw(),
-                            thresholds,
-                            n,
-                            plen,
-                            g,
-                            out,
-                        );
-                        h.parallel_for(range, &kernel)
-                    }
-                    SyclMultiEnc::TwoBit(packed_buf, mask_buf) => {
-                        let packed = h.get_access(packed_buf, AccessMode::Read)?;
-                        let mask = h.get_access(mask_buf, AccessMode::Read)?;
-                        let (kernel, _) = TwoBitMultiComparerKernel::new(
-                            packed.raw(),
-                            mask.raw(),
-                            loci.raw(),
-                            flags.raw(),
-                            comp.raw(),
-                            comp_index.raw(),
-                            thresholds,
-                            n,
-                            plen,
-                            g,
-                            out,
-                        );
-                        h.parallel_for(range, &kernel)
-                    }
-                    SyclMultiEnc::FourBit(nibble_buf) => {
-                        let nibbles = h.get_access(nibble_buf, AccessMode::Read)?;
-                        let (kernel, _) = FourBitMultiComparerKernel::new(
-                            nibbles.raw(),
-                            loci.raw(),
-                            flags.raw(),
-                            comp.raw(),
-                            comp_index.raw(),
-                            thresholds,
-                            n,
-                            plen,
-                            g,
-                            out,
-                        );
-                        h.parallel_for(range, &kernel)
-                    }
+        while start < tables.len() {
+            let g = (tables.len() - start).min(block);
+            let (ev, outs) = if fused {
+                // Concatenate the block's tables host-side: guide `bi`
+                // occupies `[fwd | rc]` at offset `bi * 2 * plen`.
+                let mut comp = vec![0u8; g * 2 * plen];
+                let mut comp_index = vec![0i32; g * 2 * plen];
+                let mut thr = vec![0u16; g];
+                for bi in 0..g {
+                    let c = &tables.spec_queries[start + bi];
+                    comp[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp());
+                    comp_index[bi * 2 * plen..(bi + 1) * 2 * plen].copy_from_slice(c.comp_index());
+                    thr[bi] = tables.entries[start + bi].2;
                 }
-            })?;
-            ev.wait();
-            let commands_s: f64 = ev.launch_reports().iter().map(|r| r.sim_time_s).sum();
-            timing.comparer_s += ev
-                .launch_reports()
-                .iter()
-                .map(|r| r.exec_time_s)
-                .sum::<f64>();
-            for r in ev.launch_reports() {
-                profile.record_ref(r);
-            }
-            timing.transfer_s += (ev.duration_s() - commands_s).max(0.0);
-            timing.comparer_launches += 1;
-            timing.fused_launches += 1;
-
-            let mut entry_count = [0u32];
-            let ev = self.queue.submit(|h| {
-                let acc = h.get_access(&out_count, AccessMode::Read)?;
-                h.copy_from_device(&acc, &mut entry_count)
-            })?;
-            timing.transfer_s += ev.duration_s();
-            let m = entry_count[0] as usize;
-            timing.entries += m as u64;
-            if m > 0 {
-                let mut mm = vec![0u16; m];
-                let mut dir = vec![0u8; m];
-                let mut pos = vec![0u32; m];
-                let mut gid = vec![0u16; m];
+                let comp_buf = Buffer::from_vec(comp);
+                let comp_index_buf = Buffer::from_vec(comp_index);
+                let folded = self.specialize && thr.iter().all(|&t| t == thr[0]);
+                let variant = folded.then(|| {
+                    specialize::global_cache().get_or_compile(
+                        VariantKind::MultiComparer,
+                        &self.pattern,
+                        thr[0],
+                    )
+                });
+                let thr_buf = (!folded).then(|| Buffer::from_vec(thr.clone()));
+                let outs = Outputs::new(2 * g * n, true);
                 let ev = self.queue.submit(|h| {
-                    let mm_acc = h.get_access(&out_mm, AccessMode::Read)?;
-                    let dir_acc = h.get_access(&out_dir, AccessMode::Read)?;
-                    let pos_acc = h.get_access(&out_loci, AccessMode::Read)?;
-                    let gid_acc = h.get_access(&out_guide, AccessMode::Read)?;
-                    h.copy_from_device(&mm_acc, &mut mm)?;
-                    h.copy_from_device(&dir_acc, &mut dir)?;
-                    h.copy_from_device(&pos_acc, &mut pos)?;
-                    h.copy_from_device(&gid_acc, &mut gid)
+                    let loci = h.get_access(loci_buf, AccessMode::Read)?.raw();
+                    let flags = h.get_access(flags_buf, AccessMode::Read)?.raw();
+                    let comp = h.get_access(&comp_buf, AccessMode::Read)?.raw();
+                    let comp_index = h.get_access(&comp_index_buf, AccessMode::Read)?.raw();
+                    let (out, guide) = outs.bind(h)?;
+                    let out = MultiComparerOutput {
+                        mm_count: out.mm_count,
+                        direction: out.direction,
+                        loci: out.loci,
+                        guide: guide.expect("fused outputs carry guide tags"),
+                        count: out.count,
+                    };
+                    let thresholds = match (&thr_buf, &variant) {
+                        (Some(b), _) => {
+                            GuideThresholds::PerGuide(h.get_access(b, AccessMode::Read)?.raw())
+                        }
+                        (None, Some(v)) => GuideThresholds::Folded {
+                            threshold: thr[0],
+                            variant: Arc::clone(v),
+                        },
+                        (None, None) => unreachable!("thr_buf and variant are complementary"),
+                    };
+                    let chunk = bind_reads(h, staged.compare_bufs())?;
+                    match staged {
+                        Staged::Char(_) => {
+                            let (kernel, _) = MultiComparerKernel::new(
+                                chunk[0].clone(),
+                                loci,
+                                flags,
+                                comp,
+                                comp_index,
+                                thresholds,
+                                n,
+                                plen,
+                                g,
+                                out,
+                            );
+                            h.parallel_for(range, &kernel)
+                        }
+                        Staged::TwoBit(_) => {
+                            let (kernel, _) = TwoBitMultiComparerKernel::new(
+                                chunk[0].clone(),
+                                chunk[1].clone(),
+                                loci,
+                                flags,
+                                comp,
+                                comp_index,
+                                thresholds,
+                                n,
+                                plen,
+                                g,
+                                out,
+                            );
+                            h.parallel_for(range, &kernel)
+                        }
+                        Staged::FourBit(_) => {
+                            let (kernel, _) = FourBitMultiComparerKernel::new(
+                                chunk[0].clone(),
+                                loci,
+                                flags,
+                                comp,
+                                comp_index,
+                                thresholds,
+                                n,
+                                plen,
+                                g,
+                                out,
+                            );
+                            h.parallel_for(range, &kernel)
+                        }
+                    }
                 })?;
-                timing.transfer_s += ev.duration_s();
-                for i in 0..m {
-                    per_query[start + gid[i] as usize].push((pos[i], dir[i], mm[i]));
-                }
-            }
+                (ev, outs)
+            } else {
+                let (comp_buf, comp_index_buf, threshold) = &tables.entries[start];
+                let outs = Outputs::new(2 * n, false);
+                let variant = (self.specialize && !tables.spec_queries.is_empty()).then(|| {
+                    let kind = staged.pick(
+                        VariantKind::CharComparer,
+                        VariantKind::TwoBitComparer,
+                        VariantKind::FourBitComparer,
+                    );
+                    specialize::global_cache().get_or_compile(
+                        kind,
+                        &tables.spec_queries[start],
+                        *threshold,
+                    )
+                });
+                let ev = self.queue.submit(|h| {
+                    let chunk = bind_reads(h, staged.compare_bufs())?;
+                    let loci = h.get_access(loci_buf, AccessMode::Read)?.raw();
+                    let flags = h.get_access(flags_buf, AccessMode::Read)?.raw();
+                    let locicnt = n as u32;
+                    if let Some(variant) = &variant {
+                        let (out, _) = outs.bind(h)?;
+                        let variant = Arc::clone(variant);
+                        return match staged {
+                            Staged::Char(_) => h.parallel_for(
+                                range,
+                                &SpecializedComparerKernel {
+                                    chr: chunk[0].clone(),
+                                    loci,
+                                    flags,
+                                    locicnt,
+                                    out,
+                                    variant,
+                                },
+                            ),
+                            Staged::TwoBit(_) => h.parallel_for(
+                                range,
+                                &SpecializedTwoBitComparerKernel {
+                                    packed: chunk[0].clone(),
+                                    mask: chunk[1].clone(),
+                                    loci,
+                                    flags,
+                                    locicnt,
+                                    out,
+                                    variant,
+                                },
+                            ),
+                            Staged::FourBit(_) => h.parallel_for(
+                                range,
+                                &SpecializedFourBitComparerKernel {
+                                    nibbles: chunk[0].clone(),
+                                    loci,
+                                    flags,
+                                    locicnt,
+                                    out,
+                                    variant,
+                                },
+                            ),
+                        };
+                    }
+                    let comp = h.get_access(comp_buf, AccessMode::Read)?.raw();
+                    let comp_index = h.get_access(comp_index_buf, AccessMode::Read)?.raw();
+                    let (out, _) = outs.bind(h)?;
+                    let mut layout = LocalLayout::new();
+                    let l_comp = layout.array::<u8>(2 * plen);
+                    let l_comp_index = layout.array::<i32>(2 * plen);
+                    let (plen, threshold) = (plen as u32, *threshold);
+                    match staged {
+                        Staged::Char(_) => h.parallel_for(
+                            range,
+                            &ComparerKernel {
+                                opt: self.opt,
+                                chr: chunk[0].clone(),
+                                loci,
+                                flags,
+                                comp,
+                                comp_index,
+                                locicnt,
+                                plen,
+                                threshold,
+                                out,
+                                l_comp,
+                                l_comp_index,
+                            },
+                        ),
+                        Staged::TwoBit(_) => h.parallel_for(
+                            range,
+                            &TwoBitComparerKernel {
+                                packed: chunk[0].clone(),
+                                mask: chunk[1].clone(),
+                                loci,
+                                flags,
+                                comp,
+                                comp_index,
+                                locicnt,
+                                plen,
+                                threshold,
+                                out,
+                                l_comp,
+                                l_comp_index,
+                            },
+                        ),
+                        Staged::FourBit(_) => h.parallel_for(
+                            range,
+                            &FourBitComparerKernel {
+                                nibbles: chunk[0].clone(),
+                                loci,
+                                flags,
+                                comp,
+                                comp_index,
+                                locicnt,
+                                plen,
+                                threshold,
+                                out,
+                                l_comp,
+                                l_comp_index,
+                            },
+                        ),
+                    }
+                })?;
+                (ev, outs)
+            };
+            let kernel_s = account_launch(&ev, timing, profile);
+            timing.comparer_s += kernel_s;
+            timing.comparer_launches += 1;
+            timing.fused_launches += usize::from(fused);
+            outs.read_back(&self.queue, timing, &mut per_query[start..])?;
             start += g;
         }
         Ok(())
-    }
-
-    /// Upload-only warmup for the raw path: bind `seq`'s buffer to the
-    /// device inside a kernel-less command group (charging the implicit
-    /// accessor upload) and retain it in the residency list under `token`,
-    /// so a later [`run_chunk_resident`](Self::run_chunk_resident) with the
-    /// same token rebinds instead of uploading. Returns whether an upload
-    /// actually happened (`false` when the token was already resident).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn prefetch_chunk(&self, token: u64, seq: &[u8]) -> SyclResult<bool> {
-        if let Some(buf) = take_resident(&self.raw_res, token) {
-            retain_resident(&self.raw_res, token, buf, self.resident_cap);
-            return Ok(false);
-        }
-        let buf = Buffer::from_slice(seq);
-        self.queue
-            .submit(|h| h.get_access(&buf, AccessMode::Read).map(|_| ()))?;
-        retain_resident(&self.raw_res, token, buf, self.resident_cap);
-        Ok(true)
-    }
-
-    /// Upload-only warmup for the packed path: bind the packed payload's
-    /// buffers in a kernel-less command group and retain them under
-    /// `token`. Returns whether an upload actually happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn prefetch_packed_chunk(&self, token: u64, packed: &PackedSeq) -> SyclResult<bool> {
-        if let Some(res) = take_resident(&self.packed_res, token) {
-            retain_resident(&self.packed_res, token, res, self.resident_cap);
-            return Ok(false);
-        }
-        let n_exc = packed.exceptions().len();
-        let (exc_pos, exc_val) = packed.exception_arrays();
-        let res = SyclPackedResident {
-            packed_buf: Buffer::from_slice(packed.packed_bytes()),
-            mask_buf: Buffer::from_slice(packed.mask_bytes()),
-            exc_pos_buf: if n_exc > 0 {
-                Buffer::from_vec(exc_pos)
-            } else {
-                Buffer::from_slice(&[0u32])
-            },
-            exc_val_buf: if n_exc > 0 {
-                Buffer::from_vec(exc_val)
-            } else {
-                Buffer::from_slice(&[0u8])
-            },
-        };
-        // Bind all four buffers, exactly as the cold run path does, so the
-        // prefetch pays the same upload the first run would have paid.
-        self.queue.submit(|h| {
-            h.get_access(&res.packed_buf, AccessMode::Read)?;
-            h.get_access(&res.mask_buf, AccessMode::Read)?;
-            h.get_access(&res.exc_pos_buf, AccessMode::Read)?;
-            h.get_access(&res.exc_val_buf, AccessMode::Read)?;
-            Ok(())
-        })?;
-        retain_resident(&self.packed_res, token, res, self.resident_cap);
-        Ok(true)
-    }
-
-    /// Upload-only warmup for the nibble path: bind the nibble words in a
-    /// kernel-less command group and retain the buffer under `token`.
-    /// Returns whether an upload actually happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SYCL exceptions.
-    pub fn prefetch_nibble_chunk(&self, token: u64, nibble: &NibbleSeq) -> SyclResult<bool> {
-        if let Some(buf) = take_resident(&self.nibble_res, token) {
-            retain_resident(&self.nibble_res, token, buf, self.resident_cap);
-            return Ok(false);
-        }
-        let buf = Buffer::from_slice(nibble.nibble_bytes());
-        self.queue
-            .submit(|h| h.get_access(&buf, AccessMode::Read).map(|_| ()))?;
-        retain_resident(&self.nibble_res, token, buf, self.resident_cap);
-        Ok(true)
     }
 
     /// Block until every submitted command group completes.
@@ -3567,6 +2045,102 @@ impl SyclChunkRunner {
     /// Transfer/launch counters of the underlying simulated device.
     pub fn traffic(&self) -> TrafficSnapshot {
         self.queue.device().traffic()
+    }
+}
+
+/// Bind `bufs` for reading, in order, and return their device views.
+fn bind_reads(h: &mut Handler<'_>, bufs: Vec<&Buffer<u8>>) -> SyclResult<Vec<DeviceBuffer<u8>>> {
+    bufs.into_iter()
+        .map(|b| h.get_access(b, AccessMode::Read).map(|a| a.raw()))
+        .collect()
+}
+
+/// The `no_init` output arrays of one SYCL comparer launch: compacted
+/// mismatch counts, directions and loci, the guide tags of a fused launch,
+/// and the entry counter.
+struct Outputs {
+    mm: Buffer<u16>,
+    dir: Buffer<u8>,
+    loci: Buffer<u32>,
+    guide: Option<Buffer<u16>>,
+    count: Buffer<u32>,
+}
+
+impl Outputs {
+    fn new(len: usize, fused: bool) -> Self {
+        Outputs {
+            mm: Buffer::uninit(len),
+            dir: Buffer::uninit(len),
+            loci: Buffer::uninit(len),
+            guide: fused.then(|| Buffer::uninit(len)),
+            count: Buffer::new(1),
+        }
+    }
+
+    /// Bind the outputs in kernel-argument order: mismatch counts,
+    /// directions, loci, the guide tags of a fused launch, the counter.
+    fn bind(&self, h: &mut Handler<'_>) -> SyclResult<(ComparerOutput, Option<DeviceBuffer<u16>>)> {
+        let mm_count = h.get_access(&self.mm, AccessMode::Write)?.raw();
+        let direction = h.get_access(&self.dir, AccessMode::Write)?.raw();
+        let loci = h.get_access(&self.loci, AccessMode::Write)?.raw();
+        let guide = match &self.guide {
+            Some(g) => Some(h.get_access(g, AccessMode::Write)?.raw()),
+            None => None,
+        };
+        let count = h.get_access(&self.count, AccessMode::ReadWrite)?.raw();
+        let out = ComparerOutput {
+            mm_count,
+            direction,
+            loci,
+            count,
+        };
+        Ok((out, guide))
+    }
+
+    /// Read back through handler copies (Table III): the entry count, then
+    /// — when non-zero — the entries plus a fused launch's guide tags,
+    /// appended in compaction order to `per_query[guide]` (guide 0 for a
+    /// serial launch).
+    fn read_back(
+        &self,
+        queue: &Queue,
+        timing: &mut TimingBreakdown,
+        per_query: &mut [QueryEntries],
+    ) -> SyclResult<()> {
+        let mut count = [0u32];
+        let ev = queue.submit(|h| {
+            let acc = h.get_access(&self.count, AccessMode::Read)?;
+            h.copy_from_device(&acc, &mut count)
+        })?;
+        timing.transfer_s += ev.duration_s();
+        let m = count[0] as usize;
+        timing.entries += m as u64;
+        if m == 0 {
+            return Ok(());
+        }
+        let (mut mm, mut dir, mut pos, mut gid) =
+            (vec![0u16; m], vec![0u8; m], vec![0u32; m], vec![0u16; m]);
+        let ev = queue.submit(|h| {
+            let mm_acc = h.get_access(&self.mm, AccessMode::Read)?;
+            let dir_acc = h.get_access(&self.dir, AccessMode::Read)?;
+            let pos_acc = h.get_access(&self.loci, AccessMode::Read)?;
+            let gid_acc = match &self.guide {
+                Some(g) => Some(h.get_access(g, AccessMode::Read)?),
+                None => None,
+            };
+            h.copy_from_device(&mm_acc, &mut mm)?;
+            h.copy_from_device(&dir_acc, &mut dir)?;
+            h.copy_from_device(&pos_acc, &mut pos)?;
+            match &gid_acc {
+                Some(acc) => h.copy_from_device(acc, &mut gid),
+                None => Ok(()),
+            }
+        })?;
+        timing.transfer_s += ev.duration_s();
+        for i in 0..m {
+            per_query[gid[i] as usize].push((pos[i], dir[i], mm[i]));
+        }
+        Ok(())
     }
 }
 
@@ -3662,9 +2236,21 @@ mod tests {
         (asm, input)
     }
 
+    /// The toy assembly plus a chromosome exercising every compare-safe
+    /// packed-path case: masked N runs, soft-masked lowercase bases (2-bit
+    /// exceptions the 2-bit comparer reads exactly) and ordinary ACGT.
+    fn toy_compare_safe() -> (Assembly, SearchInput) {
+        let (mut asm, input) = toy();
+        asm.push(Chromosome::new(
+            "chr2",
+            b"NNNNACGTACGTAGGTTTACGTACGaAGCCCCCACGTACGTCGGNNNN".to_vec(),
+        ));
+        (asm, input)
+    }
+
     #[test]
     fn packed_ocl_runner_matches_the_char_path_with_fewer_upload_bytes() {
-        let (asm, input) = toy_with_ambiguity();
+        let (asm, input) = toy_compare_safe();
         let cfg = config();
         let runner = OclChunkRunner::new(&cfg, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&input.queries).unwrap();
@@ -3684,8 +2270,17 @@ mod tests {
             let mid = runner.traffic().h2d_bytes;
             let packed = PackedSeq::encode(chunk.seq);
             let per_query = runner
-                .run_packed_chunk(&packed, chunk.scan_len, &tables, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Packed(&packed),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             let after = runner.traffic().h2d_bytes;
             assert_eq!(per_query, plain, "packed path must be byte-identical");
             char_h2d += mid - before;
@@ -3706,7 +2301,7 @@ mod tests {
 
     #[test]
     fn packed_sycl_runner_reproduces_the_serial_pipeline() {
-        let (asm, input) = toy_with_ambiguity();
+        let (asm, input) = toy_compare_safe();
         let cfg = config();
         let runner = SyclChunkRunner::new(&cfg, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&input.queries);
@@ -3720,8 +2315,17 @@ mod tests {
             }
             let packed = PackedSeq::encode(chunk.seq);
             let per_query = runner
-                .run_packed_chunk(&packed, chunk.scan_len, &tables, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Packed(&packed),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             for (query, entries) in input.queries.iter().zip(&per_query) {
                 entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
             }
@@ -3733,8 +2337,8 @@ mod tests {
     }
 
     /// A chromosome dense in soft-masked runs and degenerate codes — the
-    /// 2-bit encoding would carry an exception for most bases and fall back
-    /// to the char comparer, the exact pathology the nibble path removes.
+    /// 2-bit encoding would carry an exception for most bases and could not
+    /// compare the degenerate ones, the pathology the nibble path removes.
     fn toy_exception_dense() -> (Assembly, SearchInput) {
         let (mut asm, input) = toy();
         asm.push(Chromosome::new(
@@ -3766,8 +2370,17 @@ mod tests {
             let mid = runner.traffic().h2d_bytes;
             let nibble = NibbleSeq::encode(chunk.seq);
             let per_query = runner
-                .run_nibble_chunk(&nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Nibble(&nibble),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             let after = runner.traffic().h2d_bytes;
             assert_eq!(per_query, plain, "nibble path must be byte-identical");
             char_h2d += mid - before;
@@ -3802,8 +2415,17 @@ mod tests {
             }
             let nibble = NibbleSeq::encode(chunk.seq);
             let per_query = runner
-                .run_nibble_chunk(&nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Nibble(&nibble),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             for (query, entries) in input.queries.iter().zip(&per_query) {
                 entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
             }
@@ -3827,12 +2449,30 @@ mod tests {
 
         let before = runner.traffic();
         let (first, reused) = runner
-            .run_nibble_chunk_resident(5, &nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Nibble(&nibble),
+                chunk.scan_len,
+                Some(5),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused, "first run must upload");
         let mid = runner.traffic();
         let (second, reused) = runner
-            .run_nibble_chunk_resident(5, &nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Nibble(&nibble),
+                chunk.scan_len,
+                Some(5),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let after = runner.traffic();
         assert!(reused, "same token must hit the resident slot");
@@ -3860,12 +2500,30 @@ mod tests {
 
         let before = runner.traffic();
         let (first, reused) = runner
-            .run_nibble_chunk_resident(4, &nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Nibble(&nibble),
+                chunk.scan_len,
+                Some(4),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused);
         let mid = runner.traffic();
         let (second, reused) = runner
-            .run_nibble_chunk_resident(4, &nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Nibble(&nibble),
+                chunk.scan_len,
+                Some(4),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let after = runner.traffic();
         assert!(reused, "retained sycl buffer must rebind without upload");
@@ -3882,7 +2540,7 @@ mod tests {
         assert!(twobit_compare_safe(&PackedSeq::encode(b"ACGTNNNNACGT")));
         assert!(twobit_compare_safe(&PackedSeq::encode(b"acgtnACGTNtg")));
         // Genome `R` matches pattern `R`/`D`/`V`, its masked stand-in `N`
-        // does not: the chunk must fall back to the char comparer.
+        // does not: the chunk must not compare in 2-bit form.
         assert!(!twobit_compare_safe(&PackedSeq::encode(b"ACGTRACGTACG")));
     }
 
@@ -3910,8 +2568,17 @@ mod tests {
         let packed = PackedSeq::encode(chunk.seq);
         assert!(packed.exceptions().is_empty());
         let per_query = runner
-            .run_packed_chunk(&packed, chunk.scan_len, &tables, &mut packed_t, &mut profile)
-            .unwrap();
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                None,
+                Sites::Find,
+                &tables,
+                &mut packed_t,
+                &mut profile,
+            )
+            .unwrap()
+            .per_query;
         assert_eq!(per_query, plain);
         assert!(char_t.candidates > 0, "the all-N PAM keeps every locus");
         assert!(
@@ -3926,7 +2593,7 @@ mod tests {
 
     #[test]
     fn resident_packed_rerun_skips_the_upload_and_matches() {
-        let (asm, input) = toy_with_ambiguity();
+        let (asm, input) = toy_compare_safe();
         let cfg = config().chunk_size(64).resident_slots(2);
         let runner = OclChunkRunner::new(&cfg, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&input.queries).unwrap();
@@ -3937,12 +2604,30 @@ mod tests {
 
         let before = runner.traffic();
         let (first, reused) = runner
-            .run_packed_chunk_resident(7, &packed, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                Some(7),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused, "first run must upload");
         let mid = runner.traffic();
         let (second, reused) = runner
-            .run_packed_chunk_resident(7, &packed, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                Some(7),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let after = runner.traffic();
         assert!(reused, "same token must hit the resident slot");
@@ -3966,7 +2651,7 @@ mod tests {
 
     #[test]
     fn resident_slots_evict_least_recently_used() {
-        let (asm, input) = toy_with_ambiguity();
+        let (asm, input) = toy_compare_safe();
         let cfg = config().chunk_size(16).resident_slots(2);
         let runner = OclChunkRunner::new(&cfg, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&input.queries).unwrap();
@@ -3981,16 +2666,17 @@ mod tests {
         let mut profile = gpu_sim::profile::Profile::new();
         let mut run = |tok: u64, i: usize| {
             runner
-                .run_packed_chunk_resident(
-                    tok,
-                    &packed[i],
+                .run(
+                    Payload::Packed(&packed[i]),
                     chunks[i].scan_len,
+                    Some(tok),
+                    Sites::Find,
                     &tables,
                     &mut timing,
                     &mut profile,
                 )
                 .unwrap()
-                .1
+                .reused
         };
         assert!(!run(0, 0) && !run(1, 1), "cold slots upload");
         assert!(run(0, 0), "both fit: token 0 still resident");
@@ -4013,11 +2699,29 @@ mod tests {
         let mut profile = gpu_sim::profile::Profile::new();
 
         let (first, reused) = runner
-            .run_chunk_resident(3, chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(3),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused);
         let (second, reused) = runner
-            .run_chunk_resident(3, chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(3),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(reused, "raw rerun with the same token must skip the upload");
         assert_eq!(second, first);
@@ -4025,10 +2729,27 @@ mod tests {
         // A packed run decodes over the chr scratch: the raw copy is gone.
         let packed = PackedSeq::encode(chunk.seq);
         runner
-            .run_packed_chunk(&packed, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                None,
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
             .unwrap();
         let (third, reused) = runner
-            .run_chunk_resident(3, chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(3),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused, "packed decode must invalidate raw residency");
         assert_eq!(third, first);
@@ -4038,7 +2759,7 @@ mod tests {
 
     #[test]
     fn sycl_resident_rerun_skips_the_upload_and_matches() {
-        let (asm, input) = toy_with_ambiguity();
+        let (asm, input) = toy_compare_safe();
         let cfg = config().chunk_size(64).resident_slots(2);
         let runner = SyclChunkRunner::new(&cfg, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&input.queries);
@@ -4049,12 +2770,30 @@ mod tests {
 
         let before = runner.traffic();
         let (first, reused) = runner
-            .run_packed_chunk_resident(9, &packed, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                Some(9),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused);
         let mid = runner.traffic();
         let (second, reused) = runner
-            .run_packed_chunk_resident(9, &packed, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                Some(9),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let after = runner.traffic();
         assert!(reused, "retained sycl buffers must rebind without upload");
@@ -4067,11 +2806,29 @@ mod tests {
 
         // Raw residency is independent of the packed list.
         let (raw1, reused) = runner
-            .run_chunk_resident(9, chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(9),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(!reused, "raw and packed residency are separate");
         let (raw2, reused) = runner
-            .run_chunk_resident(9, chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(9),
+                Sites::Find,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert!(reused);
         assert_eq!(raw2, raw1);
@@ -4101,6 +2858,32 @@ mod tests {
         assert_eq!(traffic.kernel_launches, 4);
         tables.release();
         runner.release();
+    }
+
+    #[test]
+    #[should_panic(expected = "2-bit-safe")]
+    fn ocl_rejects_packed_payloads_that_are_not_compare_safe() {
+        let (_, input) = toy();
+        let runner = OclChunkRunner::new(&config(), &input.pattern).unwrap();
+        let tables = runner.prepare_queries(&input.queries).unwrap();
+        let packed = PackedSeq::encode(b"ACGTACGTAGGTRTACGTACG");
+        let mut timing = TimingBreakdown::default();
+        let mut profile = gpu_sim::profile::Profile::new();
+        let p = Payload::Packed(&packed);
+        let _ = runner.run(p, 10, None, Sites::Find, &tables, &mut timing, &mut profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "2-bit-safe")]
+    fn sycl_rejects_packed_payloads_that_are_not_compare_safe() {
+        let (_, input) = toy();
+        let runner = SyclChunkRunner::new(&config(), &input.pattern).unwrap();
+        let tables = runner.prepare_queries(&input.queries);
+        let packed = PackedSeq::encode(b"ACGTACGTAGGTRTACGTACG");
+        let mut timing = TimingBreakdown::default();
+        let mut profile = gpu_sim::profile::Profile::new();
+        let p = Payload::Packed(&packed);
+        let _ = runner.run(p, 10, None, Sites::Find, &tables, &mut timing, &mut profile);
     }
 
     #[test]
@@ -4139,22 +2922,61 @@ mod tests {
                 .unwrap();
             assert_eq!(s, g, "specialized char path must be byte-identical");
 
+            // Degenerate chunks only run as nibbles (see the nibble tests).
             let packed = PackedSeq::encode(chunk.seq);
-            let g = generic
-                .run_packed_chunk(&packed, chunk.scan_len, &gt, &mut timing, &mut profile)
-                .unwrap();
-            let s = spec
-                .run_packed_chunk(&packed, chunk.scan_len, &st, &mut timing, &mut profile)
-                .unwrap();
-            assert_eq!(s, g, "specialized 2-bit path must be byte-identical");
+            if twobit_compare_safe(&packed) {
+                let g = generic
+                    .run(
+                        Payload::Packed(&packed),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &gt,
+                        &mut timing,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
+                let s = spec
+                    .run(
+                        Payload::Packed(&packed),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &st,
+                        &mut timing,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
+                assert_eq!(s, g, "specialized 2-bit path must be byte-identical");
+            }
 
             let nibble = NibbleSeq::encode(chunk.seq);
             let g = generic
-                .run_nibble_chunk(&nibble, chunk.scan_len, &gt, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Nibble(&nibble),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &gt,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             let s = spec
-                .run_nibble_chunk(&nibble, chunk.scan_len, &st, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Nibble(&nibble),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &st,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             assert_eq!(s, g, "specialized nibble path must be byte-identical");
         }
         gt.release();
@@ -4180,15 +3002,36 @@ mod tests {
             let raw = runner
                 .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
                 .unwrap();
+            // Degenerate chunks only run as nibbles (see the nibble tests).
             let packed = PackedSeq::encode(chunk.seq);
-            let on_packed = runner
-                .run_packed_chunk(&packed, chunk.scan_len, &tables, &mut timing, &mut profile)
-                .unwrap();
-            assert_eq!(on_packed, raw, "specialized 2-bit path must match char");
+            if twobit_compare_safe(&packed) {
+                let on_packed = runner
+                    .run(
+                        Payload::Packed(&packed),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &tables,
+                        &mut timing,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
+                assert_eq!(on_packed, raw, "specialized 2-bit path must match char");
+            }
             let nibble = NibbleSeq::encode(chunk.seq);
             let on_nibble = runner
-                .run_nibble_chunk(&nibble, chunk.scan_len, &tables, &mut timing, &mut profile)
-                .unwrap();
+                .run(
+                    Payload::Nibble(&nibble),
+                    chunk.scan_len,
+                    None,
+                    Sites::Find,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
+                .unwrap()
+                .per_query;
             assert_eq!(on_nibble, raw, "specialized nibble path must match char");
             for (query, entries) in input.queries.iter().zip(&raw) {
                 entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
@@ -4244,22 +3087,61 @@ mod tests {
                     .unwrap();
                 assert_eq!(f, s, "fused char path must be byte-identical");
 
+                // Degenerate chunks only run as nibbles (see the nibble tests).
                 let packed = PackedSeq::encode(chunk.seq);
-                let s = serial
-                    .run_packed_chunk(&packed, chunk.scan_len, &st, &mut serial_t, &mut profile)
-                    .unwrap();
-                let f = fused
-                    .run_packed_chunk(&packed, chunk.scan_len, &ft, &mut fused_t, &mut profile)
-                    .unwrap();
-                assert_eq!(f, s, "fused 2-bit path must be byte-identical");
+                if twobit_compare_safe(&packed) {
+                    let s = serial
+                        .run(
+                            Payload::Packed(&packed),
+                            chunk.scan_len,
+                            None,
+                            Sites::Find,
+                            &st,
+                            &mut serial_t,
+                            &mut profile,
+                        )
+                        .unwrap()
+                        .per_query;
+                    let f = fused
+                        .run(
+                            Payload::Packed(&packed),
+                            chunk.scan_len,
+                            None,
+                            Sites::Find,
+                            &ft,
+                            &mut fused_t,
+                            &mut profile,
+                        )
+                        .unwrap()
+                        .per_query;
+                    assert_eq!(f, s, "fused 2-bit path must be byte-identical");
+                }
 
                 let nibble = NibbleSeq::encode(chunk.seq);
                 let s = serial
-                    .run_nibble_chunk(&nibble, chunk.scan_len, &st, &mut serial_t, &mut profile)
-                    .unwrap();
+                    .run(
+                        Payload::Nibble(&nibble),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &st,
+                        &mut serial_t,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
                 let f = fused
-                    .run_nibble_chunk(&nibble, chunk.scan_len, &ft, &mut fused_t, &mut profile)
-                    .unwrap();
+                    .run(
+                        Payload::Nibble(&nibble),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &ft,
+                        &mut fused_t,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
                 assert_eq!(f, s, "fused nibble path must be byte-identical");
             }
             assert_eq!(fused_t.fused_launches, fused_t.comparer_launches);
@@ -4304,22 +3186,61 @@ mod tests {
                     .unwrap();
                 assert_eq!(f, s, "fused char path must be byte-identical");
 
+                // Degenerate chunks only run as nibbles (see the nibble tests).
                 let packed = PackedSeq::encode(chunk.seq);
-                let s = serial
-                    .run_packed_chunk(&packed, chunk.scan_len, &st, &mut serial_t, &mut profile)
-                    .unwrap();
-                let f = fused
-                    .run_packed_chunk(&packed, chunk.scan_len, &ft, &mut fused_t, &mut profile)
-                    .unwrap();
-                assert_eq!(f, s, "fused 2-bit path must be byte-identical");
+                if twobit_compare_safe(&packed) {
+                    let s = serial
+                        .run(
+                            Payload::Packed(&packed),
+                            chunk.scan_len,
+                            None,
+                            Sites::Find,
+                            &st,
+                            &mut serial_t,
+                            &mut profile,
+                        )
+                        .unwrap()
+                        .per_query;
+                    let f = fused
+                        .run(
+                            Payload::Packed(&packed),
+                            chunk.scan_len,
+                            None,
+                            Sites::Find,
+                            &ft,
+                            &mut fused_t,
+                            &mut profile,
+                        )
+                        .unwrap()
+                        .per_query;
+                    assert_eq!(f, s, "fused 2-bit path must be byte-identical");
+                }
 
                 let nibble = NibbleSeq::encode(chunk.seq);
                 let s = serial
-                    .run_nibble_chunk(&nibble, chunk.scan_len, &st, &mut serial_t, &mut profile)
-                    .unwrap();
+                    .run(
+                        Payload::Nibble(&nibble),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &st,
+                        &mut serial_t,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
                 let f = fused
-                    .run_nibble_chunk(&nibble, chunk.scan_len, &ft, &mut fused_t, &mut profile)
-                    .unwrap();
+                    .run(
+                        Payload::Nibble(&nibble),
+                        chunk.scan_len,
+                        None,
+                        Sites::Find,
+                        &ft,
+                        &mut fused_t,
+                        &mut profile,
+                    )
+                    .unwrap()
+                    .per_query;
                 assert_eq!(f, s, "fused nibble path must be byte-identical");
             }
             assert_eq!(fused_t.fused_launches, fused_t.comparer_launches);
@@ -4345,12 +3266,18 @@ mod tests {
 
         // Capture the candidate list from a normal run.
         let mut warm_t = TimingBreakdown::default();
-        runner.set_capture_candidates(true);
-        let baseline = runner
-            .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut warm_t, &mut profile)
+        let warm = runner
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                None,
+                Sites::Capture,
+                &tables,
+                &mut warm_t,
+                &mut profile,
+            )
             .unwrap();
-        let sites = runner.take_captured_candidates().unwrap();
-        runner.set_capture_candidates(false);
+        let (baseline, sites) = (warm.per_query, warm.captured.unwrap());
         assert_eq!(sites.len() as u64, warm_t.candidates);
         assert!(!sites.is_empty());
 
@@ -4358,7 +3285,16 @@ mod tests {
         let mut cached_t = TimingBreakdown::default();
         let before = runner.traffic();
         let (replay, _) = runner
-            .run_chunk_cached_candidates(42, chunk.seq, &sites, &tables, &mut cached_t, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(42),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let mid = runner.traffic();
         assert_eq!(replay, baseline);
@@ -4369,7 +3305,16 @@ mod tests {
 
         // A same-token replay also skips the candidate re-upload.
         let (again, reused) = runner
-            .run_chunk_cached_candidates(42, chunk.seq, &sites, &tables, &mut cached_t, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(42),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let after = runner.traffic();
         assert!(reused, "chr stays resident under the token");
@@ -4380,16 +3325,30 @@ mod tests {
         let packed = PackedSeq::encode(chunk.seq);
         assert!(twobit_compare_safe(&packed));
         let (on_packed, _) = runner
-            .run_packed_chunk_cached_candidates(
-                43, &packed, &sites, &tables, &mut cached_t, &mut profile,
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                Some(43),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
             )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert_eq!(on_packed, baseline);
         let nibble = NibbleSeq::encode(chunk.seq);
         let (on_nibble, _) = runner
-            .run_nibble_chunk_cached_candidates(
-                44, &nibble, &sites, &tables, &mut cached_t, &mut profile,
+            .run(
+                Payload::Nibble(&nibble),
+                chunk.scan_len,
+                Some(44),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
             )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert_eq!(on_nibble, baseline);
         tables.release();
@@ -4406,19 +3365,34 @@ mod tests {
         let mut profile = gpu_sim::profile::Profile::new();
 
         let mut warm_t = TimingBreakdown::default();
-        runner.set_capture_candidates(true);
-        let baseline = runner
-            .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut warm_t, &mut profile)
+        let warm = runner
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                None,
+                Sites::Capture,
+                &tables,
+                &mut warm_t,
+                &mut profile,
+            )
             .unwrap();
-        let sites = runner.take_captured_candidates().unwrap();
-        runner.set_capture_candidates(false);
+        let (baseline, sites) = (warm.per_query, warm.captured.unwrap());
         assert_eq!(sites.len() as u64, warm_t.candidates);
         assert!(!sites.is_empty());
 
         let mut cached_t = TimingBreakdown::default();
         let before = runner.traffic();
         let (replay, _) = runner
-            .run_chunk_cached_candidates(42, chunk.seq, &sites, &tables, &mut cached_t, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(42),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let mid = runner.traffic();
         assert_eq!(replay, baseline);
@@ -4427,7 +3401,16 @@ mod tests {
         assert_eq!(mid.since(&before).kernel_launches_skipped, 1);
 
         let (again, reused) = runner
-            .run_chunk_cached_candidates(42, chunk.seq, &sites, &tables, &mut cached_t, &mut profile)
+            .run(
+                Payload::Raw(chunk.seq),
+                chunk.scan_len,
+                Some(42),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
+            )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         let after = runner.traffic();
         assert!(reused);
@@ -4437,35 +3420,33 @@ mod tests {
         let packed = PackedSeq::encode(chunk.seq);
         assert!(twobit_compare_safe(&packed));
         let (on_packed, _) = runner
-            .run_packed_chunk_cached_candidates(
-                43, &packed, &sites, &tables, &mut cached_t, &mut profile,
+            .run(
+                Payload::Packed(&packed),
+                chunk.scan_len,
+                Some(43),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
             )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert_eq!(on_packed, baseline);
         let nibble = NibbleSeq::encode(chunk.seq);
         let (on_nibble, _) = runner
-            .run_nibble_chunk_cached_candidates(
-                44, &nibble, &sites, &tables, &mut cached_t, &mut profile,
+            .run(
+                Payload::Nibble(&nibble),
+                chunk.scan_len,
+                Some(44),
+                Sites::Replay(&sites),
+                &tables,
+                &mut cached_t,
+                &mut profile,
             )
+            .map(|r| (r.per_query, r.reused))
             .unwrap();
         assert_eq!(on_nibble, baseline);
         runner.wait();
-    }
-
-    /// Chunk payload of one characterization cell.
-    #[derive(Clone, Copy)]
-    enum Payload<'a> {
-        Raw(&'a [u8]),
-        Packed(&'a PackedSeq),
-        Nibble(&'a NibbleSeq),
-    }
-
-    /// Where one characterization run takes its candidate sites from.
-    #[derive(Clone, Copy)]
-    enum Sites<'a> {
-        Find,
-        Capture,
-        Replay(&'a CandidateSites),
     }
 
     /// The runner calls a characterization cell makes, uniform over both
@@ -4509,58 +3490,13 @@ mod tests {
             timing: &mut TimingBreakdown,
             profile: &mut gpu_sim::profile::Profile,
         ) -> (Vec<QueryEntries>, bool, Option<CandidateSites>) {
-            if let Sites::Replay(sites) = s {
-                let t = token.expect("replays carry the chunk token");
-                let (q, reused) = match p {
-                    Payload::Raw(seq) => {
-                        self.run_chunk_cached_candidates(t, seq, sites, tables, timing, profile)
-                    }
-                    Payload::Packed(pk) => self
-                        .run_packed_chunk_cached_candidates(t, pk, sites, tables, timing, profile),
-                    Payload::Nibble(nb) => self
-                        .run_nibble_chunk_cached_candidates(t, nb, sites, tables, timing, profile),
-                }
+            let run = self
+                .run(p, scan_len, token, s, tables, timing, profile)
                 .unwrap();
-                return (q, reused, None);
-            }
-            self.set_capture_candidates(matches!(s, Sites::Capture));
-            let (q, reused) = match (p, token) {
-                (Payload::Raw(seq), Some(t)) => self
-                    .run_chunk_resident(t, seq, scan_len, tables, timing, profile)
-                    .unwrap(),
-                (Payload::Raw(seq), None) => (
-                    self.run_chunk(seq, scan_len, tables, timing, profile)
-                        .unwrap(),
-                    false,
-                ),
-                (Payload::Packed(pk), Some(t)) => self
-                    .run_packed_chunk_resident(t, pk, scan_len, tables, timing, profile)
-                    .unwrap(),
-                (Payload::Packed(pk), None) => (
-                    self.run_packed_chunk(pk, scan_len, tables, timing, profile)
-                        .unwrap(),
-                    false,
-                ),
-                (Payload::Nibble(nb), Some(t)) => self
-                    .run_nibble_chunk_resident(t, nb, scan_len, tables, timing, profile)
-                    .unwrap(),
-                (Payload::Nibble(nb), None) => (
-                    self.run_nibble_chunk(nb, scan_len, tables, timing, profile)
-                        .unwrap(),
-                    false,
-                ),
-            };
-            let captured = self.take_captured_candidates();
-            self.set_capture_candidates(false);
-            (q, reused, captured)
+            (run.per_query, run.reused, run.captured)
         }
         fn pre(&self, token: u64, p: Payload<'_>) -> bool {
-            match p {
-                Payload::Raw(seq) => self.prefetch_chunk(token, seq),
-                Payload::Packed(pk) => self.prefetch_packed_chunk(token, pk),
-                Payload::Nibble(nb) => self.prefetch_nibble_chunk(token, nb),
-            }
-            .unwrap()
+            self.prefetch(token, p).unwrap()
         }
         fn elapsed(&self) -> f64 {
             self.finish();
@@ -4589,58 +3525,13 @@ mod tests {
             timing: &mut TimingBreakdown,
             profile: &mut gpu_sim::profile::Profile,
         ) -> (Vec<QueryEntries>, bool, Option<CandidateSites>) {
-            if let Sites::Replay(sites) = s {
-                let t = token.expect("replays carry the chunk token");
-                let (q, reused) = match p {
-                    Payload::Raw(seq) => {
-                        self.run_chunk_cached_candidates(t, seq, sites, tables, timing, profile)
-                    }
-                    Payload::Packed(pk) => self
-                        .run_packed_chunk_cached_candidates(t, pk, sites, tables, timing, profile),
-                    Payload::Nibble(nb) => self
-                        .run_nibble_chunk_cached_candidates(t, nb, sites, tables, timing, profile),
-                }
+            let run = self
+                .run(p, scan_len, token, s, tables, timing, profile)
                 .unwrap();
-                return (q, reused, None);
-            }
-            self.set_capture_candidates(matches!(s, Sites::Capture));
-            let (q, reused) = match (p, token) {
-                (Payload::Raw(seq), Some(t)) => self
-                    .run_chunk_resident(t, seq, scan_len, tables, timing, profile)
-                    .unwrap(),
-                (Payload::Raw(seq), None) => (
-                    self.run_chunk(seq, scan_len, tables, timing, profile)
-                        .unwrap(),
-                    false,
-                ),
-                (Payload::Packed(pk), Some(t)) => self
-                    .run_packed_chunk_resident(t, pk, scan_len, tables, timing, profile)
-                    .unwrap(),
-                (Payload::Packed(pk), None) => (
-                    self.run_packed_chunk(pk, scan_len, tables, timing, profile)
-                        .unwrap(),
-                    false,
-                ),
-                (Payload::Nibble(nb), Some(t)) => self
-                    .run_nibble_chunk_resident(t, nb, scan_len, tables, timing, profile)
-                    .unwrap(),
-                (Payload::Nibble(nb), None) => (
-                    self.run_nibble_chunk(nb, scan_len, tables, timing, profile)
-                        .unwrap(),
-                    false,
-                ),
-            };
-            let captured = self.take_captured_candidates();
-            self.set_capture_candidates(false);
-            (q, reused, captured)
+            (run.per_query, run.reused, run.captured)
         }
         fn pre(&self, token: u64, p: Payload<'_>) -> bool {
-            match p {
-                Payload::Raw(seq) => self.prefetch_chunk(token, seq),
-                Payload::Packed(pk) => self.prefetch_packed_chunk(token, pk),
-                Payload::Nibble(nb) => self.prefetch_nibble_chunk(token, nb),
-            }
-            .unwrap()
+            self.prefetch(token, p).unwrap()
         }
         fn elapsed(&self) -> f64 {
             self.wait();

@@ -198,7 +198,7 @@ mod tests {
             0,
             8,
             &[b'A'; 11],
-            ChunkEncoding::Packed,
+            ChunkEncoding::Adaptive,
         ));
         let batch = |index: usize| ChunkBatch {
             key: BatchKey {

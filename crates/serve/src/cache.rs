@@ -7,27 +7,25 @@
 //! just used pays a map lookup instead of a copy of up to `chunk_size`
 //! bases.
 //!
-//! Chunks are stored 2-bit packed by default ([`ChunkEncoding::Packed`]):
-//! a [`genome::twobit::PackedSeq`] holds ~0.375 bytes per base (packed
-//! words + N mask) plus a rare exception list, so the same byte budget
-//! keeps roughly 2.7x as many chunks resident as raw bytes would, and the
-//! packed payload is what the runners upload. [`ChunkEncoding::Raw`] keeps
-//! the classic one-byte-per-base layout for baseline comparisons.
-//!
-//! The 2-bit layout degrades on exception-dense chunks: every soft-masked
-//! or degenerate byte costs a 5-byte host exception, and a single
-//! degenerate exception forces the comparers back onto the char kernel.
-//! [`ChunkEncoding::Adaptive`] therefore inspects each chunk as it is
-//! encoded and switches to the 4-bit nibble layout
-//! ([`genome::fourbit::NibbleSeq`], 0.5 B/base on device, never any
-//! fallback) whenever the 2-bit form would be unsafe to compare or would
-//! out-weigh the nibbles on the host.
+//! Chunks are encoded per chunk by default ([`ChunkEncoding::Adaptive`]).
+//! Most are stored 2-bit packed: a [`genome::twobit::PackedSeq`] holds
+//! ~0.375 bytes per base (packed words + N mask) plus a rare exception
+//! list, so the same byte budget keeps roughly 2.7x as many chunks resident
+//! as raw bytes would, and the packed payload is what the runners upload.
+//! The 2-bit layout degrades on exception-dense chunks — every soft-masked
+//! or degenerate byte costs a 5-byte host exception — and cannot compare a
+//! degenerate base at all, so a chunk that is not
+//! [`twobit_compare_safe`] or whose exceptions out-weigh the nibbles on the
+//! host goes to the 4-bit nibble layout instead
+//! ([`genome::fourbit::NibbleSeq`], 0.5 B/base on device, exact for every
+//! IUPAC code). [`ChunkEncoding::Raw`] keeps the classic
+//! one-byte-per-base layout for baseline comparisons.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use cas_offinder::pipeline::chunk::twobit_compare_safe;
+use cas_offinder::pipeline::chunk::{twobit_compare_safe, Payload};
 use genome::fourbit::NibbleSeq;
 use genome::twobit::PackedSeq;
 
@@ -44,12 +42,9 @@ pub const NIBBLE_DENSITY_THRESHOLD: f64 = 0.05;
 pub enum ChunkEncoding {
     /// Per-chunk choice between 2-bit and 4-bit (the serving default):
     /// 2-bit packed while its exceptions are compare-safe and rarer than
-    /// [`NIBBLE_DENSITY_THRESHOLD`], 4-bit nibbles otherwise — so no chunk
-    /// ever falls back to the char comparer.
+    /// [`NIBBLE_DENSITY_THRESHOLD`], 4-bit nibbles otherwise.
     #[default]
     Adaptive,
-    /// Always 2-bit packed + N mask + exception list.
-    Packed,
     /// One byte per base, as the serial pipelines upload.
     Raw,
 }
@@ -57,12 +52,23 @@ pub enum ChunkEncoding {
 /// The resident representation of a chunk's bases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkPayload {
-    /// Losslessly 2-bit packed.
+    /// Losslessly 2-bit packed, always [`twobit_compare_safe`].
     Packed(PackedSeq),
     /// 4-bit nibble packed: every IUPAC code kept as its possibility mask.
     Nibble(NibbleSeq),
     /// Raw bases.
     Raw(Vec<u8>),
+}
+
+impl ChunkPayload {
+    /// The payload as the chunk runners take it.
+    pub fn as_payload(&self) -> Payload<'_> {
+        match self {
+            ChunkPayload::Packed(p) => Payload::Packed(p),
+            ChunkPayload::Nibble(n) => Payload::Nibble(n),
+            ChunkPayload::Raw(seq) => Payload::Raw(seq),
+        }
+    }
 }
 
 /// One genome chunk in host memory, ready for upload: `scan_len` owned
@@ -102,7 +108,6 @@ impl EncodedChunk {
                     ChunkPayload::Nibble(NibbleSeq::encode(seq))
                 }
             }
-            ChunkEncoding::Packed => ChunkPayload::Packed(PackedSeq::encode(seq)),
             ChunkEncoding::Raw => ChunkPayload::Raw(seq.to_vec()),
         };
         EncodedChunk {
@@ -344,13 +349,14 @@ mod tests {
         EncodedChunk::encode(0, "chr1".into(), index * 10, 10, &[b'A'; 13], encoding)
     }
 
-    /// 13 raw bases pack into ceil(13/4) + ceil(13/8) = 4 + 2 = 6 bytes.
+    /// 13 raw bases pack into ceil(13/4) + ceil(13/8) = 4 + 2 = 6 bytes
+    /// (all-`A` chunks stay 2-bit under the adaptive encoding).
     const PACKED_BYTES: usize = 6;
 
     #[test]
     fn hits_and_misses_are_accounted_in_bytes() {
         let cache = GenomeCache::new(4 * PACKED_BYTES);
-        let a = cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Packed));
+        let a = cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Adaptive));
         assert_eq!(a.byte_len(), PACKED_BYTES);
         assert_eq!(a.seq_len(), 13);
         assert_eq!(a.decode().as_ref(), &[b'A'; 13]);
@@ -365,13 +371,13 @@ mod tests {
     #[test]
     fn eviction_removes_the_least_recently_used_by_byte_budget() {
         let cache = GenomeCache::new(2 * PACKED_BYTES);
-        cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Packed));
-        cache.get_or_insert_with(&key(1), || chunk(1, ChunkEncoding::Packed));
+        cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Adaptive));
+        cache.get_or_insert_with(&key(1), || chunk(1, ChunkEncoding::Adaptive));
         // Touch 0 so 1 becomes the LRU entry.
         cache.get_or_insert_with(&key(0), || unreachable!());
-        cache.get_or_insert_with(&key(2), || chunk(2, ChunkEncoding::Packed)); // evicts 1
+        cache.get_or_insert_with(&key(2), || chunk(2, ChunkEncoding::Adaptive)); // evicts 1
         cache.get_or_insert_with(&key(0), || unreachable!("0 must survive"));
-        cache.get_or_insert_with(&key(1), || chunk(1, ChunkEncoding::Packed)); // 1 is gone: miss
+        cache.get_or_insert_with(&key(1), || chunk(1, ChunkEncoding::Adaptive)); // 1 is gone: miss
         let stats = cache.stats();
         assert_eq!(stats.evictions, 2, "inserting 2 evicted 1; reinserting 1 evicted the then-LRU");
         assert_eq!(stats.len, 2);
@@ -388,7 +394,7 @@ mod tests {
         let packed = GenomeCache::new(budget);
         for i in 0..4 {
             raw.get_or_insert_with(&key(i), || chunk(i, ChunkEncoding::Raw));
-            packed.get_or_insert_with(&key(i), || chunk(i, ChunkEncoding::Packed));
+            packed.get_or_insert_with(&key(i), || chunk(i, ChunkEncoding::Adaptive));
         }
         assert_eq!(raw.stats().len, 2, "raw: two 13 B entries fill 26 B");
         assert_eq!(packed.stats().len, 4, "packed: four 6 B entries fit");
@@ -408,15 +414,15 @@ mod tests {
     #[test]
     fn peek_observes_without_perturbing_recency_or_stats() {
         let cache = GenomeCache::new(2 * PACKED_BYTES);
-        cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Packed));
-        cache.get_or_insert_with(&key(1), || chunk(1, ChunkEncoding::Packed));
+        cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Adaptive));
+        cache.get_or_insert_with(&key(1), || chunk(1, ChunkEncoding::Adaptive));
         let before = cache.stats();
         assert!(cache.peek(&key(0)).is_some());
         assert!(cache.peek(&key(7)).is_none());
         assert_eq!(cache.stats(), before, "peek leaves the counters alone");
         // Peeking 0 did not refresh it: 0 is still the LRU entry and the
         // next insert evicts it, not 1.
-        cache.get_or_insert_with(&key(2), || chunk(2, ChunkEncoding::Packed));
+        cache.get_or_insert_with(&key(2), || chunk(2, ChunkEncoding::Adaptive));
         assert!(cache.peek(&key(0)).is_none(), "0 stayed LRU despite the peek");
         assert!(cache.peek(&key(1)).is_some());
     }
@@ -424,20 +430,26 @@ mod tests {
     #[test]
     fn keys_separate_assemblies_and_overlaps() {
         let cache = GenomeCache::new(1 << 10);
-        cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Packed));
+        cache.get_or_insert_with(&key(0), || chunk(0, ChunkEncoding::Adaptive));
         let other = ChunkKey {
             assembly: "a".into(),
             plen: 5,
             index: 0,
         };
-        cache.get_or_insert_with(&other, || chunk(0, ChunkEncoding::Packed));
+        cache.get_or_insert_with(&other, || chunk(0, ChunkEncoding::Adaptive));
         assert_eq!(cache.stats().misses, 2, "same index, different overlap");
     }
 
     #[test]
     fn packed_payloads_preserve_degenerate_and_lowercase_bases() {
         let seq = b"ACGTACGTACGTACGTACGTRyACGTACGTACGTNNNNNN";
-        let c = EncodedChunk::encode(0, "chr1".into(), 0, 32, seq, ChunkEncoding::Packed);
+        let c = EncodedChunk {
+            chrom_index: 0,
+            chrom: "chr1".into(),
+            start: 0,
+            scan_len: 32,
+            payload: ChunkPayload::Packed(PackedSeq::encode(seq)),
+        };
         assert_eq!(c.decode().as_ref(), seq, "lossless round-trip incl. R, y");
         assert!(c.byte_len() < seq.len(), "rare exceptions keep packing ahead");
     }

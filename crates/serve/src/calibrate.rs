@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use cas_offinder::pipeline::chunk::{OclChunkRunner, SyclChunkRunner};
+use cas_offinder::pipeline::chunk::{Payload, Sites};
 use cas_offinder::pipeline::PipelineConfig;
 use cas_offinder::{Api, OptLevel, Query, TimingBreakdown};
 use genome::fourbit::NibbleSeq;
@@ -50,6 +50,8 @@ use genome::twobit::PackedSeq;
 use gpu_sim::profile::Profile;
 use gpu_sim::{DeviceSpec, ExecMode};
 use opencl_rt::{ClBuffer, ClDeviceId, CommandQueue, Context, MemFlags};
+
+use crate::service::Runner;
 
 /// Probe pattern: nine `N`s and an `RG` PAM, the workload the paper
 /// searches for. The PAM admits roughly a quarter of positions across
@@ -153,111 +155,29 @@ struct ProbeRun {
     candidates: usize,
 }
 
-/// Which chunk representation a probe drives through the runner.
-enum ProbePayload<'a> {
-    Raw(&'a [u8]),
-    Packed(&'a PackedSeq),
-    Nibble(&'a NibbleSeq),
-}
-
-/// The chunk runner a probe drives: the same host path the serving
+/// Run one probe batch through `runner` — the same host path the serving
 /// worker for that API uses, so the measured costs include each flavour's
 /// own fixed overheads.
-enum ProbeRunner {
-    Ocl(Box<OclChunkRunner>),
-    Sycl(Box<SyclChunkRunner>),
-}
-
 fn probe(
-    runner: &ProbeRunner,
+    runner: &Runner,
     scan: usize,
-    payload: &ProbePayload<'_>,
+    payload: Payload<'_>,
     queries: &[Query],
     resident_token: Option<u64>,
 ) -> ProbeRun {
     let mut timing = TimingBreakdown::default();
     let mut profile = Profile::new();
-    let elapsed_s = match runner {
-        ProbeRunner::Ocl(runner) => {
-            let before = runner.elapsed_s();
-            let tables = runner
-                .prepare_queries(queries)
-                .expect("simulated buffer upload cannot fail");
-            match (payload, resident_token) {
-                (ProbePayload::Packed(p), Some(t)) => {
-                    runner
-                        .run_packed_chunk_resident(t, p, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Packed(p), None) => {
-                    runner
-                        .run_packed_chunk(p, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Nibble(n), Some(t)) => {
-                    runner
-                        .run_nibble_chunk_resident(t, n, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Nibble(n), None) => {
-                    runner
-                        .run_nibble_chunk(n, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Raw(seq), Some(t)) => {
-                    runner
-                        .run_chunk_resident(t, seq, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Raw(seq), None) => {
-                    runner
-                        .run_chunk(seq, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-            }
-            let elapsed = runner.elapsed_s() - before;
-            tables.release();
-            elapsed
-        }
-        ProbeRunner::Sycl(runner) => {
-            let before = runner.elapsed_s();
-            let tables = runner.prepare_queries(queries);
-            match (payload, resident_token) {
-                (ProbePayload::Packed(p), Some(t)) => {
-                    runner
-                        .run_packed_chunk_resident(t, p, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Packed(p), None) => {
-                    runner
-                        .run_packed_chunk(p, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Nibble(n), Some(t)) => {
-                    runner
-                        .run_nibble_chunk_resident(t, n, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Nibble(n), None) => {
-                    runner
-                        .run_nibble_chunk(n, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Raw(seq), Some(t)) => {
-                    runner
-                        .run_chunk_resident(t, seq, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-                (ProbePayload::Raw(seq), None) => {
-                    runner
-                        .run_chunk(seq, scan, &tables, &mut timing, &mut profile)
-                        .expect("simulated probe launch cannot fail");
-                }
-            }
-            runner.wait();
-            runner.elapsed_s() - before
-        }
-    };
+    let before = runner.elapsed_s();
+    runner.run(
+        payload,
+        scan,
+        resident_token,
+        Sites::Find,
+        queries,
+        &mut timing,
+        &mut profile,
+    );
+    let elapsed_s = runner.elapsed_s() - before;
     let kernel_s = |names: &[&str]| {
         names
             .iter()
@@ -368,16 +288,7 @@ fn measure(spec: &DeviceSpec, scan: usize, opt: OptLevel, specialize: bool, api:
         .opt(opt)
         .exec_mode(ExecMode::Sequential)
         .specialize(specialize);
-    let runner = match api {
-        Api::OpenCl => ProbeRunner::Ocl(Box::new(
-            OclChunkRunner::new(&config, PROBE_PATTERN)
-                .expect("simulated OpenCL setup cannot fail on the probe pattern"),
-        )),
-        Api::Sycl => ProbeRunner::Sycl(Box::new(
-            SyclChunkRunner::new(&config, PROBE_PATTERN)
-                .expect("simulated SYCL setup cannot fail on the probe pattern"),
-        )),
-    };
+    let runner = Runner::new(api, &config, PROBE_PATTERN);
     let upload_s_per_byte = upload_slope(spec);
 
     // Pseudo-random concrete bases and guides, the same statistics as the
@@ -403,22 +314,22 @@ fn measure(spec: &DeviceSpec, scan: usize, opt: OptLevel, specialize: bool, api:
         Query::new(guide(), 3),
     ];
 
-    let raw_payload = ProbePayload::Raw(&seq);
-    let raw1 = probe(&runner, scan, &raw_payload, &one, None);
-    let raw2 = probe(&runner, scan, &raw_payload, &two, None);
+    let raw_payload = Payload::Raw(&seq);
+    let raw1 = probe(&runner, scan, raw_payload, &one, None);
+    let raw2 = probe(&runner, scan, raw_payload, &two, None);
     // First resident run misses and uploads; the second hits and skips.
-    probe(&runner, scan, &raw_payload, &one, Some(PROBE_TOKEN));
-    let raw_hit = probe(&runner, scan, &raw_payload, &one, Some(PROBE_TOKEN));
+    probe(&runner, scan, raw_payload, &one, Some(PROBE_TOKEN));
+    let raw_hit = probe(&runner, scan, raw_payload, &one, Some(PROBE_TOKEN));
     let raw = class_rates(scan, &raw1, &raw2, &raw_hit, seq.len(), upload_s_per_byte);
 
     let packed = PackedSeq::encode(&seq);
     debug_assert!(packed.exceptions().is_empty(), "probe bases are concrete");
     let packed_bytes = packed.packed_bytes().len() + packed.mask_bytes().len();
-    let pk_payload = ProbePayload::Packed(&packed);
-    let pk1 = probe(&runner, scan, &pk_payload, &one, None);
-    let pk2 = probe(&runner, scan, &pk_payload, &two, None);
-    probe(&runner, scan, &pk_payload, &one, Some(PROBE_TOKEN));
-    let pk_hit = probe(&runner, scan, &pk_payload, &one, Some(PROBE_TOKEN));
+    let pk_payload = Payload::Packed(&packed);
+    let pk1 = probe(&runner, scan, pk_payload, &one, None);
+    let pk2 = probe(&runner, scan, pk_payload, &two, None);
+    probe(&runner, scan, pk_payload, &one, Some(PROBE_TOKEN));
+    let pk_hit = probe(&runner, scan, pk_payload, &one, Some(PROBE_TOKEN));
     let packed_rates = class_rates(scan, &pk1, &pk2, &pk_hit, packed_bytes, upload_s_per_byte);
 
     // The nibble probe reuses the same concrete bases: the kernels' cost
@@ -426,11 +337,11 @@ fn measure(spec: &DeviceSpec, scan: usize, opt: OptLevel, specialize: bool, api:
     // selection does — so a concrete-base probe prices exception-dense
     // serving chunks correctly.
     let nibble = NibbleSeq::encode(&seq);
-    let nb_payload = ProbePayload::Nibble(&nibble);
-    let nb1 = probe(&runner, scan, &nb_payload, &one, None);
-    let nb2 = probe(&runner, scan, &nb_payload, &two, None);
-    probe(&runner, scan, &nb_payload, &one, Some(PROBE_TOKEN));
-    let nb_hit = probe(&runner, scan, &nb_payload, &one, Some(PROBE_TOKEN));
+    let nb_payload = Payload::Nibble(&nibble);
+    let nb1 = probe(&runner, scan, nb_payload, &one, None);
+    let nb2 = probe(&runner, scan, nb_payload, &two, None);
+    probe(&runner, scan, nb_payload, &one, Some(PROBE_TOKEN));
+    let nb_hit = probe(&runner, scan, nb_payload, &one, Some(PROBE_TOKEN));
     let nibble_rates = class_rates(
         scan,
         &nb1,
@@ -442,38 +353,25 @@ fn measure(spec: &DeviceSpec, scan: usize, opt: OptLevel, specialize: bool, api:
 
     // The SYCL runner's resources release implicitly when dropped; the
     // OpenCL runner follows the 13-step contract and releases explicitly.
-    if let ProbeRunner::Ocl(runner) = runner {
-        runner.release();
-    }
+    runner.release();
 
     // The fused flavour, through a multi-guide runner of the same API: the
     // two- and four-query probes both launch one `comparer_multi` block,
     // so their gap isolates the fused per-job marginal (a query table and
     // readback, no launch of its own).
     let multi_config = config.multi_guide(true);
-    let multi_runner = match api {
-        Api::OpenCl => ProbeRunner::Ocl(Box::new(
-            OclChunkRunner::new(&multi_config, PROBE_PATTERN)
-                .expect("simulated OpenCL setup cannot fail on the probe pattern"),
-        )),
-        Api::Sycl => ProbeRunner::Sycl(Box::new(
-            SyclChunkRunner::new(&multi_config, PROBE_PATTERN)
-                .expect("simulated SYCL setup cannot fail on the probe pattern"),
-        )),
-    };
-    let fused = |payload: &ProbePayload<'_>, chunk_bytes: usize| {
+    let multi_runner = Runner::new(api, &multi_config, PROBE_PATTERN);
+    let fused = |payload: Payload<'_>, chunk_bytes: usize| {
         let two_run = probe(&multi_runner, scan, payload, &two, None);
         let four_run = probe(&multi_runner, scan, payload, &four, None);
         probe(&multi_runner, scan, payload, &two, Some(PROBE_TOKEN));
         let hit = probe(&multi_runner, scan, payload, &two, Some(PROBE_TOKEN));
         fused_class_rates(scan, &two_run, &four_run, &hit, chunk_bytes, upload_s_per_byte)
     };
-    let multi_raw = fused(&raw_payload, seq.len());
-    let multi_packed = fused(&pk_payload, packed_bytes);
-    let multi_nibble = fused(&nb_payload, nibble.device_byte_len());
-    if let ProbeRunner::Ocl(runner) = multi_runner {
-        runner.release();
-    }
+    let multi_raw = fused(raw_payload, seq.len());
+    let multi_packed = fused(pk_payload, packed_bytes);
+    let multi_nibble = fused(nb_payload, nibble.device_byte_len());
+    multi_runner.release();
 
     KernelRates {
         raw,

@@ -150,8 +150,7 @@ pub struct ServeMetrics {
     /// Total job memberships across formed batches (for the coalescing
     /// ratio: memberships ÷ batches = average jobs per chunk launch).
     pub coalesced_jobs: AtomicU64,
-    /// Batches whose payload selected the char comparer — raw chunks, or
-    /// packed chunks whose degenerate exceptions forced the fallback.
+    /// Batches whose payload selected the char comparer (raw chunks).
     pub comparer_char_batches: AtomicU64,
     /// Batches compared in 2-bit packed form.
     pub comparer_2bit_batches: AtomicU64,
@@ -260,8 +259,7 @@ pub struct MetricsReport {
     pub batches_formed: u64,
     /// Total job memberships across batches.
     pub coalesced_jobs: u64,
-    /// Executed batches that ran the char comparer (raw payloads, or
-    /// packed payloads degraded by degenerate exceptions).
+    /// Executed batches that ran the char comparer (raw payloads).
     pub comparer_char_batches: u64,
     /// Executed batches compared in 2-bit packed form.
     pub comparer_2bit_batches: u64,

@@ -39,7 +39,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use cas_offinder::kernels::specialize::specialized_model;
 use cas_offinder::kernels::{ComparerKernel, VariantKind, GUIDE_BLOCK};
-use cas_offinder::pipeline::chunk::twobit_compare_safe;
 use cas_offinder::{Api, OptLevel};
 use gpu_sim::isa::compile_program;
 use gpu_sim::occupancy::occupancy;
@@ -128,14 +127,9 @@ pub(crate) fn residency_token(key: &BatchKey, chunk_index: usize) -> u64 {
 pub(crate) enum PayloadClass {
     /// Raw bytes: `finder` + char `comparer`.
     Raw,
-    /// Packed payload whose exceptions are 2-bit safe: `finder_packed` +
-    /// `comparer_2bit`.
+    /// 2-bit packed payload: `finder_packed` + `comparer_2bit`.
     Packed2Bit,
-    /// Packed payload with degenerate exceptions: `finder_packed` decodes
-    /// on-device, comparers run the char kernel over the decode.
-    PackedChar,
-    /// 4-bit nibble payload: `finder_nibble` + `comparer_4bit`, never any
-    /// char fallback.
+    /// 4-bit nibble payload: `finder_nibble` + `comparer_4bit`.
     Nibble4Bit,
     /// Bias class of fused multi-guide batches (any encoding): one
     /// `comparer_multi` launch per [`GUIDE_BLOCK`]-guide block instead of
@@ -147,16 +141,15 @@ pub(crate) enum PayloadClass {
 
 impl PayloadClass {
     /// Number of distinct classes — sizes the per-class bias tables.
-    pub(crate) const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 4;
 
     /// Stable dense index for per-class tables.
     pub(crate) fn index(self) -> usize {
         match self {
             PayloadClass::Raw => 0,
             PayloadClass::Packed2Bit => 1,
-            PayloadClass::PackedChar => 2,
-            PayloadClass::Nibble4Bit => 3,
-            PayloadClass::MultiGuide => 4,
+            PayloadClass::Nibble4Bit => 2,
+            PayloadClass::MultiGuide => 3,
         }
     }
 }
@@ -220,8 +213,7 @@ impl BatchCost {
     /// materializing a [`ChunkBatch`].
     pub fn from_parts(pattern: &[u8], chunk: &EncodedChunk, jobs: usize, token: u64) -> Self {
         let class = match &chunk.payload {
-            ChunkPayload::Packed(p) if twobit_compare_safe(p) => PayloadClass::Packed2Bit,
-            ChunkPayload::Packed(_) => PayloadClass::PackedChar,
+            ChunkPayload::Packed(_) => PayloadClass::Packed2Bit,
             ChunkPayload::Nibble(_) => PayloadClass::Nibble4Bit,
             ChunkPayload::Raw(_) => PayloadClass::Raw,
         };
@@ -247,8 +239,8 @@ impl KernelRates {
         match (class, fused) {
             (PayloadClass::Raw, false) => &self.raw,
             (PayloadClass::Raw, true) => &self.multi_raw,
-            (PayloadClass::Packed2Bit | PayloadClass::PackedChar, false) => &self.packed,
-            (PayloadClass::Packed2Bit | PayloadClass::PackedChar, true) => &self.multi_packed,
+            (PayloadClass::Packed2Bit, false) => &self.packed,
+            (PayloadClass::Packed2Bit, true) => &self.multi_packed,
             (PayloadClass::Nibble4Bit, false) => &self.nibble,
             (PayloadClass::Nibble4Bit, true) => &self.multi_nibble,
             (PayloadClass::MultiGuide, _) => {
@@ -342,14 +334,6 @@ impl DeviceModel {
     /// at zero — the run replays the cached candidate list.
     pub fn predict_s(&self, cost: &BatchCost, resident: bool) -> f64 {
         let class = self.rates.class(cost.class, cost.fused);
-        // A packed chunk with opaque exception bytes decodes on-device
-        // (packed finder) but compares with the char kernel.
-        let comparer_rate = match cost.class {
-            PayloadClass::Raw | PayloadClass::PackedChar => {
-                self.rates.class(PayloadClass::Raw, cost.fused).comparer_s_per_unit
-            }
-            _ => class.comparer_s_per_unit,
-        };
         let scan_units = (cost.scan_len * cost.plen) as f64;
         let chunk = if resident {
             -class.resident_discount_s
@@ -364,7 +348,7 @@ impl DeviceModel {
         (class.batch_overhead_s + chunk).max(0.0)
             + cost.jobs as f64 * class.per_job_overhead_s
             + finder
-            + cost.candidate_fraction * scan_units * cost.jobs as f64 * comparer_rate
+            + cost.candidate_fraction * scan_units * cost.jobs as f64 * class.comparer_s_per_unit
     }
 
     /// Predicted device time of prefetching `cost`'s chunk payload into a
@@ -692,14 +676,9 @@ impl DevicePool {
             cost.fused = true;
             cost.guide_blocks = cost.jobs.div_ceil(GUIDE_BLOCK);
         }
-        // A packed payload with opaque exceptions cannot replay a cached
-        // candidate list (the cached packed entry points require 2-bit-safe
-        // payloads), so only the other classes can skip the finder.
-        if cost.class != PayloadClass::PackedChar {
-            if let Some(cache) = &self.candidates {
-                let key = CandidateKey::of(&batch.key.pattern, &batch.chunk);
-                cost.finder_cached = cache.peek(&key);
-            }
+        if let Some(cache) = &self.candidates {
+            let key = CandidateKey::of(&batch.key.pattern, &batch.chunk);
+            cost.finder_cached = cache.peek(&key);
         }
         // Resolve the planned owner before taking the queue lock: the plan
         // is an immutable snapshot, swapped wholesale on fleet change.
@@ -934,7 +913,7 @@ mod tests {
                 0,
                 scan_len,
                 &vec![b'A'; scan_len + 11],
-                ChunkEncoding::Packed,
+                ChunkEncoding::Adaptive,
             )),
             jobs: (0..jobs)
                 .map(|i| BatchJob {

@@ -24,11 +24,11 @@ use std::time::{Duration, Instant};
 use cas_offinder::bulge::enumerate_variants;
 use cas_offinder::kernels::specialize::global_cache;
 use cas_offinder::kernels::VariantCacheStats;
-use cas_offinder::pipeline::chunk::{twobit_compare_safe, OclChunkRunner, SyclChunkRunner};
+use cas_offinder::pipeline::chunk::{ChunkRun, OclChunkRunner, Payload, Sites, SyclChunkRunner};
 use cas_offinder::pipeline::{entries_to_offtargets, PipelineConfig};
 use cas_offinder::{sort_canonical, Api, OffTarget, OptLevel, Query, TimingBreakdown};
 use genome::{Assembly, Chunker};
-use gpu_sim::{DeviceSpec, ExecMode};
+use gpu_sim::{DeviceSpec, ExecMode, TrafficSnapshot};
 
 use crate::batcher::{group_jobs, interleave_by_owner, BatchJob, BatchKey, ChunkBatch};
 use crate::cache::{ChunkEncoding, ChunkKey, ChunkPayload, EncodedChunk, GenomeCache};
@@ -1193,16 +1193,71 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-/// A worker's per-pattern pipeline runner. Runners are built inside the
-/// worker thread (device contexts are not `Send`) and cached per PAM
-/// pattern so repeat batches skip steps 1-8.
-enum Runner {
+/// A per-pattern chunk runner of either API. Runners are built inside the
+/// thread that drives them (device contexts are not `Send`); serving
+/// workers cache one per PAM pattern so repeat batches skip steps 1-8, and
+/// calibration probes through the same host path.
+pub(crate) enum Runner {
     Ocl(Box<OclChunkRunner>),
     Sycl(Box<SyclChunkRunner>),
 }
 
 impl Runner {
-    fn elapsed_s(&self) -> f64 {
+    pub(crate) fn new(api: Api, config: &PipelineConfig, pattern: &[u8]) -> Self {
+        match api {
+            Api::OpenCl => Runner::Ocl(Box::new(
+                OclChunkRunner::new(config, pattern)
+                    .expect("simulated OpenCL setup cannot fail on valid patterns"),
+            )),
+            Api::Sycl => Runner::Sycl(Box::new(
+                SyclChunkRunner::new(config, pattern)
+                    .expect("simulated SYCL setup cannot fail on valid patterns"),
+            )),
+        }
+    }
+
+    /// Prepare `queries`, run payload `p` (see [`OclChunkRunner::run`])
+    /// and release the query tables.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &self,
+        p: Payload<'_>,
+        scan_len: usize,
+        token: Option<u64>,
+        sites: Sites<'_>,
+        queries: &[Query],
+        timing: &mut TimingBreakdown,
+        profile: &mut gpu_sim::profile::Profile,
+    ) -> ChunkRun {
+        match self {
+            Runner::Ocl(r) => {
+                let tables = r
+                    .prepare_queries(queries)
+                    .expect("simulated buffer upload cannot fail");
+                let run = r
+                    .run(p, scan_len, token, sites, &tables, timing, profile)
+                    .expect("simulated OpenCL launch cannot fail");
+                tables.release();
+                run
+            }
+            Runner::Sycl(r) => {
+                let tables = r.prepare_queries(queries);
+                r.run(p, scan_len, token, sites, &tables, timing, profile)
+                    .expect("simulated SYCL launch cannot fail")
+            }
+        }
+    }
+
+    /// Upload `p` under `token` without a launch; whether it moved bytes.
+    pub(crate) fn prefetch(&self, token: u64, p: Payload<'_>) -> bool {
+        const INFALLIBLE: &str = "simulated prefetch cannot fail";
+        match self {
+            Runner::Ocl(r) => r.prefetch(token, p).expect(INFALLIBLE),
+            Runner::Sycl(r) => r.prefetch(token, p).expect(INFALLIBLE),
+        }
+    }
+
+    pub(crate) fn elapsed_s(&self) -> f64 {
         match self {
             Runner::Ocl(r) => {
                 r.finish();
@@ -1212,6 +1267,20 @@ impl Runner {
                 r.wait();
                 r.elapsed_s()
             }
+        }
+    }
+
+    fn traffic(&self) -> TrafficSnapshot {
+        match self {
+            Runner::Ocl(r) => r.traffic(),
+            Runner::Sycl(r) => r.traffic(),
+        }
+    }
+
+    /// Step 13 for an OpenCL runner; a SYCL runner releases implicitly.
+    pub(crate) fn release(self) {
+        if let Runner::Ocl(r) = self {
+            r.release();
         }
     }
 }
@@ -1243,16 +1312,7 @@ fn worker_loop(shared: &Shared, w: usize) {
 
         let runner = runners
             .entry(batch.key.pattern.clone())
-            .or_insert_with(|| match slot.api {
-                Api::OpenCl => Runner::Ocl(Box::new(
-                    OclChunkRunner::new(&pipeline_config, &batch.key.pattern)
-                        .expect("simulated OpenCL setup cannot fail on valid patterns"),
-                )),
-                Api::Sycl => Runner::Sycl(Box::new(
-                    SyclChunkRunner::new(&pipeline_config, &batch.key.pattern)
-                        .expect("simulated SYCL setup cannot fail on valid patterns"),
-                )),
-            });
+            .or_insert_with(|| Runner::new(slot.api, &pipeline_config, &batch.key.pattern));
         // One-pass warmup: on this worker's first batch of an (assembly,
         // pattern), upload its whole planned partition into the runner's
         // resident slots up front instead of demand-missing chunk by
@@ -1284,19 +1344,11 @@ fn worker_loop(shared: &Shared, w: usize) {
         let scan_len = batch.chunk.scan_len;
         // Candidate-cache flow: a chunk already swept under this pattern
         // replays its cached finder output (`Hit`) instead of launching
-        // the finder; a first sweep (`Lead`) runs with capture armed and
-        // publishes the list for every later sweep. Packed chunks that are
-        // not 2-bit-safe are excluded — the cached packed entry point has
-        // no char fallback, and their finder run decodes on-device for the
-        // char comparer anyway.
-        let cacheable = match &batch.chunk.payload {
-            ChunkPayload::Packed(p) => twobit_compare_safe(p),
-            _ => true,
-        };
+        // the finder; a first sweep (`Lead`) captures the finder's list and
+        // publishes it for every later sweep.
         let candidate_cache = shared
             .candidates
             .as_ref()
-            .filter(|_| cacheable)
             .map(|cache| (cache, CandidateKey::of(&batch.key.pattern, &batch.chunk)));
         let mut cached_sites = None;
         let mut lead = false;
@@ -1313,131 +1365,40 @@ fn worker_loop(shared: &Shared, w: usize) {
                 CandidateLookup::Lead => lead = true,
             }
         }
-        // The cached entry points are resident-shaped (they track the
-        // chunk by token); hand them the real token so repeat sweeps also
-        // skip the chunk upload when the payload is still on-device.
-        let token_value = residency_token(&batch.key, batch.chunk_index);
         let launches_before = (
             timing.finder_launches,
             timing.finder_launches_skipped,
             timing.comparer_launches,
             timing.fused_launches,
         );
-        let (per_query, reused) = match runner {
-            Runner::Ocl(r) => {
-                let tables = r
-                    .prepare_queries(&queries)
-                    .expect("simulated buffer upload cannot fail");
-                if lead {
-                    r.set_capture_candidates(true);
-                }
-                let out = if let Some(sites) = &cached_sites {
-                    match &batch.chunk.payload {
-                        ChunkPayload::Packed(packed) => r.run_packed_chunk_cached_candidates(
-                            token_value, packed, sites, &tables, &mut timing, &mut profile,
-                        ),
-                        ChunkPayload::Nibble(nibble) => r.run_nibble_chunk_cached_candidates(
-                            token_value, nibble, sites, &tables, &mut timing, &mut profile,
-                        ),
-                        ChunkPayload::Raw(seq) => r.run_chunk_cached_candidates(
-                            token_value, seq, sites, &tables, &mut timing, &mut profile,
-                        ),
-                    }
-                    .map(|(q, chunk_reused)| (q, token.map(|_| chunk_reused)))
-                } else {
-                    match (&batch.chunk.payload, token) {
-                    (ChunkPayload::Packed(packed), Some(t)) => r
-                        .run_packed_chunk_resident(
-                            t, packed, scan_len, &tables, &mut timing, &mut profile,
-                        )
-                        .map(|(q, reused)| (q, Some(reused))),
-                    (ChunkPayload::Packed(packed), None) => r
-                        .run_packed_chunk(packed, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|q| (q, None)),
-                    (ChunkPayload::Nibble(nibble), Some(t)) => r
-                        .run_nibble_chunk_resident(
-                            t, nibble, scan_len, &tables, &mut timing, &mut profile,
-                        )
-                        .map(|(q, reused)| (q, Some(reused))),
-                    (ChunkPayload::Nibble(nibble), None) => r
-                        .run_nibble_chunk(nibble, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|q| (q, None)),
-                    (ChunkPayload::Raw(seq), Some(t)) => r
-                        .run_chunk_resident(t, seq, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|(q, reused)| (q, Some(reused))),
-                    (ChunkPayload::Raw(seq), None) => r
-                        .run_chunk(seq, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|q| (q, None)),
-                    }
-                }
-                .expect("simulated OpenCL launch cannot fail");
-                if lead {
-                    let (cache, key) = candidate_cache.as_ref().expect("lead implies a cache");
-                    match r.take_captured_candidates() {
-                        Some(sites) => cache.publish(key, Arc::new(sites)),
-                        None => cache.abandon(key),
-                    }
-                    r.set_capture_candidates(false);
-                }
-                tables.release();
-                out
-            }
-            Runner::Sycl(r) => {
-                let tables = r.prepare_queries(&queries);
-                if lead {
-                    r.set_capture_candidates(true);
-                }
-                let out = if let Some(sites) = &cached_sites {
-                    match &batch.chunk.payload {
-                        ChunkPayload::Packed(packed) => r.run_packed_chunk_cached_candidates(
-                            token_value, packed, sites, &tables, &mut timing, &mut profile,
-                        ),
-                        ChunkPayload::Nibble(nibble) => r.run_nibble_chunk_cached_candidates(
-                            token_value, nibble, sites, &tables, &mut timing, &mut profile,
-                        ),
-                        ChunkPayload::Raw(seq) => r.run_chunk_cached_candidates(
-                            token_value, seq, sites, &tables, &mut timing, &mut profile,
-                        ),
-                    }
-                    .map(|(q, chunk_reused)| (q, token.map(|_| chunk_reused)))
-                } else {
-                    match (&batch.chunk.payload, token) {
-                    (ChunkPayload::Packed(packed), Some(t)) => r
-                        .run_packed_chunk_resident(
-                            t, packed, scan_len, &tables, &mut timing, &mut profile,
-                        )
-                        .map(|(q, reused)| (q, Some(reused))),
-                    (ChunkPayload::Packed(packed), None) => r
-                        .run_packed_chunk(packed, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|q| (q, None)),
-                    (ChunkPayload::Nibble(nibble), Some(t)) => r
-                        .run_nibble_chunk_resident(
-                            t, nibble, scan_len, &tables, &mut timing, &mut profile,
-                        )
-                        .map(|(q, reused)| (q, Some(reused))),
-                    (ChunkPayload::Nibble(nibble), None) => r
-                        .run_nibble_chunk(nibble, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|q| (q, None)),
-                    (ChunkPayload::Raw(seq), Some(t)) => r
-                        .run_chunk_resident(t, seq, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|(q, reused)| (q, Some(reused))),
-                    (ChunkPayload::Raw(seq), None) => r
-                        .run_chunk(seq, scan_len, &tables, &mut timing, &mut profile)
-                        .map(|q| (q, None)),
-                    }
-                }
-                .expect("simulated SYCL launch cannot fail");
-                if lead {
-                    let (cache, key) = candidate_cache.as_ref().expect("lead implies a cache");
-                    match r.take_captured_candidates() {
-                        Some(sites) => cache.publish(key, Arc::new(sites)),
-                        None => cache.abandon(key),
-                    }
-                    r.set_capture_candidates(false);
-                }
-                out
-            }
+        // A replay tracks the chunk by token, so it always gets the real
+        // token: repeat sweeps then also skip the chunk upload when the
+        // payload is still on-device.
+        let (run_token, sites) = match &cached_sites {
+            Some(list) => (
+                Some(residency_token(&batch.key, batch.chunk_index)),
+                Sites::Replay(list),
+            ),
+            None if lead => (token, Sites::Capture),
+            None => (token, Sites::Find),
         };
+        let run = runner.run(
+            batch.chunk.payload.as_payload(),
+            scan_len,
+            run_token,
+            sites,
+            &queries,
+            &mut timing,
+            &mut profile,
+        );
+        if lead {
+            let (cache, key) = candidate_cache.as_ref().expect("lead implies a cache");
+            match run.captured {
+                Some(list) => cache.publish(key, Arc::new(list)),
+                None => cache.abandon(key),
+            }
+        }
+        let (per_query, reused) = (run.per_query, token.map(|_| run.reused));
         shared
             .metrics
             .finder_launches
@@ -1454,16 +1415,12 @@ fn worker_loop(shared: &Shared, w: usize) {
             .metrics
             .fused_launches
             .fetch_add((timing.fused_launches - launches_before.3) as u64, Ordering::Relaxed);
-        // Which comparer the payload selected — the serving-level view of
-        // the fallback the adaptive encoding exists to avoid.
+        // Which comparer the payload selected: raw chunks are the only
+        // ones the char comparer reads.
         let comparer_counter = match &batch.chunk.payload {
             ChunkPayload::Nibble(_) => &shared.metrics.comparer_4bit_batches,
-            ChunkPayload::Packed(p) if twobit_compare_safe(p) => {
-                &shared.metrics.comparer_2bit_batches
-            }
-            ChunkPayload::Packed(_) | ChunkPayload::Raw(_) => {
-                &shared.metrics.comparer_char_batches
-            }
+            ChunkPayload::Packed(_) => &shared.metrics.comparer_2bit_batches,
+            ChunkPayload::Raw(_) => &shared.metrics.comparer_char_batches,
         };
         comparer_counter.fetch_add(1, Ordering::Relaxed);
         if let Some(reused) = reused {
@@ -1506,10 +1463,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         let mut d2h = 0;
         let mut h2d_skipped = 0;
         for r in runners.values() {
-            let t = match r {
-                Runner::Ocl(r) => r.traffic(),
-                Runner::Sycl(r) => r.traffic(),
-            };
+            let t = r.traffic();
             launches += t.kernel_launches;
             h2d += t.h2d_bytes;
             d2h += t.d2h_bytes;
@@ -1605,28 +1559,7 @@ fn prefetch_partition(shared: &Shared, w: usize, runner: &Runner, plan: &ShardPl
             )
         });
         let token = residency_token(key, index);
-        const INFALLIBLE: &str = "simulated prefetch cannot fail";
-        let uploaded = match (runner, &encoded.payload) {
-            (Runner::Ocl(r), ChunkPayload::Packed(p)) => {
-                r.prefetch_packed_chunk(token, p).expect(INFALLIBLE)
-            }
-            (Runner::Ocl(r), ChunkPayload::Nibble(nb)) => {
-                r.prefetch_nibble_chunk(token, nb).expect(INFALLIBLE)
-            }
-            (Runner::Ocl(r), ChunkPayload::Raw(seq)) => {
-                r.prefetch_chunk(token, seq).expect(INFALLIBLE)
-            }
-            (Runner::Sycl(r), ChunkPayload::Packed(p)) => {
-                r.prefetch_packed_chunk(token, p).expect(INFALLIBLE)
-            }
-            (Runner::Sycl(r), ChunkPayload::Nibble(nb)) => {
-                r.prefetch_nibble_chunk(token, nb).expect(INFALLIBLE)
-            }
-            (Runner::Sycl(r), ChunkPayload::Raw(seq)) => {
-                r.prefetch_chunk(token, seq).expect(INFALLIBLE)
-            }
-        };
-        if uploaded {
+        if runner.prefetch(token, encoded.payload.as_payload()) {
             uploads += 1;
         }
         shared.pool.note_resident(w, token);

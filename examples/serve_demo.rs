@@ -11,7 +11,8 @@
 //!
 //! * **raw + shortest-queue** — the PR 2 baseline: one-byte-per-base
 //!   cache payloads, shortest-queue placement, fixed in-flight depth.
-//! * **packed + cost-aware** — the PR 3 path: 2-bit packed payloads and
+//! * **packed + cost-aware** — the PR 3 path: adaptive payloads (2-bit
+//!   packed, 4-bit nibbles on chunks with degenerate codes) and
 //!   earliest-predicted-completion placement, every batch still paying
 //!   its chunk upload and every duplicate job its compute.
 //! * **affinity** — the PR 4 path: devices keep resident chunk payloads
@@ -296,7 +297,7 @@ fn affinity_run(
     serial_config: &PipelineConfig,
 ) -> (MetricsReport, f64) {
     let assembly = genome::synth::hg38_mini(GENOME_SCALE);
-    let mut config = config_with(ChunkEncoding::Packed, Placement::EarliestCompletion, CHUNK_SIZE);
+    let mut config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
     config.resident_chunks = RESIDENT_CHUNKS;
     config.result_cache_bytes = 1 << 23; // all rounds' results stay resident
     let service = Arc::new(Service::start(config, vec![assembly.clone()]));
@@ -386,7 +387,7 @@ fn qos_run(
         (TenantId(3), 1),
     ];
     let job_cost = assembly.total_len() as u64;
-    let mut config = config_with(ChunkEncoding::Packed, Placement::EarliestCompletion, CHUNK_SIZE);
+    let mut config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
     // Budget = Σ quotas = 7 weight-shares of QOS_QUOTA_JOBS jobs each, so
     // derived quotas land on whole job counts (4/2/1 × QOS_QUOTA_JOBS) and
     // the budget can never bind before a tenant's quota.
@@ -595,7 +596,7 @@ struct ShardingOutcome {
 fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
     let assembly = genome::synth::hg38_mini(SHARD_SCALE);
     let masked_assembly = genome::synth::hg38_masked_mini(GENOME_SCALE);
-    let mut config = config_with(ChunkEncoding::Packed, Placement::Planned, CHUNK_SIZE);
+    let mut config = config_with(ChunkEncoding::Adaptive, Placement::Planned, CHUNK_SIZE);
     // Paced drain (inherited from `config_with`) keeps queue depth
     // following simulated device speed, so owners saturate only when the
     // plan mispredicts. Single-job batches match the prediction's
@@ -810,7 +811,7 @@ fn library_run() -> LibraryOutcome {
         .collect();
     let spec = JobSpec::library("hg38-mini", b"NNNNNNNNNRG".to_vec(), guides, 3);
 
-    let mut config = config_with(ChunkEncoding::Packed, Placement::EarliestCompletion, CHUNK_SIZE);
+    let mut config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
     config.max_batch = LIBRARY_MAX_BATCH;
     // One screen costs total_len x guides admission units; let it queue.
     config.queue_cost_limit = 1 << 31;
@@ -980,7 +981,7 @@ fn trace_pool_run(
     oracle: &[Vec<OffTarget>],
     autoscale: Option<AutoscaleConfig>,
 ) -> TracePoolRun {
-    let mut config = config_with(ChunkEncoding::Packed, Placement::Planned, CHUNK_SIZE);
+    let mut config = config_with(ChunkEncoding::Adaptive, Placement::Planned, CHUNK_SIZE);
     // Open-loop: the generator never blocks on the pool, so the queue
     // must absorb the whole burst and backpressure shows up as latency,
     // not sheds.
@@ -1105,7 +1106,7 @@ fn main() {
 
     let specs = tenant_specs(0x5E4E);
 
-    let config = config_with(ChunkEncoding::Packed, Placement::EarliestCompletion, CHUNK_SIZE);
+    let config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
     println!(
         "pool: {}",
         config
@@ -1139,7 +1140,7 @@ fn main() {
     let packed = serve_run(
         "packed + cost-aware (PR 3)",
         &assembly,
-        ChunkEncoding::Packed,
+        ChunkEncoding::Adaptive,
         Placement::EarliestCompletion,
         CHUNK_SIZE,
         jobs,

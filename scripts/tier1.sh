@@ -15,6 +15,12 @@ cargo test -q --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is its own package (empty `[workspace]`), so the workspace
+# build above never compiles it; its self-test keeps it building against
+# the runner and serving APIs it drives.
+echo "== perfbench (build + self-test) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== smoke: repro table1 =="
 cargo run --release -p casoff-bench --bin repro -- table1
 
