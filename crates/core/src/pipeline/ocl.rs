@@ -1,22 +1,15 @@
 //! The OpenCL host application: the original Cas-OFFinder, driven through
 //! the thirteen programming steps of Table I.
 
-use std::sync::Arc;
-
 use genome::{Assembly, Chunker};
-use opencl_rt::{
-    ClBuffer, ClDeviceId, ClResult, CommandQueue, Context, KernelArg, KernelSource, MemFlags,
-    Program, StepLog,
-};
+use opencl_rt::{ClResult, StepLog};
 
 use crate::input::SearchInput;
-use crate::kernels::cl::{ClComparer, ClFinder};
-use crate::pattern::CompiledSeq;
 use crate::report::{Api, SearchReport, TimingBreakdown};
 use crate::site::sort_canonical;
 
 use super::chunk::OclChunkRunner;
-use super::{entries_to_offtargets, round_up, PipelineConfig};
+use super::{entries_to_offtargets, PipelineConfig};
 
 /// Run the OpenCL application over `assembly` with `input`.
 ///
@@ -76,69 +69,29 @@ pub fn run(
     })
 }
 
-/// The step log of a completed context — exposed for the Table I
-/// experiment, which checks that the OpenCL application exercises all
-/// thirteen steps.
-pub fn step_log_of(assembly: &Assembly, input: &SearchInput, config: &PipelineConfig) -> ClResult<StepLog> {
-    let device_id = ClDeviceId::from_spec(config.device.clone());
-    let ctx = Context::with_mode(&[device_id], config.exec)?;
-    run_with_context(assembly, input, config, &ctx)?;
-    Ok(ctx.step_log().clone())
-}
-
-// A small internal duplicate of `run` that reuses an existing context so the
-// caller can inspect its step log. Kept minimal: it runs a single chunk.
-fn run_with_context(
+/// The context step log of a one-chunk run through the chunk runner,
+/// release included — exposed for the Table I experiment, which checks that
+/// the OpenCL application exercises all thirteen steps.
+///
+/// # Errors
+///
+/// Propagates OpenCL-level failures.
+pub fn step_log_of(
     assembly: &Assembly,
     input: &SearchInput,
     config: &PipelineConfig,
-    ctx: &Context,
-) -> ClResult<()> {
-    let queue = CommandQueue::new(ctx, 0)?;
-    let source = KernelSource::new()
-        .with_function(Arc::new(ClFinder))
-        .with_function(Arc::new(ClComparer::new(config.opt)));
-    let program = Program::create_with_source(ctx, source);
-    program.build("-O3")?;
-    let finder = program.create_kernel("finder")?;
-    let pattern = CompiledSeq::compile(&input.pattern);
-    let plen = pattern.plen();
-
-    if let Some(chunk) = Chunker::new(assembly, config.chunk_size, plen).next() {
-        let chr = ClBuffer::<u8>::create(ctx, MemFlags::ReadOnly, chunk.seq.len())?;
-        let pat = ClBuffer::create_with_data(ctx, MemFlags::Constant, pattern.comp())?;
-        let pat_index = ClBuffer::create_with_data(ctx, MemFlags::Constant, pattern.comp_index())?;
-        let loci = ClBuffer::<u32>::create(ctx, MemFlags::ReadWrite, chunk.scan_len)?;
-        let flags = ClBuffer::<u8>::create(ctx, MemFlags::ReadWrite, chunk.scan_len)?;
-        let fcount = ClBuffer::<u32>::create(ctx, MemFlags::ReadWrite, 1)?;
-        queue.enqueue_write_buffer(&chr, true, 0, chunk.seq)?;
-        finder.set_arg(0, KernelArg::BufU8(chr.device_buffer()))?;
-        finder.set_arg(1, KernelArg::BufU8(pat.device_buffer()))?;
-        finder.set_arg(2, KernelArg::BufI32(pat_index.device_buffer()))?;
-        finder.set_arg(3, KernelArg::BufU32(loci.device_buffer()))?;
-        finder.set_arg(4, KernelArg::BufU8(flags.device_buffer()))?;
-        finder.set_arg(5, KernelArg::BufU32(fcount.device_buffer()))?;
-        finder.set_arg(6, KernelArg::U32(chunk.scan_len as u32))?;
-        finder.set_arg(7, KernelArg::U32(chunk.seq.len() as u32))?;
-        finder.set_arg(8, KernelArg::U32(plen as u32))?;
-        finder.set_arg(9, KernelArg::Local { bytes: 2 * plen })?;
-        finder.set_arg(10, KernelArg::Local { bytes: 8 * plen })?;
-        let ev =
-            queue.enqueue_nd_range_kernel(&finder, round_up(chunk.scan_len, 64), None)?;
-        ev.wait();
-        let mut n = [0u32];
-        queue.enqueue_read_buffer(&fcount, true, 0, &mut n)?;
-        chr.release();
-        pat.release();
-        pat_index.release();
-        loci.release();
-        flags.release();
-        fcount.release();
+) -> ClResult<StepLog> {
+    let runner = OclChunkRunner::new(config, &input.pattern)?;
+    let log = runner.step_log();
+    let tables = runner.prepare_queries(&input.queries)?;
+    if let Some(chunk) = Chunker::new(assembly, config.chunk_size, runner.plen()).next() {
+        let mut profile = gpu_sim::profile::Profile::new();
+        let timing = &mut TimingBreakdown::default();
+        runner.run_chunk(chunk.seq, chunk.scan_len, &tables, timing, &mut profile)?;
     }
-    finder.release();
-    program.release();
-    queue.release();
-    Ok(())
+    tables.release();
+    runner.release();
+    Ok(log)
 }
 
 #[cfg(test)]

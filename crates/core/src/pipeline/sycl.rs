@@ -8,18 +8,14 @@
 //! the runtime.
 
 use genome::{Assembly, Chunker};
-use gpu_sim::kernel::LocalLayout;
-use gpu_sim::NdRange;
-use sycl_rt::{AccessMode, Buffer, Queue, SpecSelector, StepLog, SyclResult};
+use sycl_rt::{StepLog, SyclResult};
 
 use crate::input::SearchInput;
-use crate::kernels::{FinderKernel, FinderOutput};
-use crate::pattern::CompiledSeq;
 use crate::report::{Api, SearchReport, TimingBreakdown};
 use crate::site::sort_canonical;
 
 use super::chunk::SyclChunkRunner;
-use super::{entries_to_offtargets, round_up, PipelineConfig};
+use super::{entries_to_offtargets, PipelineConfig};
 
 /// The work-group size the SYCL application launches both kernels with
 /// (§IV.A of the paper).
@@ -76,8 +72,8 @@ pub fn run(
     })
 }
 
-/// Run a single-chunk search and return the queue's step log, for the
-/// Table I experiment.
+/// The queue step log of a one-chunk run through the chunk runner, its
+/// implicit release included — for the Table I experiment.
 ///
 /// # Errors
 ///
@@ -87,57 +83,16 @@ pub fn step_log_of(
     input: &SearchInput,
     config: &PipelineConfig,
 ) -> SyclResult<StepLog> {
-    let queue = Queue::with_mode(&SpecSelector(config.device.clone()), config.exec)?;
-    let pattern = CompiledSeq::compile(&input.pattern);
-    let plen = pattern.plen();
-    let pat_buf = Buffer::from_slice(pattern.comp()).constant();
-    let pat_index_buf = Buffer::from_slice(pattern.comp_index()).constant();
-
-    if let Some(chunk) = Chunker::new(assembly, config.chunk_size, plen).next() {
-        let chr_buf = Buffer::from_slice(chunk.seq);
-        let loci_buf = Buffer::<u32>::new(chunk.scan_len);
-        let flags_buf = Buffer::<u8>::new(chunk.scan_len);
-        let fcount_buf = Buffer::<u32>::new(1);
-        let ev = queue.submit(|h| {
-            let chr = h.get_access(&chr_buf, AccessMode::Read)?;
-            let pat = h.get_access(&pat_buf, AccessMode::Read)?;
-            let pat_index = h.get_access(&pat_index_buf, AccessMode::Read)?;
-            let loci = h.get_access(&loci_buf, AccessMode::Write)?;
-            let flags = h.get_access(&flags_buf, AccessMode::Write)?;
-            let fcount = h.get_access(&fcount_buf, AccessMode::ReadWrite)?;
-            // An explicit copy, to exercise the Table III handler path.
-            let mut first = vec![0u8; plen.min(chunk.seq.len())];
-            h.copy_from_device(&chr, &mut first)?;
-
-            let mut layout = LocalLayout::new();
-            let l_pat = layout.array::<u8>(2 * plen);
-            let l_pat_index = layout.array::<i32>(2 * plen);
-            let kernel = FinderKernel {
-                chr: chr.raw(),
-                pat: pat.raw(),
-                pat_index: pat_index.raw(),
-                out: FinderOutput {
-                    loci: loci.raw(),
-                    flags: flags.raw(),
-                    count: fcount.raw(),
-                },
-                scan_len: chunk.scan_len as u32,
-                seq_len: chunk.seq.len() as u32,
-                plen: plen as u32,
-                l_pat,
-                l_pat_index,
-            };
-            h.parallel_for(
-                NdRange::linear(round_up(chunk.scan_len, SYCL_WORK_GROUP_SIZE), SYCL_WORK_GROUP_SIZE),
-                &kernel,
-            )
-        })?;
-        ev.wait();
+    let runner = SyclChunkRunner::new(config, &input.pattern)?;
+    let log = runner.step_log();
+    let tables = runner.prepare_queries(&input.queries);
+    if let Some(chunk) = Chunker::new(assembly, config.chunk_size, runner.plen()).next() {
+        let mut profile = gpu_sim::profile::Profile::new();
+        let timing = &mut TimingBreakdown::default();
+        runner.run_chunk(chunk.seq, chunk.scan_len, &tables, timing, &mut profile)?;
     }
-    // Implicit release happens as buffers drop; Table I records it as a
-    // logical step of the programming model.
-    queue.step_log().record(sycl_rt::Step::ImplicitRelease);
-    Ok(queue.step_log().clone())
+    drop(runner);
+    Ok(log)
 }
 
 #[cfg(test)]

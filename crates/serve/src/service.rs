@@ -24,7 +24,9 @@ use std::time::{Duration, Instant};
 use cas_offinder::bulge::enumerate_variants;
 use cas_offinder::kernels::specialize::global_cache;
 use cas_offinder::kernels::VariantCacheStats;
-use cas_offinder::pipeline::chunk::{ChunkRun, OclChunkRunner, Payload, Sites, SyclChunkRunner};
+use cas_offinder::pipeline::chunk::{
+    ChunkRun, ChunkRunner, OclChunkRunner, Payload, Sites, SyclChunkRunner,
+};
 use cas_offinder::pipeline::{entries_to_offtargets, PipelineConfig};
 use cas_offinder::{sort_canonical, Api, OffTarget, OptLevel, Query, TimingBreakdown};
 use genome::{Assembly, Chunker};
@@ -1202,22 +1204,26 @@ pub(crate) enum Runner {
     Sycl(Box<SyclChunkRunner>),
 }
 
+/// Evaluate `$body` with `$r` bound to the [`ChunkRunner`] of either API.
+macro_rules! each_api {
+    ($runner:expr, $r:ident => $body:expr) => {
+        match $runner {
+            Runner::Ocl($r) => $body,
+            Runner::Sycl($r) => $body,
+        }
+    };
+}
+
 impl Runner {
     pub(crate) fn new(api: Api, config: &PipelineConfig, pattern: &[u8]) -> Self {
+        const SETUP: &str = "simulated setup cannot fail on valid patterns";
         match api {
-            Api::OpenCl => Runner::Ocl(Box::new(
-                OclChunkRunner::new(config, pattern)
-                    .expect("simulated OpenCL setup cannot fail on valid patterns"),
-            )),
-            Api::Sycl => Runner::Sycl(Box::new(
-                SyclChunkRunner::new(config, pattern)
-                    .expect("simulated SYCL setup cannot fail on valid patterns"),
-            )),
+            Api::OpenCl => Runner::Ocl(Box::new(ChunkRunner::new(config, pattern).expect(SETUP))),
+            Api::Sycl => Runner::Sycl(Box::new(ChunkRunner::new(config, pattern).expect(SETUP))),
         }
     }
 
-    /// Prepare `queries`, run payload `p` (see [`OclChunkRunner::run`])
-    /// and release the query tables.
+    /// Run payload `p` against `queries` (see [`ChunkRunner::run`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &self,
@@ -1229,59 +1235,30 @@ impl Runner {
         timing: &mut TimingBreakdown,
         profile: &mut gpu_sim::profile::Profile,
     ) -> ChunkRun {
-        match self {
-            Runner::Ocl(r) => {
-                let tables = r
-                    .prepare_queries(queries)
-                    .expect("simulated buffer upload cannot fail");
-                let run = r
-                    .run(p, scan_len, token, sites, &tables, timing, profile)
-                    .expect("simulated OpenCL launch cannot fail");
-                tables.release();
-                run
-            }
-            Runner::Sycl(r) => {
-                let tables = r.prepare_queries(queries);
-                r.run(p, scan_len, token, sites, &tables, timing, profile)
-                    .expect("simulated SYCL launch cannot fail")
-            }
-        }
+        each_api!(self, r => r
+            .run_queries(p, scan_len, token, sites, queries, timing, profile)
+            .expect("simulated launch cannot fail"))
     }
 
     /// Upload `p` under `token` without a launch; whether it moved bytes.
     pub(crate) fn prefetch(&self, token: u64, p: Payload<'_>) -> bool {
-        const INFALLIBLE: &str = "simulated prefetch cannot fail";
-        match self {
-            Runner::Ocl(r) => r.prefetch(token, p).expect(INFALLIBLE),
-            Runner::Sycl(r) => r.prefetch(token, p).expect(INFALLIBLE),
-        }
+        each_api!(self, r => r.prefetch(token, p).expect("simulated prefetch cannot fail"))
     }
 
     pub(crate) fn elapsed_s(&self) -> f64 {
-        match self {
-            Runner::Ocl(r) => {
-                r.finish();
-                r.elapsed_s()
-            }
-            Runner::Sycl(r) => {
-                r.wait();
-                r.elapsed_s()
-            }
-        }
+        each_api!(self, r => {
+            r.wait();
+            r.elapsed_s()
+        })
     }
 
     fn traffic(&self) -> TrafficSnapshot {
-        match self {
-            Runner::Ocl(r) => r.traffic(),
-            Runner::Sycl(r) => r.traffic(),
-        }
+        each_api!(self, r => r.traffic())
     }
 
     /// Step 13 for an OpenCL runner; a SYCL runner releases implicitly.
     pub(crate) fn release(self) {
-        if let Runner::Ocl(r) = self {
-            r.release();
-        }
+        each_api!(self, r => r.release())
     }
 }
 

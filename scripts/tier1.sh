@@ -55,13 +55,13 @@ awk -v f="${fairness:-1}" 'BEGIN { exit !(f <= 0.15) }' \
   || { echo "QoS fairness deviation is ${fairness:-absent}; expected <= 0.15"; exit 1; }
 # Deadline-aware admission only accepts SLOs the device model says are
 # feasible, so no admitted job may finish past its deadline.
-deadline_misses=$(sed -n 's/.*"deadline_misses": \([0-9]*\).*/\1/p' BENCH_serve.json | head -n 1)
+deadline_misses=$(sed -n '/^  "qos": /s/.*"deadline_misses": \([0-9]*\).*/\1/p' BENCH_serve.json)
 awk -v n="${deadline_misses:-1}" 'BEGIN { exit !(n == 0) }' \
   || { echo "QoS deadline misses: ${deadline_misses:-absent}; expected 0"; exit 1; }
 # Under planned placement the one-pass warmup must leave essentially every
-# post-warmup batch on a device already holding its chunk (the affinity
-# pass reports the same field first, so take the sharding object's last).
-shard_hits=$(sed -n 's/.*"resident_hit_rate": \([0-9.]*\).*/\1/p' BENCH_serve.json | tail -n 1)
+# post-warmup batch on a device already holding its chunk (read from the
+# sharding object; the affinity pass reports the same field).
+shard_hits=$(sed -n '/^  "sharding": /s/.*"resident_hit_rate": \([0-9.]*\).*/\1/p' BENCH_serve.json)
 awk -v r="${shard_hits:-0}" 'BEGIN { exit !(r >= 0.95) }' \
   || { echo "sharding resident hit rate is ${shard_hits:-absent}; expected >= 0.95"; exit 1; }
 # The plan's pre-run makespan prediction (calibrated models + the
