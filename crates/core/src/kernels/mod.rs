@@ -125,3 +125,6 @@ mod tests {
         assert_eq!(OptLevel::Opt3.to_string(), "opt3");
     }
 }
+
+#[cfg(test)]
+mod characterization;

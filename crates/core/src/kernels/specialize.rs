@@ -1257,6 +1257,39 @@ mod tests {
         }
     }
 
+    /// The `specialized.variants` ISA table `serve_demo` writes to
+    /// `BENCH_serve.json`: per kind, the generic kernel at the base stage
+    /// against the variant folded at pattern length 11, as code bytes,
+    /// SGPRs, VGPRs and waves per SIMD for 8192 items in groups of 64 on an
+    /// MI100 (generic, then folded, for each).
+    #[test]
+    fn variant_isa_table_matches_the_bench_record() {
+        use gpu_sim::occupancy::occupancy;
+        let rows = [
+            (VariantKind::CharComparer, [6180, 660, 22, 8, 64, 41, 10, 10]),
+            (VariantKind::TwoBitComparer, [4648, 828, 10, 8, 57, 42, 10, 10]),
+            (VariantKind::FourBitComparer, [4576, 756, 10, 8, 56, 41, 10, 10]),
+            (VariantKind::NibbleFinder, [4464, 644, 10, 8, 54, 38, 10, 10]),
+            (VariantKind::MultiComparer, [4584, 4536, 10, 10, 58, 57, 10, 10]),
+        ];
+        let (hw, nd) = (DeviceSpec::mi100(), NdRange::linear(1 << 13, 64));
+        for (kind, want) in rows {
+            let g = isa::compile(&generic_model(kind, OptLevel::Base));
+            let s = isa::compile(&specialized_model(kind, 11));
+            let got = [
+                g.code_bytes,
+                s.code_bytes,
+                g.sgprs,
+                s.sgprs,
+                g.vgprs,
+                s.vgprs,
+                occupancy(&g, &nd, &hw).waves_per_simd,
+                occupancy(&s, &nd, &hw).waves_per_simd,
+            ];
+            assert_eq!(got, want, "{}", kind.kernel_name());
+        }
+    }
+
     #[test]
     fn digest_distinguishes_kind_pattern_and_threshold() {
         let a = CompiledSeq::compile(b"GGCACTGCGGCTGGAGGTGGNGG");
