@@ -4,28 +4,24 @@
 //! These adapters translate the positional, type-erased `clSetKernelArg`
 //! argument lists into the typed kernel structs, validating types, counts
 //! and `__local` allocation sizes the way a real OpenCL runtime validates
-//! argument sizes.
+//! argument sizes. The finders and the paper's comparer each have a binding
+//! of their own; the whole serving comparer family shares one,
+//! [`ClFamily`], laid out by a per-shape argument table.
 
 use gpu_sim::executor::LaunchReport;
 use gpu_sim::kernel::{KernelProgram, LocalLayout};
-use gpu_sim::{Device, NdRange, SimResult};
+use gpu_sim::{Device, DeviceBuffer, NdRange, SimResult};
 
 use opencl_rt::{BoundKernel, ClError, ClKernelFunction, ClResult, KernelArg};
 
 use std::sync::Arc;
 
 use super::comparer::{ComparerKernel, ComparerOutput};
-use super::finder::{FinderKernel, FinderOutput, PackedFinderKernel};
-use super::fourbit::{FourBitComparerKernel, NibbleFinderKernel};
-use super::multi::{
-    FourBitMultiComparerKernel, GuideThresholds, MultiComparerKernel, MultiComparerOutput,
-    TwoBitMultiComparerKernel,
+use super::family::{
+    dispatch, Block, GuideThresholds, Launcher, MultiComparerOutput, Shape, Staged, ENCODINGS,
 };
-use super::specialize::{
-    CompiledVariant, SpecializedComparerKernel, SpecializedFourBitComparerKernel,
-    SpecializedNibbleFinderKernel, SpecializedTwoBitComparerKernel, VariantKind,
-};
-use super::twobit::TwoBitComparerKernel;
+use super::finder::{FinderKernel, FinderOutput, NibbleFinderKernel, PackedFinderKernel};
+use super::specialize::{CompiledVariant, SpecializedNibbleFinderKernel, VariantKind};
 use super::OptLevel;
 
 struct Bound<K: KernelProgram>(K);
@@ -33,6 +29,17 @@ struct Bound<K: KernelProgram>(K);
 impl<K: KernelProgram> BoundKernel for Bound<K> {
     fn launch(&self, device: &Device, nd: NdRange) -> SimResult<LaunchReport> {
         device.launch(&self.0, nd)
+    }
+}
+
+/// Boxes a family kernel once its reference type is chosen.
+struct Boxed;
+
+impl Launcher for Boxed {
+    type Out = Box<dyn BoundKernel>;
+
+    fn launch<K: KernelProgram + 'static>(self, kernel: K) -> Box<dyn BoundKernel> {
+        Box::new(Bound(kernel))
     }
 }
 
@@ -77,33 +84,38 @@ impl ClKernelFunction for ClFinder {
     }
 
     fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[8].as_u32(8)? as usize;
-        expect_local_bytes(&args[9], 9, 2 * plen)?;
-        expect_local_bytes(&args[10], 10, 2 * plen * 4)?;
-        let mut layout = LocalLayout::new();
-        let l_pat = layout.array::<u8>(2 * plen);
-        let l_pat_index = layout.array::<i32>(2 * plen);
-        Ok(Box::new(Bound(FinderKernel {
-            chr: args[0].as_buf_u8(0)?,
-            pat: args[1].as_buf_u8(1)?,
-            pat_index: args[2].as_buf_i32(2)?,
-            out: FinderOutput {
-                loci: args[3].as_buf_u32(3)?,
-                flags: args[4].as_buf_u8(4)?,
-                count: args[5].as_buf_u32(5)?,
-            },
-            scan_len: args[6].as_u32(6)?,
-            seq_len: args[7].as_u32(7)?,
-            plen: plen as u32,
-            l_pat,
-            l_pat_index,
-        })))
+        Ok(Box::new(Bound(finder_at(args, 0)?)))
     }
+}
+
+/// The plain finder from its eleven arguments ([`ClFinder`]'s layout),
+/// starting at slot `at` — the packed and nibble finders decode into it.
+fn finder_at(args: &[KernelArg], at: usize) -> ClResult<FinderKernel> {
+    let plen = get::<u32>(args, at + 8)? as usize;
+    expect_local_bytes(&args[at + 9], at + 9, 2 * plen)?;
+    expect_local_bytes(&args[at + 10], at + 10, 2 * plen * 4)?;
+    let mut layout = LocalLayout::new();
+    let (l_pat, l_pat_index) = (layout.array(2 * plen), layout.array(2 * plen));
+    Ok(FinderKernel {
+        chr: get(args, at)?,
+        pat: get(args, at + 1)?,
+        pat_index: get(args, at + 2)?,
+        out: FinderOutput {
+            loci: get(args, at + 3)?,
+            flags: get(args, at + 4)?,
+            count: get(args, at + 5)?,
+        },
+        scan_len: get(args, at + 6)?,
+        seq_len: get(args, at + 7)?,
+        plen: plen as u32,
+        l_pat,
+        l_pat_index,
+    })
 }
 
 /// The `finder_packed` kernel as an OpenCL kernel function: the finder over
 /// a losslessly 2-bit packed chunk (see
-/// [`PackedFinderKernel`](crate::kernels::PackedFinderKernel)).
+/// [`PackedFinderKernel`]).
 ///
 /// Argument layout:
 ///
@@ -138,33 +150,97 @@ impl ClKernelFunction for ClPackedFinder {
     }
 
     fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[13].as_u32(13)? as usize;
-        expect_local_bytes(&args[14], 14, 2 * plen)?;
-        expect_local_bytes(&args[15], 15, 2 * plen * 4)?;
-        let mut layout = LocalLayout::new();
-        let l_pat = layout.array::<u8>(2 * plen);
-        let l_pat_index = layout.array::<i32>(2 * plen);
         Ok(Box::new(Bound(PackedFinderKernel {
-            inner: FinderKernel {
-                chr: args[5].as_buf_u8(5)?,
-                pat: args[6].as_buf_u8(6)?,
-                pat_index: args[7].as_buf_i32(7)?,
-                out: FinderOutput {
-                    loci: args[8].as_buf_u32(8)?,
-                    flags: args[9].as_buf_u8(9)?,
-                    count: args[10].as_buf_u32(10)?,
-                },
-                scan_len: args[11].as_u32(11)?,
-                seq_len: args[12].as_u32(12)?,
-                plen: plen as u32,
-                l_pat,
-                l_pat_index,
+            inner: finder_at(args, 5)?,
+            packed: get(args, 0)?,
+            mask: get(args, 1)?,
+            exc_pos: get(args, 2)?,
+            exc_val: get(args, 3)?,
+            n_exc: get(args, 4)?,
+        })))
+    }
+}
+
+/// The `finder_nibble` kernel as an OpenCL kernel function: the finder over
+/// a 4-bit nibble-packed chunk (see
+/// [`NibbleFinderKernel`]). No exception
+/// arguments: the nibble masks are exact for matching.
+///
+/// Argument layout:
+///
+/// | # | argument | type |
+/// |---|----------|------|
+/// | 0 | `nibbles` | buffer\<u8\> |
+/// | 1 | `chr` (out: decoded bases) | buffer\<u8\> |
+/// | 2 | `pat` | buffer\<u8\> (`__constant`) |
+/// | 3 | `pat_index` | buffer\<i32\> (`__constant`) |
+/// | 4 | `loci` (out) | buffer\<u32\> |
+/// | 5 | `flags` (out) | buffer\<u8\> |
+/// | 6 | `count` (out) | buffer\<u32\> |
+/// | 7 | `scan_len` | u32 |
+/// | 8 | `seq_len` | u32 |
+/// | 9 | `patternlen` | u32 |
+/// | 10 | `l_pat` | `__local` 2·plen bytes |
+/// | 11 | `l_pat_index` | `__local` 8·plen bytes |
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ClNibbleFinder;
+
+impl ClKernelFunction for ClNibbleFinder {
+    fn name(&self) -> &str {
+        "finder_nibble"
+    }
+
+    fn arity(&self) -> usize {
+        12
+    }
+
+    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
+        Ok(Box::new(Bound(NibbleFinderKernel {
+            inner: finder_at(args, 1)?,
+            nibbles: get(args, 0)?,
+        })))
+    }
+}
+
+/// The specialized nibble finder as an OpenCL kernel function: scans the
+/// nibble words directly, no decode scratch, no pattern arguments.
+///
+/// Argument layout:
+///
+/// | # | argument | type |
+/// |---|----------|------|
+/// | 0 | `nibbles` | buffer\<u8\> |
+/// | 1 | `loci` (out) | buffer\<u32\> |
+/// | 2 | `flags` (out) | buffer\<u8\> |
+/// | 3 | `count` (out) | buffer\<u32\> |
+/// | 4 | `scan_len` | u32 |
+/// | 5 | `seq_len` | u32 |
+#[derive(Debug, Clone)]
+pub struct ClSpecializedNibbleFinder {
+    /// The compiled PAM variant (threshold 0) this function embodies.
+    pub variant: Arc<CompiledVariant>,
+}
+
+impl ClKernelFunction for ClSpecializedNibbleFinder {
+    fn name(&self) -> &str {
+        VariantKind::NibbleFinder.kernel_name()
+    }
+
+    fn arity(&self) -> usize {
+        6
+    }
+
+    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
+        Ok(Box::new(Bound(SpecializedNibbleFinderKernel {
+            nibbles: get(args, 0)?,
+            out: FinderOutput {
+                loci: get(args, 1)?,
+                flags: get(args, 2)?,
+                count: get(args, 3)?,
             },
-            packed: args[0].as_buf_u8(0)?,
-            mask: args[1].as_buf_u8(1)?,
-            exc_pos: args[2].as_buf_u32(2)?,
-            exc_val: args[3].as_buf_u8(3)?,
-            n_exc: args[4].as_u32(4)?,
+            scan_len: get(args, 4)?,
+            seq_len: get(args, 5)?,
+            variant: Arc::clone(&self.variant),
         })))
     }
 }
@@ -214,861 +290,435 @@ impl ClKernelFunction for ClComparer {
     }
 
     fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[6].as_u32(6)? as usize;
-        expect_local_bytes(&args[12], 12, 2 * plen)?;
-        expect_local_bytes(&args[13], 13, 2 * plen * 4)?;
+        // Listing 1's parameter list is the serving family's staged layout.
+        let a = Args::new(1, Shape::Staged, args);
+        let (plen, _) = a.dims()?;
         let mut layout = LocalLayout::new();
-        let l_comp = layout.array::<u8>(2 * plen);
-        let l_comp_index = layout.array::<i32>(2 * plen);
         Ok(Box::new(Bound(ComparerKernel {
             opt: self.opt,
-            chr: args[0].as_buf_u8(0)?,
-            loci: args[1].as_buf_u32(1)?,
-            flags: args[2].as_buf_u8(2)?,
-            comp: args[3].as_buf_u8(3)?,
-            comp_index: args[4].as_buf_i32(4)?,
-            locicnt: args[5].as_u32(5)?,
+            chr: a.get(Chunk)?,
+            loci: a.get(Loci)?,
+            flags: a.get(Flags)?,
+            comp: a.get(Comp)?,
+            comp_index: a.get(CompIndex)?,
+            locicnt: a.get(Locicnt)?,
             plen: plen as u32,
-            threshold: args[7].as_u16(7)?,
-            out: ComparerOutput {
-                mm_count: args[8].as_buf_u16(8)?,
-                direction: args[9].as_buf_u8(9)?,
-                loci: args[10].as_buf_u32(10)?,
-                count: args[11].as_buf_u32(11)?,
-            },
-            l_comp,
-            l_comp_index,
+            threshold: a.get(Threshold)?,
+            out: a.single_out()?,
+            l_comp: layout.array(2 * plen),
+            l_comp_index: layout.array(2 * plen),
         })))
     }
 }
 
-/// The `comparer_2bit` kernel as an OpenCL kernel function: the comparer
-/// reading the 2-bit packed chunk directly (see
-/// [`TwoBitComparerKernel`](crate::kernels::TwoBitComparerKernel)) instead
-/// of the decoded byte-per-base scratch — roughly `plen/4 + plen/8` global
-/// bytes per site instead of `plen`.
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `packed` | buffer\<u8\> |
-/// | 1 | `mask` | buffer\<u8\> |
-/// | 2 | `loci` | buffer\<u32\> |
-/// | 3 | `flag` | buffer\<u8\> |
-/// | 4 | `comp` | buffer\<u8\> (`__constant`) |
-/// | 5 | `comp_index` | buffer\<i32\> (`__constant`) |
-/// | 6 | `locicnts` | u32 |
-/// | 7 | `patternlen` | u32 |
-/// | 8 | `threshold` | u16 |
-/// | 9 | `mm_count` (out) | buffer\<u16\> |
-/// | 10 | `direction` (out) | buffer\<u8\> |
-/// | 11 | `mm_loci` (out) | buffer\<u32\> |
-/// | 12 | `entrycount` (out) | buffer\<u32\> |
-/// | 13 | `l_comp` | `__local` 2·plen bytes |
-/// | 14 | `l_comp_index` | `__local` 8·plen bytes |
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClTwoBitComparer;
+/// One positional argument of a serving comparer, by role.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    /// A chunk buffer of the reference encoding (`buffer<u8>`).
+    Chunk,
+    /// `loci`, `flag` (`buffer<u32>`, `buffer<u8>`).
+    Loci,
+    Flags,
+    /// The pattern tables (`buffer<u8>`, `buffer<i32>`, `__constant`).
+    Comp,
+    CompIndex,
+    /// A block's per-guide thresholds (`buffer<u16>`).
+    Thresholds,
+    /// `locicnts`, `patternlen`, `nguides` (`u32`); one guide's
+    /// `threshold` (`u16`).
+    Locicnt,
+    Plen,
+    Nguides,
+    Threshold,
+    /// The outputs: `mm_count`, `direction`, `mm_loci`, a block's `guide`
+    /// tags and `entrycount`.
+    MmCount,
+    Direction,
+    MmLoci,
+    Guide,
+    Count,
+    /// `__local` staging of the pattern tables and a block's thresholds.
+    LComp,
+    LCompIndex,
+    LThr,
+}
 
-impl ClKernelFunction for ClTwoBitComparer {
-    fn name(&self) -> &str {
-        "comparer_2bit"
-    }
+use Arg::*;
 
-    fn arity(&self) -> usize {
-        15
-    }
+/// The arguments after the chunk buffers, indexed by [`Shape`]. A staged
+/// guide mirrors Listing 1's parameter list; a folded guide drops the
+/// pattern tables, their scalars and their staging; a block adds the
+/// threshold table, the guide count and the guide tags; a folded block
+/// drops the threshold table and its staging.
+const LAYOUTS: [&[Arg]; 4] = [
+    &[
+        Loci, Flags, Comp, CompIndex, Locicnt, Plen, Threshold, MmCount, Direction, MmLoci, Count,
+        LComp, LCompIndex,
+    ],
+    &[Loci, Flags, MmCount, Direction, MmLoci, Count, Locicnt],
+    &[
+        Loci, Flags, Comp, CompIndex, Thresholds, Locicnt, Plen, Nguides, MmCount, Direction,
+        MmLoci, Guide, Count, LComp, LCompIndex, LThr,
+    ],
+    &[
+        Loci, Flags, Comp, CompIndex, Locicnt, Plen, Nguides, MmCount, Direction, MmLoci, Guide,
+        Count, LComp, LCompIndex,
+    ],
+];
 
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[7].as_u32(7)? as usize;
-        expect_local_bytes(&args[13], 13, 2 * plen)?;
-        expect_local_bytes(&args[14], 14, 2 * plen * 4)?;
-        let mut layout = LocalLayout::new();
-        let l_comp = layout.array::<u8>(2 * plen);
-        let l_comp_index = layout.array::<i32>(2 * plen);
-        Ok(Box::new(Bound(TwoBitComparerKernel {
-            packed: args[0].as_buf_u8(0)?,
-            mask: args[1].as_buf_u8(1)?,
-            loci: args[2].as_buf_u32(2)?,
-            flags: args[3].as_buf_u8(3)?,
-            comp: args[4].as_buf_u8(4)?,
-            comp_index: args[5].as_buf_i32(5)?,
-            locicnt: args[6].as_u32(6)?,
-            plen: plen as u32,
-            threshold: args[8].as_u16(8)?,
-            out: ComparerOutput {
-                mm_count: args[9].as_buf_u16(9)?,
-                direction: args[10].as_buf_u8(10)?,
-                loci: args[11].as_buf_u32(11)?,
-                count: args[12].as_buf_u32(12)?,
-            },
-            l_comp,
-            l_comp_index,
-        })))
+impl Arg {
+    /// The size a `__local` argument must have for `guides` patterns of
+    /// length `plen`.
+    fn local_bytes(self, plen: usize, guides: usize) -> Option<usize> {
+        match self {
+            LComp => Some(guides * 2 * plen),
+            LCompIndex => Some(guides * 2 * plen * 4),
+            LThr => Some(guides * 2),
+            _ => None,
+        }
     }
 }
 
-/// The `finder_nibble` kernel as an OpenCL kernel function: the finder over
-/// a 4-bit nibble-packed chunk (see
-/// [`NibbleFinderKernel`](crate::kernels::NibbleFinderKernel)). No exception
-/// arguments: the nibble masks are exact for matching.
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `nibbles` | buffer\<u8\> |
-/// | 1 | `chr` (out: decoded bases) | buffer\<u8\> |
-/// | 2 | `pat` | buffer\<u8\> (`__constant`) |
-/// | 3 | `pat_index` | buffer\<i32\> (`__constant`) |
-/// | 4 | `loci` (out) | buffer\<u32\> |
-/// | 5 | `flags` (out) | buffer\<u8\> |
-/// | 6 | `count` (out) | buffer\<u32\> |
-/// | 7 | `scan_len` | u32 |
-/// | 8 | `seq_len` | u32 |
-/// | 9 | `patternlen` | u32 |
-/// | 10 | `l_pat` | `__local` 2·plen bytes |
-/// | 11 | `l_pat_index` | `__local` 8·plen bytes |
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClNibbleFinder;
+/// A typed value recovered from one argument slot.
+trait FromArg: Sized {
+    fn from_arg(arg: &KernelArg, index: usize) -> ClResult<Self>;
+}
 
-impl ClKernelFunction for ClNibbleFinder {
-    fn name(&self) -> &str {
-        "finder_nibble"
+macro_rules! from_arg {
+    ($($t:ty => $as:ident),*) => {
+        $(impl FromArg for $t {
+            fn from_arg(arg: &KernelArg, index: usize) -> ClResult<Self> {
+                arg.$as(index)
+            }
+        })*
+    };
+}
+
+from_arg!(
+    DeviceBuffer<u8> => as_buf_u8,
+    DeviceBuffer<u16> => as_buf_u16,
+    DeviceBuffer<u32> => as_buf_u32,
+    DeviceBuffer<i32> => as_buf_i32,
+    u16 => as_u16,
+    u32 => as_u32
+);
+
+/// The typed value in slot `index`.
+fn get<T: FromArg>(args: &[KernelArg], index: usize) -> ClResult<T> {
+    T::from_arg(&args[index], index)
+}
+
+/// Positional arguments read by role through a layout.
+struct Args<'a> {
+    layout: Vec<Arg>,
+    args: &'a [KernelArg],
+}
+
+impl<'a> Args<'a> {
+    /// `args` laid out as `chunk` chunk buffers and the arguments of `shape`.
+    fn new(chunk: usize, shape: Shape, args: &'a [KernelArg]) -> Args<'a> {
+        let rest = LAYOUTS[shape as usize].iter().copied();
+        let layout = std::iter::repeat_n(Chunk, chunk).chain(rest).collect();
+        Args { layout, args }
     }
 
-    fn arity(&self) -> usize {
-        12
+    /// Pattern length and guide count, after checking every `__local`
+    /// size against them.
+    fn dims(&self) -> ClResult<(usize, usize)> {
+        let (mut plen, mut guides) = (0, 1);
+        if self.layout.contains(&Plen) {
+            plen = self.get::<u32>(Plen)? as usize;
+        }
+        if self.layout.contains(&Nguides) {
+            guides = self.get::<u32>(Nguides)? as usize;
+        }
+        for (i, role) in self.layout.iter().enumerate() {
+            if let Some(bytes) = role.local_bytes(plen, guides) {
+                expect_local_bytes(&self.args[i], i, bytes)?;
+            }
+        }
+        Ok((plen, guides))
     }
 
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[9].as_u32(9)? as usize;
-        expect_local_bytes(&args[10], 10, 2 * plen)?;
-        expect_local_bytes(&args[11], 11, 2 * plen * 4)?;
-        let mut layout = LocalLayout::new();
-        let l_pat = layout.array::<u8>(2 * plen);
-        let l_pat_index = layout.array::<i32>(2 * plen);
-        Ok(Box::new(Bound(NibbleFinderKernel {
-            inner: FinderKernel {
-                chr: args[1].as_buf_u8(1)?,
-                pat: args[2].as_buf_u8(2)?,
-                pat_index: args[3].as_buf_i32(3)?,
-                out: FinderOutput {
-                    loci: args[4].as_buf_u32(4)?,
-                    flags: args[5].as_buf_u8(5)?,
-                    count: args[6].as_buf_u32(6)?,
-                },
-                scan_len: args[7].as_u32(7)?,
-                seq_len: args[8].as_u32(8)?,
-                plen: plen as u32,
-                l_pat,
-                l_pat_index,
-            },
-            nibbles: args[0].as_buf_u8(0)?,
-        })))
+    fn get<T: FromArg>(&self, role: Arg) -> ClResult<T> {
+        let i = self.layout.iter().position(|&r| r == role);
+        get(self.args, i.expect("the role is in the binding's layout"))
+    }
+
+    fn single_out(&self) -> ClResult<ComparerOutput> {
+        Ok(ComparerOutput {
+            mm_count: self.get(MmCount)?,
+            direction: self.get(Direction)?,
+            loci: self.get(MmLoci)?,
+            count: self.get(Count)?,
+        })
     }
 }
 
-/// The `comparer_4bit` kernel as an OpenCL kernel function: the comparer
-/// counting mismatches by mask intersection directly on the nibble words
-/// (see [`FourBitComparerKernel`](crate::kernels::FourBitComparerKernel)) —
-/// `plen/2` global bytes per site for any input, degenerate or soft-masked
-/// included.
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `nibbles` | buffer\<u8\> |
-/// | 1 | `loci` | buffer\<u32\> |
-/// | 2 | `flag` | buffer\<u8\> |
-/// | 3 | `comp` | buffer\<u8\> (`__constant`) |
-/// | 4 | `comp_index` | buffer\<i32\> (`__constant`) |
-/// | 5 | `locicnts` | u32 |
-/// | 6 | `patternlen` | u32 |
-/// | 7 | `threshold` | u16 |
-/// | 8 | `mm_count` (out) | buffer\<u16\> |
-/// | 9 | `direction` (out) | buffer\<u8\> |
-/// | 10 | `mm_loci` (out) | buffer\<u32\> |
-/// | 11 | `entrycount` (out) | buffer\<u32\> |
-/// | 12 | `l_comp` | `__local` 2·plen bytes |
-/// | 13 | `l_comp_index` | `__local` 8·plen bytes |
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClFourBitComparer;
-
-impl ClKernelFunction for ClFourBitComparer {
-    fn name(&self) -> &str {
-        "comparer_4bit"
-    }
-
-    fn arity(&self) -> usize {
-        14
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[6].as_u32(6)? as usize;
-        expect_local_bytes(&args[12], 12, 2 * plen)?;
-        expect_local_bytes(&args[13], 13, 2 * plen * 4)?;
-        let mut layout = LocalLayout::new();
-        let l_comp = layout.array::<u8>(2 * plen);
-        let l_comp_index = layout.array::<i32>(2 * plen);
-        Ok(Box::new(Bound(FourBitComparerKernel {
-            nibbles: args[0].as_buf_u8(0)?,
-            loci: args[1].as_buf_u32(1)?,
-            flags: args[2].as_buf_u8(2)?,
-            comp: args[3].as_buf_u8(3)?,
-            comp_index: args[4].as_buf_i32(4)?,
-            locicnt: args[5].as_u32(5)?,
-            plen: plen as u32,
-            threshold: args[7].as_u16(7)?,
-            out: ComparerOutput {
-                mm_count: args[8].as_buf_u16(8)?,
-                direction: args[9].as_buf_u8(9)?,
-                loci: args[10].as_buf_u32(10)?,
-                count: args[11].as_buf_u32(11)?,
-            },
-            l_comp,
-            l_comp_index,
-        })))
-    }
-}
-
-/// A JIT-specialized comparer variant as an OpenCL kernel function. The
-/// pattern, its length, and the threshold live inside the compiled variant,
-/// so the argument list shrinks to the genome-side buffers, the candidate
-/// set, and the outputs — no `__constant` pattern arguments, no `__local`
-/// staging allocations.
-///
-/// Argument layout (char variant):
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `chr` | buffer\<u8\> |
-/// | 1 | `loci` | buffer\<u32\> |
-/// | 2 | `flag` | buffer\<u8\> |
-/// | 3 | `mm_count` (out) | buffer\<u16\> |
-/// | 4 | `direction` (out) | buffer\<u8\> |
-/// | 5 | `mm_loci` (out) | buffer\<u32\> |
-/// | 6 | `entrycount` (out) | buffer\<u32\> |
-/// | 7 | `locicnts` | u32 |
+/// The guides a family binding takes.
 #[derive(Debug, Clone)]
-pub struct ClSpecializedComparer {
-    /// The compiled (pattern, threshold) variant this function embodies.
-    pub variant: Arc<CompiledVariant>,
+enum ClGuides {
+    Staged,
+    Folded(Arc<CompiledVariant>),
+    /// Per-guide thresholds, or a threshold folded into the variant.
+    Block(Option<Arc<CompiledVariant>>),
 }
 
-impl ClKernelFunction for ClSpecializedComparer {
-    fn name(&self) -> &str {
-        VariantKind::CharComparer.kernel_name()
-    }
-
-    fn arity(&self) -> usize {
-        8
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        Ok(Box::new(Bound(SpecializedComparerKernel {
-            chr: args[0].as_buf_u8(0)?,
-            loci: args[1].as_buf_u32(1)?,
-            flags: args[2].as_buf_u8(2)?,
-            out: ComparerOutput {
-                mm_count: args[3].as_buf_u16(3)?,
-                direction: args[4].as_buf_u8(4)?,
-                loci: args[5].as_buf_u32(5)?,
-                count: args[6].as_buf_u32(6)?,
-            },
-            locicnt: args[7].as_u32(7)?,
-            variant: Arc::clone(&self.variant),
-        })))
-    }
-}
-
-/// The specialized 2-bit comparer as an OpenCL kernel function.
+/// A serving comparer ([`Comparer`](super::Comparer)) as an OpenCL kernel
+/// function, over the reference encoding `enc` (an index into
+/// [`ENCODINGS`]) and one guide source. It is named after the encoding's
+/// profiler name for its shape, with underscores for hyphens in the
+/// generic shapes (`comparer_2bit`, `comparer_multi_4bit`; the folded ones
+/// keep `comparer-2bit-spec`), and takes the encoding's chunk buffers
+/// followed by the shape's table in `LAYOUTS`:
 ///
-/// Argument layout: `packed`, `mask`, then as [`ClSpecializedComparer`]
-/// from index 2 (loci, flag, 4 outputs, locicnts).
+/// | shape | arguments after the chunk buffers |
+/// |-------|-----------------------------------|
+/// | staged | `loci`, `flag`, `comp`, `comp_index`, `locicnts`, `patternlen`, `threshold` (u16), 4 outputs, `__local` 2·plen and 8·plen bytes |
+/// | folded | `loci`, `flag`, 4 outputs, `locicnts` |
+/// | block | `loci`, `flag`, `comp`, `comp_index`, `thresholds`, `locicnts`, `patternlen`, `nguides`, 5 outputs (with `guide`), `__local` g·2·plen, g·8·plen and 2·g bytes |
+/// | folded block | the block's minus `thresholds` and its `__local` |
+///
+/// A folded binding embodies its compiled variant: the pattern, its length
+/// and the threshold — or, for a block, the shared threshold.
 #[derive(Debug, Clone)]
-pub struct ClSpecializedTwoBitComparer {
-    /// The compiled (pattern, threshold) variant this function embodies.
-    pub variant: Arc<CompiledVariant>,
+pub struct ClFamily {
+    enc: usize,
+    shape: Shape,
+    guides: ClGuides,
+    name: String,
 }
 
-impl ClKernelFunction for ClSpecializedTwoBitComparer {
+impl ClFamily {
+    /// One guide, staged from its tables.
+    pub fn staged(enc: usize) -> ClFamily {
+        ClFamily::new(enc, Shape::Staged, ClGuides::Staged)
+    }
+
+    /// One guide folded into `variant`.
+    pub fn folded(enc: usize, variant: Arc<CompiledVariant>) -> ClFamily {
+        ClFamily::new(enc, Shape::Folded, ClGuides::Folded(variant))
+    }
+
+    /// A fused block, its shared threshold folded into `variant` when given.
+    pub fn block(enc: usize, variant: Option<Arc<CompiledVariant>>) -> ClFamily {
+        let shape = match variant {
+            Some(_) => Shape::FoldedBlock,
+            None => Shape::Block,
+        };
+        ClFamily::new(enc, shape, ClGuides::Block(variant))
+    }
+
+    fn new(enc: usize, shape: Shape, guides: ClGuides) -> ClFamily {
+        let name = ENCODINGS[enc].names[shape as usize];
+        let name = match shape {
+            Shape::Staged | Shape::Block => name.replace('-', "_"),
+            _ => name.to_owned(),
+        };
+        ClFamily {
+            enc,
+            shape,
+            guides,
+            name,
+        }
+    }
+
+    fn args<'a>(&self, args: &'a [KernelArg]) -> Args<'a> {
+        Args::new(ENCODINGS[self.enc].chunk_args as usize, self.shape, args)
+    }
+}
+
+impl ClKernelFunction for ClFamily {
     fn name(&self) -> &str {
-        VariantKind::TwoBitComparer.kernel_name()
+        &self.name
     }
 
     fn arity(&self) -> usize {
-        9
+        self.args(&[]).layout.len()
     }
 
     fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        Ok(Box::new(Bound(SpecializedTwoBitComparerKernel {
-            packed: args[0].as_buf_u8(0)?,
-            mask: args[1].as_buf_u8(1)?,
-            loci: args[2].as_buf_u32(2)?,
-            flags: args[3].as_buf_u8(3)?,
-            out: ComparerOutput {
-                mm_count: args[4].as_buf_u16(4)?,
-                direction: args[5].as_buf_u8(5)?,
-                loci: args[6].as_buf_u32(6)?,
-                count: args[7].as_buf_u32(7)?,
-            },
-            locicnt: args[8].as_u32(8)?,
-            variant: Arc::clone(&self.variant),
-        })))
-    }
-}
-
-/// The specialized 4-bit comparer as an OpenCL kernel function.
-///
-/// Argument layout: `nibbles`, then as [`ClSpecializedComparer`] from
-/// index 1 (loci, flag, 4 outputs, locicnts).
-#[derive(Debug, Clone)]
-pub struct ClSpecializedFourBitComparer {
-    /// The compiled (pattern, threshold) variant this function embodies.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl ClKernelFunction for ClSpecializedFourBitComparer {
-    fn name(&self) -> &str {
-        VariantKind::FourBitComparer.kernel_name()
-    }
-
-    fn arity(&self) -> usize {
-        8
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        Ok(Box::new(Bound(SpecializedFourBitComparerKernel {
-            nibbles: args[0].as_buf_u8(0)?,
-            loci: args[1].as_buf_u32(1)?,
-            flags: args[2].as_buf_u8(2)?,
-            out: ComparerOutput {
-                mm_count: args[3].as_buf_u16(3)?,
-                direction: args[4].as_buf_u8(4)?,
-                loci: args[5].as_buf_u32(5)?,
-                count: args[6].as_buf_u32(6)?,
-            },
-            locicnt: args[7].as_u32(7)?,
-            variant: Arc::clone(&self.variant),
-        })))
-    }
-}
-
-/// The specialized nibble finder as an OpenCL kernel function: scans the
-/// nibble words directly, no decode scratch, no pattern arguments.
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `nibbles` | buffer\<u8\> |
-/// | 1 | `loci` (out) | buffer\<u32\> |
-/// | 2 | `flags` (out) | buffer\<u8\> |
-/// | 3 | `count` (out) | buffer\<u32\> |
-/// | 4 | `scan_len` | u32 |
-/// | 5 | `seq_len` | u32 |
-#[derive(Debug, Clone)]
-pub struct ClSpecializedNibbleFinder {
-    /// The compiled PAM variant (threshold 0) this function embodies.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl ClKernelFunction for ClSpecializedNibbleFinder {
-    fn name(&self) -> &str {
-        VariantKind::NibbleFinder.kernel_name()
-    }
-
-    fn arity(&self) -> usize {
-        6
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        Ok(Box::new(Bound(SpecializedNibbleFinderKernel {
-            nibbles: args[0].as_buf_u8(0)?,
-            out: FinderOutput {
-                loci: args[1].as_buf_u32(1)?,
-                flags: args[2].as_buf_u8(2)?,
-                count: args[3].as_buf_u32(3)?,
-            },
-            scan_len: args[4].as_u32(4)?,
-            seq_len: args[5].as_u32(5)?,
-            variant: Arc::clone(&self.variant),
-        })))
-    }
-}
-
-/// The `comparer_multi` kernel as an OpenCL kernel function: the fused
-/// multi-guide comparer over raw chunk bytes (see
-/// [`MultiComparerKernel`](crate::kernels::MultiComparerKernel)).
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `chr` | buffer\<u8\> |
-/// | 1 | `loci` | buffer\<u32\> |
-/// | 2 | `flag` | buffer\<u8\> |
-/// | 3 | `comp` (block) | buffer\<u8\> (`__constant`) |
-/// | 4 | `comp_index` (block) | buffer\<i32\> (`__constant`) |
-/// | 5 | `thresholds` | buffer\<u16\> |
-/// | 6 | `locicnts` | u32 |
-/// | 7 | `patternlen` | u32 |
-/// | 8 | `nguides` | u32 |
-/// | 9 | `mm_count` (out) | buffer\<u16\> |
-/// | 10 | `direction` (out) | buffer\<u8\> |
-/// | 11 | `mm_loci` (out) | buffer\<u32\> |
-/// | 12 | `guide` (out) | buffer\<u16\> |
-/// | 13 | `entrycount` (out) | buffer\<u32\> |
-/// | 14 | `l_comp` | `__local` nguides·2·plen bytes |
-/// | 15 | `l_comp_index` | `__local` nguides·8·plen bytes |
-/// | 16 | `l_thr` | `__local` 2·nguides bytes |
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClMultiComparer;
-
-impl ClKernelFunction for ClMultiComparer {
-    fn name(&self) -> &str {
-        "comparer_multi"
-    }
-
-    fn arity(&self) -> usize {
-        17
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[7].as_u32(7)? as usize;
-        let nguides = args[8].as_u32(8)? as usize;
-        expect_local_bytes(&args[14], 14, nguides * 2 * plen)?;
-        expect_local_bytes(&args[15], 15, nguides * 2 * plen * 4)?;
-        expect_local_bytes(&args[16], 16, nguides * 2)?;
-        let (kernel, _) = MultiComparerKernel::new(
-            args[0].as_buf_u8(0)?,
-            args[1].as_buf_u32(1)?,
-            args[2].as_buf_u8(2)?,
-            args[3].as_buf_u8(3)?,
-            args[4].as_buf_i32(4)?,
-            GuideThresholds::PerGuide(args[5].as_buf_u16(5)?),
-            args[6].as_u32(6)? as usize,
-            plen,
-            nguides,
-            MultiComparerOutput {
-                mm_count: args[9].as_buf_u16(9)?,
-                direction: args[10].as_buf_u8(10)?,
-                loci: args[11].as_buf_u32(11)?,
-                guide: args[12].as_buf_u16(12)?,
-                count: args[13].as_buf_u32(13)?,
-            },
-        );
-        Ok(Box::new(Bound(kernel)))
-    }
-}
-
-/// The `comparer_multi_2bit` kernel as an OpenCL kernel function.
-///
-/// Argument layout: `packed`, `mask`, then as [`ClMultiComparer`] from
-/// index 2.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClTwoBitMultiComparer;
-
-impl ClKernelFunction for ClTwoBitMultiComparer {
-    fn name(&self) -> &str {
-        "comparer_multi_2bit"
-    }
-
-    fn arity(&self) -> usize {
-        18
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[8].as_u32(8)? as usize;
-        let nguides = args[9].as_u32(9)? as usize;
-        expect_local_bytes(&args[15], 15, nguides * 2 * plen)?;
-        expect_local_bytes(&args[16], 16, nguides * 2 * plen * 4)?;
-        expect_local_bytes(&args[17], 17, nguides * 2)?;
-        let (kernel, _) = TwoBitMultiComparerKernel::new(
-            args[0].as_buf_u8(0)?,
-            args[1].as_buf_u8(1)?,
-            args[2].as_buf_u32(2)?,
-            args[3].as_buf_u8(3)?,
-            args[4].as_buf_u8(4)?,
-            args[5].as_buf_i32(5)?,
-            GuideThresholds::PerGuide(args[6].as_buf_u16(6)?),
-            args[7].as_u32(7)? as usize,
-            plen,
-            nguides,
-            MultiComparerOutput {
-                mm_count: args[10].as_buf_u16(10)?,
-                direction: args[11].as_buf_u8(11)?,
-                loci: args[12].as_buf_u32(12)?,
-                guide: args[13].as_buf_u16(13)?,
-                count: args[14].as_buf_u32(14)?,
-            },
-        );
-        Ok(Box::new(Bound(kernel)))
-    }
-}
-
-/// The `comparer_multi_4bit` kernel as an OpenCL kernel function.
-///
-/// Argument layout: `nibbles`, then as [`ClMultiComparer`] from index 1.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClFourBitMultiComparer;
-
-impl ClKernelFunction for ClFourBitMultiComparer {
-    fn name(&self) -> &str {
-        "comparer_multi_4bit"
-    }
-
-    fn arity(&self) -> usize {
-        17
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[7].as_u32(7)? as usize;
-        let nguides = args[8].as_u32(8)? as usize;
-        expect_local_bytes(&args[14], 14, nguides * 2 * plen)?;
-        expect_local_bytes(&args[15], 15, nguides * 2 * plen * 4)?;
-        expect_local_bytes(&args[16], 16, nguides * 2)?;
-        let (kernel, _) = FourBitMultiComparerKernel::new(
-            args[0].as_buf_u8(0)?,
-            args[1].as_buf_u32(1)?,
-            args[2].as_buf_u8(2)?,
-            args[3].as_buf_u8(3)?,
-            args[4].as_buf_i32(4)?,
-            GuideThresholds::PerGuide(args[5].as_buf_u16(5)?),
-            args[6].as_u32(6)? as usize,
-            plen,
-            nguides,
-            MultiComparerOutput {
-                mm_count: args[9].as_buf_u16(9)?,
-                direction: args[10].as_buf_u8(10)?,
-                loci: args[11].as_buf_u32(11)?,
-                guide: args[12].as_buf_u16(12)?,
-                count: args[13].as_buf_u32(13)?,
-            },
-        );
-        Ok(Box::new(Bound(kernel)))
-    }
-}
-
-/// The JIT-specialized fused comparer as an OpenCL kernel function: the
-/// block's shared threshold is folded into the variant, so the threshold
-/// table and its `__local` staging disappear from the argument list.
-///
-/// Argument layout: as [`ClMultiComparer`] minus arguments 5 (`thresholds`)
-/// and 16 (`l_thr`).
-#[derive(Debug, Clone)]
-pub struct ClSpecializedMultiComparer {
-    /// The compiled (PAM, threshold) variant this function embodies.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl ClKernelFunction for ClSpecializedMultiComparer {
-    fn name(&self) -> &str {
-        VariantKind::MultiComparer.kernel_name()
-    }
-
-    fn arity(&self) -> usize {
-        15
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[6].as_u32(6)? as usize;
-        let nguides = args[7].as_u32(7)? as usize;
-        expect_local_bytes(&args[13], 13, nguides * 2 * plen)?;
-        expect_local_bytes(&args[14], 14, nguides * 2 * plen * 4)?;
-        let (kernel, _) = MultiComparerKernel::new(
-            args[0].as_buf_u8(0)?,
-            args[1].as_buf_u32(1)?,
-            args[2].as_buf_u8(2)?,
-            args[3].as_buf_u8(3)?,
-            args[4].as_buf_i32(4)?,
-            GuideThresholds::Folded {
-                threshold: self.variant.pattern.threshold(),
-                variant: Arc::clone(&self.variant),
-            },
-            args[5].as_u32(5)? as usize,
-            plen,
-            nguides,
-            MultiComparerOutput {
-                mm_count: args[8].as_buf_u16(8)?,
-                direction: args[9].as_buf_u8(9)?,
-                loci: args[10].as_buf_u32(10)?,
-                guide: args[11].as_buf_u16(11)?,
-                count: args[12].as_buf_u32(12)?,
-            },
-        );
-        Ok(Box::new(Bound(kernel)))
-    }
-}
-
-/// The specialized fused 2-bit comparer as an OpenCL kernel function.
-///
-/// Argument layout: `packed`, `mask`, then as
-/// [`ClSpecializedMultiComparer`] from index 2.
-#[derive(Debug, Clone)]
-pub struct ClSpecializedTwoBitMultiComparer {
-    /// The compiled (PAM, threshold) variant this function embodies.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl ClKernelFunction for ClSpecializedTwoBitMultiComparer {
-    fn name(&self) -> &str {
-        "comparer_multi-2bit-spec"
-    }
-
-    fn arity(&self) -> usize {
-        16
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[7].as_u32(7)? as usize;
-        let nguides = args[8].as_u32(8)? as usize;
-        expect_local_bytes(&args[14], 14, nguides * 2 * plen)?;
-        expect_local_bytes(&args[15], 15, nguides * 2 * plen * 4)?;
-        let (kernel, _) = TwoBitMultiComparerKernel::new(
-            args[0].as_buf_u8(0)?,
-            args[1].as_buf_u8(1)?,
-            args[2].as_buf_u32(2)?,
-            args[3].as_buf_u8(3)?,
-            args[4].as_buf_u8(4)?,
-            args[5].as_buf_i32(5)?,
-            GuideThresholds::Folded {
-                threshold: self.variant.pattern.threshold(),
-                variant: Arc::clone(&self.variant),
-            },
-            args[6].as_u32(6)? as usize,
-            plen,
-            nguides,
-            MultiComparerOutput {
-                mm_count: args[9].as_buf_u16(9)?,
-                direction: args[10].as_buf_u8(10)?,
-                loci: args[11].as_buf_u32(11)?,
-                guide: args[12].as_buf_u16(12)?,
-                count: args[13].as_buf_u32(13)?,
-            },
-        );
-        Ok(Box::new(Bound(kernel)))
-    }
-}
-
-/// The specialized fused 4-bit comparer as an OpenCL kernel function.
-///
-/// Argument layout: `nibbles`, then as [`ClSpecializedMultiComparer`] from
-/// index 1.
-#[derive(Debug, Clone)]
-pub struct ClSpecializedFourBitMultiComparer {
-    /// The compiled (PAM, threshold) variant this function embodies.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl ClKernelFunction for ClSpecializedFourBitMultiComparer {
-    fn name(&self) -> &str {
-        "comparer_multi-4bit-spec"
-    }
-
-    fn arity(&self) -> usize {
-        15
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let plen = args[6].as_u32(6)? as usize;
-        let nguides = args[7].as_u32(7)? as usize;
-        expect_local_bytes(&args[13], 13, nguides * 2 * plen)?;
-        expect_local_bytes(&args[14], 14, nguides * 2 * plen * 4)?;
-        let (kernel, _) = FourBitMultiComparerKernel::new(
-            args[0].as_buf_u8(0)?,
-            args[1].as_buf_u32(1)?,
-            args[2].as_buf_u8(2)?,
-            args[3].as_buf_u8(3)?,
-            args[4].as_buf_i32(4)?,
-            GuideThresholds::Folded {
-                threshold: self.variant.pattern.threshold(),
-                variant: Arc::clone(&self.variant),
-            },
-            args[5].as_u32(5)? as usize,
-            plen,
-            nguides,
-            MultiComparerOutput {
-                mm_count: args[8].as_buf_u16(8)?,
-                direction: args[9].as_buf_u8(9)?,
-                loci: args[10].as_buf_u32(10)?,
-                guide: args[11].as_buf_u16(11)?,
-                count: args[12].as_buf_u32(12)?,
-            },
-        );
-        Ok(Box::new(Bound(kernel)))
+        let a = self.args(args);
+        let (plen, guides) = a.dims()?;
+        let chunk_args = ENCODINGS[self.enc].chunk_args as usize;
+        let chunk = (0..chunk_args)
+            .map(|i| get(args, i))
+            .collect::<ClResult<Vec<_>>>()?;
+        let (loci, flags, n) = (a.get(Loci)?, a.get(Flags)?, a.get::<u32>(Locicnt)? as usize);
+        Ok(match &self.guides {
+            ClGuides::Staged => {
+                let staged = Staged::new(a.get(Comp)?, a.get(CompIndex)?, a.get(Threshold)?, plen);
+                let out = a.single_out()?;
+                dispatch(self.enc, &chunk, (loci, flags, n, staged, out), Boxed)
+            }
+            ClGuides::Folded(variant) => {
+                let (variant, out) = (Arc::clone(variant), a.single_out()?);
+                dispatch(self.enc, &chunk, (loci, flags, n, variant, out), Boxed)
+            }
+            ClGuides::Block(variant) => {
+                let thresholds = match variant {
+                    Some(variant) => GuideThresholds::Folded {
+                        threshold: variant.pattern.threshold(),
+                        variant: Arc::clone(variant),
+                    },
+                    None => GuideThresholds::PerGuide(a.get(Thresholds)?),
+                };
+                let (comp, comp_index) = (a.get(Comp)?, a.get(CompIndex)?);
+                let block = Block::new(comp, comp_index, thresholds, plen, guides);
+                let (entries, guide) = (a.single_out()?, a.get(Guide)?);
+                let out = MultiComparerOutput { entries, guide };
+                dispatch(self.enc, &chunk, (loci, flags, n, block, out), Boxed)
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::CompiledSeq;
     use gpu_sim::DeviceSpec;
 
-    fn device() -> Device {
-        Device::new(DeviceSpec::mi100())
+    const PLEN: usize = 4;
+
+    /// A valid argument list for a signature: `b8`/`b16`/`b32`/`i32`
+    /// buffers, `n` a count, `p` the pattern length, `g` the guide count,
+    /// `t` a `u16` threshold, and `__local` allocations `L2`/`L8` of 2 and 8
+    /// bytes per pattern position and `Lt` of 2 bytes, per guide.
+    fn args(d: &Device, signature: &str, guides: usize) -> Vec<KernelArg> {
+        signature
+            .split_whitespace()
+            .map(|token| match token {
+                "b8" => KernelArg::BufU8(d.alloc(64).unwrap()),
+                "b16" => KernelArg::BufU16(d.alloc(64).unwrap()),
+                "b32" => KernelArg::BufU32(d.alloc(64).unwrap()),
+                "i32" => KernelArg::BufI32(d.alloc(64).unwrap()),
+                "n" => KernelArg::U32(8),
+                "p" => KernelArg::U32(PLEN as u32),
+                "g" => KernelArg::U32(guides as u32),
+                "t" => KernelArg::U16(4),
+                "L2" => KernelArg::Local {
+                    bytes: guides * 2 * PLEN,
+                },
+                "L8" => KernelArg::Local {
+                    bytes: guides * 8 * PLEN,
+                },
+                "Lt" => KernelArg::Local { bytes: guides * 2 },
+                other => unreachable!("unknown token {other}"),
+            })
+            .collect()
+    }
+
+    /// `binding` is called `name`, takes `arity` arguments laid out as
+    /// `signature`, binds a valid list, and rejects a wrong-typed value in
+    /// every slot, and a wrong size in every `__local` slot, naming the slot.
+    fn check(binding: &dyn ClKernelFunction, name: &str, arity: usize, signature: &str, g: usize) {
+        assert_eq!(binding.name(), name);
+        assert_eq!(binding.arity(), arity, "{name}");
+        let valid = args(&Device::new(DeviceSpec::mi100()), signature, g);
+        assert_eq!(valid.len(), arity, "{name} signature");
+        assert!(binding.bind(&valid).is_ok(), "{name} binds its signature");
+        for index in 0..arity {
+            let mut bad = vec![KernelArg::F32(0.0)];
+            if let KernelArg::Local { bytes } = valid[index] {
+                bad.push(KernelArg::Local { bytes: bytes + 1 });
+            }
+            for arg in bad {
+                let mut wrong = valid.clone();
+                wrong[index] = arg;
+                let err = binding.bind(&wrong).map(|_| ()).unwrap_err();
+                assert!(
+                    matches!(err, ClError::InvalidArgValue { index: i, .. } if i == index),
+                    "{name} slot {index}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn finder_binding_validates_local_sizes() {
-        let d = device();
-        let plen = 3usize;
-        let args = vec![
-            KernelArg::BufU8(d.alloc(16).unwrap()),
-            KernelArg::BufU8(d.alloc(6).unwrap()),
-            KernelArg::BufI32(d.alloc(6).unwrap()),
-            KernelArg::BufU32(d.alloc(16).unwrap()),
-            KernelArg::BufU8(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(1).unwrap()),
-            KernelArg::U32(16),
-            KernelArg::U32(16),
-            KernelArg::U32(plen as u32),
-            KernelArg::Local { bytes: 2 * plen },
-            KernelArg::Local { bytes: 8 * plen },
-        ];
-        assert!(ClFinder.bind(&args).is_ok());
+    fn every_binding_checks_its_signature() {
+        let pam = CompiledSeq::compile(b"NNGG");
+        let variant = |kind| Arc::new(CompiledVariant::compile(kind, &pam, 2));
+        let multi = || Some(variant(VariantKind::MultiComparer));
+        let finder = "b8 i32 b32 b8 b32 n n p L2 L8";
+        let staged = "b32 b8 b8 i32 n p t b16 b8 b32 b32 L2 L8";
+        let folded = "b32 b8 b16 b8 b32 b32 n";
+        let block = "b32 b8 b8 i32 b16 n p g b16 b8 b32 b16 b32 L2 L8 Lt";
+        let folded_block = "b32 b8 b8 i32 n p g b16 b8 b32 b16 b32 L2 L8";
 
-        let mut bad = args.clone();
-        bad[9] = KernelArg::Local { bytes: 1 };
-        let err = ClFinder.bind(&bad).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ClError::InvalidArgValue { index: 9, .. }));
-    }
+        check(&ClFinder, "finder", 11, &format!("b8 {finder}"), 1);
+        let packed = format!("b8 b8 b32 b8 n b8 {finder}");
+        check(&ClPackedFinder, "finder_packed", 16, &packed, 1);
+        check(
+            &ClNibbleFinder,
+            "finder_nibble",
+            12,
+            &format!("b8 b8 {finder}"),
+            1,
+        );
+        let spec_nibble = ClSpecializedNibbleFinder {
+            variant: variant(VariantKind::NibbleFinder),
+        };
+        check(
+            &spec_nibble,
+            "finder_nibble-spec",
+            6,
+            "b8 b32 b8 b32 n n",
+            1,
+        );
+        let paper = ClComparer::new(OptLevel::Opt3);
+        check(&paper, "comparer", 14, &format!("b8 {staged}"), 1);
 
-    #[test]
-    fn comparer_binding_validates_types() {
-        let d = device();
-        let plen = 4usize;
-        let mut args = vec![
-            KernelArg::BufU8(d.alloc(32).unwrap()),
-            KernelArg::BufU32(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufI32(d.alloc(8).unwrap()),
-            KernelArg::U32(8),
-            KernelArg::U32(plen as u32),
-            KernelArg::U16(4),
-            KernelArg::BufU16(d.alloc(16).unwrap()),
-            KernelArg::BufU8(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(1).unwrap()),
-            KernelArg::Local { bytes: 2 * plen },
-            KernelArg::Local { bytes: 8 * plen },
-        ];
-        assert!(ClComparer::new(OptLevel::Opt3).bind(&args).is_ok());
-
-        args[7] = KernelArg::U32(4); // threshold must be u16
-        let err = ClComparer::default().bind(&args).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ClError::InvalidArgValue { index: 7, .. }));
-    }
-
-    #[test]
-    fn arities_match_the_kernel_signatures() {
-        assert_eq!(ClFinder.arity(), 11);
-        assert_eq!(ClComparer::default().arity(), 14);
-        assert_eq!(ClTwoBitComparer.arity(), 15);
-        assert_eq!(ClNibbleFinder.arity(), 12);
-        assert_eq!(ClFourBitComparer.arity(), 14);
-        assert_eq!(ClMultiComparer.arity(), 17);
-        assert_eq!(ClTwoBitMultiComparer.arity(), 18);
-        assert_eq!(ClFourBitMultiComparer.arity(), 17);
-        assert_eq!(ClFinder.name(), "finder");
-        assert_eq!(ClComparer::default().name(), "comparer");
-        assert_eq!(ClTwoBitComparer.name(), "comparer_2bit");
-        assert_eq!(ClNibbleFinder.name(), "finder_nibble");
-        assert_eq!(ClFourBitComparer.name(), "comparer_4bit");
-        assert_eq!(ClMultiComparer.name(), "comparer_multi");
-        assert_eq!(ClTwoBitMultiComparer.name(), "comparer_multi_2bit");
-        assert_eq!(ClFourBitMultiComparer.name(), "comparer_multi_4bit");
-    }
-
-    #[test]
-    fn multi_comparer_binding_validates_local_sizes() {
-        let d = device();
-        let (plen, nguides) = (4usize, 3usize);
-        let mut args = vec![
-            KernelArg::BufU8(d.alloc(64).unwrap()),
-            KernelArg::BufU32(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(nguides * 2 * plen).unwrap()),
-            KernelArg::BufI32(d.alloc(nguides * 2 * plen).unwrap()),
-            KernelArg::BufU16(d.alloc(nguides).unwrap()),
-            KernelArg::U32(8),
-            KernelArg::U32(plen as u32),
-            KernelArg::U32(nguides as u32),
-            KernelArg::BufU16(d.alloc(64).unwrap()),
-            KernelArg::BufU8(d.alloc(64).unwrap()),
-            KernelArg::BufU32(d.alloc(64).unwrap()),
-            KernelArg::BufU16(d.alloc(64).unwrap()),
-            KernelArg::BufU32(d.alloc(1).unwrap()),
-            KernelArg::Local {
-                bytes: nguides * 2 * plen,
-            },
-            KernelArg::Local {
-                bytes: nguides * 8 * plen,
-            },
-            KernelArg::Local { bytes: nguides * 2 },
-        ];
-        assert!(ClMultiComparer.bind(&args).is_ok());
-
-        args[16] = KernelArg::Local { bytes: 1 };
-        let err = ClMultiComparer.bind(&args).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ClError::InvalidArgValue { index: 16, .. }));
-    }
-
-    #[test]
-    fn fourbit_comparer_binding_validates_local_sizes() {
-        let d = device();
-        let plen = 4usize;
-        let mut args = vec![
-            KernelArg::BufU8(d.alloc(4).unwrap()),
-            KernelArg::BufU32(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufI32(d.alloc(8).unwrap()),
-            KernelArg::U32(8),
-            KernelArg::U32(plen as u32),
-            KernelArg::U16(4),
-            KernelArg::BufU16(d.alloc(16).unwrap()),
-            KernelArg::BufU8(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(1).unwrap()),
-            KernelArg::Local { bytes: 2 * plen },
-            KernelArg::Local { bytes: 8 * plen },
-        ];
-        assert!(ClFourBitComparer.bind(&args).is_ok());
-
-        args[13] = KernelArg::Local { bytes: 2 };
-        let err = ClFourBitComparer.bind(&args).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ClError::InvalidArgValue { index: 13, .. }));
-    }
-
-    #[test]
-    fn twobit_comparer_binding_validates_local_sizes() {
-        let d = device();
-        let plen = 4usize;
-        let mut args = vec![
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(4).unwrap()),
-            KernelArg::BufU32(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufU8(d.alloc(8).unwrap()),
-            KernelArg::BufI32(d.alloc(8).unwrap()),
-            KernelArg::U32(8),
-            KernelArg::U32(plen as u32),
-            KernelArg::U16(4),
-            KernelArg::BufU16(d.alloc(16).unwrap()),
-            KernelArg::BufU8(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(16).unwrap()),
-            KernelArg::BufU32(d.alloc(1).unwrap()),
-            KernelArg::Local { bytes: 2 * plen },
-            KernelArg::Local { bytes: 8 * plen },
-        ];
-        assert!(ClTwoBitComparer.bind(&args).is_ok());
-
-        args[14] = KernelArg::Local { bytes: 2 };
-        let err = ClTwoBitComparer.bind(&args).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ClError::InvalidArgValue { index: 14, .. }));
+        // Chunk buffers: one for chars and nibbles, two for 2-bit words.
+        let sig = |chunk: &str, rest: &str| format!("{chunk} {rest}");
+        let (one, two) = ("b8", "b8 b8");
+        check(
+            &ClFamily::staged(1),
+            "comparer_2bit",
+            15,
+            &sig(two, staged),
+            1,
+        );
+        check(
+            &ClFamily::staged(2),
+            "comparer_4bit",
+            14,
+            &sig(one, staged),
+            1,
+        );
+        let folded_fn = |enc, kind| ClFamily::folded(enc, variant(kind));
+        let char_spec = folded_fn(0, VariantKind::CharComparer);
+        check(&char_spec, "comparer-spec", 8, &sig(one, folded), 1);
+        let two_spec = folded_fn(1, VariantKind::TwoBitComparer);
+        check(&two_spec, "comparer-2bit-spec", 9, &sig(two, folded), 1);
+        let four_spec = folded_fn(2, VariantKind::FourBitComparer);
+        check(&four_spec, "comparer-4bit-spec", 8, &sig(one, folded), 1);
+        check(
+            &ClFamily::block(0, None),
+            "comparer_multi",
+            17,
+            &sig(one, block),
+            3,
+        );
+        check(
+            &ClFamily::block(1, None),
+            "comparer_multi_2bit",
+            18,
+            &sig(two, block),
+            3,
+        );
+        check(
+            &ClFamily::block(2, None),
+            "comparer_multi_4bit",
+            17,
+            &sig(one, block),
+            3,
+        );
+        let (name, s) = ("comparer_multi-spec", sig(one, folded_block));
+        check(&ClFamily::block(0, multi()), name, 15, &s, 3);
+        let (name, s) = ("comparer_multi-2bit-spec", sig(two, folded_block));
+        check(&ClFamily::block(1, multi()), name, 16, &s, 3);
+        let (name, s) = ("comparer_multi-4bit-spec", sig(one, folded_block));
+        check(&ClFamily::block(2, multi()), name, 15, &s, 3);
     }
 }

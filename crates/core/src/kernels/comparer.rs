@@ -24,7 +24,7 @@
 
 use gpu_sim::isa::{CodeModel, Staging};
 use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
-use gpu_sim::{Device, DeviceBuffer, ItemCtx, NdRange, SimResult};
+use gpu_sim::{Device, DeviceBuffer, ItemCtx, SimResult};
 
 use genome::base::is_mismatch;
 
@@ -81,6 +81,17 @@ impl ComparerOutput {
         let dir = self.direction.to_vec();
         let mm = self.mm_count.to_vec();
         (0..n).map(|i| (loci[i], dir[i], mm[i])).collect()
+    }
+
+    /// Kernel side: append the entry for strand `half` (0 `+`, 1 `-`) at
+    /// `locus` with `lmm` mismatches through the atomic counter, and return
+    /// its slot.
+    pub(crate) fn push(&self, item: &mut ItemCtx, locus: u32, half: usize, lmm: u16) -> usize {
+        let slot = self.count.atomic_inc(item, 0) as usize;
+        self.mm_count.store(item, slot, lmm);
+        self.direction.store(item, slot, b"+-"[half]);
+        self.loci.store(item, slot, locus);
+        slot
     }
 }
 
@@ -240,12 +251,7 @@ impl ComparerKernel {
 
         item.ops(1); // lmm_count <= threshold
         if lmm <= self.threshold {
-            let slot = self.out.count.atomic_inc(item, 0) as usize;
-            self.out.mm_count.store(item, slot, lmm);
-            self.out
-                .direction
-                .store(item, slot, if half == 0 { b'+' } else { b'-' });
-            self.out.loci.store(item, slot, locus_reg);
+            self.out.push(item, locus_reg, half, lmm);
         }
     }
 }
@@ -335,27 +341,10 @@ impl KernelProgram for ComparerKernel {
     }
 }
 
-/// Convenience: run the comparer over the candidate set on `device`.
-///
-/// Returns the number of passing entries.
-///
-/// # Errors
-///
-/// Propagates launch failures.
-pub fn run_comparer(
-    device: &Device,
-    kernel: &ComparerKernel,
-    work_group_size: usize,
-) -> SimResult<usize> {
-    let nd = NdRange::linear_cover(kernel.locicnt as usize, work_group_size);
-    device.launch(kernel, nd)?;
-    Ok(kernel.out.count_entries())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{DeviceSpec, ExecMode};
+    use gpu_sim::{DeviceSpec, ExecMode, NdRange};
 
     fn device() -> Device {
         Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
@@ -391,7 +380,9 @@ mod tests {
             out,
             &compiled,
         );
-        run_comparer(&device, &kernel, 256).unwrap();
+        device
+            .launch(&kernel, NdRange::linear_cover(candidates.len(), 256))
+            .unwrap();
         let mut entries = kernel.out.entries();
         entries.sort_unstable();
         entries
@@ -400,13 +391,7 @@ mod tests {
     #[test]
     fn counts_forward_mismatches() {
         //       site: ACGTT  query: ACGTA -> 1 mismatch at the last base.
-        let entries = run(
-            OptLevel::Base,
-            b"ACGTT",
-            b"ACGTA",
-            &[(0, FLAG_FORWARD)],
-            4,
-        );
+        let entries = run(OptLevel::Base, b"ACGTT", b"ACGTA", &[(0, FLAG_FORWARD)], 4);
         assert_eq!(entries, vec![(0, b'+', 1)]);
     }
 
@@ -424,13 +409,7 @@ mod tests {
     fn reverse_strand_compares_the_revcomp_half() {
         // Genome window AAAAA; query TTTTT: revcomp(TTTTT) = AAAAA, so the
         // reverse strand matches perfectly while forward has 5 mismatches.
-        let entries = run(
-            OptLevel::Base,
-            b"AAAAA",
-            b"TTTTT",
-            &[(0, FLAG_BOTH)],
-            2,
-        );
+        let entries = run(OptLevel::Base, b"AAAAA", b"TTTTT", &[(0, FLAG_BOTH)], 2);
         assert_eq!(entries, vec![(0, b'-', 0)]);
     }
 
@@ -446,13 +425,7 @@ mod tests {
     #[test]
     fn n_positions_in_query_are_skipped() {
         // Query NNGTA: only positions 2..5 compared.
-        let entries = run(
-            OptLevel::Base,
-            b"TTGTA",
-            b"NNGTA",
-            &[(0, FLAG_FORWARD)],
-            0,
-        );
+        let entries = run(OptLevel::Base, b"TTGTA", b"NNGTA", &[(0, FLAG_FORWARD)], 0);
         assert_eq!(entries, vec![(0, b'+', 0)]);
     }
 
@@ -538,10 +511,7 @@ mod tests {
             "opt4 must regress past opt3 (occupancy 10 -> 9): {times:?}"
         );
         // Occupancy row of Table X.
-        let occ: Vec<u32> = reports
-            .iter()
-            .map(|r| r.occupancy.waves_per_simd)
-            .collect();
+        let occ: Vec<u32> = reports.iter().map(|r| r.occupancy.waves_per_simd).collect();
         assert_eq!(occ, vec![10, 10, 10, 10, 9]);
     }
 

@@ -13,12 +13,17 @@
 //! cached-load path of the simulator, which is what keeps the finder at a
 //! few percent of total kernel time while the comparer's scattered reads
 //! dominate (the paper measures the comparer at ~98%).
+//!
+//! [`PackedFinderKernel`] (2-bit words plus exceptions) and
+//! [`NibbleFinderKernel`] (4-bit nibbles) decode their encoded chunk into
+//! `chr` and then run this kernel's phases unchanged.
 
 use gpu_sim::isa::{CodeModel, Staging};
 use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
-use gpu_sim::{Device, DeviceBuffer, ItemCtx, NdRange, SimResult};
+use gpu_sim::{Device, DeviceBuffer, ItemCtx, SimResult};
 
 use genome::base::is_mismatch;
+use genome::fourbit::mask_to_char;
 
 use crate::pattern::CompiledSeq;
 
@@ -323,27 +328,95 @@ impl KernelProgram for PackedFinderKernel {
     }
 }
 
-/// Convenience: run the finder over a chunk already resident on `device`.
+/// The finder over a nibble-packed chunk.
 ///
-/// Returns the number of matches.
+/// Phase layout:
 ///
-/// # Errors
+/// 0. each work-group decodes its own read window (`group span + plen`
+///    overlap) from the nibble array into `chr` — each base becomes the
+///    canonical uppercase code of its mask ([`mask_to_char`]), which matches
+///    identically to the original byte;
+/// 1. cooperative pattern staging (the plain finder's phase 0);
+/// 2. scan (the plain finder's phase 1).
 ///
-/// Propagates launch failures.
-pub fn run_finder(
-    device: &Device,
-    kernel: &FinderKernel,
-    work_group_size: usize,
-) -> SimResult<usize> {
-    let nd = NdRange::linear_cover(kernel.scan_len as usize, work_group_size);
-    device.launch(kernel, nd)?;
-    Ok(kernel.out.count_matches())
+/// Unlike [`PackedFinderKernel`] there is no exception phase:
+/// the nibble mask is already exact for matching, so nothing needs patching.
+/// Overlapping window positions are written by two adjacent groups with the
+/// same decoded value, so the result is order-independent.
+#[derive(Debug, Clone)]
+pub struct NibbleFinderKernel {
+    /// The plain finder this kernel decodes into and then runs.
+    pub inner: FinderKernel,
+    /// Nibble-packed chunk bases (2 per byte, low nibble first).
+    pub nibbles: DeviceBuffer<u8>,
+}
+
+impl NibbleFinderKernel {
+    /// The structural code model (the same for every chunk and pattern).
+    pub fn model() -> CodeModel {
+        CodeModel::new("finder_nibble")
+            .pointer_args(7)
+            .scalar_args(3)
+            .noalias(true)
+            .staging(Staging::Parallel)
+            .staged_arrays(2)
+            .guarded_blocks(2)
+            .ladder_arms(13)
+            .atomic_output(true)
+            .extra_valu(8)
+    }
+}
+
+impl KernelProgram for NibbleFinderKernel {
+    type Private = ();
+
+    fn name(&self) -> &str {
+        "finder_nibble"
+    }
+
+    fn phases(&self) -> usize {
+        3
+    }
+
+    fn local_layout(&self) -> LocalLayout {
+        self.inner.local_layout()
+    }
+
+    fn code_model(&self) -> CodeModel {
+        NibbleFinderKernel::model()
+    }
+
+    fn run_phase(&self, phase: usize, item: &mut ItemCtx, p: &mut (), local: &mut LocalMem) {
+        match phase {
+            0 => {
+                // Strided decode of the group's read window: lane-adjacent
+                // nibble reads and chr writes, all coalesced.
+                let plen = self.inner.plen as usize;
+                let seq_len = self.inner.seq_len as usize;
+                let li = item.local_id(0);
+                let group = item.local_range(0);
+                let start = item.group(0) * group;
+                let end = (start + group + plen).min(seq_len);
+                let mut k = start + li;
+                while k < end {
+                    let byte = self.nibbles.load_coalesced(item, k / 2);
+                    item.ops(3); // shift, mask, LUT
+                    let c = mask_to_char((byte >> ((k % 2) * 4)) & 0b1111);
+                    self.inner.chr.store_coalesced(item, k, c);
+                    k += group;
+                }
+            }
+            _ => self.inner.run_phase(phase - 1, item, p, local),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{DeviceSpec, ExecMode};
+    use genome::base::base_mask;
+    use genome::fourbit::NibbleSeq;
+    use gpu_sim::{DeviceSpec, ExecMode, NdRange};
 
     fn device() -> Device {
         Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
@@ -359,16 +432,11 @@ mod tests {
             .unwrap();
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
         let scan_len = seq.len();
-        let (kernel, _layout) = FinderKernel::new(
-            chr,
-            pat,
-            pat_index,
-            out,
-            scan_len,
-            seq.len(),
-            &compiled,
-        );
-        let n = run_finder(&device, &kernel, 64).unwrap();
+        let (kernel, _layout) =
+            FinderKernel::new(chr, pat, pat_index, out, scan_len, seq.len(), &compiled);
+        let nd = NdRange::linear_cover(kernel.scan_len as usize, 64);
+        device.launch(&kernel, nd).unwrap();
+        let n = kernel.out.count_matches();
         let loci = kernel.out.loci.to_vec();
         let flags = kernel.out.flags.to_vec();
         let mut hits: Vec<(u32, u8)> = (0..n).map(|s| (loci[s], flags[s])).collect();
@@ -447,7 +515,9 @@ mod tests {
             .unwrap();
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
         let (kernel, _) = FinderKernel::new(chr, pat, pat_index, out, 2, seq.len(), &compiled);
-        let n = run_finder(&device, &kernel, 64).unwrap();
+        let nd = NdRange::linear_cover(kernel.scan_len as usize, 64);
+        device.launch(&kernel, nd).unwrap();
+        let n = kernel.out.count_matches();
         let loci = &kernel.out.loci.to_vec()[..n];
         assert_eq!(loci, &[0], "position 3's TGG is outside the owned range");
     }
@@ -464,7 +534,8 @@ mod tests {
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
         let packed = PackedSeq::encode(seq);
         let (pos, val) = packed.exception_arrays();
-        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
+        let (inner, _) =
+            FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
         let kernel = PackedFinderKernel {
             inner,
             packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
@@ -497,7 +568,12 @@ mod tests {
             let plain = run(&seq, pattern);
             let (hits, decoded) = run_packed(&seq, pattern);
             assert_eq!(decoded, seq, "on-device decode must be byte-exact");
-            assert_eq!(hits, plain, "pattern {}", std::str::from_utf8(pattern).unwrap());
+            assert_eq!(
+                hits,
+                plain,
+                "pattern {}",
+                std::str::from_utf8(pattern).unwrap()
+            );
             assert!(!hits.is_empty());
         }
     }
@@ -523,7 +599,9 @@ mod tests {
             exc_val: device.alloc_from_slice(&[0u8]).unwrap(),
             n_exc: 0,
         };
-        let report = device.launch(&kernel, NdRange::linear_cover(256, 64)).unwrap();
+        let report = device
+            .launch(&kernel, NdRange::linear_cover(256, 64))
+            .unwrap();
         assert!(report.counters.global_coalesced_stores >= 256);
         assert_eq!(
             report.counters.global_stores, 0,
@@ -551,5 +629,102 @@ mod tests {
         );
         assert!(report.counters.global_coalesced_loads > 0);
         assert!(report.counters.constant_loads > 0, "pattern staging reads");
+    }
+
+    fn run_plain_finder(seq: &[u8], pattern: &[u8]) -> Vec<(u32, u8)> {
+        let device = device();
+        let compiled = CompiledSeq::compile(pattern);
+        let chr = device.alloc_from_slice(seq).unwrap();
+        let pat = device.alloc_constant_from_slice(compiled.comp()).unwrap();
+        let pat_index = device
+            .alloc_constant_from_slice(compiled.comp_index())
+            .unwrap();
+        let out = FinderOutput::allocate(&device, seq.len()).unwrap();
+        let (kernel, _) =
+            FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
+        let nd = NdRange::linear_cover(seq.len(), 64);
+        device.launch(&kernel, nd).unwrap();
+        let n = kernel.out.count_matches();
+        let loci = kernel.out.loci.to_vec();
+        let flags = kernel.out.flags.to_vec();
+        let mut hits: Vec<(u32, u8)> = (0..n).map(|s| (loci[s], flags[s])).collect();
+        hits.sort_unstable();
+        hits
+    }
+
+    fn run_nibble_finder(seq: &[u8], pattern: &[u8]) -> (Vec<(u32, u8)>, Vec<u8>) {
+        let device = device();
+        let compiled = CompiledSeq::compile(pattern);
+        let packed = NibbleSeq::encode(seq);
+        let chr = device.alloc::<u8>(seq.len()).unwrap();
+        let pat = device.alloc_constant_from_slice(compiled.comp()).unwrap();
+        let pat_index = device
+            .alloc_constant_from_slice(compiled.comp_index())
+            .unwrap();
+        let out = FinderOutput::allocate(&device, seq.len()).unwrap();
+        let (inner, _) =
+            FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
+        let kernel = NibbleFinderKernel {
+            inner,
+            nibbles: device.alloc_from_slice(packed.nibble_bytes()).unwrap(),
+        };
+        let nd = NdRange::linear_cover(seq.len(), 64);
+        device.launch(&kernel, nd).unwrap();
+        let n = kernel.inner.out.count_matches();
+        let loci = kernel.inner.out.loci.to_vec();
+        let flags = kernel.inner.out.flags.to_vec();
+        let mut hits: Vec<(u32, u8)> = (0..n).map(|s| (loci[s], flags[s])).collect();
+        hits.sort_unstable();
+        (hits, kernel.inner.chr.to_vec())
+    }
+
+    #[test]
+    fn nibble_finder_matches_plain_finder_on_masked_sequences() {
+        let mut seq = b"NNNNAGGtggCCAaagRYSWKMaggNNNN".to_vec();
+        seq.extend(std::iter::repeat_n(*b"acgtaggcct", 40).flatten());
+        for pattern in [&b"NGG"[..], b"NRG"] {
+            let plain = run_plain_finder(&seq, pattern);
+            let (hits, decoded) = run_nibble_finder(&seq, pattern);
+            // The decode canonicalizes case (matching is case-insensitive).
+            let canonical: Vec<u8> = seq.iter().map(|&b| mask_to_char(base_mask(b))).collect();
+            assert_eq!(
+                decoded, canonical,
+                "decode is the canonical code of each mask"
+            );
+            assert_eq!(
+                hits,
+                plain,
+                "pattern {}",
+                std::str::from_utf8(pattern).unwrap()
+            );
+            assert!(!hits.is_empty());
+        }
+    }
+
+    #[test]
+    fn nibble_finder_stores_are_coalesced_class() {
+        let seq = vec![b'a'; 256]; // soft-masked everywhere
+        let device = device();
+        let compiled = CompiledSeq::compile(b"NGG");
+        let packed = NibbleSeq::encode(&seq);
+        let chr = device.alloc::<u8>(256).unwrap();
+        let pat = device.alloc_constant_from_slice(compiled.comp()).unwrap();
+        let pat_index = device
+            .alloc_constant_from_slice(compiled.comp_index())
+            .unwrap();
+        let out = FinderOutput::allocate(&device, 256).unwrap();
+        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, &compiled);
+        let kernel = NibbleFinderKernel {
+            inner,
+            nibbles: device.alloc_from_slice(packed.nibble_bytes()).unwrap(),
+        };
+        let report = device
+            .launch(&kernel, NdRange::linear_cover(256, 64))
+            .unwrap();
+        assert!(report.counters.global_coalesced_stores >= 256);
+        assert_eq!(
+            report.counters.global_stores, 0,
+            "no scattered stores: the nibble path has no exceptions"
+        );
     }
 }

@@ -1,31 +1,32 @@
-//! The device kernels: `finder` (PAM-site search) and `comparer` (mismatch
-//! counting), in the paper's five optimization stages.
+//! The device kernels. The paper's two — `finder` (PAM-site search) and
+//! `comparer` (mismatch counting, Listing 1, in the five optimization
+//! stages of Fig. 2 and Table X) — plus what the serving stack adds on top:
+//! finders over 2-bit and 4-bit packed chunks, and one generic serving
+//! comparer family ([`Comparer`]) over {char, 2-bit, 4-bit} references ×
+//! {staged, JIT-folded, fused-block} guides. [`cl`] binds them as OpenCL
+//! kernel functions.
 
 mod comparer;
+mod family;
 mod finder;
-mod fourbit;
 mod ladder;
-mod multi;
-mod twobit;
 
 pub mod cl;
 pub mod specialize;
 
-pub use comparer::{run_comparer, ComparerKernel, ComparerOutput};
-pub use finder::{run_finder, FinderKernel, FinderOutput, PackedFinderKernel};
-pub use fourbit::{FourBitComparerKernel, NibbleFinderKernel};
-pub use ladder::{ladder_rank, LADDER};
-pub use multi::{
-    char_multi_model, fourbit_multi_model, twobit_multi_model, FourBitMultiComparerKernel,
-    GuideThresholds, MultiComparerKernel, MultiComparerOutput, TwoBitMultiComparerKernel,
+pub use comparer::{ComparerKernel, ComparerOutput};
+pub use family::{
+    dispatch, model, Block, BlockThresholds, Chars, Comparer, Encoding, FourBitComparerKernel,
+    GuideThresholds, Guides, Launcher, MultiComparerKernel, MultiComparerOutput, Nibbles, Output,
+    Parts, Reference, Shape, Source, Staged, Tables, TwoBit, TwoBitComparerKernel, ENCODINGS,
     GUIDE_BLOCK,
 };
+pub use finder::{FinderKernel, FinderOutput, NibbleFinderKernel, PackedFinderKernel};
+pub use ladder::{ladder_rank, LADDER};
 pub use specialize::{
-    CompiledVariant, FoldedPattern, SpecializedComparerKernel, SpecializedFourBitComparerKernel,
-    SpecializedNibbleFinderKernel, SpecializedTwoBitComparerKernel, VariantCache,
-    VariantCacheStats, VariantKind,
+    CompiledVariant, FoldedPattern, SpecializedNibbleFinderKernel, VariantCache, VariantCacheStats,
+    VariantKind,
 };
-pub use twobit::TwoBitComparerKernel;
 
 use std::fmt;
 
@@ -125,6 +126,3 @@ mod tests {
         assert_eq!(OptLevel::Opt3.to_string(), "opt3");
     }
 }
-
-#[cfg(test)]
-mod characterization;

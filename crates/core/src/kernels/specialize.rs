@@ -21,20 +21,25 @@
 //! `serve::results` applies to duplicate in-flight jobs). Library-style
 //! workloads — thousands of sites, a handful of guides — amortize one
 //! compile across every subsequent launch.
+//!
+//! The folded comparers themselves are the serving comparer family
+//! instantiated with folded guides, `Comparer<R, Arc<CompiledVariant>>`
+//! (and, for a fused block's shared threshold, `Comparer<R, Block>`); their
+//! code models come from the same [`model`](super::model) as the generic
+//! ones.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use gpu_sim::isa::{self, CodeModel, ResourceUsage};
-use gpu_sim::kernel::{KernelProgram, LocalLayout, LocalMem};
+use gpu_sim::kernel::{KernelProgram, LocalMem};
 use gpu_sim::{DeviceBuffer, ItemCtx};
 
-use genome::base::{base_mask, is_mismatch};
-use genome::twobit::code_to_char;
+use genome::base::base_mask;
 
-use super::comparer::ComparerOutput;
-use super::finder::{FinderOutput, FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE};
+use super::family::{self, Chars, Nibbles, Reference, Shape, TwoBit};
+use super::finder::{FinderOutput, NibbleFinderKernel, FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE};
 use crate::pattern::CompiledSeq;
 
 /// Which kernel shape a variant specializes.
@@ -50,11 +55,11 @@ pub enum VariantKind {
     /// generic kernel's whole decode-to-`chr` phase disappears).
     NibbleFinder,
     /// The fused multi-guide comparer with the block's shared threshold
-    /// folded to an immediate ([`GuideThresholds::Folded`]
-    /// (super::multi::GuideThresholds::Folded)). The guides themselves stay
-    /// data — a library screen cycles thousands of them through the same
-    /// variant — so what folds is the (PAM pattern, threshold) pair the
-    /// whole screen shares.
+    /// folded to an immediate
+    /// ([`GuideThresholds::Folded`](super::GuideThresholds::Folded)). The
+    /// guides themselves stay data — a library screen cycles thousands of
+    /// them through the same variant — so what folds is the (PAM pattern,
+    /// threshold) pair the whole screen shares.
     MultiComparer,
 }
 
@@ -71,34 +76,29 @@ impl VariantKind {
     /// The kernel name the variant reports to the profiler. Fixed per kind
     /// (not per pattern) so profile consumers can aggregate by name.
     pub fn kernel_name(&self) -> &'static str {
+        let folded = Shape::Folded as usize;
         match self {
-            VariantKind::CharComparer => "comparer-spec",
-            VariantKind::TwoBitComparer => "comparer-2bit-spec",
-            VariantKind::FourBitComparer => "comparer-4bit-spec",
+            VariantKind::CharComparer => Chars::ENCODING.names[folded],
+            VariantKind::TwoBitComparer => TwoBit::ENCODING.names[folded],
+            VariantKind::FourBitComparer => Nibbles::ENCODING.names[folded],
             VariantKind::NibbleFinder => "finder_nibble-spec",
-            VariantKind::MultiComparer => "comparer_multi-spec",
+            VariantKind::MultiComparer => Chars::ENCODING.names[Shape::FoldedBlock as usize],
         }
     }
 
     fn tag(&self) -> u8 {
-        match self {
-            VariantKind::CharComparer => 0,
-            VariantKind::TwoBitComparer => 1,
-            VariantKind::FourBitComparer => 2,
-            VariantKind::NibbleFinder => 3,
-            VariantKind::MultiComparer => 4,
-        }
+        *self as u8
     }
 }
 
 /// A query pattern and threshold frozen into host-side immediates.
 ///
-/// Holds the same `[forward | revcomp]` layout the generic kernels stage
-/// into local memory, plus the per-position possibility masks the 4-bit
-/// comparer and nibble finder fold (saving the `base_mask` lookup too).
+/// Holds the compared positions of the `[forward | revcomp]` layout the
+/// generic kernels stage into local memory, and each position's possibility
+/// mask — the immediate every folded kernel's subset test reads, saving the
+/// pattern load and the `base_mask` lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldedPattern {
-    comp: Vec<u8>,
     comp_index: Vec<i32>,
     masks: Vec<u8>,
     plen: usize,
@@ -108,10 +108,8 @@ pub struct FoldedPattern {
 impl FoldedPattern {
     /// Fold `query` and `threshold` into immediates.
     pub fn fold(query: &CompiledSeq, threshold: u16) -> FoldedPattern {
-        let comp = query.comp().to_vec();
-        let masks = comp.iter().map(|&c| base_mask(c)).collect();
+        let masks = query.comp().iter().map(|&c| base_mask(c)).collect();
         FoldedPattern {
-            comp,
             comp_index: query.comp_index().to_vec(),
             masks,
             plen: query.plen(),
@@ -129,18 +127,15 @@ impl FoldedPattern {
         self.threshold
     }
 
+    /// The `j`-th compared position of strand `half`, `-1` past the last.
     #[inline]
-    fn index(&self, half: usize, j: usize) -> i32 {
+    pub(crate) fn index(&self, half: usize, j: usize) -> i32 {
         self.comp_index[half * self.plen + j]
     }
 
+    /// The possibility mask at position `k` of strand `half`.
     #[inline]
-    fn chr(&self, half: usize, k: usize) -> u8 {
-        self.comp[half * self.plen + k]
-    }
-
-    #[inline]
-    fn mask(&self, half: usize, k: usize) -> u8 {
+    pub(crate) fn mask(&self, half: usize, k: usize) -> u8 {
         self.masks[half * self.plen + k]
     }
 }
@@ -173,41 +168,13 @@ pub fn variant_digest(kind: VariantKind, query: &CompiledSeq, threshold: u16) ->
 /// The structural code model of a specialized variant: staging and the
 /// pattern pointer/scalar arguments are gone, the body is the folded ladder
 /// ([`CodeModel::folded_pattern`]) with the per-encoding decode cost kept as
-/// `extra_valu` (the genome side is still data).
+/// `extra_valu` (the genome side is still data). A fused block folds only
+/// its threshold: the guide tables stay staged data.
 pub fn specialized_model(kind: VariantKind, plen: usize) -> CodeModel {
-    let plen = plen as u32;
     match kind {
-        // chr, loci, flags + 4 output pointers; locicnt.
-        VariantKind::CharComparer => CodeModel::new(VariantKind::CharComparer.kernel_name())
-            .pointer_args(7)
-            .scalar_args(1)
-            .noalias(true)
-            .cached_global_scalars(2)
-            .guarded_blocks(2)
-            .atomic_output(true)
-            .folded_pattern(plen),
-        // packed, mask, loci, flags + 4 output pointers; locicnt. The
-        // packed-byte + mask-byte merge stays (40 VALU, as generic).
-        VariantKind::TwoBitComparer => CodeModel::new(VariantKind::TwoBitComparer.kernel_name())
-            .pointer_args(8)
-            .scalar_args(1)
-            .noalias(true)
-            .cached_global_scalars(2)
-            .guarded_blocks(2)
-            .atomic_output(true)
-            .extra_valu(40)
-            .folded_pattern(plen),
-        // nibbles, loci, flags + 4 output pointers; locicnt. One
-        // shift-and-mask decode per base (24 VALU, as generic).
-        VariantKind::FourBitComparer => CodeModel::new(VariantKind::FourBitComparer.kernel_name())
-            .pointer_args(7)
-            .scalar_args(1)
-            .noalias(true)
-            .cached_global_scalars(2)
-            .guarded_blocks(2)
-            .atomic_output(true)
-            .extra_valu(24)
-            .folded_pattern(plen),
+        VariantKind::CharComparer => family::model(&Chars::ENCODING, Shape::Folded, plen),
+        VariantKind::TwoBitComparer => family::model(&TwoBit::ENCODING, Shape::Folded, plen),
+        VariantKind::FourBitComparer => family::model(&Nibbles::ENCODING, Shape::Folded, plen),
         // nibbles + 3 output pointers; scan_len, seq_len. No decode phase
         // at all: the scan reads nibble words directly.
         VariantKind::NibbleFinder => CodeModel::new(VariantKind::NibbleFinder.kernel_name())
@@ -217,56 +184,21 @@ pub fn specialized_model(kind: VariantKind, plen: usize) -> CodeModel {
             .guarded_blocks(2)
             .atomic_output(true)
             .extra_valu(8)
-            .folded_pattern(plen),
-        // Only the threshold folds; the guide tables stay staged data, so
-        // the model is the generic fused comparer minus the threshold table
-        // argument and its staging ([`super::multi::char_multi_model`]).
-        VariantKind::MultiComparer => super::multi::char_multi_model(true),
+            .folded_pattern(plen as u32),
+        VariantKind::MultiComparer => family::model(&Chars::ENCODING, Shape::FoldedBlock, plen),
     }
 }
 
 /// The code model of the generic kernel a `kind` variant replaces — the
-/// "before" column of a generic-vs-specialized ISA comparison (the char
-/// comparer varies by optimization stage; the packed kernels have one
-/// generic form each, mirrored from their `KernelProgram::code_model`
-/// implementations).
+/// "before" column of a generic-vs-specialized ISA comparison. The char
+/// comparer is the paper's, at optimization stage `opt`.
 pub fn generic_model(kind: VariantKind, opt: super::OptLevel) -> CodeModel {
-    use gpu_sim::isa::Staging;
     match kind {
-        VariantKind::CharComparer => super::comparer::ComparerKernel::code_model_for(opt),
-        VariantKind::TwoBitComparer => CodeModel::new("comparer-2bit")
-            .pointer_args(10)
-            .scalar_args(3)
-            .noalias(true)
-            .cached_global_scalars(2)
-            .staging(Staging::Parallel)
-            .staged_arrays(2)
-            .guarded_blocks(2)
-            .ladder_arms(13)
-            .atomic_output(true)
-            .extra_valu(40),
-        VariantKind::FourBitComparer => CodeModel::new("comparer-4bit")
-            .pointer_args(9)
-            .scalar_args(3)
-            .noalias(true)
-            .cached_global_scalars(2)
-            .staging(Staging::Parallel)
-            .staged_arrays(2)
-            .guarded_blocks(2)
-            .ladder_arms(13)
-            .atomic_output(true)
-            .extra_valu(24),
-        VariantKind::NibbleFinder => CodeModel::new("finder_nibble")
-            .pointer_args(7)
-            .scalar_args(3)
-            .noalias(true)
-            .staging(Staging::Parallel)
-            .staged_arrays(2)
-            .guarded_blocks(2)
-            .ladder_arms(13)
-            .atomic_output(true)
-            .extra_valu(8),
-        VariantKind::MultiComparer => super::multi::char_multi_model(false),
+        VariantKind::CharComparer => super::ComparerKernel::code_model_for(opt),
+        VariantKind::TwoBitComparer => family::model(&TwoBit::ENCODING, Shape::Staged, 0),
+        VariantKind::FourBitComparer => family::model(&Nibbles::ENCODING, Shape::Staged, 0),
+        VariantKind::NibbleFinder => NibbleFinderKernel::model(),
+        VariantKind::MultiComparer => family::model(&Chars::ENCODING, Shape::Block, 0),
     }
 }
 
@@ -499,296 +431,6 @@ pub fn global_cache() -> &'static VariantCache {
     CACHE.get_or_init(|| VariantCache::new(GLOBAL_VARIANT_CAPACITY))
 }
 
-/// The specialized char comparer: the generic [`ComparerKernel`]'s phase-1
-/// semantics with the pattern and threshold folded to immediates. Single
-/// phase — there is nothing to stage — and no local memory.
-///
-/// [`ComparerKernel`]: super::ComparerKernel
-#[derive(Debug, Clone)]
-pub struct SpecializedComparerKernel {
-    /// Chunk bases.
-    pub chr: DeviceBuffer<u8>,
-    /// Candidate loci from the finder (chunk-relative).
-    pub loci: DeviceBuffer<u32>,
-    /// Strand flags from the finder.
-    pub flags: DeviceBuffer<u8>,
-    /// Number of candidate loci.
-    pub locicnt: u32,
-    /// Output arrays.
-    pub out: ComparerOutput,
-    /// The compiled variant (pattern, threshold, resources).
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl SpecializedComparerKernel {
-    fn compare_strand(&self, item: &mut ItemCtx, locus: u32, half: usize) {
-        let p = &self.variant.pattern;
-        let mut lmm: u16 = 0;
-        item.ops(1);
-        for j in 0..p.plen() {
-            let k = p.index(half, j);
-            if k < 0 {
-                break;
-            }
-            let k = k as usize;
-            // The pattern byte is an immediate operand; only the genome
-            // load and the compare cost anything.
-            let pat_c = p.chr(half, k);
-            let chr_c = self.chr.load(item, locus as usize + k);
-            item.ops(1);
-            if is_mismatch(pat_c, chr_c) {
-                lmm += 1;
-                item.ops(1);
-                if lmm > p.threshold() {
-                    break;
-                }
-            }
-        }
-        item.ops(1);
-        if lmm <= p.threshold() {
-            let slot = self.out.count.atomic_inc(item, 0) as usize;
-            self.out.mm_count.store(item, slot, lmm);
-            self.out
-                .direction
-                .store(item, slot, if half == 0 { b'+' } else { b'-' });
-            self.out.loci.store(item, slot, locus);
-        }
-    }
-}
-
-impl KernelProgram for SpecializedComparerKernel {
-    type Private = ();
-
-    fn name(&self) -> &str {
-        VariantKind::CharComparer.kernel_name()
-    }
-
-    fn code_model(&self) -> CodeModel {
-        specialized_model(VariantKind::CharComparer, self.variant.pattern.plen())
-    }
-
-    fn run_phase(&self, _phase: usize, item: &mut ItemCtx, _p: &mut (), _local: &mut LocalMem) {
-        let i = item.global_id(0);
-        item.ops(1);
-        if i >= self.locicnt as usize {
-            return;
-        }
-        let flag = self.flags.load(item, i);
-        let locus = self.loci.load(item, i);
-        item.ops(2);
-        if flag == FLAG_BOTH || flag == FLAG_FORWARD {
-            self.compare_strand(item, locus, 0);
-        }
-        item.ops(2);
-        if flag == FLAG_BOTH || flag == FLAG_REVERSE {
-            self.compare_strand(item, locus, 1);
-        }
-    }
-}
-
-/// The specialized 2-bit comparer: [`TwoBitComparerKernel`] semantics with
-/// folded pattern/threshold. The packed-byte + mask-byte decode stays — the
-/// genome side is still data.
-///
-/// [`TwoBitComparerKernel`]: super::TwoBitComparerKernel
-#[derive(Debug, Clone)]
-pub struct SpecializedTwoBitComparerKernel {
-    /// Packed chunk bases, 4 per byte.
-    pub packed: DeviceBuffer<u8>,
-    /// Ambiguity mask, 8 bases per byte.
-    pub mask: DeviceBuffer<u8>,
-    /// Candidate loci (chunk-relative).
-    pub loci: DeviceBuffer<u32>,
-    /// Strand flags from the finder.
-    pub flags: DeviceBuffer<u8>,
-    /// Number of candidates.
-    pub locicnt: u32,
-    /// Output arrays.
-    pub out: ComparerOutput,
-    /// The compiled variant.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl SpecializedTwoBitComparerKernel {
-    fn base_at(&self, item: &mut ItemCtx, cache: &mut (usize, u8, usize, u8), pos: usize) -> u8 {
-        let (pb_idx, mb_idx) = (pos / 4, pos / 8);
-        if cache.0 != pb_idx {
-            cache.0 = pb_idx;
-            cache.1 = self.packed.load(item, pb_idx);
-        }
-        if cache.2 != mb_idx {
-            cache.2 = mb_idx;
-            cache.3 = self.mask.load(item, mb_idx);
-        }
-        item.ops(4);
-        if (cache.3 >> (pos % 8)) & 1 == 1 {
-            b'N'
-        } else {
-            code_to_char((cache.1 >> ((pos % 4) * 2)) & 0b11)
-        }
-    }
-
-    fn compare_strand(&self, item: &mut ItemCtx, locus: u32, half: usize) {
-        let p = &self.variant.pattern;
-        let mut lmm: u16 = 0;
-        let mut cache = (usize::MAX, 0u8, usize::MAX, 0u8);
-        item.ops(2);
-        for j in 0..p.plen() {
-            let k = p.index(half, j);
-            if k < 0 {
-                break;
-            }
-            let k = k as usize;
-            let pat_c = p.chr(half, k);
-            let chr_c = self.base_at(item, &mut cache, locus as usize + k);
-            item.ops(1);
-            if is_mismatch(pat_c, chr_c) {
-                lmm += 1;
-                item.ops(1);
-                if lmm > p.threshold() {
-                    break;
-                }
-            }
-        }
-        item.ops(1);
-        if lmm <= p.threshold() {
-            let slot = self.out.count.atomic_inc(item, 0) as usize;
-            self.out.mm_count.store(item, slot, lmm);
-            self.out
-                .direction
-                .store(item, slot, if half == 0 { b'+' } else { b'-' });
-            self.out.loci.store(item, slot, locus);
-        }
-    }
-}
-
-impl KernelProgram for SpecializedTwoBitComparerKernel {
-    type Private = ();
-
-    fn name(&self) -> &str {
-        VariantKind::TwoBitComparer.kernel_name()
-    }
-
-    fn code_model(&self) -> CodeModel {
-        specialized_model(VariantKind::TwoBitComparer, self.variant.pattern.plen())
-    }
-
-    fn run_phase(&self, _phase: usize, item: &mut ItemCtx, _p: &mut (), _local: &mut LocalMem) {
-        let i = item.global_id(0);
-        item.ops(1);
-        if i >= self.locicnt as usize {
-            return;
-        }
-        let flag = self.flags.load(item, i);
-        let locus = self.loci.load(item, i);
-        item.ops(2);
-        if flag == FLAG_BOTH || flag == FLAG_FORWARD {
-            self.compare_strand(item, locus, 0);
-        }
-        item.ops(2);
-        if flag == FLAG_BOTH || flag == FLAG_REVERSE {
-            self.compare_strand(item, locus, 1);
-        }
-    }
-}
-
-/// The specialized 4-bit comparer: [`FourBitComparerKernel`] semantics with
-/// the pattern's possibility masks folded — the subset test runs against an
-/// immediate, saving the `base_mask` lookup on top of the pattern load.
-///
-/// [`FourBitComparerKernel`]: super::FourBitComparerKernel
-#[derive(Debug, Clone)]
-pub struct SpecializedFourBitComparerKernel {
-    /// Nibble-packed chunk bases, 2 per byte, low nibble first.
-    pub nibbles: DeviceBuffer<u8>,
-    /// Candidate loci (chunk-relative).
-    pub loci: DeviceBuffer<u32>,
-    /// Strand flags from the finder.
-    pub flags: DeviceBuffer<u8>,
-    /// Number of candidates.
-    pub locicnt: u32,
-    /// Output arrays.
-    pub out: ComparerOutput,
-    /// The compiled variant.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl SpecializedFourBitComparerKernel {
-    fn mask_at(&self, item: &mut ItemCtx, cache: &mut (usize, u8), pos: usize) -> u8 {
-        let idx = pos / 2;
-        if cache.0 != idx {
-            cache.0 = idx;
-            cache.1 = self.nibbles.load(item, idx);
-        }
-        item.ops(2);
-        (cache.1 >> ((pos % 2) * 4)) & 0b1111
-    }
-
-    fn compare_strand(&self, item: &mut ItemCtx, locus: u32, half: usize) {
-        let pat = &self.variant.pattern;
-        let mut lmm: u16 = 0;
-        let mut cache = (usize::MAX, 0u8);
-        item.ops(2);
-        for j in 0..pat.plen() {
-            let k = pat.index(half, j);
-            if k < 0 {
-                break;
-            }
-            let k = k as usize;
-            let g = self.mask_at(item, &mut cache, locus as usize + k);
-            // Folded possibility mask: immediate operand, no lookup.
-            let p = pat.mask(half, k);
-            item.ops(1);
-            if !(g != 0 && (g & p) == g) {
-                lmm += 1;
-                item.ops(1);
-                if lmm > pat.threshold() {
-                    break;
-                }
-            }
-        }
-        item.ops(1);
-        if lmm <= pat.threshold() {
-            let slot = self.out.count.atomic_inc(item, 0) as usize;
-            self.out.mm_count.store(item, slot, lmm);
-            self.out
-                .direction
-                .store(item, slot, if half == 0 { b'+' } else { b'-' });
-            self.out.loci.store(item, slot, locus);
-        }
-    }
-}
-
-impl KernelProgram for SpecializedFourBitComparerKernel {
-    type Private = ();
-
-    fn name(&self) -> &str {
-        VariantKind::FourBitComparer.kernel_name()
-    }
-
-    fn code_model(&self) -> CodeModel {
-        specialized_model(VariantKind::FourBitComparer, self.variant.pattern.plen())
-    }
-
-    fn run_phase(&self, _phase: usize, item: &mut ItemCtx, _p: &mut (), _local: &mut LocalMem) {
-        let i = item.global_id(0);
-        item.ops(1);
-        if i >= self.locicnt as usize {
-            return;
-        }
-        let flag = self.flags.load(item, i);
-        let locus = self.loci.load(item, i);
-        item.ops(2);
-        if flag == FLAG_BOTH || flag == FLAG_FORWARD {
-            self.compare_strand(item, locus, 0);
-        }
-        item.ops(2);
-        if flag == FLAG_BOTH || flag == FLAG_REVERSE {
-            self.compare_strand(item, locus, 1);
-        }
-    }
-}
-
 /// The specialized nibble finder: scans nibble words directly against the
 /// folded PAM masks. The generic [`NibbleFinderKernel`] first decodes the
 /// whole read window into the `chr` scratch, then stages the pattern, then
@@ -879,17 +521,11 @@ impl KernelProgram for SpecializedNibbleFinderKernel {
     }
 }
 
-/// The local layout every specialized kernel shares: none. Kept as a helper
-/// so call sites don't hand-build empty layouts.
-pub fn empty_layout() -> LocalLayout {
-    LocalLayout::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::{
-        ComparerKernel, FinderKernel, FourBitComparerKernel, NibbleFinderKernel, OptLevel,
+        Comparer, ComparerKernel, ComparerOutput, FinderKernel, FourBitComparerKernel, OptLevel,
         TwoBitComparerKernel,
     };
     use genome::fourbit::NibbleSeq;
@@ -981,17 +617,17 @@ mod tests {
         let chr = device.alloc_from_slice(seq).unwrap();
         let loci_host: Vec<u32> = cands.iter().map(|&(p, _)| p).collect();
         let flags_host: Vec<u8> = cands.iter().map(|&(_, f)| f).collect();
-        let kernel = SpecializedComparerKernel {
-            chr,
+        let kernel = Comparer {
+            reference: Chars(chr),
             loci: device.alloc_from_slice(&loci_host).unwrap(),
             flags: device.alloc_from_slice(&flags_host).unwrap(),
             locicnt: cands.len() as u32,
-            out: ComparerOutput::allocate(&device, cands.len() * 2 + 1).unwrap(),
-            variant: Arc::new(CompiledVariant::compile(
+            guides: Arc::new(CompiledVariant::compile(
                 VariantKind::CharComparer,
                 query,
                 threshold,
             )),
+            out: ComparerOutput::allocate(&device, cands.len() * 2 + 1).unwrap(),
         };
         device
             .launch(&kernel, NdRange::linear_cover(cands.len(), 256))
@@ -1044,18 +680,20 @@ mod tests {
         let packed = PackedSeq::encode(seq);
         let loci_host: Vec<u32> = cands.iter().map(|&(p, _)| p).collect();
         let flags_host: Vec<u8> = cands.iter().map(|&(_, f)| f).collect();
-        let kernel = SpecializedTwoBitComparerKernel {
-            packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
-            mask: device.alloc_from_slice(packed.mask_bytes()).unwrap(),
+        let kernel = Comparer {
+            reference: TwoBit {
+                packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
+                mask: device.alloc_from_slice(packed.mask_bytes()).unwrap(),
+            },
             loci: device.alloc_from_slice(&loci_host).unwrap(),
             flags: device.alloc_from_slice(&flags_host).unwrap(),
             locicnt: cands.len() as u32,
-            out: ComparerOutput::allocate(&device, cands.len() * 2 + 1).unwrap(),
-            variant: Arc::new(CompiledVariant::compile(
+            guides: Arc::new(CompiledVariant::compile(
                 VariantKind::TwoBitComparer,
                 query,
                 threshold,
             )),
+            out: ComparerOutput::allocate(&device, cands.len() * 2 + 1).unwrap(),
         };
         device
             .launch(&kernel, NdRange::linear_cover(cands.len(), 256))
@@ -1106,17 +744,17 @@ mod tests {
         let packed = NibbleSeq::encode(seq);
         let loci_host: Vec<u32> = cands.iter().map(|&(p, _)| p).collect();
         let flags_host: Vec<u8> = cands.iter().map(|&(_, f)| f).collect();
-        let kernel = SpecializedFourBitComparerKernel {
-            nibbles: device.alloc_from_slice(packed.nibble_bytes()).unwrap(),
+        let kernel = Comparer {
+            reference: Nibbles(device.alloc_from_slice(packed.nibble_bytes()).unwrap()),
             loci: device.alloc_from_slice(&loci_host).unwrap(),
             flags: device.alloc_from_slice(&flags_host).unwrap(),
             locicnt: cands.len() as u32,
-            out: ComparerOutput::allocate(&device, cands.len() * 2 + 1).unwrap(),
-            variant: Arc::new(CompiledVariant::compile(
+            guides: Arc::new(CompiledVariant::compile(
                 VariantKind::FourBitComparer,
                 query,
                 threshold,
             )),
+            out: ComparerOutput::allocate(&device, cands.len() * 2 + 1).unwrap(),
         };
         device
             .launch(&kernel, NdRange::linear_cover(cands.len(), 256))
@@ -1125,9 +763,9 @@ mod tests {
     }
 
     const QUERIES: [&[u8]; 3] = [
-        b"GGCACTGCGGCTGGAGGTGGNGG",    // cas-offinder demo guide
-        b"ACGTNNNRYSWKMBDHVACGTNN",    // degenerate IUPAC everywhere
-        b"NNNNNNNNNNNNNNNNNNNNNGG",    // PAM-only (all-N guide)
+        b"GGCACTGCGGCTGGAGGTGGNGG", // cas-offinder demo guide
+        b"ACGTNNNRYSWKMBDHVACGTNN", // degenerate IUPAC everywhere
+        b"NNNNNNNNNNNNNNNNNNNNNGG", // PAM-only (all-N guide)
     ];
     const THRESHOLDS: [u16; 3] = [0, 2, 5];
 
@@ -1194,15 +832,7 @@ mod tests {
             let pat = device.alloc_from_slice(pam.comp()).unwrap();
             let pat_index = device.alloc_from_slice(pam.comp_index()).unwrap();
             let out = FinderOutput::allocate(&device, scan_len * 2 + 1).unwrap();
-            let (inner, _) = FinderKernel::new(
-                chr,
-                pat,
-                pat_index,
-                out,
-                scan_len,
-                seq.len(),
-                &pam,
-            );
+            let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, scan_len, seq.len(), &pam);
             let kernel = NibbleFinderKernel { inner, nibbles };
             device
                 .launch(&kernel, NdRange::linear_cover(scan_len, 256))
@@ -1245,7 +875,11 @@ mod tests {
                 spec_res.code_bytes,
                 gen_res.code_bytes
             );
-            for hw in [DeviceSpec::mi100(), DeviceSpec::mi60(), DeviceSpec::radeon_vii()] {
+            for hw in [
+                DeviceSpec::mi100(),
+                DeviceSpec::mi60(),
+                DeviceSpec::radeon_vii(),
+            ] {
                 let spec_occ = occupancy(&spec_res, &nd, &hw).waves_per_simd;
                 let gen_occ = occupancy(&gen_res, &nd, &hw).waves_per_simd;
                 assert!(
@@ -1266,11 +900,26 @@ mod tests {
     fn variant_isa_table_matches_the_bench_record() {
         use gpu_sim::occupancy::occupancy;
         let rows = [
-            (VariantKind::CharComparer, [6180, 660, 22, 8, 64, 41, 10, 10]),
-            (VariantKind::TwoBitComparer, [4648, 828, 10, 8, 57, 42, 10, 10]),
-            (VariantKind::FourBitComparer, [4576, 756, 10, 8, 56, 41, 10, 10]),
-            (VariantKind::NibbleFinder, [4464, 644, 10, 8, 54, 38, 10, 10]),
-            (VariantKind::MultiComparer, [4584, 4536, 10, 10, 58, 57, 10, 10]),
+            (
+                VariantKind::CharComparer,
+                [6180, 660, 22, 8, 64, 41, 10, 10],
+            ),
+            (
+                VariantKind::TwoBitComparer,
+                [4648, 828, 10, 8, 57, 42, 10, 10],
+            ),
+            (
+                VariantKind::FourBitComparer,
+                [4576, 756, 10, 8, 56, 41, 10, 10],
+            ),
+            (
+                VariantKind::NibbleFinder,
+                [4464, 644, 10, 8, 54, 38, 10, 10],
+            ),
+            (
+                VariantKind::MultiComparer,
+                [4584, 4536, 10, 10, 58, 57, 10, 10],
+            ),
         ];
         let (hw, nd) = (DeviceSpec::mi100(), NdRange::linear(1 << 13, 64));
         for (kind, want) in rows {
@@ -1333,7 +982,9 @@ mod tests {
         cache.get_or_compile(VariantKind::CharComparer, &queries[1], 3);
         assert_eq!(cache.stats().misses, 4, "query 1 was the LRU victim");
         assert!(stats.compile_ns_quantile(0.5).is_some());
-        assert!(stats.compile_ns_quantile(0.95).unwrap() >= stats.compile_ns_quantile(0.5).unwrap());
+        assert!(
+            stats.compile_ns_quantile(0.95).unwrap() >= stats.compile_ns_quantile(0.5).unwrap()
+        );
     }
 
     #[test]

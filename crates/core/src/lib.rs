@@ -20,8 +20,10 @@
 //! simulator: [`pipeline::ocl`] (the 13-step OpenCL original) and
 //! [`pipeline::sycl`] (the 8-step SYCL migration). [`cpu`] holds the scalar
 //! oracle and the multithreaded host baseline; [`bulge`] adds the
-//! insertion/deletion (bulge) search; [`kernels::TwoBitComparerKernel`] is
-//! the packed-genome variant of the original authors' follow-up work.
+//! insertion/deletion (bulge) search; [`kernels::Comparer`] is the serving
+//! comparer family — packed-genome (the original authors' follow-up work),
+//! JIT-specialized and fused multi-guide comparers, one strand loop generic
+//! over the reference encoding and the guide source.
 //!
 //! ## Quickstart
 //!

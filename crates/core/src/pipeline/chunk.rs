@@ -34,7 +34,7 @@
 //! concurrent jobs that target the same genome chunk and pays for one
 //! chunk transfer plus one finder launch per batch instead of one per job.
 
-use gpu_sim::kernel::LocalLayout;
+use gpu_sim::kernel::{KernelProgram, LocalLayout};
 use gpu_sim::profile::Profile;
 use gpu_sim::{Device, DeviceBuffer, NdRange, TrafficSnapshot};
 use opencl_rt::{
@@ -53,19 +53,13 @@ use genome::twobit::PackedSeq;
 
 use crate::input::Query;
 use crate::kernels::cl::{
-    ClComparer, ClFinder, ClFourBitComparer, ClFourBitMultiComparer, ClMultiComparer,
-    ClNibbleFinder, ClPackedFinder, ClSpecializedComparer, ClSpecializedFourBitComparer,
-    ClSpecializedFourBitMultiComparer, ClSpecializedMultiComparer, ClSpecializedNibbleFinder,
-    ClSpecializedTwoBitComparer, ClSpecializedTwoBitMultiComparer, ClTwoBitComparer,
-    ClTwoBitMultiComparer,
+    ClComparer, ClFamily, ClFinder, ClNibbleFinder, ClPackedFinder, ClSpecializedNibbleFinder,
 };
 use crate::kernels::specialize::{self, CompiledVariant, VariantKind};
 use crate::kernels::{
-    ComparerKernel, ComparerOutput, FinderKernel, FinderOutput, FourBitComparerKernel,
-    FourBitMultiComparerKernel, GuideThresholds, MultiComparerKernel, MultiComparerOutput,
-    NibbleFinderKernel, OptLevel, PackedFinderKernel, SpecializedComparerKernel,
-    SpecializedFourBitComparerKernel, SpecializedNibbleFinderKernel,
-    SpecializedTwoBitComparerKernel, TwoBitComparerKernel, TwoBitMultiComparerKernel, GUIDE_BLOCK,
+    dispatch, Block, ComparerKernel, ComparerOutput, FinderKernel, FinderOutput, GuideThresholds,
+    Launcher, MultiComparerOutput, NibbleFinderKernel, OptLevel, PackedFinderKernel,
+    SpecializedNibbleFinderKernel, Staged as StagedGuide, GUIDE_BLOCK,
 };
 use crate::pattern::CompiledSeq;
 use crate::report::TimingBreakdown;
@@ -944,14 +938,10 @@ impl OpenCl {
         fused: bool,
         variant: Arc<CompiledVariant>,
     ) -> ClResult<(Program, Kernel)> {
-        let f: Arc<dyn ClKernelFunction> = match (fused, staged) {
-            (false, Staged::Char(_)) => Arc::new(ClSpecializedComparer { variant }),
-            (false, Staged::TwoBit(_)) => Arc::new(ClSpecializedTwoBitComparer { variant }),
-            (false, Staged::FourBit(_)) => Arc::new(ClSpecializedFourBitComparer { variant }),
-            (true, Staged::Char(_)) => Arc::new(ClSpecializedMultiComparer { variant }),
-            (true, Staged::TwoBit(_)) => Arc::new(ClSpecializedTwoBitMultiComparer { variant }),
-            (true, Staged::FourBit(_)) => Arc::new(ClSpecializedFourBitMultiComparer { variant }),
-        };
+        let f = Arc::new(match fused {
+            true => ClFamily::block(staged.index(), Some(variant)),
+            false => ClFamily::folded(staged.index(), variant),
+        });
         let name = f.name().to_owned();
         let program = Program::create_with_source(&self.ctx, KernelSource::new().with_function(f));
         program.build("-O3")?;
@@ -1003,18 +993,17 @@ impl Backend for OpenCl {
             .with_function(Arc::new(ClPackedFinder))
             .with_function(Arc::new(ClNibbleFinder))
             .with_function(Arc::new(ClComparer::new(config.opt)))
-            .with_function(Arc::new(ClTwoBitComparer))
-            .with_function(Arc::new(ClFourBitComparer));
+            .with_function(Arc::new(ClFamily::staged(1)))
+            .with_function(Arc::new(ClFamily::staged(2)));
         if config.specialize {
             let variant =
                 specialize::global_cache().get_or_compile(VariantKind::NibbleFinder, &pattern, 0);
             source = source.with_function(Arc::new(ClSpecializedNibbleFinder { variant }));
         }
         if config.multi_guide {
-            source = source
-                .with_function(Arc::new(ClMultiComparer))
-                .with_function(Arc::new(ClTwoBitMultiComparer))
-                .with_function(Arc::new(ClFourBitMultiComparer));
+            for enc in 0..3 {
+                source = source.with_function(Arc::new(ClFamily::block(enc, None)));
+            }
         }
         let program = Program::create_with_source(&ctx, source);
         program.build("-O3")?;
@@ -1826,13 +1815,8 @@ impl Backend for Sycl {
                     let comp = h.get_access(&comp_buf, AccessMode::Read)?.raw();
                     let comp_index = h.get_access(&comp_index_buf, AccessMode::Read)?.raw();
                     let (out, guide) = outs.bind(h)?;
-                    let out = MultiComparerOutput {
-                        mm_count: out.mm_count,
-                        direction: out.direction,
-                        loci: out.loci,
-                        guide: guide.expect("fused outputs carry guide tags"),
-                        count: out.count,
-                    };
+                    let guide = guide.expect("fused outputs carry guide tags");
+                    let out = MultiComparerOutput { entries: out, guide };
                     let thresholds = match variant {
                         Some(variant) => GuideThresholds::Folded {
                             threshold: thr[0],
@@ -1843,21 +1827,9 @@ impl Backend for Sycl {
                         }
                     };
                     let chunk = bind_reads(h, staged.compare_bufs())?;
-                    let c = |i: usize| chunk[i].clone();
-                    // Every encoding's fused comparer takes the same
-                    // arguments after its chunk buffers.
-                    macro_rules! fused {
-                        ($kernel:ident; $($chunk:expr),+) => {
-                            h.parallel_for(range, &$kernel::new(
-                                $($chunk,)+ loci, flags, comp, comp_index, thresholds, n, plen, g, out
-                            ).0)
-                        };
-                    }
-                    match staged {
-                        Staged::Char(_) => fused!(MultiComparerKernel; c(0)),
-                        Staged::TwoBit(_) => fused!(TwoBitMultiComparerKernel; c(0), c(1)),
-                        Staged::FourBit(_) => fused!(FourBitMultiComparerKernel; c(0)),
-                    }
+                    let block = Block::new(comp, comp_index, thresholds, plen, g);
+                    let parts = (loci, flags, n, block, out);
+                    dispatch(staged.index(), &chunk, parts, Submit(h, range))
                 })?;
                 (ev, outs)
             }
@@ -1869,56 +1841,27 @@ impl Backend for Sycl {
                 });
                 let ev = self.queue.submit(|h| {
                     let chunk = bind_reads(h, staged.compare_bufs())?;
-                    let c = |i: usize| chunk[i].clone();
                     let loci = h.get_access(loci_buf, AccessMode::Read)?.raw();
                     let flags = h.get_access(flags_buf, AccessMode::Read)?.raw();
-                    let locicnt = n as u32;
                     if let Some(variant) = variant {
                         let (out, _) = outs.bind(h)?;
-                        // Every encoding's folded comparer shares the
-                        // fields after its chunk buffers.
-                        macro_rules! folded {
-                            ($kernel:ident; $($field:ident: $chunk:expr),+) => {
-                                h.parallel_for(range, &$kernel {
-                                    $($field: $chunk,)+ loci, flags, locicnt, out, variant
-                                })
-                            };
-                        }
-                        return match staged {
-                            Staged::Char(_) => folded!(SpecializedComparerKernel; chr: c(0)),
-                            Staged::TwoBit(_) => {
-                                folded!(SpecializedTwoBitComparerKernel; packed: c(0), mask: c(1))
-                            }
-                            Staged::FourBit(_) => {
-                                folded!(SpecializedFourBitComparerKernel; nibbles: c(0))
-                            }
-                        };
+                        let parts = (loci, flags, n, variant, out);
+                        return dispatch(staged.index(), &chunk, parts, Submit(h, range));
                     }
                     let (comp_buf, comp_index_buf) = &tables.dev[qi];
                     let comp = h.get_access(comp_buf, AccessMode::Read)?.raw();
                     let comp_index = h.get_access(comp_index_buf, AccessMode::Read)?.raw();
                     let (out, _) = outs.bind(h)?;
-                    let mut layout = LocalLayout::new();
-                    let l_comp = layout.array::<u8>(2 * plen);
-                    let l_comp_index = layout.array::<i32>(2 * plen);
-                    let plen = plen as u32;
-                    // Every encoding's generic comparer shares the fields
-                    // after its chunk buffers.
-                    macro_rules! generic {
-                        ($kernel:ident; $($field:ident: $chunk:expr),+) => {
-                            h.parallel_for(range, &$kernel {
-                                $($field: $chunk,)+ loci, flags, comp, comp_index, locicnt, plen,
-                                threshold, out, l_comp, l_comp_index
-                            })
-                        };
+                    if let Staged::Char(_) = staged {
+                        let (chr, query) = (chunk[0].clone(), &tables.compiled[qi]);
+                        let (kernel, _) = ComparerKernel::new(
+                            self.opt, chr, loci, flags, comp, comp_index, n, threshold, out, query,
+                        );
+                        return h.parallel_for(range, &kernel);
                     }
-                    match staged {
-                        Staged::Char(_) => generic!(ComparerKernel; opt: self.opt, chr: c(0)),
-                        Staged::TwoBit(_) => {
-                            generic!(TwoBitComparerKernel; packed: c(0), mask: c(1))
-                        }
-                        Staged::FourBit(_) => generic!(FourBitComparerKernel; nibbles: c(0)),
-                    }
+                    let guides = StagedGuide::new(comp, comp_index, threshold, plen);
+                    let parts = (loci, flags, n, guides, out);
+                    dispatch(staged.index(), &chunk, parts, Submit(h, range))
                 })?;
                 (ev, outs)
             }
@@ -1941,6 +1884,17 @@ impl Backend for Sycl {
 
     /// Implicit: everything releases as it drops.
     fn release(self) {}
+}
+
+/// Submits a serving comparer in a SYCL command group.
+struct Submit<'a, 'q>(&'a mut Handler<'q>, NdRange);
+
+impl Launcher for Submit<'_, '_> {
+    type Out = SyclResult<()>;
+
+    fn launch<K: KernelProgram + 'static>(self, kernel: K) -> SyclResult<()> {
+        self.0.parallel_for(self.1, &kernel)
+    }
 }
 
 /// Bind `bufs` for reading, in order, and return their device views.

@@ -14,7 +14,9 @@ use gpu_sim::NdRange;
 use sycl_rt::{AccessMode, Buffer, Queue, SpecSelector, SyclResult};
 
 use crate::input::SearchInput;
-use crate::kernels::{ComparerOutput, FinderKernel, FinderOutput, TwoBitComparerKernel};
+use crate::kernels::{
+    ComparerOutput, FinderKernel, FinderOutput, Staged, TwoBit, TwoBitComparerKernel,
+};
 use crate::pattern::CompiledSeq;
 use crate::report::{Api, SearchReport, TimingBreakdown};
 use crate::site::sort_canonical;
@@ -130,27 +132,21 @@ pub fn run(
                 let dir = h.get_access(&out_dir, AccessMode::Write)?;
                 let mloci = h.get_access(&out_loci, AccessMode::Write)?;
                 let count = h.get_access(&out_count, AccessMode::ReadWrite)?;
-                let mut layout = LocalLayout::new();
-                let l_comp = layout.array::<u8>(2 * plen);
-                let l_comp_index = layout.array::<i32>(2 * plen);
                 let kernel = TwoBitComparerKernel {
-                    packed: packed.raw(),
-                    mask: mask.raw(),
+                    reference: TwoBit {
+                        packed: packed.raw(),
+                        mask: mask.raw(),
+                    },
                     loci: loci.raw(),
                     flags: flags.raw(),
-                    comp: comp.raw(),
-                    comp_index: comp_index.raw(),
                     locicnt: n as u32,
-                    plen: plen as u32,
-                    threshold: query.max_mismatches,
+                    guides: Staged::new(comp.raw(), comp_index.raw(), query.max_mismatches, plen),
                     out: ComparerOutput {
                         mm_count: mm.raw(),
                         direction: dir.raw(),
                         loci: mloci.raw(),
                         count: count.raw(),
                     },
-                    l_comp,
-                    l_comp_index,
                 };
                 h.parallel_for(NdRange::linear(round_up(n, wgs), wgs), &kernel)
             })?;

@@ -24,6 +24,10 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== smoke: repro table1 =="
 cargo run --release -p casoff-bench --bin repro -- table1
 
+# The paper scorecard: exits 1 when any claim no longer reproduces.
+echo "== scorecard: repro summary =="
+cargo run --release -p casoff-bench --bin repro -- summary
+
 echo "== smoke: serve throughput =="
 CASOFF_SERVE_JOBS=120 cargo run --release --example serve_demo
 test -s BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }
