@@ -1,37 +1,94 @@
 //! A std-only atomic cell for device-memory elements.
 //!
-//! Every [`Scalar`] fits in 64 bits, so each cell stores the element's bit
-//! pattern in one `AtomicU64`. Plain `load`/`store` use relaxed ordering —
+//! Each [`Scalar`] names an atomic word of its own width (`AtomicU8` for
+//! `u8`/`i8`, `AtomicU16`, `AtomicU32` for `u32`/`i32`/`f32`, `AtomicU64`
+//! for the 64-bit types), and a cell is exactly one such word holding the
+//! element's bit pattern. A buffer of genome bytes therefore occupies one
+//! host byte per element. Plain `load`/`store` use relaxed ordering —
 //! matching the inter-work-group visibility rules documented on
-//! [`crate::memory`] — and `fetch_add` is a compare-exchange loop, which
-//! keeps the crate free of `unsafe` code and external dependencies.
+//! [`crate::memory`] — and `fetch_add` is a compare-exchange loop on the
+//! element's own width, which keeps the crate free of `unsafe` code and
+//! external dependencies.
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use crate::memory::{AtomicScalar, Scalar};
 
-pub(crate) struct AtomicCell<T> {
-    bits: AtomicU64,
-    _elem: PhantomData<T>,
+/// An atomic word of one width, holding an element's bit pattern.
+///
+/// Public only so [`Scalar`] can name it; this module is private, so the
+/// trait cannot be named or implemented outside the crate.
+pub trait Word: Send + Sync + 'static {
+    /// The plain integer of the word's width.
+    type Bits: Copy;
+    /// A word holding `bits`.
+    fn new(bits: Self::Bits) -> Self;
+    /// Relaxed load.
+    fn get(&self) -> Self::Bits;
+    /// Relaxed store.
+    fn set(&self, bits: Self::Bits);
+    /// Relaxed weak compare-exchange: `Ok(current)` if the word held
+    /// `current` and now holds `new`, else `Err` with what it holds.
+    fn swap_if(&self, current: Self::Bits, new: Self::Bits) -> Result<Self::Bits, Self::Bits>;
+    /// `bits` zero-extended to 64 bits.
+    fn widen(bits: Self::Bits) -> u64;
+    /// The low bits of `bits`, undoing [`Word::widen`].
+    fn narrow(bits: u64) -> Self::Bits;
+}
+
+macro_rules! impl_word {
+    ($($atomic:ty => $bits:ty),*) => {$(
+        impl Word for $atomic {
+            type Bits = $bits;
+            #[inline]
+            fn new(bits: $bits) -> Self {
+                <$atomic>::new(bits)
+            }
+            #[inline]
+            fn get(&self) -> $bits {
+                self.load(Ordering::Relaxed)
+            }
+            #[inline]
+            fn set(&self, bits: $bits) {
+                self.store(bits, Ordering::Relaxed)
+            }
+            #[inline]
+            fn swap_if(&self, current: $bits, new: $bits) -> Result<$bits, $bits> {
+                self.compare_exchange_weak(current, new, Ordering::Relaxed, Ordering::Relaxed)
+            }
+            #[inline]
+            fn widen(bits: $bits) -> u64 {
+                bits as u64
+            }
+            #[inline]
+            fn narrow(bits: u64) -> $bits {
+                bits as $bits
+            }
+        }
+    )*};
+}
+
+impl_word!(AtomicU8 => u8, AtomicU16 => u16, AtomicU32 => u32, AtomicU64 => u64);
+
+pub(crate) struct AtomicCell<T: Scalar> {
+    word: T::Word,
 }
 
 impl<T: Scalar> AtomicCell<T> {
     pub(crate) fn new(v: T) -> Self {
         AtomicCell {
-            bits: AtomicU64::new(v.to_bits()),
-            _elem: PhantomData,
+            word: T::Word::new(v.to_word()),
         }
     }
 
     #[inline]
     pub(crate) fn load(&self) -> T {
-        T::from_bits(self.bits.load(Ordering::Relaxed))
+        T::from_word(self.word.get())
     }
 
     #[inline]
     pub(crate) fn store(&self, v: T) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.word.set(v.to_word());
     }
 }
 
@@ -39,14 +96,10 @@ impl<T: AtomicScalar> AtomicCell<T> {
     /// Atomically add `v` (wrapping), returning the previous value.
     #[inline]
     pub(crate) fn fetch_add(&self, v: T) -> T {
-        let mut cur = self.bits.load(Ordering::Relaxed);
+        let mut cur = self.word.get();
         loop {
-            let old = T::from_bits(cur);
-            let new = old.wrapping_add(v).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            let old = T::from_word(cur);
+            match self.word.swap_if(cur, old.wrapping_add(v).to_word()) {
                 Ok(_) => return old,
                 Err(now) => cur = now,
             }
@@ -57,6 +110,18 @@ impl<T: AtomicScalar> AtomicCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cells_are_as_wide_as_their_elements() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<AtomicCell<u8>>(), 1);
+        assert_eq!(size_of::<AtomicCell<i8>>(), 1);
+        assert_eq!(size_of::<AtomicCell<i16>>(), 2);
+        assert_eq!(size_of::<AtomicCell<u32>>(), 4);
+        assert_eq!(size_of::<AtomicCell<f32>>(), 4);
+        assert_eq!(size_of::<AtomicCell<i64>>(), 8);
+        assert_eq!(size_of::<AtomicCell<f64>>(), 8);
+    }
 
     #[test]
     fn narrow_integers_roundtrip() {
