@@ -96,8 +96,24 @@ impl AccessCounters {
     }
 
     /// True when every counter is zero.
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        *self == Self::ZERO
+        // One OR over every field, with no early exit: the executor asks
+        // this of every lane.
+        (self.global_loads
+            | self.global_stores
+            | self.global_load_bytes
+            | self.global_store_bytes
+            | self.constant_loads
+            | self.global_cached_loads
+            | self.global_coalesced_loads
+            | self.global_coalesced_stores
+            | self.local_loads
+            | self.local_stores
+            | self.atomic_ops
+            | self.arith_ops
+            | self.barriers)
+            == 0
     }
 }
 
@@ -112,6 +128,7 @@ impl Add for AccessCounters {
 }
 
 impl AddAssign for AccessCounters {
+    #[inline]
     fn add_assign(&mut self, rhs: AccessCounters) {
         self.global_loads += rhs.global_loads;
         self.global_stores += rhs.global_stores;

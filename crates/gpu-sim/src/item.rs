@@ -109,6 +109,23 @@ impl ItemCtx {
             + self.local_id[0]
     }
 
+    /// Move to the next work-item of the group in linear order (dimension 0
+    /// fastest) and clear the counters for it. The executor walks a group's
+    /// lanes this way, so ids advance by increments, with no division.
+    #[inline]
+    pub(crate) fn next_lane(&mut self) {
+        self.counters = AccessCounters::ZERO;
+        for d in 0..3 {
+            self.local_id[d] += 1;
+            self.global_id[d] += 1;
+            if self.local_id[d] < self.local_range[d] || d == 2 {
+                return;
+            }
+            self.local_id[d] = 0;
+            self.global_id[d] -= self.local_range[d];
+        }
+    }
+
     /// Record `n` arithmetic/logic operations for the timing model.
     ///
     /// Kernels call this to annotate compute work that has no memory-access
@@ -196,6 +213,21 @@ mod tests {
         // global: (0*2 + 1) * 16 + 5 = 21; local: (0*2 + 1) * 4 + 1 = 5
         assert_eq!(c.global_linear_id(), 21);
         assert_eq!(c.local_linear_id(), 5);
+    }
+
+    #[test]
+    fn next_lane_walks_the_group_dimension_zero_first() {
+        // Group (1, 0, 1) of a [4, 2, 2] group over a [8, 2, 4] range.
+        let mut c = ItemCtx::new([4, 0, 2], [0; 3], [1, 0, 1], [8, 2, 4], [4, 2, 2]);
+        for lane in 0..16 {
+            let local = [lane % 4, (lane / 4) % 2, lane / 8];
+            assert_eq!(c.local_id, local, "lane {lane}");
+            assert_eq!(c.global_id, [4 + local[0], local[1], 2 + local[2]]);
+            assert_eq!(c.local_linear_id(), lane);
+            c.ops(1);
+            c.next_lane();
+            assert!(c.counters().is_zero(), "each lane starts from zero counts");
+        }
     }
 
     #[test]

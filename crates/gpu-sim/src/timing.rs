@@ -70,21 +70,23 @@ impl CostModel {
 
     /// Lockstep cost of the events in `c`: contributes the wave's
     /// max-over-lanes.
+    #[inline]
     pub fn lockstep_cycles(&self, c: &AccessCounters) -> f64 {
-        c.arith_ops as f64 * self.arith
-            + c.local_accesses() as f64 * self.lds
-            + c.global_coalesced_loads as f64 * self.coalesced_gmem
-            + c.global_coalesced_stores as f64 * self.coalesced_gmem
-            + c.constant_loads as f64 * self.constant
-            + c.barriers as f64 * self.barrier
+        count(c.arith_ops) * self.arith
+            + count(c.local_accesses()) * self.lds
+            + count(c.global_coalesced_loads) * self.coalesced_gmem
+            + count(c.global_coalesced_stores) * self.coalesced_gmem
+            + count(c.constant_loads) * self.constant
+            + count(c.barriers) * self.barrier
     }
 
     /// Serialized (per-transaction) cost of the events in `c`: sums across
     /// the wave's lanes.
+    #[inline]
     pub fn serialized_cycles(&self, c: &AccessCounters) -> f64 {
-        (c.global_loads + c.global_stores) as f64 * self.gmem
-            + c.global_cached_loads as f64 * self.cached_gmem
-            + c.atomic_ops as f64 * self.atomic
+        count(c.global_loads + c.global_stores) * self.gmem
+            + count(c.global_cached_loads) * self.cached_gmem
+            + count(c.atomic_ops) * self.atomic
     }
 
     /// Total issue cost of the events in `c` (lockstep + serialized), as if
@@ -92,6 +94,15 @@ impl CostModel {
     pub fn cycles(&self, c: &AccessCounters) -> f64 {
         self.lockstep_cycles(c) + self.serialized_cycles(c)
     }
+}
+
+/// An event count as `f64`. Through `i64` the conversion is one signed
+/// convert instruction; for every count below 2^63 it yields exactly the
+/// value `n as f64` does, which takes a branchy unsigned sequence.
+#[inline]
+fn count(n: u64) -> f64 {
+    debug_assert!(n <= i64::MAX as u64, "event count {n} past 2^63");
+    n as i64 as f64
 }
 
 /// SIMD utilization as a function of occupancy: `(occ/cap)^occ_exponent`,
