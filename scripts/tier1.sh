@@ -21,6 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== perfbench (build + self-test) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# A short run of the paper's serial searches: exits 1 on any result that
+# differs from the CPU oracle or any round whose simulated time drifts.
+echo "== perfbench: paper_search =="
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload paper_search --seed 1 --seconds 2 --trace 0
+
 echo "== smoke: repro table1 =="
 cargo run --release -p casoff-bench --bin repro -- table1
 
