@@ -38,7 +38,7 @@ use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
 use gpu_sim::{Device, DeviceBuffer, ItemCtx, SimResult};
 
 use genome::base::{base_mask, MASK_ANY};
-use genome::twobit::code_to_char;
+use genome::twobit::code_mask;
 
 use super::comparer::ComparerOutput;
 use super::finder::{FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE};
@@ -187,7 +187,7 @@ impl Reference for TwoBit {
         if (cache.3 >> (pos % 8)) & 1 == 1 {
             MASK_ANY
         } else {
-            base_mask(code_to_char((cache.1 >> ((pos % 4) * 2)) & 0b11))
+            code_mask(cache.1 >> ((pos % 4) * 2))
         }
     }
 }

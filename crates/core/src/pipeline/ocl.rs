@@ -29,8 +29,15 @@ pub fn run(
 
     // Steps 1-8 plus the step-5 scratch allocations live in the runner;
     // the comparer's query tables are plain global buffers (Listing 1
-    // takes `const char* comp`, not `__constant`).
-    let runner = OclChunkRunner::new(config, &input.pattern)?;
+    // takes `const char* comp`, not `__constant`). The scratch is sized
+    // for the longest chunk the search stages, not for `chunk_size`: a
+    // 1 Mi-position default over a miniature assembly would zero-fill
+    // tens of MiB that no chunk ever touches.
+    let longest = Chunker::new(assembly, config.chunk_size, input.pattern_len())
+        .map(|chunk| chunk.scan_len)
+        .max()
+        .unwrap_or(1);
+    let runner = OclChunkRunner::new(&config.clone().chunk_size(longest), &input.pattern)?;
     let tables = runner.prepare_queries(&input.queries)?;
     let plen = runner.plen();
 

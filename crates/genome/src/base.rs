@@ -14,6 +14,14 @@
 //! only a pattern `N`. This is the biologically correct reading of the
 //! paper's Listing 1 compare ladder; the listing itself is OCR-garbled in two
 //! rows (see `DESIGN.md` §2).
+//!
+//! # Table-driven classification
+//!
+//! The kernels classify two bytes per compared base, so every per-byte
+//! question here is a load from a 256-entry table built at compile time:
+//! [`base_mask`] reads the possibility set of any byte, and [`matches`] /
+//! [`is_mismatch`] are two such loads plus the subset test — small enough
+//! to inline into the kernels' compare loops.
 
 /// Bitmask of concrete bases: bit 0 = A, bit 1 = C, bit 2 = G, bit 3 = T.
 pub type BaseMask = u8;
@@ -26,22 +34,8 @@ pub const IUPAC_CODES: [u8; 15] = [
     b'A', b'C', b'G', b'T', b'R', b'Y', b'S', b'W', b'K', b'M', b'B', b'D', b'H', b'V', b'N',
 ];
 
-/// Possibility set of an IUPAC code (case-insensitive; `U` is treated as
-/// `T`). Unknown characters map to the empty set, which never matches and is
-/// never matched.
-///
-/// # Examples
-///
-/// ```
-/// use genome::base::{base_mask, MASK_ANY};
-///
-/// assert_eq!(base_mask(b'A'), 0b0001);
-/// assert_eq!(base_mask(b'R'), 0b0101); // A or G
-/// assert_eq!(base_mask(b'n'), MASK_ANY);
-/// assert_eq!(base_mask(b'X'), 0);
-/// ```
-#[inline]
-pub const fn base_mask(c: u8) -> BaseMask {
+/// The IUPAC possibility sets as a `match`: what [`MASKS`] is built from.
+const fn mask_of(c: u8) -> BaseMask {
     match c {
         b'A' | b'a' => 0b0001,
         b'C' | b'c' => 0b0010,
@@ -60,6 +54,36 @@ pub const fn base_mask(c: u8) -> BaseMask {
         b'N' | b'n' => MASK_ANY,
         _ => 0,
     }
+}
+
+/// [`mask_of`] for every byte.
+const MASKS: [BaseMask; 256] = {
+    let mut table = [0; 256];
+    let mut c = 0;
+    while c < 256 {
+        table[c] = mask_of(c as u8);
+        c += 1;
+    }
+    table
+};
+
+/// Possibility set of an IUPAC code (case-insensitive; `U` is treated as
+/// `T`). Unknown characters map to the empty set, which never matches and is
+/// never matched.
+///
+/// # Examples
+///
+/// ```
+/// use genome::base::{base_mask, MASK_ANY};
+///
+/// assert_eq!(base_mask(b'A'), 0b0001);
+/// assert_eq!(base_mask(b'R'), 0b0101); // A or G
+/// assert_eq!(base_mask(b'n'), MASK_ANY);
+/// assert_eq!(base_mask(b'X'), 0);
+/// ```
+#[inline]
+pub const fn base_mask(c: u8) -> BaseMask {
+    MASKS[c as usize]
 }
 
 /// True when the genome character `genome` matches the pattern code
@@ -276,6 +300,25 @@ mod tests {
         assert!(is_iupac(b'N') && is_iupac(b'r'));
         assert!(!is_iupac(b'X'));
         assert_eq!(to_upper(b'g'), b'G');
+    }
+
+    #[test]
+    fn mask_table_equals_the_match_for_every_byte() {
+        for c in 0..=u8::MAX {
+            assert_eq!(base_mask(c), mask_of(c), "byte {c:#04x}");
+        }
+    }
+
+    #[test]
+    fn matches_is_the_subset_rule_for_every_byte_pair() {
+        for p in 0..=u8::MAX {
+            for g in 0..=u8::MAX {
+                let (pm, gm) = (mask_of(p), mask_of(g));
+                let subset = gm != 0 && gm & !pm == 0;
+                assert_eq!(matches(p, g), subset, "pattern {p:#04x} genome {g:#04x}");
+                assert_eq!(is_mismatch(p, g), !subset);
+            }
+        }
     }
 
     #[test]

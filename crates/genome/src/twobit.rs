@@ -6,7 +6,7 @@
 //! module provides that encoding; the `cas-offinder` crate uses it for the
 //! 2-bit kernel variant.
 
-use crate::base::is_concrete;
+use crate::base::{is_concrete, BaseMask};
 
 /// 2-bit code of a concrete base: A=0, C=1, G=2, T=3.
 #[inline]
@@ -28,6 +28,14 @@ pub const fn code_to_char(code: u8) -> u8 {
         2 => b'G',
         _ => b'T',
     }
+}
+
+/// Possibility mask of a 2-bit code (only the low two bits are used):
+/// `base_mask(code_to_char(code))` without the round trip through the
+/// char. The codes follow the mask's bit order, so code `c` is bit `c`.
+#[inline]
+pub const fn code_mask(code: u8) -> BaseMask {
+    1 << (code & 0b11)
 }
 
 /// A sequence packed at 2 bits per base with a 1-bit-per-base ambiguity
@@ -248,6 +256,17 @@ mod tests {
             assert_eq!(code_to_char(char_to_code(c)), c);
         }
         assert_eq!(char_to_code(b'g'), 2);
+    }
+
+    #[test]
+    fn code_masks_equal_the_masks_of_the_decoded_chars() {
+        for code in 0..=u8::MAX {
+            assert_eq!(
+                code_mask(code),
+                crate::base::base_mask(code_to_char(code)),
+                "code {code:#04x}"
+            );
+        }
     }
 
     #[test]

@@ -424,6 +424,36 @@ mod tests {
     }
 
     #[test]
+    fn local_memory_byte_count_overflow_is_rejected() {
+        // 2^61 u64 elements are 2^64 bytes: a wrapping byte count reads 0
+        // and slips past the LDS check into the group's instantiation.
+        struct Wrapping;
+        impl KernelProgram for Wrapping {
+            type Private = ();
+            fn name(&self) -> &str {
+                "wrapping"
+            }
+            fn local_layout(&self) -> LocalLayout {
+                let mut l = LocalLayout::new();
+                l.array::<u64>(1 << 61);
+                l
+            }
+            fn run_phase(&self, _p: usize, _i: &mut ItemCtx, _s: &mut (), _l: &mut LocalMem) {}
+        }
+        let device = Device::new(DeviceSpec::mi100());
+        let err = device
+            .launch(&Wrapping, NdRange::linear(64, 64))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::LocalMemExceeded {
+                requested: u64::MAX,
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn two_dimensional_ids_cover_the_range() {
         struct Mark2D {
             out: DeviceBuffer<u8>,

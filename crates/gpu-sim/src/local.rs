@@ -99,7 +99,11 @@ impl LocalLayout {
     pub fn array<T: Scalar>(&mut self, len: usize) -> LocalHandle<T> {
         let slot = self.arrays.len();
         self.arrays.push((TypeId::of::<T>(), len));
-        self.bytes += len as u64 * T::BYTES;
+        // Saturating, so an absurd declaration reads as "too large" at
+        // launch instead of wrapping past the device's LDS check.
+        self.bytes = self
+            .bytes
+            .saturating_add((len as u64).saturating_mul(T::BYTES));
         LocalHandle {
             slot,
             len,

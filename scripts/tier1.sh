@@ -12,6 +12,11 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+# Release builds wrap integer overflow where debug builds panic, so the
+# simulator's and the sequence crate's size arithmetic is tested in both.
+echo "== tests (release): gpu-sim, genome =="
+cargo test --release -q -p gpu-sim -p genome
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
