@@ -503,7 +503,7 @@ impl<B: Backend> ChunkRunner<B> {
 
     /// Compile `queries` and upload the tables their comparers read; the
     /// tables can be reused across every chunk of a search.
-    fn tables(&self, queries: &[Query]) -> Result<QueryTables<B>, B::Error> {
+    pub(super) fn tables(&self, queries: &[Query]) -> Result<QueryTables<B>, B::Error> {
         let compile = |q: &Query| CompiledSeq::compile(&q.seq);
         let compiled: Vec<_> = queries.iter().map(compile).collect();
         // Specialized comparers fold the compiled sequence into the kernel

@@ -4,7 +4,9 @@
 //! the `finder` kernel to select PAM sites, feed the candidate loci to the
 //! `comparer` kernel once per query, read back the surviving entries, and
 //! accumulate the off-target records — "the interaction between the host
-//! and kernel programs continues until all chunks are processed."
+//! and kernel programs continues until all chunks are processed." That loop
+//! is written once here, over a [`chunk::ChunkRunner`] of either API; the
+//! Table I contrast lives in the two [`chunk::Backend`] implementations.
 
 pub mod chunk;
 pub mod multi;
@@ -13,11 +15,16 @@ pub mod sycl;
 pub mod sycl_usm;
 pub mod twobit;
 
-use genome::Chunk;
+use genome::{Assembly, Chunk, Chunker};
+use gpu_sim::profile::Profile;
 use gpu_sim::{DeviceSpec, ExecMode};
 
+use crate::input::SearchInput;
 use crate::kernels::OptLevel;
-use crate::site::{OffTarget, Strand};
+use crate::report::{Api, SearchReport, TimingBreakdown};
+use crate::site::{sort_canonical, OffTarget, Strand};
+
+use chunk::{Backend, ChunkRunner};
 
 /// Configuration shared by both pipelines.
 #[derive(Debug, Clone)]
@@ -142,6 +149,77 @@ pub fn entries_to_offtargets(
             window,
         ));
     }
+}
+
+/// The host loop of every serial search: one `B` runner per device, sized
+/// for the longest chunk, with its own query tables; chunks go round-robin
+/// to the runners. Then each runner waits, its tables and then the runner
+/// release (OpenCL step 13; no-ops on SYCL), and the per-device timings
+/// merge: the devices run concurrently, so the search takes as long as the
+/// slowest queue, and every other field sums. Returns the merged report
+/// and the per-device timings.
+fn search<B: Backend>(
+    api: Api,
+    assembly: &Assembly,
+    input: &SearchInput,
+    config: &PipelineConfig,
+    devices: &[DeviceSpec],
+) -> Result<(SearchReport, Vec<TimingBreakdown>), B::Error> {
+    let wall_start = std::time::Instant::now();
+    let plen = input.pattern_len();
+    let chunks = || Chunker::new(assembly, config.chunk_size, plen);
+    // Runner capacity follows the longest chunk the search stages, not
+    // `chunk_size`: the OpenCL scratch is preallocated at that capacity,
+    // and a 1 Mi-position default over a miniature assembly would zero-fill
+    // tens of MiB that no chunk ever touches. SYCL only checks it.
+    let longest = chunks().map(|chunk| chunk.scan_len).max().unwrap_or(1);
+    let mut cfg = config.clone().chunk_size(longest);
+    // Per device: query tables, runner and timing.
+    let mut devs = Vec::new();
+    for spec in devices {
+        cfg.device = spec.clone();
+        let runner = ChunkRunner::<B>::new(&cfg, &input.pattern)?;
+        devs.push((runner.tables(&input.queries)?, runner, Default::default()));
+    }
+
+    let (mut offtargets, mut profile) = (Vec::new(), Profile::new());
+    for (i, chunk) in chunks().enumerate().filter(|(_, c)| c.seq.len() >= plen) {
+        let (tables, runner, timing) = &mut devs[i % devices.len()];
+        let found = runner.run_chunk(chunk.seq, chunk.scan_len, tables, timing, &mut profile)?;
+        for (query, entries) in input.queries.iter().zip(&found) {
+            entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
+        }
+    }
+
+    let (mut total, mut timings) = (TimingBreakdown::default(), Vec::new());
+    for (tables, runner, mut t) in devs {
+        runner.wait();
+        t.elapsed_s = runner.elapsed_s();
+        total.elapsed_s = total.elapsed_s.max(t.elapsed_s);
+        total.transfer_s += t.transfer_s;
+        total.finder_s += t.finder_s;
+        total.comparer_s += t.comparer_s;
+        total.finder_launches += t.finder_launches;
+        total.finder_launches_skipped += t.finder_launches_skipped;
+        total.comparer_launches += t.comparer_launches;
+        total.fused_launches += t.fused_launches;
+        total.candidates += t.candidates;
+        total.entries += t.entries;
+        tables.release();
+        runner.release();
+        timings.push(t);
+    }
+    total.wall = wall_start.elapsed();
+
+    sort_canonical(&mut offtargets);
+    let report = SearchReport {
+        api,
+        device: devices.iter().map(|d| d.name).collect::<Vec<_>>().join("+"),
+        offtargets,
+        timing: total,
+        profile,
+    };
+    Ok((report, timings))
 }
 
 /// Round `items` up to a whole number of `wgs`-sized groups.

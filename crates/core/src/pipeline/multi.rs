@@ -6,19 +6,19 @@
 //! chunks, and the simulated elapsed time of the whole search is the
 //! slowest device's queue time (the devices run concurrently).
 
-use genome::{Assembly, Chunker};
+use genome::Assembly;
 use gpu_sim::DeviceSpec;
 use sycl_rt::SyclResult;
 
 use crate::input::SearchInput;
 use crate::report::{Api, SearchReport, TimingBreakdown};
-use crate::site::sort_canonical;
 
-use super::chunk::SyclChunkRunner;
-use super::{entries_to_offtargets, PipelineConfig};
+use super::PipelineConfig;
 
 /// Run the SYCL application across `devices`, returning the merged report
-/// plus the per-device timing breakdowns.
+/// plus the per-device timing breakdowns. Each device gets its own runner:
+/// its own queue plus its own copy of the constant pattern tables and query
+/// tables.
 ///
 /// # Errors
 ///
@@ -30,81 +30,7 @@ pub fn run(
     devices: &[DeviceSpec],
 ) -> SyclResult<(SearchReport, Vec<TimingBreakdown>)> {
     assert!(!devices.is_empty(), "at least one device is required");
-    let wall_start = std::time::Instant::now();
-
-    // One runner per device; each holds its own queue plus its own copy of
-    // the constant pattern tables and query tables.
-    let runners: Vec<SyclChunkRunner> = devices
-        .iter()
-        .map(|spec| {
-            let cfg = PipelineConfig {
-                device: spec.clone(),
-                ..config.clone()
-            };
-            SyclChunkRunner::new(&cfg, &input.pattern)
-        })
-        .collect::<SyclResult<_>>()?;
-    let per_device_tables: Vec<_> = runners
-        .iter()
-        .map(|r| r.prepare_queries(&input.queries))
-        .collect();
-    let plen = runners[0].plen();
-
-    let mut timings = vec![TimingBreakdown::default(); runners.len()];
-    let mut offtargets = Vec::new();
-    let mut profile = gpu_sim::profile::Profile::new();
-
-    for (i, chunk) in Chunker::new(assembly, config.chunk_size, plen).enumerate() {
-        if chunk.seq.len() < plen {
-            continue;
-        }
-        let d = i % runners.len();
-        let per_query = runners[d].run_chunk(
-            chunk.seq,
-            chunk.scan_len,
-            &per_device_tables[d],
-            &mut timings[d],
-            &mut profile,
-        )?;
-        for (query, entries) in input.queries.iter().zip(&per_query) {
-            entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
-        }
-    }
-
-    // The devices run concurrently: the search finishes when the slowest
-    // queue drains.
-    for (timing, runner) in timings.iter_mut().zip(&runners) {
-        runner.wait();
-        timing.elapsed_s = runner.elapsed_s();
-    }
-    let mut total = TimingBreakdown {
-        elapsed_s: timings.iter().map(|t| t.elapsed_s).fold(0.0, f64::max),
-        wall: wall_start.elapsed(),
-        ..TimingBreakdown::default()
-    };
-    for t in &timings {
-        total.transfer_s += t.transfer_s;
-        total.finder_s += t.finder_s;
-        total.comparer_s += t.comparer_s;
-        total.finder_launches += t.finder_launches;
-        total.comparer_launches += t.comparer_launches;
-        total.candidates += t.candidates;
-        total.entries += t.entries;
-    }
-
-    sort_canonical(&mut offtargets);
-    let report = SearchReport {
-        api: Api::Sycl,
-        device: devices
-            .iter()
-            .map(|d| d.name)
-            .collect::<Vec<_>>()
-            .join("+"),
-        offtargets,
-        timing: total,
-        profile,
-    };
-    Ok((report, timings))
+    super::search::<super::chunk::Sycl>(Api::Sycl, assembly, input, config, devices)
 }
 
 #[cfg(test)]
@@ -171,6 +97,32 @@ mod tests {
         assert_eq!(multi.timing.elapsed_s, max);
         let oracle = crate::cpu::search_sequential(&assembly, &input);
         assert_eq!(multi.offtargets, oracle);
+    }
+
+    #[test]
+    fn merged_timing_sums_every_counter() {
+        let (assembly, input) = workload();
+        assert!(input.queries.len() >= 2, "fusion needs several queries");
+        let config = PipelineConfig::new(DeviceSpec::mi100())
+            .chunk_size(1 << 13)
+            .multi_guide(true);
+        let fleet = [DeviceSpec::mi100(), DeviceSpec::mi60()];
+        let (multi, per_device) = run(&assembly, &input, &config, &fleet).unwrap();
+        let sum = |count: fn(&TimingBreakdown) -> u64| per_device.iter().map(count).sum::<u64>();
+        let t = &multi.timing;
+        assert!(t.fused_launches > 0, "multi-guide searches fuse");
+        assert_eq!(t.fused_launches as u64, sum(|d| d.fused_launches as u64));
+        assert_eq!(t.finder_launches as u64, sum(|d| d.finder_launches as u64));
+        assert_eq!(
+            t.finder_launches_skipped as u64,
+            sum(|d| d.finder_launches_skipped as u64)
+        );
+        assert_eq!(
+            t.comparer_launches as u64,
+            sum(|d| d.comparer_launches as u64)
+        );
+        assert_eq!(t.candidates, sum(|d| d.candidates));
+        assert_eq!(t.entries, sum(|d| d.entries));
     }
 
     #[test]

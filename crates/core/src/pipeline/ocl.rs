@@ -5,13 +5,16 @@ use genome::{Assembly, Chunker};
 use opencl_rt::{ClResult, StepLog};
 
 use crate::input::SearchInput;
-use crate::report::{Api, SearchReport, TimingBreakdown};
-use crate::site::sort_canonical;
+use crate::report::{Api, SearchReport};
 
-use super::chunk::OclChunkRunner;
-use super::{entries_to_offtargets, PipelineConfig};
+use super::chunk::{OclChunkRunner, OpenCl};
+use super::PipelineConfig;
 
-/// Run the OpenCL application over `assembly` with `input`.
+/// Run the OpenCL application over `assembly` with `input`: steps 1-8 and
+/// the step-5 scratch allocations once, steps 9-12 per chunk (upload,
+/// finder, comparer per query, read back), step 13 explicit release. The
+/// comparer's query tables are plain global buffers (Listing 1 takes
+/// `const char* comp`, not `__constant`).
 ///
 /// Returns the off-target records plus the simulated timing breakdown; the
 /// elapsed time excludes environment setup and input parsing, matching the
@@ -25,55 +28,8 @@ pub fn run(
     input: &SearchInput,
     config: &PipelineConfig,
 ) -> ClResult<SearchReport> {
-    let wall_start = std::time::Instant::now();
-
-    // Steps 1-8 plus the step-5 scratch allocations live in the runner;
-    // the comparer's query tables are plain global buffers (Listing 1
-    // takes `const char* comp`, not `__constant`). The scratch is sized
-    // for the longest chunk the search stages, not for `chunk_size`: a
-    // 1 Mi-position default over a miniature assembly would zero-fill
-    // tens of MiB that no chunk ever touches.
-    let longest = Chunker::new(assembly, config.chunk_size, input.pattern_len())
-        .map(|chunk| chunk.scan_len)
-        .max()
-        .unwrap_or(1);
-    let runner = OclChunkRunner::new(&config.clone().chunk_size(longest), &input.pattern)?;
-    let tables = runner.prepare_queries(&input.queries)?;
-    let plen = runner.plen();
-
-    let mut timing = TimingBreakdown::default();
-    let mut offtargets = Vec::new();
-    let mut profile = gpu_sim::profile::Profile::new();
-
-    for chunk in Chunker::new(assembly, config.chunk_size, plen) {
-        if chunk.seq.len() < plen {
-            continue;
-        }
-        // Steps 9-12, once per chunk: upload, finder, comparer per query,
-        // read back the surviving entries.
-        let per_query =
-            runner.run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)?;
-        for (query, entries) in input.queries.iter().zip(&per_query) {
-            entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
-        }
-    }
-    runner.finish();
-
-    // Step 13: explicit release.
-    let device_name = runner.device_name();
-    timing.elapsed_s = runner.elapsed_s();
-    timing.wall = wall_start.elapsed();
-    tables.release();
-    runner.release();
-
-    sort_canonical(&mut offtargets);
-    Ok(SearchReport {
-        api: Api::OpenCl,
-        device: device_name,
-        offtargets,
-        timing,
-        profile,
-    })
+    let devices = std::slice::from_ref(&config.device);
+    super::search::<OpenCl>(Api::OpenCl, assembly, input, config, devices).map(|(report, _)| report)
 }
 
 /// The context step log of a one-chunk run through the chunk runner,
@@ -92,9 +48,8 @@ pub fn step_log_of(
     let log = runner.step_log();
     let tables = runner.prepare_queries(&input.queries)?;
     if let Some(chunk) = Chunker::new(assembly, config.chunk_size, runner.plen()).next() {
-        let mut profile = gpu_sim::profile::Profile::new();
-        let timing = &mut TimingBreakdown::default();
-        runner.run_chunk(chunk.seq, chunk.scan_len, &tables, timing, &mut profile)?;
+        let (timing, profile) = &mut Default::default();
+        runner.run_chunk(chunk.seq, chunk.scan_len, &tables, timing, profile)?;
     }
     tables.release();
     runner.release();

@@ -11,17 +11,22 @@ use genome::{Assembly, Chunker};
 use sycl_rt::{StepLog, SyclResult};
 
 use crate::input::SearchInput;
-use crate::report::{Api, SearchReport, TimingBreakdown};
-use crate::site::sort_canonical;
+use crate::report::{Api, SearchReport};
 
-use super::chunk::SyclChunkRunner;
-use super::{entries_to_offtargets, PipelineConfig};
+use super::chunk::{Sycl, SyclChunkRunner};
+use super::PipelineConfig;
 
 /// The work-group size the SYCL application launches both kernels with
 /// (§IV.A of the paper).
 pub const SYCL_WORK_GROUP_SIZE: usize = 256;
 
-/// Run the SYCL application over `assembly` with `input`.
+/// Run the SYCL application over `assembly` with `input`: steps 1-3
+/// (selector, queue, the constant pattern tables of §III.E's
+/// `constant_buffer` access target) once, steps 4-7 per chunk (command
+/// groups with accessor binding and implicit upload, finder, comparer per
+/// query, handler copies back), step 8 implicit release. The comparer's
+/// query tables stay in global memory (Listing 1's `comp` is a plain
+/// pointer).
 ///
 /// # Errors
 ///
@@ -31,45 +36,8 @@ pub fn run(
     input: &SearchInput,
     config: &PipelineConfig,
 ) -> SyclResult<SearchReport> {
-    let wall_start = std::time::Instant::now();
-
-    // Steps 1-3: selector, queue and the constant pattern tables live in
-    // the runner (§III.E's `constant_buffer` access target); the comparer's
-    // query tables stay in global memory (Listing 1's `comp` is a plain
-    // pointer).
-    let runner = SyclChunkRunner::new(config, &input.pattern)?;
-    let tables = runner.prepare_queries(&input.queries);
-    let plen = runner.plen();
-
-    let mut timing = TimingBreakdown::default();
-    let mut offtargets = Vec::new();
-    let mut profile = gpu_sim::profile::Profile::new();
-
-    for chunk in Chunker::new(assembly, config.chunk_size, plen) {
-        if chunk.seq.len() < plen {
-            continue;
-        }
-        // Steps 4-7 per chunk: command groups with accessor binding
-        // (implicit upload), finder, comparer per query, handler copies
-        // back; per-chunk buffers release implicitly (step 8).
-        let per_query =
-            runner.run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)?;
-        for (query, entries) in input.queries.iter().zip(&per_query) {
-            entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
-        }
-    }
-    runner.wait();
-
-    timing.elapsed_s = runner.elapsed_s();
-    timing.wall = wall_start.elapsed();
-    sort_canonical(&mut offtargets);
-    Ok(SearchReport {
-        api: Api::Sycl,
-        device: config.device.name.to_owned(),
-        offtargets,
-        timing,
-        profile,
-    })
+    let devices = std::slice::from_ref(&config.device);
+    super::search::<Sycl>(Api::Sycl, assembly, input, config, devices).map(|(report, _)| report)
 }
 
 /// The queue step log of a one-chunk run through the chunk runner, its
@@ -87,9 +55,8 @@ pub fn step_log_of(
     let log = runner.step_log();
     let tables = runner.prepare_queries(&input.queries);
     if let Some(chunk) = Chunker::new(assembly, config.chunk_size, runner.plen()).next() {
-        let mut profile = gpu_sim::profile::Profile::new();
-        let timing = &mut TimingBreakdown::default();
-        runner.run_chunk(chunk.seq, chunk.scan_len, &tables, timing, &mut profile)?;
+        let (timing, profile) = &mut Default::default();
+        runner.run_chunk(chunk.seq, chunk.scan_len, &tables, timing, profile)?;
     }
     drop(runner);
     Ok(log)
