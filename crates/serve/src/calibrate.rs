@@ -10,7 +10,8 @@
 //! a `(device, chunk size, opt, specialize, api)` key:
 //!
 //! * per-kernel seconds-per-work-unit for the finder and comparer of each
-//!   payload class, read from the simulator's per-kernel [`Profile`];
+//!   payload class, read from the runner's finder and comparer timing
+//!   counters;
 //! * fixed per-batch and marginal per-job overheads (query-table uploads,
 //!   counter fills, result readbacks, launch costs), obtained by running
 //!   the same probe batch with one and with two coalesced queries and
@@ -41,7 +42,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use cas_offinder::pipeline::chunk::{Payload, Sites};
+use cas_offinder::pipeline::chunk::{Backend, ChunkRunner, OpenCl, Payload, Sites, Sycl};
 use cas_offinder::pipeline::PipelineConfig;
 use cas_offinder::{Api, OptLevel, Query, TimingBreakdown};
 use genome::fourbit::NibbleSeq;
@@ -50,8 +51,6 @@ use genome::twobit::PackedSeq;
 use gpu_sim::profile::Profile;
 use gpu_sim::{DeviceSpec, ExecMode};
 use opencl_rt::{ClBuffer, ClDeviceId, CommandQueue, Context, MemFlags};
-
-use crate::service::Runner;
 
 /// Probe pattern: nine `N`s and an `RG` PAM, the workload the paper
 /// searches for. The PAM admits roughly a quarter of positions across
@@ -143,7 +142,10 @@ pub(crate) fn kernel_rates(
     let mut cache = cache.lock().unwrap();
     *cache
         .entry((spec.name, chunk_size, opt, specialize, api))
-        .or_insert_with(|| measure(spec, chunk_size, opt, specialize, api))
+        .or_insert_with(|| match api {
+            Api::OpenCl => measure::<OpenCl>(spec, chunk_size, opt, specialize),
+            Api::Sycl => measure::<Sycl>(spec, chunk_size, opt, specialize),
+        })
 }
 
 /// One probe batch, measured the way the serving workers measure: device
@@ -157,58 +159,24 @@ struct ProbeRun {
 
 /// Run one probe batch through `runner` — the same host path the serving
 /// worker for that API uses, so the measured costs include each flavour's
-/// own fixed overheads.
-fn probe(
-    runner: &Runner,
+/// own fixed overheads. Each finder and comparer call is one launch, so the
+/// kernel times are the runner's own timing counters.
+fn probe<B: Backend>(
+    runner: &ChunkRunner<B>,
     scan: usize,
     payload: Payload<'_>,
     queries: &[Query],
-    resident_token: Option<u64>,
+    token: Option<u64>,
 ) -> ProbeRun {
-    let mut timing = TimingBreakdown::default();
-    let mut profile = Profile::new();
+    let (timing, profile): &mut (TimingBreakdown, Profile) = &mut Default::default();
     let before = runner.elapsed_s();
-    runner.run(
-        payload,
-        scan,
-        resident_token,
-        Sites::Find,
-        queries,
-        &mut timing,
-        &mut profile,
-    );
-    let elapsed_s = runner.elapsed_s() - before;
-    let kernel_s = |names: &[&str]| {
-        names
-            .iter()
-            .filter_map(|n| profile.kernel(n))
-            .map(|s| s.total_s)
-            .sum::<f64>()
-    };
-    // Generic and specialized kernel names are disjoint per run, so the
-    // sums stay correct whichever flavour the runner launched.
+    runner
+        .run_queries(payload, scan, token, Sites::Find, queries, timing, profile)
+        .expect("simulated launch cannot fail");
     ProbeRun {
-        elapsed_s,
-        finder_s: kernel_s(&[
-            "finder",
-            "finder_packed",
-            "finder_nibble",
-            "finder_nibble-spec",
-        ]),
-        comparer_s: kernel_s(&[
-            "comparer",
-            "comparer-2bit",
-            "comparer-4bit",
-            "comparer-spec",
-            "comparer-2bit-spec",
-            "comparer-4bit-spec",
-            "comparer_multi",
-            "comparer_multi-2bit",
-            "comparer_multi-4bit",
-            "comparer_multi-spec",
-            "comparer_multi-2bit-spec",
-            "comparer_multi-4bit-spec",
-        ]),
+        elapsed_s: runner.elapsed_s() - before,
+        finder_s: timing.finder_s,
+        comparer_s: timing.comparer_s,
         candidates: timing.candidates as usize,
     }
 }
@@ -281,14 +249,20 @@ fn class_rates(
     }
 }
 
-fn measure(spec: &DeviceSpec, scan: usize, opt: OptLevel, specialize: bool, api: Api) -> KernelRates {
+fn measure<B: Backend>(
+    spec: &DeviceSpec,
+    scan: usize,
+    opt: OptLevel,
+    specialize: bool,
+) -> KernelRates {
     let plen = PROBE_PATTERN.len();
     let config = PipelineConfig::new(spec.clone())
         .chunk_size(scan)
         .opt(opt)
         .exec_mode(ExecMode::Sequential)
         .specialize(specialize);
-    let runner = Runner::new(api, &config, PROBE_PATTERN);
+    const SETUP: &str = "simulated setup cannot fail on the probe pattern";
+    let runner = ChunkRunner::<B>::new(&config, PROBE_PATTERN).expect(SETUP);
     let upload_s_per_byte = upload_slope(spec);
 
     // Pseudo-random concrete bases and guides, the same statistics as the
@@ -360,7 +334,7 @@ fn measure(spec: &DeviceSpec, scan: usize, opt: OptLevel, specialize: bool, api:
     // so their gap isolates the fused per-job marginal (a query table and
     // readback, no launch of its own).
     let multi_config = config.multi_guide(true);
-    let multi_runner = Runner::new(api, &multi_config, PROBE_PATTERN);
+    let multi_runner = ChunkRunner::<B>::new(&multi_config, PROBE_PATTERN).expect(SETUP);
     let fused = |payload: Payload<'_>, chunk_bytes: usize| {
         let two_run = probe(&multi_runner, scan, payload, &two, None);
         let four_run = probe(&multi_runner, scan, payload, &four, None);

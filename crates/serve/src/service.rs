@@ -24,13 +24,11 @@ use std::time::{Duration, Instant};
 use cas_offinder::bulge::enumerate_variants;
 use cas_offinder::kernels::specialize::global_cache;
 use cas_offinder::kernels::VariantCacheStats;
-use cas_offinder::pipeline::chunk::{
-    ChunkRun, ChunkRunner, OclChunkRunner, Payload, Sites, SyclChunkRunner,
-};
+use cas_offinder::pipeline::chunk::{Backend, ChunkRunner, OpenCl, Sites, Sycl};
 use cas_offinder::pipeline::{entries_to_offtargets, PipelineConfig};
 use cas_offinder::{sort_canonical, Api, OffTarget, OptLevel, Query, TimingBreakdown};
 use genome::{Assembly, Chunker};
-use gpu_sim::{DeviceSpec, ExecMode, TrafficSnapshot};
+use gpu_sim::{DeviceSpec, ExecMode};
 
 use crate::batcher::{group_jobs, interleave_by_owner, BatchJob, BatchKey, ChunkBatch};
 use crate::cache::{ChunkEncoding, ChunkKey, ChunkPayload, EncodedChunk, GenomeCache};
@@ -451,7 +449,10 @@ impl Service {
         let workers = (0..devices)
             .map(|w| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, w))
+                std::thread::spawn(move || match shared.config.devices[w].api {
+                    Api::OpenCl => worker_loop::<OpenCl>(&shared, w),
+                    Api::Sycl => worker_loop::<Sycl>(&shared, w),
+                })
             })
             .collect();
 
@@ -846,42 +847,12 @@ impl Service {
         passes: usize,
         resident: bool,
     ) -> Option<Vec<f64>> {
-        let plan = self.shared.pool.plan_snapshot()?;
-        let asm = self.shared.assemblies.get(assembly)?;
         let bias = self.shared.pool.bias_snapshot();
-        let plen = pattern.len();
-        let key = BatchKey {
-            assembly: assembly.to_string(),
-            pattern: pattern.to_vec(),
-        };
-        let mut busy = vec![0.0; self.shared.models.len()];
-        for (index, chunk) in Chunker::new(asm, self.shared.config.chunk_size, plen).enumerate() {
-            if chunk.seq.len() < plen {
-                continue;
-            }
-            let owner = plan.owner_of(assembly, index);
-            let cache_key = ChunkKey {
-                assembly: assembly.to_string(),
-                plen,
-                index,
-            };
-            let encoded = self.shared.cache.peek(&cache_key).unwrap_or_else(|| {
-                Arc::new(EncodedChunk::encode(
-                    chunk.chrom_index,
-                    chunk.chrom_name.to_string(),
-                    chunk.start,
-                    chunk.scan_len,
-                    chunk.seq,
-                    self.shared.config.cache_encoding,
-                ))
-            });
-            let cost =
-                BatchCost::from_parts(pattern, &encoded, 1, residency_token(&key, index));
-            busy[owner] += passes as f64
+        self.plan_walk(assembly, pattern, |owner, cost| {
+            passes as f64
                 * bias[owner][cost.class.index()]
-                * self.shared.models[owner].predict_s(&cost, resident);
-        }
-        Some(busy)
+                * self.shared.models[owner].predict_s(cost, resident)
+        })
     }
 
     /// The scheduler's current bias corrections, per device (outer) and
@@ -900,6 +871,20 @@ impl Service {
     /// fixed per-transfer charges — the cost the warmup moves out of the
     /// batch windows. `None` without a plan or for an unknown assembly.
     pub fn plan_warmup_prediction(&self, assembly: &str, pattern: &[u8]) -> Option<Vec<f64>> {
+        self.plan_walk(assembly, pattern, |owner, cost| {
+            self.shared.models[owner].predict_prefetch_s(cost)
+        })
+    }
+
+    /// The chunk walk behind both plan predictions: per-device sums of
+    /// `price(owner, cost)`, each chunk costed as a single-job batch on the
+    /// device the installed plan assigns it.
+    fn plan_walk(
+        &self,
+        assembly: &str,
+        pattern: &[u8],
+        price: impl Fn(usize, &BatchCost) -> f64,
+    ) -> Option<Vec<f64>> {
         let plan = self.shared.pool.plan_snapshot()?;
         let asm = self.shared.assemblies.get(assembly)?;
         let plen = pattern.len();
@@ -928,9 +913,8 @@ impl Service {
                     self.shared.config.cache_encoding,
                 ))
             });
-            let cost =
-                BatchCost::from_parts(pattern, &encoded, 1, residency_token(&key, index));
-            busy[owner] += self.shared.models[owner].predict_prefetch_s(&cost);
+            let cost = BatchCost::from_parts(pattern, &encoded, 1, residency_token(&key, index));
+            busy[owner] += price(owner, &cost);
         }
         Some(busy)
     }
@@ -1195,74 +1179,10 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-/// A per-pattern chunk runner of either API. Runners are built inside the
-/// thread that drives them (device contexts are not `Send`); serving
-/// workers cache one per PAM pattern so repeat batches skip steps 1-8, and
-/// calibration probes through the same host path.
-pub(crate) enum Runner {
-    Ocl(Box<OclChunkRunner>),
-    Sycl(Box<SyclChunkRunner>),
-}
-
-/// Evaluate `$body` with `$r` bound to the [`ChunkRunner`] of either API.
-macro_rules! each_api {
-    ($runner:expr, $r:ident => $body:expr) => {
-        match $runner {
-            Runner::Ocl($r) => $body,
-            Runner::Sycl($r) => $body,
-        }
-    };
-}
-
-impl Runner {
-    pub(crate) fn new(api: Api, config: &PipelineConfig, pattern: &[u8]) -> Self {
-        const SETUP: &str = "simulated setup cannot fail on valid patterns";
-        match api {
-            Api::OpenCl => Runner::Ocl(Box::new(ChunkRunner::new(config, pattern).expect(SETUP))),
-            Api::Sycl => Runner::Sycl(Box::new(ChunkRunner::new(config, pattern).expect(SETUP))),
-        }
-    }
-
-    /// Run payload `p` against `queries` (see [`ChunkRunner::run`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run(
-        &self,
-        p: Payload<'_>,
-        scan_len: usize,
-        token: Option<u64>,
-        sites: Sites<'_>,
-        queries: &[Query],
-        timing: &mut TimingBreakdown,
-        profile: &mut gpu_sim::profile::Profile,
-    ) -> ChunkRun {
-        each_api!(self, r => r
-            .run_queries(p, scan_len, token, sites, queries, timing, profile)
-            .expect("simulated launch cannot fail"))
-    }
-
-    /// Upload `p` under `token` without a launch; whether it moved bytes.
-    pub(crate) fn prefetch(&self, token: u64, p: Payload<'_>) -> bool {
-        each_api!(self, r => r.prefetch(token, p).expect("simulated prefetch cannot fail"))
-    }
-
-    pub(crate) fn elapsed_s(&self) -> f64 {
-        each_api!(self, r => {
-            r.wait();
-            r.elapsed_s()
-        })
-    }
-
-    fn traffic(&self) -> TrafficSnapshot {
-        each_api!(self, r => r.traffic())
-    }
-
-    /// Step 13 for an OpenCL runner; a SYCL runner releases implicitly.
-    pub(crate) fn release(self) {
-        each_api!(self, r => r.release())
-    }
-}
-
-fn worker_loop(shared: &Shared, w: usize) {
+/// One serving worker over the `B` backend. Runners are built inside the
+/// thread that drives them (device contexts are not `Send`), one per PAM
+/// pattern, so repeat batches skip steps 1-8.
+fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
     let slot = &shared.config.devices[w];
     let pipeline_config = PipelineConfig::new(slot.spec.clone())
         .chunk_size(shared.config.chunk_size)
@@ -1271,7 +1191,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         .resident_slots(shared.config.resident_chunks.max(1))
         .specialize(shared.config.specialize)
         .multi_guide(shared.config.multi_guide);
-    let mut runners: HashMap<Vec<u8>, Runner> = HashMap::new();
+    let mut runners: HashMap<Vec<u8>, ChunkRunner<B>> = HashMap::new();
     // (pattern, assembly) pairs whose planned partition this worker has
     // already warmed — the one-pass prefetch runs on first touch only.
     let mut prefetched: HashSet<(Vec<u8>, String)> = HashSet::new();
@@ -1287,9 +1207,10 @@ fn worker_loop(shared: &Shared, w: usize) {
             device.steals.fetch_add(1, Ordering::Relaxed);
         }
 
-        let runner = runners
-            .entry(batch.key.pattern.clone())
-            .or_insert_with(|| Runner::new(slot.api, &pipeline_config, &batch.key.pattern));
+        let runner = runners.entry(batch.key.pattern.clone()).or_insert_with(|| {
+            ChunkRunner::new(&pipeline_config, &batch.key.pattern)
+                .expect("simulated setup cannot fail on valid patterns")
+        });
         // One-pass warmup: on this worker's first batch of an (assembly,
         // pattern), upload its whole planned partition into the runner's
         // resident slots up front instead of demand-missing chunk by
@@ -1359,15 +1280,17 @@ fn worker_loop(shared: &Shared, w: usize) {
             None if lead => (token, Sites::Capture),
             None => (token, Sites::Find),
         };
-        let run = runner.run(
-            batch.chunk.payload.as_payload(),
-            scan_len,
-            run_token,
-            sites,
-            &queries,
-            &mut timing,
-            &mut profile,
-        );
+        let run = runner
+            .run_queries(
+                batch.chunk.payload.as_payload(),
+                scan_len,
+                run_token,
+                sites,
+                &queries,
+                &mut timing,
+                &mut profile,
+            )
+            .expect("simulated launch cannot fail");
         if lead {
             let (cache, key) = candidate_cache.as_ref().expect("lead implies a cache");
             match run.captured {
@@ -1510,7 +1433,13 @@ fn worker_loop(shared: &Shared, w: usize) {
 /// will deliver. Chunks already resident (a warm runner, or a re-warm
 /// after plan recompute) are skipped without re-uploading; only real
 /// transfers count toward the prefetch metric.
-fn prefetch_partition(shared: &Shared, w: usize, runner: &Runner, plan: &ShardPlan, key: &BatchKey) {
+fn prefetch_partition<B: Backend>(
+    shared: &Shared,
+    w: usize,
+    runner: &ChunkRunner<B>,
+    plan: &ShardPlan,
+    key: &BatchKey,
+) {
     let Some(assembly) = shared.assemblies.get(&key.assembly) else {
         return;
     };
@@ -1536,7 +1465,8 @@ fn prefetch_partition(shared: &Shared, w: usize, runner: &Runner, plan: &ShardPl
             )
         });
         let token = residency_token(key, index);
-        if runner.prefetch(token, encoded.payload.as_payload()) {
+        let uploaded = runner.prefetch(token, encoded.payload.as_payload());
+        if uploaded.expect("simulated prefetch cannot fail") {
             uploads += 1;
         }
         shared.pool.note_resident(w, token);
