@@ -1,8 +1,9 @@
 //! Micro-benchmark: char vs 2-bit packed comparer (the related-work [21]
-//! optimization) and buffer vs USM host paths.
+//! optimization), the packed arm run as `repro ablations` runs it.
 
 use cas_offinder::pipeline::{self, PipelineConfig};
 use cas_offinder::{OptLevel, SearchInput};
+use casoff_bench::experiments::ablations::packed_search;
 use casoff_bench::microbench::Criterion;
 use casoff_bench::{criterion_group, criterion_main};
 use genome::synth;
@@ -16,18 +17,14 @@ fn bench_variants(c: &mut Criterion) {
         .opt(OptLevel::Opt3);
 
     let chars = pipeline::sycl::run(&assembly, &input, &config).unwrap();
-    let packed = pipeline::twobit::run(&assembly, &input, &config).unwrap();
-    let usm = pipeline::sycl_usm::run(&assembly, &input, &config).unwrap();
-    assert_eq!(chars.offtargets, packed.offtargets);
-    assert_eq!(chars.offtargets, usm.offtargets);
+    let (sites, packed, nibbles) = packed_search(&assembly, &input, &config).unwrap();
+    assert_eq!(chars.offtargets, sites);
     println!(
-        "simulated comparer: char {:.6}s, 2-bit {:.6}s (speedup {:.2}); \
-         elapsed: buffer {:.6}s, usm {:.6}s",
+        "simulated comparer: char {:.6}s, 2-bit {:.6}s (speedup {:.2}; {nibbles} of {} chunks 4-bit)",
         chars.timing.comparer_s,
-        packed.timing.comparer_s,
-        chars.timing.comparer_s / packed.timing.comparer_s,
-        chars.timing.elapsed_s,
-        usm.timing.elapsed_s,
+        packed.comparer_s,
+        chars.timing.comparer_s / packed.comparer_s,
+        packed.finder_launches,
     );
 
     let mut group = c.benchmark_group("variants");
@@ -36,10 +33,10 @@ fn bench_variants(c: &mut Criterion) {
         b.iter(|| pipeline::sycl::run(&assembly, &input, &config).unwrap().timing.comparer_s)
     });
     group.bench_function("comparer-2bit", |b| {
-        b.iter(|| pipeline::twobit::run(&assembly, &input, &config).unwrap().timing.comparer_s)
-    });
-    group.bench_function("host-usm", |b| {
-        b.iter(|| pipeline::sycl_usm::run(&assembly, &input, &config).unwrap().timing.elapsed_s)
+        b.iter(|| {
+            let (_, timing, _) = packed_search(&assembly, &input, &config).unwrap();
+            timing.comparer_s
+        })
     });
     group.finish();
 }

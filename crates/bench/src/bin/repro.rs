@@ -1,17 +1,22 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [all|table1|table8|table9|table10|fig2|shares] [--scale FRACTION] [--chunk N]
+//! repro [all|table1|table8|table9|table10|fig2|shares|ablations|summary|disasm]... [--scale FRACTION] [--chunk N]
 //! ```
 //!
 //! `--scale` sets the miniature-genome scale (default 0.05 ≈ 300–375 kbp
 //! per assembly); `--chunk` the chunk size in scan positions (default 2^17).
+//! An unknown subcommand prints the usage and exits 2.
 
 use casoff_bench::experiments::{
     ablations::Ablations, fig2::Fig2, summary::Summary, table1::Table1, table10::Table10,
     table8::Table8, table9::Table9,
 };
 use casoff_bench::{paper, Runner, TextTable, Workload};
+
+/// Every subcommand `repro` accepts; `all` runs each but `summary` and
+/// `disasm`.
+const SUBCOMMANDS: &str = "all|table1|table8|table9|table10|fig2|shares|ablations|summary|disasm";
 
 struct Args {
     which: Vec<String>,
@@ -39,7 +44,8 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage("--chunk needs an integer"));
             }
             "-h" | "--help" => usage(""),
-            other => which.push(other.to_owned()),
+            other if SUBCOMMANDS.split('|').any(|s| s == other) => which.push(other.to_owned()),
+            other => usage(&format!("unknown subcommand `{other}`")),
         }
     }
     if which.is_empty() {
@@ -56,9 +62,7 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!(
-        "usage: repro [all|table1|table8|table9|table10|fig2|shares|ablations|summary|disasm]... [--scale F] [--chunk N]"
-    );
+    eprintln!("usage: repro [{SUBCOMMANDS}]... [--scale F] [--chunk N]");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 

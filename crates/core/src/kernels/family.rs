@@ -1200,9 +1200,9 @@ mod tests {
 /// Characterization of the serving comparer family at the kernel level.
 ///
 /// Every per-guide, folded and fused comparer is launched directly through
-/// its constructor — the path `pipeline::twobit` and the benchmark harness
-/// take, which the chunk-runner digests never see — on one fixture mixing
-/// concrete, soft-masked, `N` and degenerate IUPAC bases. Each launch's
+/// its constructor — the path the comparer bench and perfbench's layer
+/// replay take, which the chunk-runner digests never see — on one fixture
+/// mixing concrete, soft-masked, `N` and degenerate IUPAC bases. Each launch's
 /// entries (in compaction order), launch counters, cycles, simulated times,
 /// occupancy and the compiled resources of its code model are folded into
 /// one FNV-1a digest, so any drift in what a kernel loads, counts or emits

@@ -12,8 +12,6 @@ pub mod chunk;
 pub mod multi;
 pub mod ocl;
 pub mod sycl;
-pub mod sycl_usm;
-pub mod twobit;
 
 use genome::{Assembly, Chunk, Chunker};
 use gpu_sim::profile::Profile;
@@ -44,9 +42,10 @@ pub struct PipelineConfig {
     /// Number of device-resident chunk payloads a chunk runner keeps alive
     /// between calls. With 1 slot a runner can only reuse the chunk it ran
     /// last; a serving layer that revisits chunks out of order wants a
-    /// budget matching its working set. Residency only pays off through the
-    /// `run_*_resident` entry points of the chunk runners — the serial
-    /// pipelines stream chunks exactly once and are unaffected.
+    /// budget matching its working set. Residency only pays off when a
+    /// caller passes a token to [`chunk::ChunkRunner::run`] or
+    /// [`chunk::ChunkRunner::prefetch`] — the serial pipelines stream
+    /// chunks exactly once, without one, and are unaffected.
     pub resident_slots: usize,
     /// Prefer JIT-specialized per-(pattern, threshold) kernel variants over
     /// the generic kernels in the chunk runners

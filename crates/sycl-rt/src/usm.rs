@@ -3,9 +3,9 @@
 //! §III.A of the paper: "Two abstractions are commonly used for managing
 //! memory in SYCL: unified shared memory and buffer. The former is a
 //! pointer-based approach that allows for easier integration with existing
-//! C/C++ programs." The paper's migration uses buffers; this module
-//! provides the USM alternative so the application can be expressed either
-//! way (see `cas_offinder::pipeline::sycl_usm`).
+//! C/C++ programs." The paper's migration uses buffers, and so do the
+//! application's pipelines; this module models the USM alternative at the
+//! runtime level, where its own tests exercise it.
 //!
 //! * [`Queue::malloc_device`] — device-resident allocation, reachable from
 //!   kernels only; moved explicitly with [`Queue::memcpy_to_device`] /
