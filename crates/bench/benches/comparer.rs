@@ -33,9 +33,8 @@ fn fixture(opt: OptLevel) -> Fixture {
     let comp_index = device.alloc_from_slice(query.comp_index()).unwrap();
     let out = ComparerOutput::allocate(&device, candidates.len() * 2 + 1).unwrap();
     let n = candidates.len();
-    let (kernel, _) = ComparerKernel::new(
-        opt, chr, loci, flags, comp, comp_index, n, 4, out, &query,
-    );
+    let (kernel, _) =
+        ComparerKernel::new(opt, chr, loci, flags, comp, comp_index, n, 4, out, &query);
     let nd = NdRange::linear_cover(n, 256);
     Fixture { device, kernel, nd }
 }

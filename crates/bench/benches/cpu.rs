@@ -19,11 +19,9 @@ fn bench_cpu(c: &mut Criterion) {
         b.iter(|| cpu::search_sequential(&assembly, &input).len())
     });
     for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &t| b.iter(|| cpu::search_parallel(&assembly, &input, t).len()),
-        );
+        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
+            b.iter(|| cpu::search_parallel(&assembly, &input, t).len())
+        });
     }
     group.finish();
 }

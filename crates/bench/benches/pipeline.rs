@@ -30,14 +30,29 @@ fn bench_pipelines(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
     group.bench_function("opencl-base", |b| {
-        b.iter(|| pipeline::ocl::run(&assembly, &input, &config).unwrap().timing.elapsed_s)
+        b.iter(|| {
+            pipeline::ocl::run(&assembly, &input, &config)
+                .unwrap()
+                .timing
+                .elapsed_s
+        })
     });
     group.bench_function("sycl-base", |b| {
-        b.iter(|| pipeline::sycl::run(&assembly, &input, &config).unwrap().timing.elapsed_s)
+        b.iter(|| {
+            pipeline::sycl::run(&assembly, &input, &config)
+                .unwrap()
+                .timing
+                .elapsed_s
+        })
     });
     let opt3_cfg = config.clone().opt(OptLevel::Opt3);
     group.bench_function("sycl-opt3", |b| {
-        b.iter(|| pipeline::sycl::run(&assembly, &input, &opt3_cfg).unwrap().timing.elapsed_s)
+        b.iter(|| {
+            pipeline::sycl::run(&assembly, &input, &opt3_cfg)
+                .unwrap()
+                .timing
+                .elapsed_s
+        })
     });
     group.finish();
 }

@@ -20,11 +20,7 @@ const JOB_COST: u64 = 1_000;
 /// 64/32/16 jobs against a budget that exactly fits the mix.
 const PER_WEIGHT: u64 = 16;
 
-const WEIGHTS: [(TenantId, u32); 3] = [
-    (TenantId(1), 4),
-    (TenantId(2), 2),
-    (TenantId(3), 1),
-];
+const WEIGHTS: [(TenantId, u32); 3] = [(TenantId(1), 4), (TenantId(2), 2), (TenantId(3), 1)];
 
 fn tenant_configs() -> Vec<TenantConfig> {
     WEIGHTS

@@ -46,12 +46,7 @@ fn scan(service: &Service) {
             let mut guide = vec![b"ACGT"[i % 4]; 8];
             guide.extend_from_slice(b"NNN");
             service
-                .submit(JobSpec::new(
-                    "hg38-mini",
-                    b"NNNNNNNNNRG".to_vec(),
-                    guide,
-                    3,
-                ))
+                .submit(JobSpec::new("hg38-mini", b"NNNNNNNNNRG".to_vec(), guide, 3))
                 .expect("bench service accepts every submission")
         })
         .collect();
@@ -64,7 +59,11 @@ fn scan(service: &Service) {
 fn hit_rate_since(report: &MetricsReport, since: &MetricsReport) -> f64 {
     let hits: u64 = report.devices.iter().map(|d| d.resident_hits).sum::<u64>()
         - since.devices.iter().map(|d| d.resident_hits).sum::<u64>();
-    let misses: u64 = report.devices.iter().map(|d| d.resident_misses).sum::<u64>()
+    let misses: u64 = report
+        .devices
+        .iter()
+        .map(|d| d.resident_misses)
+        .sum::<u64>()
         - since.devices.iter().map(|d| d.resident_misses).sum::<u64>();
     hits as f64 / (hits + misses).max(1) as f64
 }

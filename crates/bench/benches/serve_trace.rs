@@ -68,7 +68,11 @@ fn sample_records() -> Vec<OffTarget> {
             query: format!("ACGTACGT{i:03}").into_bytes(),
             chrom: "chr1".into(),
             position: 1000 + i * 37,
-            strand: if i % 2 == 0 { Strand::Forward } else { Strand::Reverse },
+            strand: if i % 2 == 0 {
+                Strand::Forward
+            } else {
+                Strand::Reverse
+            },
             mismatches: (i % 4) as u16,
             site: format!("TTGCACGT{i:03}AGG").into_bytes(),
         })
@@ -103,10 +107,7 @@ fn controller_cycle(controller: &mut Controller) -> usize {
             utilization: if breach { 0.95 } else { 0.2 },
             active_devices: 2,
         };
-        if !matches!(
-            controller.decide(&obs),
-            casoff_serve::Decision::Hold
-        ) {
+        if !matches!(controller.decide(&obs), casoff_serve::Decision::Hold) {
             actions += 1;
         }
     }
@@ -139,9 +140,7 @@ fn bench_serve_trace(c: &mut Criterion) {
 
     let records = sample_records();
     group.bench_function("trace/fold-256-result-sets", |b| {
-        b.iter(|| {
-            (0..256).fold(RESULT_DIGEST_SEED, |d, _| fold_results(d, &records))
-        })
+        b.iter(|| (0..256).fold(RESULT_DIGEST_SEED, |d, _| fold_results(d, &records)))
     });
 
     let reports = fill_and_report(1_000_000);

@@ -30,7 +30,12 @@ fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("variants");
     group.sample_size(10);
     group.bench_function("comparer-char", |b| {
-        b.iter(|| pipeline::sycl::run(&assembly, &input, &config).unwrap().timing.comparer_s)
+        b.iter(|| {
+            pipeline::sycl::run(&assembly, &input, &config)
+                .unwrap()
+                .timing
+                .comparer_s
+        })
     });
     group.bench_function("comparer-2bit", |b| {
         b.iter(|| {

@@ -139,10 +139,7 @@ mod tests {
                 );
                 // The opt4 occupancy cliff.
                 let cliff = f.opt4_over_opt3(d, g);
-                assert!(
-                    (1.4..=2.4).contains(&cliff),
-                    "opt4/opt3 ratio {cliff:.3}"
-                );
+                assert!((1.4..=2.4).contains(&cliff), "opt4/opt3 ratio {cliff:.3}");
                 // The comparer dominates kernel time.
                 assert!(
                     f.comparer_kernel_share[d][g] > 0.85,

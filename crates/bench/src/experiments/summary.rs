@@ -3,7 +3,9 @@
 
 use cas_offinder::{Api, OptLevel};
 
-use crate::experiments::{fig2::Fig2, table1::Table1, table10::Table10, table8::Table8, table9::Table9};
+use crate::experiments::{
+    fig2::Fig2, table1::Table1, table10::Table10, table8::Table8, table9::Table9,
+};
 use crate::{paper, Runner, TextTable};
 
 /// One checked claim.
@@ -187,9 +189,11 @@ impl Summary {
 }
 
 fn bounds(values: &[f64]) -> (f64, f64) {
-    values.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-        (lo.min(v), hi.max(v))
-    })
+    values
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        })
 }
 
 #[cfg(test)]
@@ -203,7 +207,11 @@ mod tests {
         let summary = Summary::run(&mut runner);
         assert_eq!(summary.verdicts.len(), 12);
         for v in &summary.verdicts {
-            assert!(v.pass, "claim failed: {} (measured {})", v.claim, v.measured);
+            assert!(
+                v.pass,
+                "claim failed: {} (measured {})",
+                v.claim, v.measured
+            );
         }
         assert!(summary.all_pass());
         let text = summary.render().to_string();

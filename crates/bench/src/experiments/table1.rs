@@ -30,10 +30,10 @@ impl Table1 {
         let input = cas_offinder::SearchInput::canonical_example("hg19-mini");
         let config = PipelineConfig::new(DeviceSpec::mi100()).chunk_size(1 << 14);
 
-        let ocl_log = ocl::step_log_of(&assembly, &input, &config)
-            .expect("opencl probe pipeline failed");
-        let sycl_log = sycl::step_log_of(&assembly, &input, &config)
-            .expect("sycl probe pipeline failed");
+        let ocl_log =
+            ocl::step_log_of(&assembly, &input, &config).expect("opencl probe pipeline failed");
+        let sycl_log =
+            sycl::step_log_of(&assembly, &input, &config).expect("sycl probe pipeline failed");
 
         Table1 {
             opencl_steps: ocl_log.steps().iter().map(|s| s.to_string()).collect(),

@@ -48,7 +48,14 @@ impl Table10 {
         let mut t = TextTable::new(
             "Table X — resource usage and occupancy of the comparer variants",
             &[
-                "metric", "base", "opt1", "opt2", "opt3", "opt4", "paper", "max dev %",
+                "metric",
+                "base",
+                "opt1",
+                "opt2",
+                "opt3",
+                "opt4",
+                "paper",
+                "max dev %",
             ],
         );
         let rows: [(&str, Vec<u32>, &[u32; 5]); 4] = [
@@ -67,7 +74,11 @@ impl Table10 {
                 self.resources.iter().map(|r| r.sgprs).collect(),
                 &paper::TABLE10_SGPRS,
             ),
-            ("occupancy", self.occupancy.to_vec(), &paper::TABLE10_OCCUPANCY),
+            (
+                "occupancy",
+                self.occupancy.to_vec(),
+                &paper::TABLE10_OCCUPANCY,
+            ),
         ];
         for (name, measured, expected) in rows {
             let max_dev = measured

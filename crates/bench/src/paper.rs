@@ -26,8 +26,10 @@ pub const TABLE9_OPT_S: [[f64; 3]; 2] = [[39.0, 42.0, 36.0], [52.0, 57.0, 53.0]]
 /// Fig. 2: fraction of the baseline comparer kernel time remaining at opt3,
 /// `[dataset][device]` (the paper reports the reductions: hg19
 /// 27.8/23.4/23.1%, hg38 22.9/21.1/21.7%).
-pub const FIG2_OPT3_REMAINING: [[f64; 3]; 2] =
-    [[1.0 - 0.278, 1.0 - 0.234, 1.0 - 0.231], [1.0 - 0.229, 1.0 - 0.211, 1.0 - 0.217]];
+pub const FIG2_OPT3_REMAINING: [[f64; 3]; 2] = [
+    [1.0 - 0.278, 1.0 - 0.234, 1.0 - 0.231],
+    [1.0 - 0.229, 1.0 - 0.211, 1.0 - 0.217],
+];
 
 /// Fig. 2: opt4 "almost doubles" the opt3 kernel time.
 pub const FIG2_OPT4_OVER_OPT3: f64 = 1.9;

@@ -325,7 +325,14 @@ mod tests {
         );
         let mut keys: Vec<_> = hits
             .iter()
-            .map(|h| (h.bulge, h.site.chrom.clone(), h.site.position, h.site.strand))
+            .map(|h| {
+                (
+                    h.bulge,
+                    h.site.chrom.clone(),
+                    h.site.position,
+                    h.site.strand,
+                )
+            })
             .collect();
         let before = keys.len();
         keys.dedup();
@@ -365,8 +372,14 @@ mod tests {
         assert_eq!(vs[0].pattern, b"NNNNNNNNNGG");
         // Spacer is 8 bases: 7 insert positions per DNA size, 7 and then
         // spacer_len-1-b positions for RNA deletions.
-        let dna: Vec<_> = vs.iter().filter(|v| matches!(v.bulge, BulgeType::Dna(_))).collect();
-        let rna: Vec<_> = vs.iter().filter(|v| matches!(v.bulge, BulgeType::Rna(_))).collect();
+        let dna: Vec<_> = vs
+            .iter()
+            .filter(|v| matches!(v.bulge, BulgeType::Dna(_)))
+            .collect();
+        let rna: Vec<_> = vs
+            .iter()
+            .filter(|v| matches!(v.bulge, BulgeType::Rna(_)))
+            .collect();
         assert_eq!(dna.len(), 14, "two DNA sizes x 7 positions");
         assert_eq!(rna.len(), 6, "one RNA size x 6 positions");
         for v in &dna {

@@ -154,7 +154,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
             opts.input_path = positional.remove(0);
             opts.output_path = Some(positional.remove(0));
         }
-        n => return Err(CliError::Usage(format!("{n} positional arguments, expected 1-2"))),
+        n => {
+            return Err(CliError::Usage(format!(
+                "{n} positional arguments, expected 1-2"
+            )))
+        }
     }
     Ok(opts)
 }
@@ -298,8 +302,11 @@ mod tests {
     #[test]
     fn parse_args_full() {
         let opts = parse_args(
-            ["in.txt", "out.txt", "--api", "opencl", "--device", "MI60", "--opt", "opt2", "--chunk", "4096"]
-                .map(String::from),
+            [
+                "in.txt", "out.txt", "--api", "opencl", "--device", "MI60", "--opt", "opt2",
+                "--chunk", "4096",
+            ]
+            .map(String::from),
         )
         .unwrap();
         assert_eq!(opts.input_path, "in.txt");
@@ -403,7 +410,11 @@ mod tests {
             "hg19-mini:0.004\nNNNNNNNNNNNNNNNNNNNNNRG\nCGCCAGCGTCAGCGACAGGTNNN 4\n",
         )
         .unwrap();
-        let base = [input_path.to_str().unwrap().to_owned(), "--chunk".into(), "8192".into()];
+        let base = [
+            input_path.to_str().unwrap().to_owned(),
+            "--chunk".into(),
+            "8192".into(),
+        ];
         let sycl = run(base.clone()).unwrap();
         let ocl = run([&base[..], &["--api".to_owned(), "opencl".to_owned()]].concat()).unwrap();
         // Hits identical; only the summary line (api name, timing) differs.

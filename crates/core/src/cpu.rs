@@ -96,7 +96,13 @@ fn compile_queries(input: &SearchInput) -> Vec<(CompiledSeq, u16, &[u8])> {
     input
         .queries
         .iter()
-        .map(|q| (CompiledSeq::compile(&q.seq), q.max_mismatches, q.seq.as_slice()))
+        .map(|q| {
+            (
+                CompiledSeq::compile(&q.seq),
+                q.max_mismatches,
+                q.seq.as_slice(),
+            )
+        })
         .collect()
 }
 

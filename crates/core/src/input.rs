@@ -87,10 +87,17 @@ impl fmt::Display for InputError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InputError::TooShort => {
-                write!(f, "input needs a genome line, a pattern line and at least one query")
+                write!(
+                    f,
+                    "input needs a genome line, a pattern line and at least one query"
+                )
             }
             InputError::InvalidSequence { line, byte } => {
-                write!(f, "invalid sequence character {:?} at line {line}", *byte as char)
+                write!(
+                    f,
+                    "invalid sequence character {:?} at line {line}",
+                    *byte as char
+                )
             }
             InputError::LengthMismatch {
                 line,
@@ -253,9 +260,21 @@ mod tests {
     #[test]
     fn rejects_invalid_characters_with_location() {
         let err = SearchInput::parse("g\nNN-RG\nAAAAA 1\n").unwrap_err();
-        assert_eq!(err, InputError::InvalidSequence { line: 2, byte: b'-' });
+        assert_eq!(
+            err,
+            InputError::InvalidSequence {
+                line: 2,
+                byte: b'-'
+            }
+        );
         let err = SearchInput::parse("g\nNNNRG\nAA!AA 1\n").unwrap_err();
-        assert_eq!(err, InputError::InvalidSequence { line: 3, byte: b'!' });
+        assert_eq!(
+            err,
+            InputError::InvalidSequence {
+                line: 3,
+                byte: b'!'
+            }
+        );
     }
 
     #[test]

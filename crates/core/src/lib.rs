@@ -64,8 +64,8 @@ pub mod stats;
 pub mod verify;
 
 pub use input::{InputError, Query, SearchInput};
-pub use pam::Nuclease;
 pub use kernels::OptLevel;
+pub use pam::Nuclease;
 pub use pattern::CompiledSeq;
 pub use report::{Api, SearchReport, TimingBreakdown};
 pub use site::{sort_canonical, OffTarget, Strand};

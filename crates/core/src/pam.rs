@@ -126,14 +126,8 @@ mod tests {
     fn patterns_have_the_documented_shape() {
         assert_eq!(Nuclease::SpCas9.pattern(), b"NNNNNNNNNNNNNNNNNNNNNGG");
         assert_eq!(Nuclease::SpCas9Nrg.pattern(), b"NNNNNNNNNNNNNNNNNNNNNRG");
-        assert_eq!(
-            Nuclease::SaCas9.pattern(),
-            b"NNNNNNNNNNNNNNNNNNNNNNNGRRT"
-        );
-        assert_eq!(
-            Nuclease::Cas12a.pattern(),
-            b"TTTVNNNNNNNNNNNNNNNNNNNNNNN"
-        );
+        assert_eq!(Nuclease::SaCas9.pattern(), b"NNNNNNNNNNNNNNNNNNNNNNNGRRT");
+        assert_eq!(Nuclease::Cas12a.pattern(), b"TTTVNNNNNNNNNNNNNNNNNNNNNNN");
         assert_eq!(Nuclease::XCas9.pattern(), b"NNNNNNNNNNNNNNNNNNNNNG");
         for n in Nuclease::ALL {
             assert_eq!(n.pattern().len(), n.spacer_len() + n.pam().len());

@@ -1816,15 +1816,18 @@ impl Backend for Sycl {
                     let comp_index = h.get_access(&comp_index_buf, AccessMode::Read)?.raw();
                     let (out, guide) = outs.bind(h)?;
                     let guide = guide.expect("fused outputs carry guide tags");
-                    let out = MultiComparerOutput { entries: out, guide };
+                    let out = MultiComparerOutput {
+                        entries: out,
+                        guide,
+                    };
                     let thresholds = match variant {
                         Some(variant) => GuideThresholds::Folded {
                             threshold: thr[0],
                             variant,
                         },
-                        None => {
-                            GuideThresholds::PerGuide(h.get_access(&thr_buf, AccessMode::Read)?.raw())
-                        }
+                        None => GuideThresholds::PerGuide(
+                            h.get_access(&thr_buf, AccessMode::Read)?.raw(),
+                        ),
                     };
                     let chunk = bind_reads(h, staged.compare_bufs())?;
                     let block = Block::new(comp, comp_index, thresholds, plen, g);
@@ -2027,7 +2030,13 @@ mod tests {
                 continue;
             }
             let per_query = runner
-                .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+                .run_chunk(
+                    chunk.seq,
+                    chunk.scan_len,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
                 .unwrap();
             for (query, entries) in input.queries.iter().zip(&per_query) {
                 entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
@@ -2055,7 +2064,13 @@ mod tests {
                 continue;
             }
             let per_query = runner
-                .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+                .run_chunk(
+                    chunk.seq,
+                    chunk.scan_len,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
                 .unwrap();
             for (query, entries) in input.queries.iter().zip(&per_query) {
                 entries_to_offtargets(&chunk, &query.seq, plen, entries, &mut offtargets);
@@ -2108,7 +2123,13 @@ mod tests {
             }
             let before = runner.traffic().h2d_bytes;
             let plain = runner
-                .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+                .run_chunk(
+                    chunk.seq,
+                    chunk.scan_len,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
                 .unwrap();
             let mid = runner.traffic().h2d_bytes;
             let packed = PackedSeq::encode(chunk.seq);
@@ -2208,7 +2229,13 @@ mod tests {
             }
             let before = runner.traffic().h2d_bytes;
             let plain = runner
-                .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+                .run_chunk(
+                    chunk.seq,
+                    chunk.scan_len,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
                 .unwrap();
             let mid = runner.traffic().h2d_bytes;
             let nibble = NibbleSeq::encode(chunk.seq);
@@ -2406,7 +2433,13 @@ mod tests {
         let mut packed_t = TimingBreakdown::default();
         let mut profile = gpu_sim::profile::Profile::new();
         let plain = runner
-            .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut char_t, &mut profile)
+            .run_chunk(
+                chunk.seq,
+                chunk.scan_len,
+                &tables,
+                &mut char_t,
+                &mut profile,
+            )
             .unwrap();
         let packed = PackedSeq::encode(chunk.seq);
         assert!(packed.exceptions().is_empty());
@@ -2692,7 +2725,13 @@ mod tests {
         let mut profile = gpu_sim::profile::Profile::new();
         let chunk = Chunker::new(&asm, 64, runner.plen()).next().unwrap();
         let per_query = runner
-            .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+            .run_chunk(
+                chunk.seq,
+                chunk.scan_len,
+                &tables,
+                &mut timing,
+                &mut profile,
+            )
             .unwrap();
         assert_eq!(per_query.len(), 3);
         assert_eq!(timing.finder_launches, 1);
@@ -2762,7 +2801,15 @@ mod tests {
         let fits = &seq[..8 + runner.plen()];
         assert!(rejects_oversized(|| {
             let s = Sites::Replay(&list);
-            let _ = runner.run(Payload::Raw(fits), 8, Some(1), s, &tables, &mut timing, &mut profile);
+            let _ = runner.run(
+                Payload::Raw(fits),
+                8,
+                Some(1),
+                s,
+                &tables,
+                &mut timing,
+                &mut profile,
+            );
         }));
     }
 
@@ -2873,7 +2920,13 @@ mod tests {
                 continue;
             }
             let raw = runner
-                .run_chunk(chunk.seq, chunk.scan_len, &tables, &mut timing, &mut profile)
+                .run_chunk(
+                    chunk.seq,
+                    chunk.scan_len,
+                    &tables,
+                    &mut timing,
+                    &mut profile,
+                )
                 .unwrap();
             // Degenerate chunks only run as nibbles (see the nibble tests).
             let packed = PackedSeq::encode(chunk.seq);
@@ -2941,7 +2994,8 @@ mod tests {
             let input = library_input(GUIDE_BLOCK + 3, uniform);
             let cfg = config().specialize(specialize);
             let serial = OclChunkRunner::new(&cfg, &input.pattern).unwrap();
-            let fused = OclChunkRunner::new(&cfg.clone().multi_guide(true), &input.pattern).unwrap();
+            let fused =
+                OclChunkRunner::new(&cfg.clone().multi_guide(true), &input.pattern).unwrap();
             let st = serial.prepare_queries(&input.queries).unwrap();
             let ft = fused.prepare_queries(&input.queries).unwrap();
             let plen = serial.plen();

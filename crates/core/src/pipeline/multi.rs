@@ -52,7 +52,11 @@ mod tests {
             &assembly,
             &input,
             &config,
-            &[DeviceSpec::mi100(), DeviceSpec::mi100(), DeviceSpec::mi100()],
+            &[
+                DeviceSpec::mi100(),
+                DeviceSpec::mi100(),
+                DeviceSpec::mi100(),
+            ],
         )
         .unwrap();
         assert_eq!(multi.offtargets, single.offtargets);
@@ -69,7 +73,11 @@ mod tests {
             &assembly,
             &input,
             &config,
-            &[DeviceSpec::mi100(), DeviceSpec::mi100(), DeviceSpec::mi100()],
+            &[
+                DeviceSpec::mi100(),
+                DeviceSpec::mi100(),
+                DeviceSpec::mi100(),
+            ],
         )
         .unwrap();
         assert!(
@@ -84,13 +92,8 @@ mod tests {
     fn heterogeneous_fleet_is_supported() {
         let (assembly, input) = workload();
         let config = PipelineConfig::new(DeviceSpec::mi100()).chunk_size(1 << 13);
-        let (multi, per_device) = run(
-            &assembly,
-            &input,
-            &config,
-            &DeviceSpec::paper_devices(),
-        )
-        .unwrap();
+        let (multi, per_device) =
+            run(&assembly, &input, &config, &DeviceSpec::paper_devices()).unwrap();
         assert_eq!(multi.device, "Radeon VII+MI60+MI100");
         // The slowest device defines the elapsed time.
         let max = per_device.iter().map(|t| t.elapsed_s).fold(0.0, f64::max);

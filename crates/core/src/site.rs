@@ -69,7 +69,13 @@ impl OffTarget {
         let site = oriented
             .iter()
             .zip(query)
-            .map(|(&g, &q)| if is_mismatch(q, g) { g.to_ascii_lowercase() } else { g })
+            .map(|(&g, &q)| {
+                if is_mismatch(q, g) {
+                    g.to_ascii_lowercase()
+                } else {
+                    g
+                }
+            })
             .collect();
         OffTarget {
             query: query.to_vec(),
@@ -107,12 +113,7 @@ impl fmt::Display for OffTarget {
 /// whose atomic compaction orders differ.
 pub fn sort_canonical(records: &mut [OffTarget]) {
     records.sort_by(|a, b| {
-        (&a.query, &a.chrom, a.position, a.strand).cmp(&(
-            &b.query,
-            &b.chrom,
-            b.position,
-            b.strand,
-        ))
+        (&a.query, &a.chrom, a.position, a.strand).cmp(&(&b.query, &b.chrom, b.position, b.strand))
     });
 }
 

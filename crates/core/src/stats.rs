@@ -39,10 +39,7 @@ impl SearchStats {
         let mut stats = SearchStats::default();
         for hit in hits {
             *stats.per_query.entry(hit.query.clone()).or_default() += 1;
-            *stats
-                .per_chromosome
-                .entry(hit.chrom.clone())
-                .or_default() += 1;
+            *stats.per_chromosome.entry(hit.chrom.clone()).or_default() += 1;
             *stats.mismatch_histogram.entry(hit.mismatches).or_default() += 1;
             match hit.strand {
                 Strand::Forward => stats.forward += 1,

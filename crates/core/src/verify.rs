@@ -127,11 +127,12 @@ pub fn verify_records(
             .ok_or_else(|| VerifyError::UnknownQuery {
                 query: String::from_utf8_lossy(&hit.query).into_owned(),
             })?;
-        let chrom = assembly
-            .chromosome(&hit.chrom)
-            .ok_or_else(|| VerifyError::UnknownChromosome {
-                chrom: hit.chrom.clone(),
-            })?;
+        let chrom =
+            assembly
+                .chromosome(&hit.chrom)
+                .ok_or_else(|| VerifyError::UnknownChromosome {
+                    chrom: hit.chrom.clone(),
+                })?;
         if hit.position + plen > chrom.len() {
             return Err(VerifyError::OutOfRange {
                 chrom: hit.chrom.clone(),
@@ -226,7 +227,13 @@ mod tests {
         let mut hits = search_sequential(&assembly, &input);
         hits.pop();
         let err = verify_complete(&assembly, &input, &hits).unwrap_err();
-        assert_eq!(err, VerifyError::SetMismatch { extra: 0, missing: 1 });
+        assert_eq!(
+            err,
+            VerifyError::SetMismatch {
+                extra: 0,
+                missing: 1
+            }
+        );
     }
 
     #[test]

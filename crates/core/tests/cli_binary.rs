@@ -65,11 +65,7 @@ fn full_run_writes_the_output_file() {
 fn fasta_genome_on_disk_is_searchable() {
     let dir = scratch_dir("fasta");
     let fasta = dir.join("toy.fa");
-    std::fs::write(
-        &fasta,
-        ">chrT\nTTTTACGTACGTACGTACGTACGTAGGTTTT\n",
-    )
-    .unwrap();
+    std::fs::write(&fasta, ">chrT\nTTTTACGTACGTACGTACGTACGTAGGTTTT\n").unwrap();
     let input = dir.join("input.txt");
     std::fs::write(
         &input,
@@ -87,13 +83,19 @@ fn fasta_genome_on_disk_is_searchable() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("chrT"), "the planted site must be found:\n{text}");
+    assert!(
+        text.contains("chrT"),
+        "the planted site must be found:\n{text}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn bad_flags_fail_cleanly() {
-    let out = binary().args(["in.txt", "--api", "vulkan"]).output().unwrap();
+    let out = binary()
+        .args(["in.txt", "--api", "vulkan"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown api"));
 }

@@ -123,7 +123,10 @@ impl Assembly {
 
     /// Total non-`N` bases across all chromosomes.
     pub fn searchable_len(&self) -> usize {
-        self.chromosomes.iter().map(Chromosome::searchable_len).sum()
+        self.chromosomes
+            .iter()
+            .map(Chromosome::searchable_len)
+            .sum()
     }
 
     /// Compute composition statistics over the whole assembly.

@@ -391,11 +391,15 @@ mod tests {
         // At least one exact (0-mutation) copy of each guide must exist.
         for site in &sites {
             let found = asm.chromosomes().iter().any(|c| {
-                c.seq.windows(site.len()).any(|w| {
-                    w.iter().zip(site.iter()).all(|(&g, &s)| matches(s, g))
-                })
+                c.seq
+                    .windows(site.len())
+                    .any(|w| w.iter().zip(site.iter()).all(|(&g, &s)| matches(s, g)))
             });
-            assert!(found, "implanted site {:?} missing", String::from_utf8_lossy(site));
+            assert!(
+                found,
+                "implanted site {:?} missing",
+                String::from_utf8_lossy(site)
+            );
         }
     }
 

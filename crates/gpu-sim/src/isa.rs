@@ -316,7 +316,11 @@ impl Program {
         for (label, instrs) in &self.sections {
             out.push_str(&format!("{label}:\n"));
             for i in instrs {
-                out.push_str(&format!("  {offset:#07x}  {:<44} ; {}B\n", i.text, i.bytes()));
+                out.push_str(&format!(
+                    "  {offset:#07x}  {:<44} ; {}B\n",
+                    i.text,
+                    i.bytes()
+                ));
                 offset += i.bytes();
             }
         }
@@ -406,7 +410,12 @@ pub fn compile_program(model: &CodeModel) -> Program {
     // --- Prologue: argument descriptors + id computation. -------------------
     e.section("prologue");
     for i in 0..m.pointer_args {
-        e.smem(format!("s_load_dwordx2 s[{}:{}], kernarg, ptr{}", 2 * i, 2 * i + 1, i));
+        e.smem(format!(
+            "s_load_dwordx2 s[{}:{}], kernarg, ptr{}",
+            2 * i,
+            2 * i + 1,
+            i
+        ));
     }
     for i in 0..m.scalar_args {
         e.smem(format!("s_load_dword s_arg{i}, kernarg"));
@@ -431,7 +440,9 @@ pub fn compile_program(model: &CodeModel) -> Program {
             e.branch("s_cbranch_scc1 .Lcopy");
             for a in 0..m.staged_arrays {
                 for u in 0..4 {
-                    e.vmem(format!("global_load_ubyte v_c, v_addr, s_comp{a} ; unroll {u}"));
+                    e.vmem(format!(
+                        "global_load_ubyte v_c, v_addr, s_comp{a} ; unroll {u}"
+                    ));
                     e.wait();
                     e.lds(format!("ds_write_b8 v_laddr, v_c ; array {a}"));
                     e.valu("v_add_u32 v_addr, v_addr, 1");
@@ -468,7 +479,11 @@ pub fn compile_program(model: &CodeModel) -> Program {
     if m.cached_local_regs > 0 {
         e.section("register_cached_pattern");
         for i in 0..m.cached_local_regs.div_ceil(2) {
-            e.lds(format!("ds_read2_b32 v[{}:{}], v_laddr", 40 + 2 * i, 41 + 2 * i));
+            e.lds(format!(
+                "ds_read2_b32 v[{}:{}], v_laddr",
+                40 + 2 * i,
+                41 + 2 * i
+            ));
             e.valu(format!("v_mov_b32 v_pat{i}, v_tmp"));
         }
     }
@@ -492,10 +507,14 @@ pub fn compile_program(model: &CodeModel) -> Program {
             e.salu("s_mov_b32 s_mm, 0 ; folded body");
             for p in 0..m.folded_pattern {
                 if p % 4 == 0 {
-                    e.vmem(format!("global_load_dword v_win, v_ref, s_chr ; window +{p}"));
+                    e.vmem(format!(
+                        "global_load_dword v_win, v_ref, s_chr ; window +{p}"
+                    ));
                     e.wait();
                 }
-                e.vop3(format!("v_cmp_class_u8 vcc, v_win, lit_mask{p} ; folded position {p}"));
+                e.vop3(format!(
+                    "v_cmp_class_u8 vcc, v_win, lit_mask{p} ; folded position {p}"
+                ));
                 e.valu("v_addc_u32 v_mm, v_mm, 0");
                 if p % 8 == 7 {
                     e.branch("s_cbranch_vccnz .Lfolded_exit ; literal threshold trip");
@@ -539,7 +558,10 @@ pub fn compile_program(model: &CodeModel) -> Program {
                     e.lds_site("l_comp[k]");
                 }
                 // The 56-byte VOP3 compare/select ladder arm.
-                e.vop3(format!("v_cmp_eq_u32 s[30:31], v_pat, {} ; arm {arm}", LADDER_NAMES[arm as usize % LADDER_NAMES.len()]));
+                e.vop3(format!(
+                    "v_cmp_eq_u32 s[30:31], v_pat, {} ; arm {arm}",
+                    LADDER_NAMES[arm as usize % LADDER_NAMES.len()]
+                ));
                 e.vop3("v_cmp_eq_u32 s[32:33], v_chr, lit0");
                 e.vop3("v_cmp_eq_u32 s[34:35], v_chr, lit1");
                 e.vop3("v_cmp_ne_u32 s[36:37], v_chr, v_pat");
@@ -571,7 +593,9 @@ pub fn compile_program(model: &CodeModel) -> Program {
         // Without restrict: the reference load is re-issued in every arm.
         if !m.noalias {
             for arm in 0..m.ladder_arms {
-                e.vmem(format!("global_load_ubyte v_chr, v_ref, s_chr ; alias reissue, arm {arm}"));
+                e.vmem(format!(
+                    "global_load_ubyte v_chr, v_ref, s_chr ; alias reissue, arm {arm}"
+                ));
             }
             e.salu("s_mov_b32 s_alias_guard, 1");
         }
@@ -594,7 +618,9 @@ pub fn compile_program(model: &CodeModel) -> Program {
     if m.cached_global_scalars == 0 && m.global_scalar_use_sites > 0 {
         e.section("scalar_reloads");
         for i in 0..m.global_scalar_use_sites {
-            e.vmem(format!("global_load_dword v_loci, v_gid, s_loci ; use site {i}"));
+            e.vmem(format!(
+                "global_load_dword v_loci, v_gid, s_loci ; use site {i}"
+            ));
             e.wait();
             e.valu("v_mov_b32 v_addr, v_loci");
         }
@@ -878,7 +904,10 @@ mod tests {
         assert!(text.contains("folded position 0"));
         assert!(text.contains("folded position 22"));
         assert!(text.contains("literal threshold trip"));
-        assert!(!text.contains("ds_read"), "folded bodies load no pattern:\n{text}");
+        assert!(
+            !text.contains("ds_read"),
+            "folded bodies load no pattern:\n{text}"
+        );
         assert!(!text.contains("alias reissue"));
         let from_stream: u32 = program
             .sections()

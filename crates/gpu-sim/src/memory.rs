@@ -232,8 +232,7 @@ impl<T: Scalar> DeviceBuffer<T> {
         // the capacity check refuses it before any cell is built.
         let bytes = (len as u64).saturating_mul(T::BYTES);
         tracker.try_alloc(bytes)?;
-        let cells: Box<[AtomicCell<T>]> =
-            (0..len).map(|_| AtomicCell::new(T::default())).collect();
+        let cells: Box<[AtomicCell<T>]> = (0..len).map(|_| AtomicCell::new(T::default())).collect();
         Ok(DeviceBuffer {
             storage: Arc::new(Storage {
                 cells,
@@ -284,7 +283,9 @@ impl<T: Scalar> DeviceBuffer<T> {
     /// Returns [`SimError::InvalidRegion`] if the region exceeds the buffer.
     pub fn write_from_host(&self, offset: usize, data: &[T]) -> SimResult<()> {
         self.check_region(offset, data.len())?;
-        self.storage.traffic.record_h2d(data.len() as u64 * T::BYTES);
+        self.storage
+            .traffic
+            .record_h2d(data.len() as u64 * T::BYTES);
         for (cell, &v) in self.storage.cells[offset..offset + data.len()]
             .iter()
             .zip(data)
@@ -304,7 +305,10 @@ impl<T: Scalar> DeviceBuffer<T> {
         let len = out.len();
         self.check_region(offset, len)?;
         self.storage.traffic.record_d2h(len as u64 * T::BYTES);
-        for (v, cell) in out.iter_mut().zip(&self.storage.cells[offset..offset + len]) {
+        for (v, cell) in out
+            .iter_mut()
+            .zip(&self.storage.cells[offset..offset + len])
+        {
             *v = cell.load();
         }
         Ok(())
@@ -467,9 +471,13 @@ mod tests {
     #[test]
     fn alloc_and_release_accounting() {
         let t = tracker(1024);
-        let buf =
-            DeviceBuffer::<u32>::allocate(Arc::clone(&t), Arc::default(), 100, AddressSpace::Global)
-                .unwrap();
+        let buf = DeviceBuffer::<u32>::allocate(
+            Arc::clone(&t),
+            Arc::default(),
+            100,
+            AddressSpace::Global,
+        )
+        .unwrap();
         assert_eq!(t.used(), 400);
         let clone = buf.clone();
         drop(buf);

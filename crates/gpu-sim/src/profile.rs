@@ -120,11 +120,8 @@ impl Profile {
 
     /// All kernels, sorted by total time descending.
     pub fn hotspots(&self) -> Vec<(&str, &KernelStats)> {
-        let mut v: Vec<(&str, &KernelStats)> = self
-            .kernels
-            .iter()
-            .map(|(k, s)| (k.as_str(), s))
-            .collect();
+        let mut v: Vec<(&str, &KernelStats)> =
+            self.kernels.iter().map(|(k, s)| (k.as_str(), s)).collect();
         v.sort_by(|a, b| b.1.total_s.total_cmp(&a.1.total_s));
         v
     }
@@ -194,9 +191,21 @@ mod tests {
     fn profile() -> Profile {
         let device = Device::new(DeviceSpec::mi100());
         let mut p = Profile::new();
-        p.record(device.launch(&Busy("hot", 5000), NdRange::linear(4096, 256)).unwrap());
-        p.record(device.launch(&Busy("hot", 5000), NdRange::linear(4096, 256)).unwrap());
-        p.record(device.launch(&Busy("cold", 10), NdRange::linear(256, 64)).unwrap());
+        p.record(
+            device
+                .launch(&Busy("hot", 5000), NdRange::linear(4096, 256))
+                .unwrap(),
+        );
+        p.record(
+            device
+                .launch(&Busy("hot", 5000), NdRange::linear(4096, 256))
+                .unwrap(),
+        );
+        p.record(
+            device
+                .launch(&Busy("cold", 10), NdRange::linear(256, 64))
+                .unwrap(),
+        );
         p
     }
 

@@ -212,10 +212,7 @@ mod tests {
 
     #[test]
     fn paper_devices_order() {
-        let names: Vec<_> = DeviceSpec::paper_devices()
-            .iter()
-            .map(|d| d.name)
-            .collect();
+        let names: Vec<_> = DeviceSpec::paper_devices().iter().map(|d| d.name).collect();
         assert_eq!(names, ["Radeon VII", "MI60", "MI100"]);
     }
 

@@ -63,7 +63,10 @@ impl fmt::Display for ClError {
                 write!(f, "program defines no kernel named {name:?}")
             }
             ClError::InvalidArgIndex { index, arity } => {
-                write!(f, "argument index {index} out of range for kernel with {arity} arguments")
+                write!(
+                    f,
+                    "argument index {index} out of range for kernel with {arity} arguments"
+                )
             }
             ClError::InvalidArgValue { index, expected } => {
                 write!(f, "argument {index} invalid: expected {expected}")

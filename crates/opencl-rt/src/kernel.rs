@@ -214,7 +214,13 @@ pub struct Kernel {
 
 impl fmt::Debug for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let bound = self.args.lock().unwrap().iter().filter(|a| a.is_some()).count();
+        let bound = self
+            .args
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|a| a.is_some())
+            .count();
         f.debug_struct("Kernel")
             .field("name", &self.function.name())
             .field("arity", &self.function.arity())

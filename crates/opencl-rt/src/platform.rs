@@ -149,7 +149,10 @@ mod tests {
     #[test]
     fn cpu_query_reports_device_not_found() {
         let p = &Platform::query()[0];
-        assert_eq!(p.devices(DeviceType::Cpu).unwrap_err(), ClError::DeviceNotFound);
+        assert_eq!(
+            p.devices(DeviceType::Cpu).unwrap_err(),
+            ClError::DeviceNotFound
+        );
     }
 
     #[test]

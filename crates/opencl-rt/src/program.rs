@@ -30,7 +30,9 @@ pub struct KernelSource {
 impl fmt::Debug for KernelSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let names: Vec<&str> = self.functions.iter().map(|k| k.name()).collect();
-        f.debug_struct("KernelSource").field("kernels", &names).finish()
+        f.debug_struct("KernelSource")
+            .field("kernels", &names)
+            .finish()
     }
 }
 
@@ -185,7 +187,10 @@ mod tests {
     fn kernel_creation_requires_build() {
         let ctx = ctx();
         let p = program(&ctx);
-        assert_eq!(p.create_kernel("finder").unwrap_err(), ClError::ProgramNotBuilt);
+        assert_eq!(
+            p.create_kernel("finder").unwrap_err(),
+            ClError::ProgramNotBuilt
+        );
         p.build("-O3").unwrap();
         assert_eq!(p.build_options(), "-O3");
         assert!(p.create_kernel("finder").is_ok());

@@ -88,8 +88,8 @@ impl CommandQueue {
         dst.device_buffer().write_from_host(offset, data)?;
         self.log.record(Step::TransferData);
         let spec = self.device.spec();
-        let dur =
-            timing::transfer_time_s(std::mem::size_of_val(data) as u64, spec) * CL_HOST_OVERHEAD_FACTOR;
+        let dur = timing::transfer_time_s(std::mem::size_of_val(data) as u64, spec)
+            * CL_HOST_OVERHEAD_FACTOR;
         let (start, end) = self.clock.advance(dur);
         Ok(ClEvent::new(
             CommandType::WriteBuffer,
@@ -115,8 +115,8 @@ impl CommandQueue {
         src.device_buffer().read_to_host(offset, out)?;
         self.log.record(Step::TransferData);
         let spec = self.device.spec();
-        let dur =
-            timing::transfer_time_s(std::mem::size_of_val(out) as u64, spec) * CL_HOST_OVERHEAD_FACTOR;
+        let dur = timing::transfer_time_s(std::mem::size_of_val(out) as u64, spec)
+            * CL_HOST_OVERHEAD_FACTOR;
         let (start, end) = self.clock.advance(dur);
         Ok(ClEvent::new(
             CommandType::ReadBuffer,
@@ -133,11 +133,7 @@ impl CommandQueue {
     /// # Errors
     ///
     /// Currently infallible; the `Result` keeps the OpenCL error-code shape.
-    pub fn enqueue_fill_buffer<T: Scalar>(
-        &self,
-        dst: &ClBuffer<T>,
-        value: T,
-    ) -> ClResult<ClEvent> {
+    pub fn enqueue_fill_buffer<T: Scalar>(&self, dst: &ClBuffer<T>, value: T) -> ClResult<ClEvent> {
         dst.device_buffer().fill(value);
         self.log.record(Step::TransferData);
         let dur = self.device.spec().transfer_overhead_s * CL_HOST_OVERHEAD_FACTOR;
@@ -322,7 +318,9 @@ mod tests {
         kernel
             .set_arg(0, KernelArg::BufU32(buf.device_buffer()))
             .unwrap();
-        let ev = queue.enqueue_nd_range_kernel(&kernel, 128, Some(64)).unwrap();
+        let ev = queue
+            .enqueue_nd_range_kernel(&kernel, 128, Some(64))
+            .unwrap();
         ev.wait();
         let mut out = vec![0u32; 128];
         queue.enqueue_read_buffer(&buf, true, 0, &mut out).unwrap();
@@ -384,10 +382,8 @@ mod tests {
         queue.enqueue_read_buffer(&buf, true, 0, &mut out).unwrap();
         assert!(out.iter().all(|&v| v == 7));
 
-        let ctx2 = Context::new(
-            &Platform::query()[0].devices(DeviceType::Gpu).unwrap()[..1],
-        )
-        .unwrap();
+        let ctx2 =
+            Context::new(&Platform::query()[0].devices(DeviceType::Gpu).unwrap()[..1]).unwrap();
         let _ = ctx2; // the copy stays within the original context
         let dst = ClBuffer::<u32>::create(&_ctx, MemFlags::ReadWrite, 64).unwrap();
         queue.enqueue_copy_buffer(&buf, &dst, 8, 0, 64).unwrap();
@@ -409,7 +405,9 @@ mod tests {
         kernel
             .set_arg(0, KernelArg::BufU32(buf.device_buffer()))
             .unwrap();
-        let k = queue.enqueue_nd_range_kernel(&kernel, 128, Some(64)).unwrap();
+        let k = queue
+            .enqueue_nd_range_kernel(&kernel, 128, Some(64))
+            .unwrap();
         assert!(k.start_s() >= w.end_s());
         assert!(queue.elapsed_s() >= k.end_s());
     }

@@ -131,7 +131,10 @@ mod tests {
         log.record(Step::CreateContext);
         log.record(Step::CreateCommandQueue);
         log.record(Step::CreateContext);
-        assert_eq!(log.steps(), vec![Step::CreateContext, Step::CreateCommandQueue]);
+        assert_eq!(
+            log.steps(),
+            vec![Step::CreateContext, Step::CreateCommandQueue]
+        );
         assert_eq!(log.len(), 2);
         assert!(!log.is_empty());
     }

@@ -76,7 +76,9 @@ fn offset_transfers_roundtrip() {
         let offset = rng.gen_below(400);
         let len = offset + data.len() + rng.gen_below(64);
         let (_ctx, queue, _k, buf) = setup(len);
-        queue.enqueue_write_buffer(&buf, true, offset, &data).unwrap();
+        queue
+            .enqueue_write_buffer(&buf, true, offset, &data)
+            .unwrap();
         let mut back = vec![0u32; data.len()];
         queue
             .enqueue_read_buffer(&buf, true, offset, &mut back)
@@ -141,7 +143,9 @@ fn rebinding_args_overwrites_previous_values() {
             .unwrap();
         kernel.set_arg(1, KernelArg::U32(a)).unwrap();
         kernel.set_arg(1, KernelArg::U32(b)).unwrap();
-        queue.enqueue_nd_range_kernel(&kernel, 64, Some(64)).unwrap();
+        queue
+            .enqueue_nd_range_kernel(&kernel, 64, Some(64))
+            .unwrap();
         let mut out = vec![0u32; 64];
         queue.enqueue_read_buffer(&buf, true, 0, &mut out).unwrap();
         assert!(out.iter().all(|&v| v == b), "last set_arg wins");
@@ -152,7 +156,9 @@ fn rebinding_args_overwrites_previous_values() {
 fn simulated_clock_is_monotone_over_command_sequences() {
     let mut rng = Xoshiro256::seed_from_u64(0xC10C);
     for _ in 0..16 {
-        let commands: Vec<usize> = (0..rng.gen_range(1, 20)).map(|_| rng.gen_below(3)).collect();
+        let commands: Vec<usize> = (0..rng.gen_range(1, 20))
+            .map(|_| rng.gen_below(3))
+            .collect();
         let (_ctx, queue, kernel, buf) = setup(128);
         kernel
             .set_arg(0, KernelArg::BufU32(buf.device_buffer()))

@@ -270,7 +270,10 @@ impl Autoscaler {
     /// Panics if `samples_per_window` is zero or `max_devices <
     /// min_devices`.
     pub fn watch(service: Arc<Service>, config: AutoscaleConfig) -> Autoscaler {
-        assert!(config.samples_per_window > 0, "need at least one sample per window");
+        assert!(
+            config.samples_per_window > 0,
+            "need at least one sample per window"
+        );
         assert!(
             config.max_devices >= config.min_devices.max(1),
             "max_devices must admit the minimum fleet"
@@ -324,7 +327,11 @@ fn watch_loop(service: &Service, config: AutoscaleConfig, stop: &AtomicBool) -> 
         let busy_now: f64 = service.metrics().devices.iter().map(|d| d.busy_s).sum();
         let busy_delta = (busy_now - busy_prev).max(0.0);
         busy_prev = busy_now;
-        let busy_wall = if pacing > 0.0 { busy_delta * pacing } else { busy_delta };
+        let busy_wall = if pacing > 0.0 {
+            busy_delta * pacing
+        } else {
+            busy_delta
+        };
         let utilization = busy_wall / (window_s * count.max(1) as f64);
         let obs = WindowObservation {
             peak_predicted_delay: Duration::from_secs_f64(peak.min(1e9)),
@@ -485,7 +492,11 @@ mod tests {
     fn scale_up_respects_max_devices() {
         let mut c = Controller::new(config());
         assert_eq!(c.decide(&obs(150, 0.9, 4)), Decision::Hold);
-        assert_eq!(c.decide(&obs(150, 0.9, 4)), Decision::Hold, "fleet already maxed");
+        assert_eq!(
+            c.decide(&obs(150, 0.9, 4)),
+            Decision::Hold,
+            "fleet already maxed"
+        );
     }
 
     #[test]
@@ -505,7 +516,11 @@ mod tests {
     fn scale_down_respects_min_devices() {
         let mut c = Controller::new(config());
         for _ in 0..10 {
-            assert_eq!(c.decide(&obs(1, 0.0, 1)), Decision::Hold, "floor fleet never shrinks");
+            assert_eq!(
+                c.decide(&obs(1, 0.0, 1)),
+                Decision::Hold,
+                "floor fleet never shrinks"
+            );
         }
     }
 
@@ -514,8 +529,16 @@ mod tests {
         let mut c = Controller::new(config());
         assert_eq!(c.decide(&obs(10, 0.1, 2)), Decision::Hold);
         assert_eq!(c.decide(&obs(10, 0.1, 2)), Decision::Hold);
-        assert_eq!(c.decide(&obs(150, 0.1, 2)), Decision::Hold, "breach interrupts");
-        assert_eq!(c.decide(&obs(10, 0.1, 2)), Decision::Hold, "streak restarted");
+        assert_eq!(
+            c.decide(&obs(150, 0.1, 2)),
+            Decision::Hold,
+            "breach interrupts"
+        );
+        assert_eq!(
+            c.decide(&obs(10, 0.1, 2)),
+            Decision::Hold,
+            "streak restarted"
+        );
         assert_eq!(c.decide(&obs(10, 0.1, 2)), Decision::Hold);
         assert_eq!(c.decide(&obs(10, 0.1, 2)), Decision::ScaleDown);
     }

@@ -164,7 +164,10 @@ mod tests {
                 j
             })
             .collect();
-        assert!(units.len() > 1, "the fixture must actually enumerate bulges");
+        assert!(
+            units.len() > 1,
+            "the fixture must actually enumerate bulges"
+        );
 
         let mut jobs = vec![plain];
         jobs.extend(units);

@@ -228,8 +228,7 @@ fn class_rates(
 ) -> ClassRates {
     let plen = PROBE_PATTERN.len();
     let finder = (one.finder_s / (scan * plen) as f64).max(f64::MIN_POSITIVE);
-    let comparer =
-        (one.comparer_s / (one.candidates * plen).max(1) as f64).max(f64::MIN_POSITIVE);
+    let comparer = (one.comparer_s / (one.candidates * plen).max(1) as f64).max(f64::MIN_POSITIVE);
     // The second query's marginal cost beyond its own kernel time.
     let per_job = ((two.elapsed_s - one.elapsed_s)
         - (two.comparer_s - one.comparer_s)
@@ -340,7 +339,14 @@ fn measure<B: Backend>(
         let four_run = probe(&multi_runner, scan, payload, &four, None);
         probe(&multi_runner, scan, payload, &two, Some(PROBE_TOKEN));
         let hit = probe(&multi_runner, scan, payload, &two, Some(PROBE_TOKEN));
-        fused_class_rates(scan, &two_run, &four_run, &hit, chunk_bytes, upload_s_per_byte)
+        fused_class_rates(
+            scan,
+            &two_run,
+            &four_run,
+            &hit,
+            chunk_bytes,
+            upload_s_per_byte,
+        )
     };
     let multi_raw = fused(raw_payload, seq.len());
     let multi_packed = fused(pk_payload, packed_bytes);
@@ -389,7 +395,13 @@ mod tests {
 
     #[test]
     fn measured_rates_are_positive_and_finite() {
-        let r = kernel_rates(&DeviceSpec::mi60(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
+        let r = kernel_rates(
+            &DeviceSpec::mi60(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
         for class in [&r.raw, &r.packed, &r.nibble] {
             assert!(class.finder_s_per_unit.is_finite() && class.finder_s_per_unit > 0.0);
             assert!(class.comparer_s_per_unit.is_finite() && class.comparer_s_per_unit > 0.0);
@@ -402,7 +414,13 @@ mod tests {
 
     #[test]
     fn fused_rates_are_measured_per_encoding_and_sane() {
-        let r = kernel_rates(&DeviceSpec::mi60(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
+        let r = kernel_rates(
+            &DeviceSpec::mi60(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
         for class in [&r.multi_raw, &r.multi_packed, &r.multi_nibble] {
             assert!(class.finder_s_per_unit.is_finite() && class.finder_s_per_unit > 0.0);
             assert!(class.comparer_s_per_unit.is_finite() && class.comparer_s_per_unit > 0.0);
@@ -432,7 +450,13 @@ mod tests {
         // Skipping the payload transfers must be worth something, and the
         // discount can never exceed the whole fixed batch cost it is
         // subtracted from.
-        let r = kernel_rates(&DeviceSpec::radeon_vii(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
+        let r = kernel_rates(
+            &DeviceSpec::radeon_vii(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
         for class in [&r.raw, &r.packed, &r.nibble] {
             assert!(class.resident_discount_s > 0.0, "{class:?}");
             assert!(
@@ -444,8 +468,20 @@ mod tests {
 
     #[test]
     fn repeat_lookups_are_memoized() {
-        let a = kernel_rates(&DeviceSpec::mi100(), PROBE_CHUNK, OptLevel::Opt3, false, Api::OpenCl);
-        let b = kernel_rates(&DeviceSpec::mi100(), PROBE_CHUNK, OptLevel::Opt3, false, Api::OpenCl);
+        let a = kernel_rates(
+            &DeviceSpec::mi100(),
+            PROBE_CHUNK,
+            OptLevel::Opt3,
+            false,
+            Api::OpenCl,
+        );
+        let b = kernel_rates(
+            &DeviceSpec::mi100(),
+            PROBE_CHUNK,
+            OptLevel::Opt3,
+            false,
+            Api::OpenCl,
+        );
         assert_eq!(
             a.raw.finder_s_per_unit.to_bits(),
             b.raw.finder_s_per_unit.to_bits()
@@ -458,8 +494,20 @@ mod tests {
 
     #[test]
     fn faster_interconnects_upload_cheaper_per_byte() {
-        let mi100 = kernel_rates(&DeviceSpec::mi100(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
-        let rvii = kernel_rates(&DeviceSpec::radeon_vii(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
+        let mi100 = kernel_rates(
+            &DeviceSpec::mi100(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
+        let rvii = kernel_rates(
+            &DeviceSpec::radeon_vii(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
         let ratio = rvii.upload_s_per_byte / mi100.upload_s_per_byte;
         // MI100 (PCIe 4) moves bytes at twice Radeon VII's PCIe 3 rate.
         let expect = DeviceSpec::mi100().interconnect_bytes_per_s()
@@ -473,7 +521,13 @@ mod tests {
         // its measured per-unit rate must land in the same regime as the
         // other finders — a zero (kernel never profiled, name list stale)
         // or a wild outlier would poison every Nibble4Bit prediction.
-        let r = kernel_rates(&DeviceSpec::mi60(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
+        let r = kernel_rates(
+            &DeviceSpec::mi60(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
         let ratio = r.nibble.finder_s_per_unit / r.packed.finder_s_per_unit;
         assert!((0.25..=4.0).contains(&ratio), "finder rate ratio {ratio}");
         let ratio = r.nibble.comparer_s_per_unit / r.packed.comparer_s_per_unit;
@@ -486,13 +540,29 @@ mod tests {
         // specialized runner: the rates must be sane, and the specialized
         // comparer — pattern folded into immediates — must not price worse
         // per work unit than the generic comparer it replaces.
-        let g = kernel_rates(&DeviceSpec::mi60(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
-        let s = kernel_rates(&DeviceSpec::mi60(), PROBE_CHUNK, OptLevel::Base, true, Api::OpenCl);
+        let g = kernel_rates(
+            &DeviceSpec::mi60(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
+        let s = kernel_rates(
+            &DeviceSpec::mi60(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            true,
+            Api::OpenCl,
+        );
         for class in [&s.raw, &s.packed, &s.nibble] {
             assert!(class.finder_s_per_unit.is_finite() && class.finder_s_per_unit > 0.0);
             assert!(class.comparer_s_per_unit.is_finite() && class.comparer_s_per_unit > 0.0);
         }
-        for (spec, gen) in [(&s.raw, &g.raw), (&s.packed, &g.packed), (&s.nibble, &g.nibble)] {
+        for (spec, gen) in [
+            (&s.raw, &g.raw),
+            (&s.packed, &g.packed),
+            (&s.nibble, &g.nibble),
+        ] {
             assert!(
                 spec.comparer_s_per_unit <= gen.comparer_s_per_unit * 1.01,
                 "specialized comparer must not be slower: {} vs {}",
@@ -508,8 +578,20 @@ mod tests {
         // entry), but the finder rate they measure prices the same kernel
         // per work unit — a 16x larger probe grid must land on a
         // comparable rate, not a 16x larger one.
-        let small = kernel_rates(&DeviceSpec::mi100(), 512, OptLevel::Base, false, Api::OpenCl);
-        let large = kernel_rates(&DeviceSpec::mi100(), PROBE_CHUNK, OptLevel::Base, false, Api::OpenCl);
+        let small = kernel_rates(
+            &DeviceSpec::mi100(),
+            512,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
+        let large = kernel_rates(
+            &DeviceSpec::mi100(),
+            PROBE_CHUNK,
+            OptLevel::Base,
+            false,
+            Api::OpenCl,
+        );
         let ratio = small.raw.finder_s_per_unit / large.raw.finder_s_per_unit;
         assert!((0.5..=2.0).contains(&ratio), "rate ratio {ratio}");
     }

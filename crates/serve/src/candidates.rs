@@ -123,7 +123,10 @@ pub struct CandidateCache {
 impl CandidateCache {
     /// An empty cache holding at most `capacity_bytes` of candidate lists.
     pub fn new(capacity_bytes: usize) -> Self {
-        assert!(capacity_bytes > 0, "candidate cache capacity must be positive");
+        assert!(
+            capacity_bytes > 0,
+            "candidate cache capacity must be positive"
+        );
         CandidateCache {
             capacity_bytes,
             inner: Mutex::new(Inner {
@@ -256,7 +259,10 @@ mod tests {
     #[test]
     fn miss_leads_publish_hits() {
         let cache = CandidateCache::new(1 << 10);
-        assert!(matches!(cache.lookup_or_lead(&key(1)), CandidateLookup::Lead));
+        assert!(matches!(
+            cache.lookup_or_lead(&key(1)),
+            CandidateLookup::Lead
+        ));
         cache.publish(&key(1), sites(4));
         match cache.lookup_or_lead(&key(1)) {
             CandidateLookup::Hit(s) => assert_eq!(s.len(), 4),
@@ -271,7 +277,10 @@ mod tests {
     #[test]
     fn keys_separate_patterns_and_encodings() {
         let cache = CandidateCache::new(1 << 10);
-        assert!(matches!(cache.lookup_or_lead(&key(1)), CandidateLookup::Lead));
+        assert!(matches!(
+            cache.lookup_or_lead(&key(1)),
+            CandidateLookup::Lead
+        ));
         cache.publish(&key(1), sites(1));
         let other_pattern = CandidateKey {
             pattern_digest: 8,
@@ -296,14 +305,26 @@ mod tests {
         // Each 4-site list costs 20 bytes; a 40-byte budget holds two.
         let cache = CandidateCache::new(40);
         for i in 0..2 {
-            assert!(matches!(cache.lookup_or_lead(&key(i)), CandidateLookup::Lead));
+            assert!(matches!(
+                cache.lookup_or_lead(&key(i)),
+                CandidateLookup::Lead
+            ));
             cache.publish(&key(i), sites(4));
         }
         // Touch 0 so 1 is the LRU entry.
-        assert!(matches!(cache.lookup_or_lead(&key(0)), CandidateLookup::Hit(_)));
-        assert!(matches!(cache.lookup_or_lead(&key(2)), CandidateLookup::Lead));
+        assert!(matches!(
+            cache.lookup_or_lead(&key(0)),
+            CandidateLookup::Hit(_)
+        ));
+        assert!(matches!(
+            cache.lookup_or_lead(&key(2)),
+            CandidateLookup::Lead
+        ));
         cache.publish(&key(2), sites(4));
-        assert!(matches!(cache.lookup_or_lead(&key(0)), CandidateLookup::Hit(_)));
+        assert!(matches!(
+            cache.lookup_or_lead(&key(0)),
+            CandidateLookup::Hit(_)
+        ));
         assert!(
             matches!(cache.lookup_or_lead(&key(1)), CandidateLookup::Lead),
             "1 was evicted as LRU"
@@ -318,7 +339,10 @@ mod tests {
     #[test]
     fn abandoned_leads_promote_a_waiter() {
         let cache = Arc::new(CandidateCache::new(1 << 10));
-        assert!(matches!(cache.lookup_or_lead(&key(1)), CandidateLookup::Lead));
+        assert!(matches!(
+            cache.lookup_or_lead(&key(1)),
+            CandidateLookup::Lead
+        ));
         let leads = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..3 {
@@ -344,7 +368,11 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 2);
         }
-        assert_eq!(leads.load(Ordering::SeqCst), 1, "single-flight after abandon");
+        assert_eq!(
+            leads.load(Ordering::SeqCst),
+            1,
+            "single-flight after abandon"
+        );
     }
 
     #[test]
@@ -355,20 +383,26 @@ mod tests {
         for _ in 0..8 {
             let cache = Arc::clone(&cache);
             let leads = Arc::clone(&leads);
-            handles.push(std::thread::spawn(move || match cache.lookup_or_lead(&key(9)) {
-                CandidateLookup::Lead => {
-                    leads.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    cache.publish(&key(9), sites(3));
-                    3
+            handles.push(std::thread::spawn(move || {
+                match cache.lookup_or_lead(&key(9)) {
+                    CandidateLookup::Lead => {
+                        leads.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        cache.publish(&key(9), sites(3));
+                        3
+                    }
+                    CandidateLookup::Hit(s) => s.len(),
                 }
-                CandidateLookup::Hit(s) => s.len(),
             }));
         }
         for h in handles {
             assert_eq!(h.join().unwrap(), 3);
         }
-        assert_eq!(leads.load(Ordering::SeqCst), 1, "one finder run for 8 lookups");
+        assert_eq!(
+            leads.load(Ordering::SeqCst),
+            1,
+            "one finder run for 8 lookups"
+        );
         assert_eq!(cache.stats().inserts, 1);
     }
 }

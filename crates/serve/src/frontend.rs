@@ -335,8 +335,13 @@ mod tests {
         let fired = Arc::new(AtomicU64::new(0));
         hub.register(1, entry());
         let f = Arc::clone(&fired);
-        hub.on_complete(1, Box::new(move |_| { f.fetch_add(1, Ordering::SeqCst); }))
-            .unwrap();
+        hub.on_complete(
+            1,
+            Box::new(move |_| {
+                f.fetch_add(1, Ordering::SeqCst);
+            }),
+        )
+        .unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 0, "not fired while pending");
         let completion = {
             let mut jobs = hub.jobs.lock().unwrap();
@@ -347,8 +352,13 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         // Registering after completion fires immediately.
         let f = Arc::clone(&fired);
-        hub.on_complete(1, Box::new(move |_| { f.fetch_add(10, Ordering::SeqCst); }))
-            .unwrap();
+        hub.on_complete(
+            1,
+            Box::new(move |_| {
+                f.fetch_add(10, Ordering::SeqCst);
+            }),
+        )
+        .unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 11);
         assert_eq!(
             hub.on_complete(99, Box::new(|_| {})),

@@ -98,8 +98,8 @@ pub mod tenant;
 pub mod trace;
 
 pub use autoscale::{
-    AutoscaleConfig, AutoscaleReport, Autoscaler, Controller, Decision, ScaleDirection,
-    ScaleEvent, WindowObservation,
+    AutoscaleConfig, AutoscaleReport, Autoscaler, Controller, Decision, ScaleDirection, ScaleEvent,
+    WindowObservation,
 };
 pub use cache::{CacheStats, ChunkEncoding, GenomeCache, NIBBLE_DENSITY_THRESHOLD};
 pub use candidates::{CandidateCache, CandidateKey, CandidateLookup, CandidateStats};
@@ -108,8 +108,8 @@ pub use job::{Job, JobId, JobSpec, Priority};
 pub use metrics::{
     DeviceReport, LatencyWindows, MetricsReport, TenantReport, VariantReport, WindowReport,
 };
-pub use results::ResultCacheStats;
 pub use queue::{FairJobQueue, QueueError};
+pub use results::ResultCacheStats;
 pub use scheduler::Placement;
 pub use service::{DeviceSlot, Service, ServiceConfig, SubmitError};
 pub use shard::ShardPlan;

@@ -357,8 +357,7 @@ impl MetricsReport {
     /// exactly; the tier-1 gate requires ≤ 0.15 under the demo's 3-tenant
     /// overload. Returns 0 when fewer than two tenants completed work.
     pub fn fairness_max_deviation(&self) -> f64 {
-        let rows: Vec<&TenantReport> =
-            self.tenants.iter().filter(|t| t.goodput_cost > 0).collect();
+        let rows: Vec<&TenantReport> = self.tenants.iter().filter(|t| t.goodput_cost > 0).collect();
         if rows.len() < 2 {
             return 0.0;
         }
@@ -804,7 +803,10 @@ impl LatencyWindows {
     /// Nearest-rank quantile over every retained completion latency.
     pub fn latency_quantile_ns(&self, q: f64) -> u64 {
         let ring = self.inner.lock().unwrap();
-        let mut all: Vec<u64> = ring.iter().flat_map(|w| w.latencies_ns.iter().copied()).collect();
+        let mut all: Vec<u64> = ring
+            .iter()
+            .flat_map(|w| w.latencies_ns.iter().copied())
+            .collect();
         all.sort_unstable();
         crate::tenant::quantile(&all, q)
     }
@@ -867,7 +869,9 @@ mod tests {
         m.devices[0].resident_hits.store(3, Ordering::Relaxed);
         m.devices[0].resident_misses.store(1, Ordering::Relaxed);
         m.devices[1].resident_misses.store(4, Ordering::Relaxed);
-        m.devices[0].h2d_skipped_bytes.store(1000, Ordering::Relaxed);
+        m.devices[0]
+            .h2d_skipped_bytes
+            .store(1000, Ordering::Relaxed);
         m.devices[1].h2d_skipped_bytes.store(24, Ordering::Relaxed);
         let results = ResultCacheStats {
             hits: 5,
@@ -929,7 +933,10 @@ mod tests {
         assert!((report.candidate_hit_rate() - 0.9).abs() < 1e-12);
         let text = report.to_string();
         assert!(text.contains("10 finder (6 skipped)"), "{text}");
-        assert!(text.contains("4 comparer (4 fused, 0.12 per job-chunk)"), "{text}");
+        assert!(
+            text.contains("4 comparer (4 fused, 0.12 per job-chunk)"),
+            "{text}"
+        );
         assert!(text.contains("90.0% hit rate"), "{text}");
         assert!(text.contains("2 evicted"), "{text}");
     }
@@ -997,7 +1004,9 @@ mod tests {
         assert_eq!(report.migrated_chunks, 7);
         let text = report.to_string();
         assert!(
-            text.contains("40 batches on planned owner, 2 spills, 12 prefetch uploads, 7 chunks migrated"),
+            text.contains(
+                "40 batches on planned owner, 2 spills, 12 prefetch uploads, 7 chunks migrated"
+            ),
             "{text}"
         );
     }
@@ -1060,7 +1069,11 @@ mod tests {
             queue_view(
                 0,
                 (2, 1),
-                vec![tenant_row(1, 4, 400), tenant_row(2, 2, 200), tenant_row(3, 1, 100)],
+                vec![
+                    tenant_row(1, 4, 400),
+                    tenant_row(2, 2, 200),
+                    tenant_row(3, 1, 100),
+                ],
             ),
             PlanView::default(),
             VariantReport::default(),
@@ -1082,7 +1095,11 @@ mod tests {
             queue_view(
                 0,
                 (0, 0),
-                vec![tenant_row(1, 4, 350), tenant_row(2, 2, 150), tenant_row(3, 1, 200)],
+                vec![
+                    tenant_row(1, 4, 350),
+                    tenant_row(2, 2, 150),
+                    tenant_row(3, 1, 200),
+                ],
             ),
             PlanView::default(),
             VariantReport::default(),

@@ -153,10 +153,7 @@ impl FairJobQueue {
         // rather than to global pressure. A tenant with nothing in flight
         // bypasses its quota (a job dearer than the whole quota must still
         // be servable), mirroring the empty-queue budget exception below.
-        let tenant_inflight = state
-            .tenants
-            .get(&tenant)
-            .map_or(0, |tq| tq.inflight_cost);
+        let tenant_inflight = state.tenants.get(&tenant).map_or(0, |tq| tq.inflight_cost);
         if tenant_inflight > 0 {
             let quota = self.table.quota(tenant);
             let want = tenant_inflight.saturating_add(job.cost);
@@ -207,8 +204,14 @@ impl FairJobQueue {
     fn pop_locked(&self, state: &mut State) -> Job {
         loop {
             for _ in 0..state.active.len() {
-                let tenant = *state.active.front().expect("depth > 0 but no active tenant");
-                let tq = state.tenants.get_mut(&tenant).expect("active tenant has a queue");
+                let tenant = *state
+                    .active
+                    .front()
+                    .expect("depth > 0 but no active tenant");
+                let tq = state
+                    .tenants
+                    .get_mut(&tenant)
+                    .expect("active tenant has a queue");
                 let head = tq.head_cost().expect("active tenant has a head job");
                 if tq.deficit >= head {
                     let job = tq.pop_head().expect("head exists");
@@ -240,7 +243,9 @@ impl FairJobQueue {
             for tenant in state.active.clone() {
                 let quantum = u64::from(self.table.weight(tenant));
                 let tq = state.tenants.get_mut(&tenant).unwrap();
-                tq.deficit = tq.deficit.saturating_add(rounds.max(1).saturating_mul(quantum));
+                tq.deficit = tq
+                    .deficit
+                    .saturating_add(rounds.max(1).saturating_mul(quantum));
             }
         }
     }
@@ -360,7 +365,11 @@ mod tests {
         assert_eq!(q.pop().unwrap().id, 0);
         q.try_submit(job(2, Priority::Normal, 10)).unwrap();
         assert_eq!(q.depth_high_water(), 3);
-        assert_eq!(q.shed_counts(), (0, 1), "single-tenant shed is a budget shed");
+        assert_eq!(
+            q.shed_counts(),
+            (0, 1),
+            "single-tenant shed is a budget shed"
+        );
     }
 
     #[test]

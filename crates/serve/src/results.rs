@@ -213,12 +213,10 @@ impl ResultStore {
         // On a digest collision (occupied by a different spec) the job
         // computes uncoalesced and its results stay uncached — correct,
         // just not deduplicated.
-        s.inflight
-            .entry(digest)
-            .or_insert_with(|| InFlight {
-                spec: spec.clone(),
-                followers: Vec::new(),
-            });
+        s.inflight.entry(digest).or_insert_with(|| InFlight {
+            spec: spec.clone(),
+            followers: Vec::new(),
+        });
         Ok(Admission::Admitted)
     }
 
@@ -239,12 +237,7 @@ impl ResultStore {
     /// entries past the byte budget) and return the followers to fulfill.
     /// Removal from the in-flight registry and insertion into the cache are
     /// atomic under the store lock, so no submission can fall between them.
-    pub fn complete(
-        &self,
-        digest: u64,
-        spec: &CanonicalSpec,
-        results: &[OffTarget],
-    ) -> Vec<JobId> {
+    pub fn complete(&self, digest: u64, spec: &CanonicalSpec, results: &[OffTarget]) -> Vec<JobId> {
         let mut s = self.inner.lock().unwrap();
         s.clock += 1;
         let clock = s.clock;
@@ -253,10 +246,7 @@ impl ResultStore {
             _ => Vec::new(),
         };
         let bytes = approx_bytes(results);
-        let occupied = s
-            .entries
-            .get(&digest)
-            .is_some_and(|e| e.spec != *spec);
+        let occupied = s.entries.get(&digest).is_some_and(|e| e.spec != *spec);
         if bytes <= self.cap_bytes && !occupied {
             while s.bytes + bytes > self.cap_bytes {
                 let lru = s
@@ -269,8 +259,7 @@ impl ResultStore {
                 s.bytes -= evicted.bytes;
                 s.stats.evictions += 1;
             }
-            if s
-                .entries
+            if s.entries
                 .insert(
                     digest,
                     StoredEntry {
@@ -318,10 +307,22 @@ mod tests {
         let base = spec(b"ACGTG");
         let (d0, _) = CanonicalSpec::digest(&base, 512);
         let variants = [
-            CanonicalSpec::digest(&JobSpec::new("hg19", b"NNNRG".to_vec(), b"ACGTG".to_vec(), 3), 512).0,
-            CanonicalSpec::digest(&JobSpec::new("hg38", b"NNNGG".to_vec(), b"ACGTG".to_vec(), 3), 512).0,
+            CanonicalSpec::digest(
+                &JobSpec::new("hg19", b"NNNRG".to_vec(), b"ACGTG".to_vec(), 3),
+                512,
+            )
+            .0,
+            CanonicalSpec::digest(
+                &JobSpec::new("hg38", b"NNNGG".to_vec(), b"ACGTG".to_vec(), 3),
+                512,
+            )
+            .0,
             CanonicalSpec::digest(&spec(b"ACGTT"), 512).0,
-            CanonicalSpec::digest(&JobSpec::new("hg38", b"NNNRG".to_vec(), b"ACGTG".to_vec(), 4), 512).0,
+            CanonicalSpec::digest(
+                &JobSpec::new("hg38", b"NNNRG".to_vec(), b"ACGTG".to_vec(), 4),
+                512,
+            )
+            .0,
             CanonicalSpec::digest(&base, 1024).0,
         ];
         for v in variants {
@@ -368,11 +369,16 @@ mod tests {
         let (d, c) = CanonicalSpec::digest(&spec(b"ACGTG"), 512);
         let a = store.admit::<()>(d, &c, 1, || Ok(())).unwrap();
         assert!(matches!(a, Admission::Admitted));
-        let a = store.admit::<()>(d, &c, 2, || panic!("duplicate must not enqueue")).unwrap();
+        let a = store
+            .admit::<()>(d, &c, 2, || panic!("duplicate must not enqueue"))
+            .unwrap();
         assert!(matches!(a, Admission::Merged));
         let followers = store.complete(d, &c, &[hit(7)]);
         assert_eq!(followers, vec![2]);
-        match store.admit::<()>(d, &c, 3, || panic!("hit must not enqueue")).unwrap() {
+        match store
+            .admit::<()>(d, &c, 3, || panic!("hit must not enqueue"))
+            .unwrap()
+        {
             Admission::Hit(results) => assert_eq!(results, vec![hit(7)]),
             _ => panic!("expected a cache hit"),
         }
@@ -411,11 +417,15 @@ mod tests {
         assert!(stats.bytes_resident <= 2 * one);
         // The first spec was evicted; the last two still hit.
         assert!(matches!(
-            store.admit::<()>(specs[0].0, &specs[0].1, 9, || Ok(())).unwrap(),
+            store
+                .admit::<()>(specs[0].0, &specs[0].1, 9, || Ok(()))
+                .unwrap(),
             Admission::Admitted
         ));
         assert!(matches!(
-            store.admit::<()>(specs[2].0, &specs[2].1, 9, || panic!()).unwrap(),
+            store
+                .admit::<()>(specs[2].0, &specs[2].1, 9, || panic!())
+                .unwrap(),
             Admission::Hit(_)
         ));
     }

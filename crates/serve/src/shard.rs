@@ -244,7 +244,12 @@ mod tests {
     fn unknown_assemblies_hash_consistently_and_weight_proportionally() {
         let p = plan(&[1.0, 3.0], 1);
         let owners: Vec<usize> = (0..4000).map(|c| p.owner_of("novel", c)).collect();
-        assert_eq!(owners, (0..4000).map(|c| p.owner_of("novel", c)).collect::<Vec<_>>());
+        assert_eq!(
+            owners,
+            (0..4000)
+                .map(|c| p.owner_of("novel", c))
+                .collect::<Vec<_>>()
+        );
         let to1 = owners.iter().filter(|&&o| o == 1).count() as f64 / 4000.0;
         assert!(
             (to1 - 0.75).abs() < 0.05,
@@ -281,7 +286,11 @@ mod tests {
         // everything migrates.
         assert!(moved >= 20);
         assert!(moved < 80);
-        assert_eq!(after.migrated_from(&after), 0, "identical plans migrate nothing");
+        assert_eq!(
+            after.migrated_from(&after),
+            0,
+            "identical plans migrate nothing"
+        );
     }
 
     #[test]

@@ -159,7 +159,9 @@ impl TenantLedger {
         stats.completed += 1;
         stats.goodput_cost += cost;
         stats.deadline_misses += u64::from(deadline_missed);
-        stats.latencies_ns.push(latency.as_nanos().min(u64::MAX as u128) as u64);
+        stats
+            .latencies_ns
+            .push(latency.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Reduce to report rows, sorted by tenant id for deterministic output.
@@ -208,7 +210,11 @@ mod tests {
     fn empty_config_means_single_tenant_semantics() {
         let table = TenantTable::resolve(&[], 1000);
         assert_eq!(table.weight(TenantId(7)), 1);
-        assert_eq!(table.quota(TenantId(7)), u64::MAX, "budget is the only limit");
+        assert_eq!(
+            table.quota(TenantId(7)),
+            u64::MAX,
+            "budget is the only limit"
+        );
     }
 
     #[test]

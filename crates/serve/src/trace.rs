@@ -340,7 +340,11 @@ mod tests {
         assert!(!events.is_empty());
         for ev in &events {
             let phase = (ev.at_s % 2.0) / 2.0;
-            assert!(phase < 0.25, "arrival at {:.3}s falls in an off window", ev.at_s);
+            assert!(
+                phase < 0.25,
+                "arrival at {:.3}s falls in an off window",
+                ev.at_s
+            );
             assert_eq!(ev.tenant, TenantId::default());
         }
     }
@@ -402,7 +406,10 @@ mod tests {
         // First half-cycle (sin > 0) must out-arrive the second.
         let first = events.iter().filter(|e| e.at_s < 4.0).count();
         let second = events.len() - first;
-        assert!(first > second * 2, "diurnal peak {first} vs trough {second}");
+        assert!(
+            first > second * 2,
+            "diurnal peak {first} vs trough {second}"
+        );
     }
 
     #[test]

@@ -25,9 +25,7 @@ fn distinct_specs() -> Vec<JobSpec> {
     let patterns: [&[u8]; 2] = [b"NNNNNNNNNRG", b"NNNNNNNNNGG"];
     (0..10)
         .map(|i| {
-            let mut guide: Vec<u8> = (0..8)
-                .map(|_| *rng.choose(b"ACGT").unwrap())
-                .collect();
+            let mut guide: Vec<u8> = (0..8).map(|_| *rng.choose(b"ACGT").unwrap()).collect();
             guide.extend_from_slice(b"NNN");
             JobSpec::new(
                 "hg38-mini",

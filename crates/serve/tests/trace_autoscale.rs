@@ -30,7 +30,12 @@ fn catalog() -> Vec<JobSpec> {
         .map(|i| {
             let mut guide: Vec<u8> = (0..8).map(|_| *rng.choose(b"ACGT").unwrap()).collect();
             guide.extend_from_slice(b"NNN");
-            JobSpec::new("hg38-mini", patterns[i % 2].to_vec(), guide, 3 + (i as u16 % 2))
+            JobSpec::new(
+                "hg38-mini",
+                patterns[i % 2].to_vec(),
+                guide,
+                3 + (i as u16 % 2),
+            )
         })
         .collect()
 }
@@ -120,7 +125,11 @@ fn trace_replay_digests_match_fixed_vs_scaled_pools() {
         schedule_digest(&spec.generate(10)),
         "the generator must replay byte-identically"
     );
-    assert!(events.len() > 50, "fixture needs real traffic, got {}", events.len());
+    assert!(
+        events.len() > 50,
+        "fixture needs real traffic, got {}",
+        events.len()
+    );
 
     let specs = catalog();
     let oracle_digest = {
@@ -134,9 +143,7 @@ fn trace_replay_digests_match_fixed_vs_scaled_pools() {
     let fixed = Service::start(pool_config(Placement::Planned), vec![assembly()]);
     let ids: Vec<u64> = events
         .iter()
-        .map(|ev| {
-            submit_with_backoff(&fixed, specs[ev.spec_index].clone().for_tenant(ev.tenant))
-        })
+        .map(|ev| submit_with_backoff(&fixed, specs[ev.spec_index].clone().for_tenant(ev.tenant)))
         .collect();
     let fixed_digest = ids.iter().fold(RESULT_DIGEST_SEED, |d, &id| {
         fold_results(d, &fixed.wait(id).unwrap())
@@ -167,7 +174,10 @@ fn trace_replay_digests_match_fixed_vs_scaled_pools() {
     });
     let report = scaled.metrics();
     assert_eq!(report.jobs_completed, events.len() as u64);
-    assert!(report.migrated_chunks > 0, "scale events must replan: {report}");
+    assert!(
+        report.migrated_chunks > 0,
+        "scale events must replan: {report}"
+    );
     scaled.shutdown();
 
     assert_eq!(fixed_digest, oracle_digest, "fixed pool vs serial oracle");
@@ -218,12 +228,19 @@ fn scale_down_drains_the_retiring_device_without_losing_jobs() {
     }
     let report = service.metrics();
     assert_eq!(report.jobs_admitted, 120, "{report}");
-    assert_eq!(report.jobs_completed, 120, "every admitted job completes exactly once");
+    assert_eq!(
+        report.jobs_completed, 120,
+        "every admitted job completes exactly once"
+    );
     let active = service.active_devices();
     assert!(!active[3] && active.iter().filter(|&&a| a).count() == 3);
     // The retired device took no work placed after the retirement: its
     // queue is empty and stays empty.
-    assert_eq!(service.device_queue_depths()[3], 0, "retired device fully drained");
+    assert_eq!(
+        service.device_queue_depths()[3],
+        0,
+        "retired device fully drained"
+    );
     service.shutdown();
 }
 
@@ -254,7 +271,11 @@ fn idle_autoscaler_retires_to_the_floor_and_keeps_serving() {
     // Idle long enough for three retirement decisions (2 windows each).
     std::thread::sleep(Duration::from_millis(400));
     let report = scaler.stop();
-    assert_eq!(report.scale_downs(), 3, "4-device pool retires to the floor");
+    assert_eq!(
+        report.scale_downs(),
+        3,
+        "4-device pool retires to the floor"
+    );
     assert_eq!(report.scale_ups(), 0);
     assert_eq!(report.min_active, 1);
     assert!(report.device_seconds > 0.0);

@@ -195,7 +195,11 @@ mod tests {
             count: Accessor::new(cnt_dev.clone(), AccessMode::ReadWrite, 0, 1),
         };
         device.launch(&k, NdRange::linear(2, 2)).unwrap();
-        assert_eq!(dst_dev.to_vec(), vec![12, 13], "offset-2 view of the source");
+        assert_eq!(
+            dst_dev.to_vec(),
+            vec![12, 13],
+            "offset-2 view of the source"
+        );
         assert_eq!(cnt_dev.to_vec(), vec![2]);
     }
 
@@ -216,8 +220,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "write-only accessor")]
     fn load_through_write_only_accessor_panics() {
-        let device =
-            Device::with_mode(DeviceSpec::mi100(), gpu_sim::ExecMode::Sequential);
+        let device = Device::with_mode(DeviceSpec::mi100(), gpu_sim::ExecMode::Sequential);
         let dev = device.alloc::<u32>(1).unwrap();
         let k = BadRead {
             dst: Accessor::new(dev, AccessMode::Write, 0, 1),

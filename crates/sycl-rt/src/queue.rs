@@ -5,7 +5,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use gpu_sim::executor::LaunchReport;
-use gpu_sim::{timing, Device, ExecMode, ItemCtx, KernelProgram, LocalMem, NdRange, Scalar, SimClock};
+use gpu_sim::{
+    timing, Device, ExecMode, ItemCtx, KernelProgram, LocalMem, NdRange, Scalar, SimClock,
+};
 
 use crate::accessor::{AccessMode, Accessor};
 use crate::buffer::Buffer;
@@ -357,7 +359,10 @@ mod tests {
     #[test]
     fn queue_records_selector_and_queue_steps() {
         let q = Queue::new(&GpuSelector::new()).unwrap();
-        assert_eq!(q.step_log().steps(), vec![Step::DeviceSelector, Step::Queue]);
+        assert_eq!(
+            q.step_log().steps(),
+            vec![Step::DeviceSelector, Step::Queue]
+        );
         assert_eq!(q.device().spec().name, "Radeon VII");
     }
 

@@ -51,12 +51,11 @@ impl DeviceSelector for GpuSelector {
         let devices = DeviceSpec::paper_devices();
         match &self.name {
             None => Ok(devices[0].clone()),
-            Some(name) => devices
-                .into_iter()
-                .find(|d| d.name == name)
-                .ok_or_else(|| SyclException::DeviceNotFound {
+            Some(name) => devices.into_iter().find(|d| d.name == name).ok_or_else(|| {
+                SyclException::DeviceNotFound {
                     wanted: format!("gpu named {name}"),
-                }),
+                }
+            }),
         }
     }
 }

@@ -146,11 +146,7 @@ impl Queue {
     /// # Errors
     ///
     /// Returns [`SyclException::Invalid`] when `src` exceeds the allocation.
-    pub fn memcpy_to_device<T: Scalar>(
-        &self,
-        dst: &UsmPtr<T>,
-        src: &[T],
-    ) -> SyclResult<SyclEvent> {
+    pub fn memcpy_to_device<T: Scalar>(&self, dst: &UsmPtr<T>, src: &[T]) -> SyclResult<SyclEvent> {
         if src.len() > dst.len() {
             return Err(SyclException::Invalid {
                 reason: format!(
@@ -166,7 +162,12 @@ impl Queue {
         self.step_log().record(Step::AccessorTransfer);
         let dur = timing::transfer_time_s(std::mem::size_of_val(src) as u64, self.device().spec());
         let (start, end) = self.advance_clock(dur);
-        Ok(SyclEvent::new(start, end, Vec::new(), self.step_log().clone()))
+        Ok(SyclEvent::new(
+            start,
+            end,
+            Vec::new(),
+            self.step_log().clone(),
+        ))
     }
 
     /// Copy a USM allocation back to host memory.
@@ -194,7 +195,12 @@ impl Queue {
         self.step_log().record(Step::AccessorTransfer);
         let dur = timing::transfer_time_s(std::mem::size_of_val(dst) as u64, self.device().spec());
         let (start, end) = self.advance_clock(dur);
-        Ok(SyclEvent::new(start, end, Vec::new(), self.step_log().clone()))
+        Ok(SyclEvent::new(
+            start,
+            end,
+            Vec::new(),
+            self.step_log().clone(),
+        ))
     }
 
     /// Host-side read of a *shared* allocation. The first host access after
@@ -225,7 +231,12 @@ impl Queue {
     ///
     /// Returns [`SyclException::Invalid`] for device-kind allocations or
     /// out-of-range writes.
-    pub fn host_write<T: Scalar>(&self, ptr: &UsmPtr<T>, offset: usize, data: &[T]) -> SyclResult<()> {
+    pub fn host_write<T: Scalar>(
+        &self,
+        ptr: &UsmPtr<T>,
+        offset: usize,
+        data: &[T],
+    ) -> SyclResult<()> {
         if ptr.kind != UsmKind::Shared {
             return Err(SyclException::Invalid {
                 reason: "host access to device USM allocation".to_owned(),
@@ -274,7 +285,10 @@ mod tests {
     fn host_access_to_device_usm_is_refused() {
         let q = queue();
         let ptr = q.malloc_device::<u8>(4).unwrap();
-        assert!(matches!(q.host_read(&ptr), Err(SyclException::Invalid { .. })));
+        assert!(matches!(
+            q.host_read(&ptr),
+            Err(SyclException::Invalid { .. })
+        ));
         assert!(q.host_write(&ptr, 0, &[1]).is_err());
     }
 

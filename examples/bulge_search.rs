@@ -43,7 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hits = search_with_bulges(&assembly, &input, limits);
 
     println!("bulge-aware search over {} bp:", assembly.total_len());
-    println!("{:<8} {:<10} {:<6} {:<4} {:<4} site", "class", "position", "strand", "mm", "pos");
+    println!(
+        "{:<8} {:<10} {:<6} {:<4} {:<4} site",
+        "class", "position", "strand", "mm", "pos"
+    );
     for hit in &hits {
         println!(
             "{:<8} {:<10} {:<6} {:<4} {:<4} {}",

@@ -20,7 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = PipelineConfig::new(DeviceSpec::mi100()).chunk_size(1 << 17);
     let report = pipeline::sycl::run(&assembly, &input, &config)?;
 
-    println!("profile of the baseline SYCL application on {}:\n", report.device);
+    println!(
+        "profile of the baseline SYCL application on {}:\n",
+        report.device
+    );
     print!("{}", report.profile);
 
     let (hotspot, stats) = report.profile.hotspots()[0];
@@ -43,9 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 3: the interesting sections of the baseline vs opt3 vs opt4.
     let base = compile_program(&ComparerKernel::code_model_for(OptLevel::Base));
     let opt4 = compile_program(&ComparerKernel::code_model_for(OptLevel::Opt4));
-    println!(
-        "\nbaseline staging section (the serial copy loop opt3 removes):"
-    );
+    println!("\nbaseline staging section (the serial copy loop opt3 removes):");
     for line in base
         .disassemble()
         .lines()

@@ -18,7 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = SearchInput::canonical_example(assembly.name());
     let spec = DeviceSpec::mi100();
 
-    println!("comparer kernel on {} over {} ({} bp):\n", spec.name, assembly.name(), assembly.total_len());
+    println!(
+        "comparer kernel on {} over {} ({} bp):\n",
+        spec.name,
+        assembly.name(),
+        assembly.total_len()
+    );
     println!("level  kernel(s)   vs base  code(B)  SGPR  VGPR  occupancy");
     println!("-----  ---------   -------  -------  ----  ----  ---------");
 

@@ -37,12 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (hetero, per_device) = pipeline::multi::run(
-        &assembly,
-        &input,
-        &config,
-        &DeviceSpec::paper_devices(),
-    )?;
+    let (hetero, per_device) =
+        pipeline::multi::run(&assembly, &input, &config, &DeviceSpec::paper_devices())?;
     assert_eq!(hetero.offtargets, single.offtargets);
     println!(
         "RVII+MI60+MI100:       {:.6}s simulated (slowest device bounds the run; per-device: {})",

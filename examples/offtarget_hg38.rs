@@ -15,7 +15,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.02);
 
-    let assemblies = [genome::synth::hg19_mini(scale), genome::synth::hg38_mini(scale)];
+    let assemblies = [
+        genome::synth::hg19_mini(scale),
+        genome::synth::hg38_mini(scale),
+    ];
 
     println!("dataset      device      api     elapsed(s)   kernels(s)   sites");
     println!("-------      ------      ---     ----------   ----------   -----");
@@ -44,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             println!(
                 "{:<12} {:<11} SYCL speedup over OpenCL: {:.2}x",
-                "", spec.name,
+                "",
+                spec.name,
                 ocl.timing.elapsed_s / sycl.timing.elapsed_s
             );
         }

@@ -41,7 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nresult statistics:");
-    print!("{}", cas_offinder::stats::SearchStats::from_hits(&report.offtargets));
+    print!(
+        "{}",
+        cas_offinder::stats::SearchStats::from_hits(&report.offtargets)
+    );
 
     println!("\nkernel profile (the paper's §IV.B hotspot view):");
     print!("{}", report.profile);

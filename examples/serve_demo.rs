@@ -64,8 +64,8 @@ use cas_offinder::{OffTarget, SearchInput};
 use casoff_serve::trace::{fold_results, schedule_digest, RESULT_DIGEST_SEED};
 use casoff_serve::{
     ArrivalShape, AutoscaleConfig, AutoscaleReport, Autoscaler, ChunkEncoding, HotSpot, JobSpec,
-    MetricsReport, PhaseSpec, Placement, Poll, ScaleDirection, Service, ServiceConfig,
-    SubmitError, TenantConfig, TenantId, Ticket, TraceEvent, TraceSpec,
+    MetricsReport, PhaseSpec, Placement, Poll, ScaleDirection, Service, ServiceConfig, SubmitError,
+    TenantConfig, TenantId, Ticket, TraceEvent, TraceSpec,
 };
 use genome::rng::Xoshiro256;
 use genome::Assembly;
@@ -145,7 +145,9 @@ fn serial_oracle(
         .iter()
         .map(|spec| {
             let input = SearchInput::parse(&spec_text(spec)).unwrap();
-            ocl::run(assembly, &input, serial_config).unwrap().offtargets
+            ocl::run(assembly, &input, serial_config)
+                .unwrap()
+                .offtargets
         })
         .collect()
 }
@@ -297,7 +299,11 @@ fn affinity_run(
     serial_config: &PipelineConfig,
 ) -> (MetricsReport, f64) {
     let assembly = genome::synth::hg38_mini(GENOME_SCALE);
-    let mut config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
+    let mut config = config_with(
+        ChunkEncoding::Adaptive,
+        Placement::EarliestCompletion,
+        CHUNK_SIZE,
+    );
     config.resident_chunks = RESIDENT_CHUNKS;
     config.result_cache_bytes = 1 << 23; // all rounds' results stay resident
     let service = Arc::new(Service::start(config, vec![assembly.clone()]));
@@ -381,13 +387,13 @@ fn qos_run(
     specs: &[JobSpec],
     oracle: &[Vec<OffTarget>],
 ) -> (MetricsReport, u64) {
-    let weights: [(TenantId, u32); 3] = [
-        (TenantId(1), 4),
-        (TenantId(2), 2),
-        (TenantId(3), 1),
-    ];
+    let weights: [(TenantId, u32); 3] = [(TenantId(1), 4), (TenantId(2), 2), (TenantId(3), 1)];
     let job_cost = assembly.total_len() as u64;
-    let mut config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
+    let mut config = config_with(
+        ChunkEncoding::Adaptive,
+        Placement::EarliestCompletion,
+        CHUNK_SIZE,
+    );
     // Budget = Σ quotas = 7 weight-shares of QOS_QUOTA_JOBS jobs each, so
     // derived quotas land on whole job counts (4/2/1 × QOS_QUOTA_JOBS) and
     // the budget can never bind before a tenant's quota.
@@ -613,7 +619,9 @@ fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
     ));
     let plan = service.plan().expect("planned placement installs a plan");
     let hg_chunks = plan.chunk_count("hg38-mini").expect("registered assembly");
-    let masked_chunks = plan.chunk_count("hg38-masked").expect("registered assembly");
+    let masked_chunks = plan
+        .chunk_count("hg38-masked")
+        .expect("registered assembly");
     let shares: Vec<usize> = (0..service.metrics().devices.len())
         .map(|d| {
             (0..hg_chunks)
@@ -701,8 +709,16 @@ fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
 
     let hits: u64 = report.devices.iter().map(|d| d.resident_hits).sum::<u64>()
         - warmed.devices.iter().map(|d| d.resident_hits).sum::<u64>();
-    let misses: u64 = report.devices.iter().map(|d| d.resident_misses).sum::<u64>()
-        - warmed.devices.iter().map(|d| d.resident_misses).sum::<u64>();
+    let misses: u64 = report
+        .devices
+        .iter()
+        .map(|d| d.resident_misses)
+        .sum::<u64>()
+        - warmed
+            .devices
+            .iter()
+            .map(|d| d.resident_misses)
+            .sum::<u64>();
     let resident_hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let measured: Vec<f64> = report
         .devices
@@ -811,7 +827,11 @@ fn library_run() -> LibraryOutcome {
         .collect();
     let spec = JobSpec::library("hg38-mini", b"NNNNNNNNNRG".to_vec(), guides, 3);
 
-    let mut config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
+    let mut config = config_with(
+        ChunkEncoding::Adaptive,
+        Placement::EarliestCompletion,
+        CHUNK_SIZE,
+    );
     config.max_batch = LIBRARY_MAX_BATCH;
     // One screen costs total_len x guides admission units; let it queue.
     config.queue_cost_limit = 1 << 31;
@@ -834,7 +854,11 @@ fn library_run() -> LibraryOutcome {
     // the serial pipeline — is the oracle for the fast screens.
     let baseline_service = Arc::new(Service::start(base_config, vec![assembly.clone()]));
     let oracle = baseline_service
-        .wait(baseline_service.submit(spec.clone()).expect("screen admits"))
+        .wait(
+            baseline_service
+                .submit(spec.clone())
+                .expect("screen admits"),
+        )
         .expect("screen completes");
     assert!(!oracle.is_empty(), "the screen must find sites");
     let baseline = baseline_service.metrics();
@@ -871,7 +895,10 @@ fn library_run() -> LibraryOutcome {
     let measured = service
         .wait(service.submit(spec).expect("screen admits"))
         .expect("screen completes");
-    assert_eq!(measured, oracle, "cached candidates must not change the union");
+    assert_eq!(
+        measured, oracle,
+        "cached candidates must not change the union"
+    );
     let report = service.metrics();
     let warm_makespan_s = report
         .devices
@@ -1086,11 +1113,7 @@ fn trace_pool_run(
 
 /// Simulated makespan: the busiest device bounds the pool's throughput.
 fn makespan_s(report: &MetricsReport) -> f64 {
-    report
-        .devices
-        .iter()
-        .map(|d| d.busy_s)
-        .fold(0.0, f64::max)
+    report.devices.iter().map(|d| d.busy_s).fold(0.0, f64::max)
 }
 
 fn upload_bytes_per_batch(report: &MetricsReport) -> f64 {
@@ -1106,7 +1129,11 @@ fn main() {
 
     let specs = tenant_specs(0x5E4E);
 
-    let config = config_with(ChunkEncoding::Adaptive, Placement::EarliestCompletion, CHUNK_SIZE);
+    let config = config_with(
+        ChunkEncoding::Adaptive,
+        Placement::EarliestCompletion,
+        CHUNK_SIZE,
+    );
     println!(
         "pool: {}",
         config
@@ -1127,7 +1154,9 @@ fn main() {
         .iter()
         .map(|spec| {
             let input = SearchInput::parse(&spec_text(spec)).unwrap();
-            let serial = ocl::run(&assembly, &input, &serial_config).unwrap().offtargets;
+            let serial = ocl::run(&assembly, &input, &serial_config)
+                .unwrap()
+                .offtargets;
             assert_eq!(
                 serial,
                 cas_offinder::cpu::search_sequential(&assembly, &input),
@@ -1351,7 +1380,8 @@ fn main() {
 
     let masked_char_jobs_per_s = jobs as f64 / makespan_s(&masked_char);
     let masked_jobs_per_s = jobs as f64 / makespan_s(&masked);
-    let masked_upload_ratio = upload_bytes_per_batch(&masked) / upload_bytes_per_batch(&masked_char);
+    let masked_upload_ratio =
+        upload_bytes_per_batch(&masked) / upload_bytes_per_batch(&masked_char);
     println!("exception-dense assembly, same {CACHE_BYTES} B cache budget:");
     println!(
         "  upload bytes/batch: char {:.0}, adaptive {:.0} ({masked_upload_ratio:.2}x)",
@@ -1434,7 +1464,10 @@ fn main() {
         "  prediction error:   specialized {:.1}% (calibrated rates)",
         100.0 * spec_warm.mean_prediction_error(),
     );
-    println!("  per-variant ISA (generic -> folded, {} wgs 64):", table_spec.name);
+    println!(
+        "  per-variant ISA (generic -> folded, {} wgs 64):",
+        table_spec.name
+    );
     for row in &rows {
         println!(
             "    {:<18} {:>4} -> {:<4} B code, {:>2} -> {:<2} SGPRs, {:>2} -> {:<2} VGPRs, \

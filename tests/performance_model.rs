@@ -100,7 +100,12 @@ fn simulated_time_is_independent_of_host_parallelism() {
         let config = PipelineConfig::new(DeviceSpec::mi60())
             .chunk_size(1 << 14)
             .exec_mode(exec);
-        elapsed.push(pipeline::sycl::run(&assembly, &input, &config).unwrap().timing.elapsed_s);
+        elapsed.push(
+            pipeline::sycl::run(&assembly, &input, &config)
+                .unwrap()
+                .timing
+                .elapsed_s,
+        );
     }
     // Host parallelism only perturbs which items share a wavefront (the
     // finder's atomic compaction order), so simulated times agree to within

@@ -81,7 +81,11 @@ fn sequential_and_parallel_execution_find_the_same_sites() {
     // finder's compaction order), so simulated times agree closely but not
     // bit-exactly.
     let rel = (a.timing.elapsed_s - b.timing.elapsed_s).abs() / a.timing.elapsed_s;
-    assert!(rel < 0.02, "simulated elapsed diverged by {:.3}%", rel * 100.0);
+    assert!(
+        rel < 0.02,
+        "simulated elapsed diverged by {:.3}%",
+        rel * 100.0
+    );
 }
 
 #[test]

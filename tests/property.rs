@@ -17,7 +17,9 @@ fn genome_seq(rng: &mut Xoshiro256, max_len: usize) -> Vec<u8> {
     // The N-heavy alphabet mirrors proptest's old weighted selection.
     const ALPHABET: &[u8] = b"AAACCGGTTTN";
     let len = rng.gen_range(30, max_len);
-    (0..len).map(|_| ALPHABET[rng.gen_below(ALPHABET.len())]).collect()
+    (0..len)
+        .map(|_| ALPHABET[rng.gen_below(ALPHABET.len())])
+        .collect()
 }
 
 fn guide(rng: &mut Xoshiro256, len: usize) -> Vec<u8> {
