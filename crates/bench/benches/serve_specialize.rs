@@ -96,7 +96,7 @@ impl Workload {
             let chunk: Arc<EncodedChunk> = self.cache.get_or_insert_with(key, || {
                 EncodedChunk::encode(0, "chr".into(), 0, *scan_len, seq, ChunkEncoding::Adaptive)
             });
-            let p = chunk.payload.as_payload();
+            let p = chunk.payload().as_payload();
             self.runner
                 .run(
                     p,

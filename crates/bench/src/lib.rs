@@ -98,6 +98,11 @@ impl Runner {
         &self.workload
     }
 
+    /// Owned scan positions per chunk of every search this runner makes.
+    pub fn chunk_size(&self) -> usize {
+        self.chunk_size
+    }
+
     /// The three simulated devices, in the paper's order.
     pub fn devices() -> [DeviceSpec; 3] {
         DeviceSpec::paper_devices()

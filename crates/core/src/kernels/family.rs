@@ -1366,6 +1366,17 @@ mod characterization {
                 .device
                 .launch(kernel, NdRange::linear_cover(self.n, 64))
                 .unwrap();
+            // The device's memoized compile must be the fresh one.
+            let fresh = isa::compile_program(&kernel.code_model()).resources();
+            assert_eq!(
+                report.resources,
+                isa::ResourceUsage {
+                    lds_bytes: report.resources.lds_bytes,
+                    ..fresh
+                },
+                "{}: memoized resources differ from a fresh compile",
+                report.kernel
+            );
             writeln!(
                 log,
                 "{} entries={:?} counters={:?} wave_cycles={:#x} sim={:#x} exec={:#x} \
@@ -1502,6 +1513,10 @@ mod characterization {
         assert!(
             log.lines().all(|l| !l.contains("entries=[]")),
             "every launch must emit"
+        );
+        assert!(
+            f.device.compiled_models() < log.lines().count(),
+            "launches of one code model share the device's compile"
         );
         let digest = log.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)

@@ -13,6 +13,9 @@ pub mod multi;
 pub mod ocl;
 pub mod sycl;
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 use genome::{Assembly, Chunk, Chunker};
 use gpu_sim::profile::Profile;
 use gpu_sim::{DeviceSpec, ExecMode};
@@ -118,14 +121,40 @@ impl PipelineConfig {
     }
 }
 
+/// A chunk as record extraction reads it: its genome coordinates and the
+/// bases of each reported window. The serial loop's [`Chunk`] borrows its
+/// windows; a packed chunk decodes only the windows asked for.
+pub trait WindowSource {
+    /// Name of the source chromosome.
+    fn chrom(&self) -> &str;
+    /// Offset of the chunk's first base within the chromosome.
+    fn start(&self) -> usize;
+    /// The chunk's bases at chunk-relative positions `range`, byte-exact.
+    fn window(&self, range: Range<usize>) -> Cow<'_, [u8]>;
+}
+
+impl WindowSource for Chunk<'_> {
+    fn chrom(&self) -> &str {
+        self.chrom_name
+    }
+
+    fn start(&self) -> usize {
+        self.start
+    }
+
+    fn window(&self, range: Range<usize>) -> Cow<'_, [u8]> {
+        Cow::Borrowed(&self.seq[range])
+    }
+}
+
 /// Map comparer entries `(locus, direction, mismatches)` of one chunk and
 /// query into [`OffTarget`] records.
 ///
 /// Public so external schedulers (e.g. `casoff-serve`) can turn the raw
 /// output of [`chunk::OclChunkRunner::run_chunk`] into reportable records
 /// with the chunk's genome coordinates applied.
-pub fn entries_to_offtargets(
-    chunk: &Chunk<'_>,
+pub fn entries_to_offtargets<C: WindowSource>(
+    chunk: &C,
     query: &[u8],
     plen: usize,
     entries: &[(u32, u8, u16)],
@@ -133,7 +162,7 @@ pub fn entries_to_offtargets(
 ) {
     for &(locus, dir, mm) in entries {
         let locus = locus as usize;
-        let window = &chunk.seq[locus..locus + plen];
+        let window = chunk.window(locus..locus + plen);
         let strand = if dir == b'-' {
             Strand::Reverse
         } else {
@@ -141,11 +170,11 @@ pub fn entries_to_offtargets(
         };
         out.push(OffTarget::from_window(
             query,
-            chunk.chrom_name,
-            chunk.start + locus,
+            chunk.chrom(),
+            chunk.start() + locus,
             strand,
             mm,
-            window,
+            &window,
         ));
     }
 }

@@ -1,10 +1,12 @@
 //! The simulated device.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::error::SimResult;
 use crate::executor::{run_launch, ExecMode, LaunchReport};
+use crate::isa::{self, CodeModel, ResourceUsage};
 use crate::kernel::KernelProgram;
 use crate::memory::{AddressSpace, AllocationTracker, DeviceBuffer, Scalar};
 use crate::ndrange::NdRange;
@@ -16,6 +18,10 @@ struct DeviceInner {
     tracker: Arc<AllocationTracker>,
     traffic: Arc<TrafficCounters>,
     mode: ExecMode,
+    /// Static resources of every code model this device has compiled: a
+    /// program is built once and launched many times (`clBuildProgram`,
+    /// step 4 of the paper's Table I), not recompiled per launch.
+    compiled: Mutex<HashMap<CodeModel, ResourceUsage>>,
 }
 
 /// A simulated GPU.
@@ -71,6 +77,7 @@ impl Device {
                 tracker,
                 traffic: Arc::default(),
                 mode,
+                compiled: Mutex::default(),
             }),
         }
     }
@@ -174,13 +181,32 @@ impl Device {
     /// Execute `kernel` over `nd`, blocking until completion, and report the
     /// dynamic counts, static resources, occupancy and simulated time.
     ///
+    /// The kernel's [`CodeModel`] is compiled on its first launch on this
+    /// device; later launches of the same model reuse those resources.
+    ///
     /// # Errors
     ///
     /// Returns an error when the ND-range is malformed or the kernel's local
     /// memory request exceeds the device's per-CU capacity.
     pub fn launch<K: KernelProgram>(&self, kernel: &K, nd: NdRange) -> SimResult<LaunchReport> {
         self.inner.traffic.record_launch();
-        run_launch(&self.inner.spec, self.inner.mode, kernel, nd)
+        let resources = *self
+            .inner
+            .compiled
+            .lock()
+            .expect("no launch panics while holding the compile map")
+            .entry(kernel.code_model())
+            .or_insert_with_key(isa::compile);
+        run_launch(&self.inner.spec, self.inner.mode, kernel, nd, resources)
+    }
+
+    /// Number of distinct code models this device has compiled.
+    pub fn compiled_models(&self) -> usize {
+        self.inner
+            .compiled
+            .lock()
+            .expect("no launch panics while holding the compile map")
+            .len()
     }
 }
 

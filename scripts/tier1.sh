@@ -20,6 +20,14 @@ cargo test --release -q -p gpu-sim -p genome
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Formatting of every tracked Rust file, except the Table I programming-
+# steps test (kept byte-for-byte as written) and perfbench (a workspace of
+# its own).
+echo "== rustfmt --check =="
+git ls-files -z '*.rs' \
+  | grep -zv -e '^tests/programming_steps\.rs$' -e '^perfbench/' \
+  | xargs -0 rustfmt --check --edition 2021
+
 # perfbench is its own package (empty `[workspace]`), so the workspace
 # build above never compiles it; its self-test keeps it building against
 # the runner and serving APIs it drives.
@@ -31,6 +39,17 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== perfbench: paper_search =="
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload paper_search --seed 1 --seconds 2 --trace 0
+
+# Short runs of the serving stack: every job's records are checked byte
+# for byte against the CPU oracle, and the run exits 1 on any mismatch,
+# typed error, shed or job that never completes.
+echo "== perfbench: serve_mixed =="
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve_mixed --seed 1 --seconds 2 --trace 0
+
+echo "== perfbench: library_screen =="
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload library_screen --seed 1 --seconds 2 --trace 0
 
 echo "== smoke: repro table1 =="
 cargo run --release -p casoff-bench --bin repro -- table1
