@@ -3,7 +3,8 @@
 //! chunk runner on three device specs. The packed cache holds ~2.7x the
 //! chunks, so a working set that thrashes the raw cache fits the packed
 //! one — the summary lines report hit rate, per-pass upload bytes, and
-//! simulated batch time per spec.
+//! simulated batch time per spec, and the bench fails unless the adaptive
+//! cache's hit rate beats the raw cache's on every spec.
 //!
 //! A second group replays an **exception-dense** soft-masked assembly,
 //! where the 2-bit form would be unsafe or heavier than nibbles: the
@@ -107,12 +108,14 @@ fn encoding_label(encoding: ChunkEncoding) -> &'static str {
     }
 }
 
+/// Run every spec under every encoding; returns each run's
+/// `(spec, encoding, hit rate)` after its warm and steady passes.
 fn run_group(
     c: &mut Criterion,
     group_name: &str,
     assembly: &Assembly,
     encodings: &[ChunkEncoding],
-) {
+) -> Vec<(&'static str, ChunkEncoding, f64)> {
     let specs = [
         ("rvii", DeviceSpec::radeon_vii()),
         ("mi60", DeviceSpec::mi60()),
@@ -120,6 +123,7 @@ fn run_group(
     ];
     let mut group = c.benchmark_group(group_name);
     group.sample_size(5);
+    let mut hit_rates = Vec::new();
     for (name, spec) in specs {
         for &encoding in encodings {
             let label = encoding_label(encoding);
@@ -137,20 +141,35 @@ fn run_group(
                 stats.len,
                 stats.bytes_resident,
             );
+            hit_rates.push((name, encoding, stats.hit_rate()));
             group.bench_function(format!("{name}/{label}"), |b| b.iter(|| w.pass()));
         }
     }
     group.finish();
+    hit_rates
 }
 
 fn bench_serve_cache(c: &mut Criterion) {
     let clean = synth::hg38_mini(GENOME_SCALE);
-    run_group(
+    let hit_rates = run_group(
         c,
         "serve-cache",
         &clean,
         &[ChunkEncoding::Raw, ChunkEncoding::Adaptive],
     );
+    // The claim this bench exists for: at the shared budget the adaptive
+    // cache keeps the clean working set resident that thrashes the raw one.
+    for pair in hit_rates.chunks(2) {
+        let [(name, ChunkEncoding::Raw, raw), (_, ChunkEncoding::Adaptive, adaptive)] = pair else {
+            unreachable!("runs come in raw, adaptive pairs per spec");
+        };
+        assert!(
+            adaptive > raw,
+            "serve-cache/{name}: adaptive hit rate {:.1}% must beat raw {:.1}% at {CACHE_BYTES} B",
+            100.0 * adaptive,
+            100.0 * raw,
+        );
+    }
 
     // Exception-dense workload: soft-mask runs and degenerate bases push
     // the adaptive encoding onto its 4-bit path, contrasted with raw.

@@ -135,8 +135,8 @@ fn bench_serve_specialize(c: &mut Criterion) {
         let warm_s = specialized.pass();
         let after_warm = global_cache().stats();
 
-        let cold_compiles = after_cold.compiles - before.compiles;
-        let warm_compiles = after_warm.compiles - after_cold.compiles;
+        let cold_compiles = after_cold.misses - before.misses;
+        let warm_compiles = after_warm.misses - after_cold.misses;
         println!(
             "serve-specialize/{name}: generic {generic_s:.6} s/pass, specialized cold \
              {cold_s:.6} s/pass ({cold_compiles} compiles), warm {warm_s:.6} s/pass \

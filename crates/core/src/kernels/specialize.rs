@@ -17,8 +17,9 @@
 //! Variants are compiled once per `(pattern digest, threshold, encoding)`
 //! and cached in a bounded, digest-keyed [`VariantCache`] with single-flight
 //! compilation: two batches racing on the same new key produce exactly one
-//! compile, the loser blocks until the leader publishes (the same discipline
-//! `serve::results` applies to duplicate in-flight jobs). Library-style
+//! compile, the loser blocks until the leader publishes
+//! ([`SingleFlight`], the policy the serving candidate cache shares; each
+//! variant weighs 1, so the capacity is a count). Library-style
 //! workloads — thousands of sites, a handful of guides — amortize one
 //! compile across every subsequent launch.
 //!
@@ -28,8 +29,7 @@
 //! code models come from the same [`model`](super::model) as the generic
 //! ones.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use gpu_sim::isa::{self, CodeModel, ResourceUsage};
@@ -40,6 +40,7 @@ use genome::base::base_mask;
 
 use super::family::{self, Chars, Nibbles, Reference, Shape, TwoBit};
 use super::finder::{FinderOutput, NibbleFinderKernel, FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE};
+use crate::lru::{Flight, SingleFlight};
 use crate::pattern::CompiledSeq;
 
 /// Which kernel shape a variant specializes.
@@ -240,27 +241,15 @@ impl CompiledVariant {
 pub struct VariantCacheStats {
     /// Lookups that found a resident (or in-flight) variant.
     pub hits: u64,
-    /// Lookups that had to compile.
+    /// Lookups that had to compile (single-flight: one per compile).
     pub misses: u64,
     /// Variants evicted by the capacity bound.
     pub evictions: u64,
-    /// Compiles performed (single-flight: ≤ misses under races).
-    pub compiles: u64,
     /// Recent compile times in nanoseconds (bounded ring, newest last).
     pub compile_ns: Vec<u64>,
 }
 
 impl VariantCacheStats {
-    /// Hit rate over all lookups, 0 when none happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// The `q`-quantile of recorded compile times (nearest-rank), `None`
     /// when no compile has been recorded.
     pub fn compile_ns_quantile(&self, q: f64) -> Option<u64> {
@@ -278,24 +267,10 @@ impl VariantCacheStats {
 /// recent regime, not the process lifetime.
 const COMPILE_SAMPLE_CAP: usize = 256;
 
-enum Slot {
-    /// Compiled and resident; the `u64` is the LRU tick of last use.
-    Ready(Arc<CompiledVariant>, u64),
-    /// A leader is compiling; followers wait on the condvar.
-    Pending,
-}
-
-struct CacheInner {
-    slots: HashMap<u64, Slot>,
-    clock: u64,
-    stats: VariantCacheStats,
-}
-
 /// A bounded, digest-keyed, single-flight cache of compiled variants.
 pub struct VariantCache {
-    inner: Mutex<CacheInner>,
-    ready: Condvar,
-    capacity: usize,
+    variants: SingleFlight<u64, Arc<CompiledVariant>>,
+    compile_ns: Mutex<Vec<u64>>,
 }
 
 impl VariantCache {
@@ -303,13 +278,8 @@ impl VariantCache {
     /// that). In-flight compiles are never evicted.
     pub fn new(capacity: usize) -> VariantCache {
         VariantCache {
-            inner: Mutex::new(CacheInner {
-                slots: HashMap::new(),
-                clock: 0,
-                stats: VariantCacheStats::default(),
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
+            variants: SingleFlight::new(capacity.max(1)),
+            compile_ns: Mutex::new(Vec::new()),
         }
     }
 
@@ -324,94 +294,40 @@ impl VariantCache {
         threshold: u16,
     ) -> Arc<CompiledVariant> {
         let digest = variant_digest(kind, query, threshold);
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            let resident = match inner.slots.get(&digest) {
-                Some(Slot::Ready(variant, _)) => Some(Arc::clone(variant)),
-                Some(Slot::Pending) => {
-                    // Follower: the leader is compiling this digest right
-                    // now. Wait for publication; the shared result counts
-                    // as a hit (no duplicate compile happened).
-                    inner = self.ready.wait(inner).unwrap();
-                    continue;
-                }
-                None => None,
-            };
-            if let Some(variant) = resident {
-                inner.clock += 1;
-                let clock = inner.clock;
-                if let Some(Slot::Ready(_, tick)) = inner.slots.get_mut(&digest) {
-                    *tick = clock;
-                }
-                inner.stats.hits += 1;
-                return variant;
-            }
-            inner.slots.insert(digest, Slot::Pending);
-            drop(inner);
-            // Leader: compile outside the lock so unrelated digests keep
-            // flowing.
-            let variant = Arc::new(CompiledVariant::compile(kind, query, threshold));
-            let mut inner = self.inner.lock().unwrap();
-            inner.clock += 1;
-            let tick = inner.clock;
-            inner
-                .slots
-                .insert(digest, Slot::Ready(Arc::clone(&variant), tick));
-            inner.stats.misses += 1;
-            inner.stats.compiles += 1;
-            if inner.stats.compile_ns.len() == COMPILE_SAMPLE_CAP {
-                inner.stats.compile_ns.remove(0);
-            }
-            inner.stats.compile_ns.push(variant.compile_ns);
-            Self::evict_over_capacity(&mut inner, self.capacity);
-            drop(inner);
-            self.ready.notify_all();
+        if let Flight::Hit(variant) = self.variants.lookup_or_lead(&digest) {
             return variant;
         }
-    }
-
-    fn evict_over_capacity(inner: &mut CacheInner, capacity: usize) {
-        loop {
-            let resident = inner
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready(..)))
-                .count();
-            if resident <= capacity {
-                return;
-            }
-            let coldest = inner
-                .slots
-                .iter()
-                .filter_map(|(digest, slot)| match slot {
-                    Slot::Ready(_, tick) => Some((*tick, *digest)),
-                    Slot::Pending => None,
-                })
-                .min();
-            match coldest {
-                Some((_, digest)) => {
-                    inner.slots.remove(&digest);
-                    inner.stats.evictions += 1;
-                }
-                None => return,
-            }
+        // Leader: compile outside the lock so unrelated digests keep
+        // flowing.
+        let variant = Arc::new(CompiledVariant::compile(kind, query, threshold));
+        let mut samples = self.compile_ns.lock().expect("sample lock poisoned");
+        if samples.len() == COMPILE_SAMPLE_CAP {
+            samples.remove(0);
         }
+        samples.push(variant.compile_ns);
+        drop(samples);
+        self.variants.publish(&digest, Arc::clone(&variant), 1);
+        variant
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> VariantCacheStats {
-        self.inner.lock().unwrap().stats.clone()
+        let lru = self.variants.stats();
+        VariantCacheStats {
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
+            compile_ns: self
+                .compile_ns
+                .lock()
+                .expect("sample lock poisoned")
+                .clone(),
+        }
     }
 
     /// Number of resident (compiled) variants.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(..)))
-            .count()
+        self.variants.stats().len
     }
 
     /// True when no variant is resident.
@@ -972,7 +888,6 @@ mod tests {
 
         let stats = cache.stats();
         assert_eq!(stats.misses, 3);
-        assert_eq!(stats.compiles, 3);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(cache.len(), 2);
@@ -1014,8 +929,7 @@ mod tests {
         let variants: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
         let stats = cache.stats();
-        assert_eq!(stats.compiles, 1, "single-flight: exactly one compile");
-        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.misses, 1, "single-flight: exactly one compile");
         assert_eq!(stats.hits as usize, RACERS - 1);
         for v in &variants {
             assert!(Arc::ptr_eq(v, &variants[0]), "all racers share one variant");

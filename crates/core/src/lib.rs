@@ -58,6 +58,7 @@ pub mod bulge;
 pub mod cli;
 pub mod cpu;
 pub mod kernels;
+pub mod lru;
 pub mod pam;
 pub mod pipeline;
 pub mod stats;

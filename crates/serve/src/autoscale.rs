@@ -39,7 +39,8 @@ pub struct AutoscaleConfig {
     /// latency, and reacting at the full budget reacts too late.
     pub slo: Duration,
     /// Metrics window the controller decides at (one decision per
-    /// window). Match the service's `metrics_window` for aligned
+    /// window). Match the service's
+    /// [`METRICS_WINDOW`](crate::service::METRICS_WINDOW) for aligned
     /// reporting.
     pub window: Duration,
     /// Delay samples taken per window; the window's signal is their

@@ -22,10 +22,10 @@
 //! one-byte-per-base layout for baseline comparisons.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
+use cas_offinder::lru::{self, Lru};
 use cas_offinder::pipeline::chunk::{twobit_compare_safe, Payload};
 use cas_offinder::pipeline::WindowSource;
 use genome::fourbit::NibbleSeq;
@@ -220,20 +220,6 @@ pub struct ChunkKey {
     pub index: usize,
 }
 
-struct Entry {
-    chunk: Arc<EncodedChunk>,
-    last_used: u64,
-}
-
-struct Inner {
-    map: HashMap<ChunkKey, Entry>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
 /// Point-in-time cache accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -252,21 +238,17 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fraction of lookups served from the cache (0 when none yet).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        lru::hit_rate(self.hits, self.misses)
     }
 }
 
 /// Thread-safe LRU over [`EncodedChunk`]s, bounded by resident payload
 /// bytes rather than entry count — a packed cache therefore keeps ~2.7x
-/// the chunks of a raw cache at the same budget.
+/// the chunks of a raw cache at the same budget. The policy is
+/// [`Lru`]'s; a miss encodes under the lock, so concurrent misses on one
+/// chunk encode it once.
 pub struct GenomeCache {
-    capacity_bytes: usize,
-    inner: Mutex<Inner>,
+    chunks: Mutex<Lru<ChunkKey, Arc<EncodedChunk>>>,
 }
 
 impl GenomeCache {
@@ -274,15 +256,7 @@ impl GenomeCache {
     pub fn new(capacity_bytes: usize) -> Self {
         assert!(capacity_bytes > 0, "cache capacity must be positive");
         GenomeCache {
-            capacity_bytes,
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                bytes: 0,
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            chunks: Mutex::new(Lru::new(capacity_bytes)),
         }
     }
 
@@ -296,40 +270,12 @@ impl GenomeCache {
         key: &ChunkKey,
         encode: impl FnOnce() -> EncodedChunk,
     ) -> Arc<EncodedChunk> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.map.get_mut(key) {
-            entry.last_used = tick;
-            let chunk = Arc::clone(&entry.chunk);
-            inner.hits += 1;
-            return chunk;
+        let mut chunks = self.chunks.lock().expect("cache lock poisoned");
+        if let Some(chunk) = chunks.get(key) {
+            return Arc::clone(chunk);
         }
-        inner.misses += 1;
         let chunk = Arc::new(encode());
-        let incoming = chunk.byte_len();
-        while !inner.map.is_empty() && inner.bytes + incoming > self.capacity_bytes {
-            // O(len) scan; resident counts stay small by construction.
-            if let Some(lru) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                if let Some(evicted) = inner.map.remove(&lru) {
-                    inner.bytes -= evicted.chunk.byte_len();
-                    inner.evictions += 1;
-                }
-            }
-        }
-        inner.bytes += incoming;
-        inner.map.insert(
-            key.clone(),
-            Entry {
-                chunk: Arc::clone(&chunk),
-                last_used: tick,
-            },
-        );
+        chunks.insert(key.clone(), Arc::clone(&chunk), chunk.byte_len());
         chunk
     }
 
@@ -338,19 +284,19 @@ impl GenomeCache {
     /// prediction, which must not perturb the LRU order or the hit-rate
     /// accounting the serving path reports.
     pub fn peek(&self, key: &ChunkKey) -> Option<Arc<EncodedChunk>> {
-        let inner = self.inner.lock().unwrap();
-        inner.map.get(key).map(|e| Arc::clone(&e.chunk))
+        let chunks = self.chunks.lock().expect("cache lock poisoned");
+        chunks.peek(key).cloned()
     }
 
     /// Current accounting.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let s = self.chunks.lock().expect("cache lock poisoned").stats();
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.map.len(),
-            bytes_resident: inner.bytes,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            len: s.len,
+            bytes_resident: s.resident_bytes,
         }
     }
 }

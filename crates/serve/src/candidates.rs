@@ -15,12 +15,13 @@
 //! its *lead* and owes the cache a [`publish`](CandidateCache::publish)
 //! (or [`abandon`](CandidateCache::abandon) on error); concurrent workers
 //! asking for the same key block until the lead resolves instead of all
-//! launching the same finder. Entries are evicted least-recently-used
-//! under a byte budget; keys with waiters pending are never evicted.
+//! launching the same finder. The policy — single-flight, least recently
+//! used eviction under a byte budget, an oversized list admitted alone —
+//! is [`SingleFlight`]'s, shared with the kernel-variant cache.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
+use cas_offinder::lru::{Flight, LruStats, SingleFlight};
 use cas_offinder::pipeline::chunk::CandidateSites;
 
 use crate::cache::EncodedChunk;
@@ -55,69 +56,23 @@ impl CandidateKey {
     }
 }
 
-/// Outcome of [`CandidateCache::lookup_or_lead`].
-pub enum CandidateLookup {
-    /// The list is resident: skip the finder and replay it.
-    Hit(Arc<CandidateSites>),
-    /// The caller is now the key's lead: run the finder with capture
-    /// armed, then [`publish`](CandidateCache::publish) or
-    /// [`abandon`](CandidateCache::abandon).
-    Lead,
-}
+/// Outcome of [`CandidateCache::lookup_or_lead`]: `Hit` carries the
+/// resident list (skip the finder and replay it); `Lead` makes the caller
+/// the key's lead, who runs the finder with capture armed, then
+/// [`publish`](CandidateCache::publish)es or
+/// [`abandon`](CandidateCache::abandon)s.
+pub type CandidateLookup = Flight<Arc<CandidateSites>>;
 
-/// Point-in-time counters of the candidate cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CandidateStats {
-    /// Lookups served from a resident list (including those that waited
-    /// for an in-flight lead).
-    pub hits: u64,
-    /// Lookups that made the caller the lead.
-    pub misses: u64,
-    /// Lists published.
-    pub inserts: u64,
-    /// Lists evicted under the byte budget.
-    pub evictions: u64,
-    /// Lists currently resident.
-    pub len: usize,
-    /// Bytes currently resident.
-    pub resident_bytes: usize,
-}
-
-impl CandidateStats {
-    /// Fraction of lookups that skipped a finder launch (0 when none yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct Entry {
-    sites: Arc<CandidateSites>,
-    last_used: u64,
-}
-
-struct Inner {
-    map: HashMap<CandidateKey, Entry>,
-    /// Keys with a lead in flight: misses on them wait instead of racing.
-    pending: HashSet<CandidateKey>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-}
+/// Point-in-time counters of the candidate cache: `hits` are lookups that
+/// skipped a finder launch, `misses` lookups that made the caller the
+/// lead, `inserts` lists published, `evictions` lists evicted under the
+/// byte budget.
+pub type CandidateStats = LruStats;
 
 /// Thread-safe single-flight LRU over [`CandidateSites`], bounded by
 /// resident bytes.
 pub struct CandidateCache {
-    capacity_bytes: usize,
-    inner: Mutex<Inner>,
-    resolved: Condvar,
+    lists: SingleFlight<CandidateKey, Arc<CandidateSites>>,
 }
 
 impl CandidateCache {
@@ -128,18 +83,7 @@ impl CandidateCache {
             "candidate cache capacity must be positive"
         );
         CandidateCache {
-            capacity_bytes,
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                pending: HashSet::new(),
-                bytes: 0,
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                inserts: 0,
-                evictions: 0,
-            }),
-            resolved: Condvar::new(),
+            lists: SingleFlight::new(capacity_bytes),
         }
     }
 
@@ -147,26 +91,7 @@ impl CandidateCache {
     /// thread leads the same key; if that lead abandons, one waiter is
     /// promoted to lead in its place.
     pub fn lookup_or_lead(&self, key: &CandidateKey) -> CandidateLookup {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(key) {
-                entry.last_used = tick;
-                let sites = Arc::clone(&entry.sites);
-                inner.hits += 1;
-                return CandidateLookup::Hit(sites);
-            }
-            if inner.pending.contains(key) {
-                inner = self.resolved.wait(inner).unwrap();
-                // Re-check: the lead published (hit above next loop), or
-                // abandoned (pending entry gone: this waiter may lead).
-                continue;
-            }
-            inner.pending.insert(*key);
-            inner.misses += 1;
-            return CandidateLookup::Lead;
-        }
+        self.lists.lookup_or_lead(key)
     }
 
     /// Whether `key` is resident right now, without touching the LRU
@@ -175,64 +100,26 @@ impl CandidateCache {
     /// whose candidate list is already cached — a prediction must not
     /// perturb the statistics it is predicting from.
     pub fn peek(&self, key: &CandidateKey) -> bool {
-        self.inner.lock().unwrap().map.contains_key(key)
+        self.lists.peek(key).is_some()
     }
 
     /// Publish the lead's list for `key`, waking every waiter. Evicts
     /// least-recently-used entries past the byte budget; an oversized
     /// list is still admitted, alone.
     pub fn publish(&self, key: &CandidateKey, sites: Arc<CandidateSites>) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.pending.remove(key);
-        let incoming = sites.byte_len();
-        while !inner.map.is_empty() && inner.bytes + incoming > self.capacity_bytes {
-            if let Some(lru) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                if let Some(evicted) = inner.map.remove(&lru) {
-                    inner.bytes -= evicted.sites.byte_len();
-                    inner.evictions += 1;
-                }
-            }
-        }
-        inner.bytes += incoming;
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            *key,
-            Entry {
-                sites,
-                last_used: tick,
-            },
-        );
-        inner.inserts += 1;
-        drop(inner);
-        self.resolved.notify_all();
+        let bytes = sites.byte_len();
+        self.lists.publish(key, sites, bytes);
     }
 
     /// Give up the lead for `key` without publishing (the finder run
     /// failed); a waiter, if any, is promoted to lead.
     pub fn abandon(&self, key: &CandidateKey) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.pending.remove(key);
-        drop(inner);
-        self.resolved.notify_all();
+        self.lists.abandon(key);
     }
 
     /// Current accounting.
     pub fn stats(&self) -> CandidateStats {
-        let inner = self.inner.lock().unwrap();
-        CandidateStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            inserts: inner.inserts,
-            evictions: inner.evictions,
-            len: inner.map.len(),
-            resident_bytes: inner.bytes,
-        }
+        self.lists.stats()
     }
 }
 

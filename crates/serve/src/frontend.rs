@@ -97,10 +97,10 @@ pub(crate) struct JobEntry {
     /// duplicates across variants are removed at completion.
     pub dedup: bool,
     pub done: bool,
-    /// Set on result-store compute leaders only: the digest + canonical
-    /// spec this job must publish to the result store when it finishes,
-    /// fulfilling any merged followers.
-    pub publish: Option<(u64, CanonicalSpec)>,
+    /// Set on result-store compute leaders only: the canonical spec this
+    /// job must publish to the result store when it finishes, fulfilling
+    /// any merged followers.
+    pub publish: Option<CanonicalSpec>,
     /// The tenant charged for the job.
     pub tenant: TenantId,
     /// Admission cost, in scan-position units.
@@ -126,7 +126,7 @@ impl JobEntry {
         cost: u64,
         deadline: Option<Duration>,
         dedup: bool,
-        publish: Option<(u64, CanonicalSpec)>,
+        publish: Option<CanonicalSpec>,
     ) -> Self {
         JobEntry {
             remaining: None,

@@ -5,6 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cas_offinder::kernels::VariantCacheStats;
+use cas_offinder::lru::hit_rate;
 
 use crate::cache::CacheStats;
 use crate::candidates::CandidateStats;
@@ -64,7 +65,8 @@ pub struct VariantReport {
     pub misses: u64,
     /// Variants evicted by the cache's capacity bound.
     pub evictions: u64,
-    /// Compiles performed (≤ misses under single-flight races).
+    /// Compiles performed: single-flight makes every miss exactly one
+    /// compile.
     pub compiles: u64,
     /// Median compile time of recent compiles, nanoseconds (0 when none).
     pub compile_p50_ns: u64,
@@ -77,11 +79,12 @@ impl VariantReport {
     /// its current stats; quantiles come from the current recent-compile
     /// ring (the service's own compiles dominate it once warm).
     pub fn delta(baseline: &VariantCacheStats, now: &VariantCacheStats) -> Self {
+        let misses = now.misses.saturating_sub(baseline.misses);
         VariantReport {
             hits: now.hits.saturating_sub(baseline.hits),
-            misses: now.misses.saturating_sub(baseline.misses),
+            misses,
             evictions: now.evictions.saturating_sub(baseline.evictions),
-            compiles: now.compiles.saturating_sub(baseline.compiles),
+            compiles: misses,
             compile_p50_ns: now.compile_ns_quantile(0.5).unwrap_or(0),
             compile_p95_ns: now.compile_ns_quantile(0.95).unwrap_or(0),
         }
@@ -89,12 +92,7 @@ impl VariantReport {
 
     /// Hit rate over the service's own lookups, 0 when none happened.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -323,13 +321,8 @@ impl MetricsReport {
     /// Fraction of executed batches that found their chunk payload already
     /// resident on the device (0 when nothing ran).
     pub fn resident_hit_rate(&self) -> f64 {
-        let hits: u64 = self.devices.iter().map(|d| d.resident_hits).sum();
-        let total: u64 = hits + self.devices.iter().map(|d| d.resident_misses).sum::<u64>();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        let hits = self.devices.iter().map(|d| d.resident_hits).sum();
+        hit_rate(hits, self.devices.iter().map(|d| d.resident_misses).sum())
     }
 
     /// Host-to-device bytes residency avoided moving, across all devices.
@@ -341,13 +334,7 @@ impl MetricsReport {
     /// single-flight merges over all result-store admissions (0 when the
     /// result cache is disabled or nothing was submitted).
     pub fn result_cache_hit_rate(&self) -> f64 {
-        let served = self.results.hits + self.results.merges;
-        let total = served + self.results.misses;
-        if total == 0 {
-            0.0
-        } else {
-            served as f64 / total as f64
-        }
+        hit_rate(self.results.hits + self.results.merges, self.results.misses)
     }
 
     /// How far per-tenant goodput strayed from the configured weights:

@@ -123,12 +123,13 @@ pub struct ServiceConfig {
     /// byte-identical to per-guide launches; the scheduler prices fused
     /// batches through the separately calibrated multi-guide rates.
     pub multi_guide: bool,
-    /// Bucket width of the windowed latency/queue-depth ring
-    /// ([`Service::latency_windows`]) — the cadence tail percentiles and
-    /// admitted/shed counts are reported at, and the natural sampling
-    /// period for an autoscaling controller watching them.
-    pub metrics_window: Duration,
 }
+
+/// Bucket width of the windowed latency/queue-depth ring
+/// ([`Service::latency_windows`]) — the cadence tail percentiles and
+/// admitted/shed counts are reported at, and the natural sampling period
+/// for an autoscaling controller watching them.
+pub const METRICS_WINDOW: Duration = Duration::from_millis(250);
 
 impl ServiceConfig {
     /// The paper's heterogeneous pool: Radeon VII and MI60 under OpenCL,
@@ -167,7 +168,6 @@ impl ServiceConfig {
             tenants: Vec::new(),
             candidate_cache_bytes: 1 << 20,
             multi_guide: true,
-            metrics_window: Duration::from_millis(250),
         }
     }
 }
@@ -343,9 +343,9 @@ impl Shared {
     /// `publish` key with its final (sorted) records; the jobs lock must
     /// NOT be held — the store lock is taken here and the jobs lock is
     /// re-taken per follower batch, never both orderings.
-    fn fulfill_followers(&self, published: Vec<((u64, CanonicalSpec), Vec<OffTarget>)>) {
-        for ((digest, canon), records) in published {
-            let followers = self.results.complete(digest, &canon, &records);
+    fn fulfill_followers(&self, published: Vec<(CanonicalSpec, Vec<OffTarget>)>) {
+        for (canon, records) in published {
+            let followers = self.results.complete(&canon, &records);
             if followers.is_empty() {
                 continue;
             }
@@ -432,9 +432,9 @@ impl Service {
             admission_rate,
             device_rates,
             started: Instant::now(),
-            // 4096 windows at the default 250ms cover a 17-minute run —
-            // far past any harness — in a few hundred KB worst case.
-            windows: LatencyWindows::new(config.metrics_window, 4096),
+            // 4096 windows of 250ms cover a 17-minute run — far past any
+            // harness — in a few hundred KB worst case.
+            windows: LatencyWindows::new(METRICS_WINDOW, 4096),
             config,
         });
         // Planned placement partitions every registered assembly's chunk
@@ -535,7 +535,7 @@ impl Service {
         // spec enters the admission queue (inside the store lock, so a
         // racing duplicate either sees this leader or becomes one itself).
         let cached = (self.shared.config.result_cache_bytes > 0)
-            .then(|| CanonicalSpec::digest(&spec, self.shared.config.chunk_size));
+            .then(|| CanonicalSpec::new(&spec, self.shared.config.chunk_size));
         // The publish key is set optimistically before the job can reach
         // the queue: once `admit` enqueues it, a worker may finish the
         // whole batch before this thread runs again, and the completion
@@ -550,11 +550,11 @@ impl Service {
         );
         self.shared.hub.register(id, entry);
         let admission = match &cached {
-            Some((digest, canon)) => {
+            Some(canon) => {
                 let job = Job { id, spec, cost };
                 self.shared
                     .results
-                    .admit(*digest, canon, id, || self.shared.queue.try_submit(job))
+                    .admit(canon, id, || self.shared.queue.try_submit(job))
             }
             None => self
                 .shared
@@ -1153,7 +1153,7 @@ fn batcher_loop(shared: &Shared) {
             round_batches.extend(batches);
         }
 
-        let mut published: Vec<((u64, CanonicalSpec), Vec<OffTarget>)> = Vec::new();
+        let mut published: Vec<(CanonicalSpec, Vec<OffTarget>)> = Vec::new();
         let mut completions = Vec::new();
         {
             let mut entries = shared.hub.jobs.lock().unwrap();
@@ -1395,7 +1395,7 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
         // Fold each job's entries into its record set; the last chunk of a
         // job sorts and publishes. Record extraction decodes only the hit
         // windows, losslessly, so it sees the original bytes.
-        let mut published: Vec<((u64, CanonicalSpec), Vec<OffTarget>)> = Vec::new();
+        let mut published: Vec<(CanonicalSpec, Vec<OffTarget>)> = Vec::new();
         let mut completions = Vec::new();
         let mut entries = shared.hub.jobs.lock().unwrap();
         for (member, member_entries) in batch.jobs.iter().zip(&per_query) {

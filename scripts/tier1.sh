@@ -68,6 +68,11 @@ echo "== smoke: serve throughput =="
 CASOFF_SERVE_JOBS=120 cargo run --release --example serve_demo
 test -s BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }
 
+# Fails unless the adaptive chunk cache's hit rate beats the raw cache's
+# at the shared byte budget on the clean assembly.
+echo "== bench: chunk cache, adaptive vs raw payloads =="
+cargo bench -q -p casoff-bench --bench serve_cache
+
 echo "== bench: specialized vs generic comparers =="
 cargo bench -q -p casoff-bench --bench serve_specialize
 
