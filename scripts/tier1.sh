@@ -67,6 +67,11 @@ cargo run --release -p casoff-bench --bin repro -- summary
 echo "== smoke: serve throughput =="
 CASOFF_SERVE_JOBS=120 cargo run --release --example serve_demo
 test -s BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }
+# The rewritten record keeps the committed record's keys, in their order,
+# so a rerun diffs against it value by value.
+diff <(git show HEAD:BENCH_serve.json | grep -o '"[^"]*":') \
+  <(grep -o '"[^"]*":' BENCH_serve.json) \
+  || { echo "BENCH_serve.json keys differ from the committed record"; exit 1; }
 
 # Fails unless the adaptive chunk cache's hit rate beats the raw cache's
 # at the shared byte budget on the clean assembly.
