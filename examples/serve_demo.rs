@@ -48,12 +48,17 @@
 //! provisioning materially fewer device-seconds than the static fleet,
 //! and every scale event replans the shard plan minimally.
 //!
+//! Each pass prints its progress and its metrics snapshot as it runs.
+//! The outcome is rendered once: the demo writes `BENCH_serve.json`,
+//! prints it, and then asserts its gates on the unrounded values.
+//!
 //! ```text
 //! cargo run --release --example serve_demo
 //! CASOFF_SERVE_JOBS=200 cargo run --release --example serve_demo
 //! ```
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +74,7 @@ use casoff_serve::{
 };
 use genome::rng::Xoshiro256;
 use genome::Assembly;
-use gpu_sim::isa::compile;
+use gpu_sim::isa::{compile, ResourceUsage};
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::{DeviceSpec, ExecMode, NdRange};
 
@@ -86,6 +91,9 @@ const CACHE_BYTES: usize = 128 * 1024;
 /// (scaled), so queue drain — and therefore placement quality — follows
 /// device speed rather than host speed.
 const PACING: f64 = 1500.0;
+/// Distinct tenant requests in the closed-loop passes; the submitted jobs
+/// cycle through them, so the coalescer always has same-pattern company.
+const TENANT_SPECS: usize = 20;
 /// Compute rounds through the affinity service, each with fresh guides.
 /// Round 0 pays the genome's chunk uploads; later rounds find the chunks
 /// resident. The replay round after these is served without compute.
@@ -110,6 +118,23 @@ const SHARD_RESIDENT_CHUNKS: usize = 512;
 /// over the two PAM patterns (two full scans per pattern).
 const SHARD_GUIDES: usize = 4;
 
+/// Jobs per closed-loop pass: `CASOFF_SERVE_JOBS` when set, else 400.
+/// Anything but a positive integer exits before any work starts, since a
+/// malformed value would otherwise run the default unnoticed and `0`
+/// would serve every pass empty.
+fn jobs_from_env() -> usize {
+    let Some(value) = std::env::var_os("CASOFF_SERVE_JOBS") else {
+        return 400;
+    };
+    match value.to_str().and_then(|v| v.parse::<usize>().ok()) {
+        Some(jobs) if jobs > 0 => jobs,
+        _ => {
+            eprintln!("CASOFF_SERVE_JOBS must be a positive integer, got {value:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn spec_text(spec: &JobSpec) -> String {
     format!(
         "{}\n{}\n{} {}\n",
@@ -120,58 +145,82 @@ fn spec_text(spec: &JobSpec) -> String {
     )
 }
 
-/// Twenty distinct tenant requests over two PAM patterns; the submitted
-/// jobs cycle through them, so the coalescer always has same-pattern
-/// company to batch with. Different seeds give disjoint tenant sets over
-/// the same genome — what the affinity rounds rely on.
-fn tenant_specs(seed: u64) -> Vec<JobSpec> {
+/// Eight random bases, then the `NNN` the PAM pattern covers.
+fn random_guide(rng: &mut Xoshiro256) -> Vec<u8> {
+    let mut guide: Vec<u8> = (0..8).map(|_| *rng.choose(b"ACGT").unwrap()).collect();
+    guide.extend_from_slice(b"NNN");
+    guide
+}
+
+/// `count` distinct tenant requests against `assembly`, alternating two
+/// PAM patterns. Different seeds give disjoint tenant sets over the same
+/// genome — what the affinity rounds rely on.
+fn guide_specs(seed: u64, assembly: &str, count: usize) -> Vec<JobSpec> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let patterns: [&[u8]; 2] = [b"NNNNNNNNNRG", b"NNNNNNNNNGG"];
-    (0..20)
+    (0..count)
         .map(|i| {
-            let mut guide: Vec<u8> = (0..8).map(|_| *rng.choose(b"ACGT").unwrap()).collect();
-            guide.extend_from_slice(b"NNN");
-            JobSpec::new("hg38-mini", patterns[i % 2].to_vec(), guide, 3)
+            JobSpec::new(
+                assembly,
+                patterns[i % 2].to_vec(),
+                random_guide(&mut rng),
+                3,
+            )
         })
         .collect()
 }
 
-fn serial_oracle(
-    assembly: &Assembly,
-    serial_config: &PipelineConfig,
-    specs: &[JobSpec],
-) -> Vec<Vec<OffTarget>> {
+/// Each spec through the serial OpenCL pipeline, cross-checked against
+/// the scalar CPU search: the records every served job must equal.
+fn serial_oracle(assembly: &Assembly, specs: &[JobSpec]) -> Vec<Vec<OffTarget>> {
+    let config = PipelineConfig::new(DeviceSpec::mi100())
+        .chunk_size(CHUNK_SIZE)
+        .exec_mode(ExecMode::Sequential);
     specs
         .iter()
         .map(|spec| {
             let input = SearchInput::parse(&spec_text(spec)).unwrap();
-            ocl::run(assembly, &input, serial_config)
-                .unwrap()
-                .offtargets
+            let serial = ocl::run(assembly, &input, &config).unwrap().offtargets;
+            assert_eq!(
+                serial,
+                cas_offinder::cpu::search_sequential(assembly, &input),
+                "serial pipeline vs scalar oracle on {}",
+                spec.assembly
+            );
+            serial
         })
         .collect()
 }
 
-fn config_with(encoding: ChunkEncoding, placement: Placement, chunk_size: usize) -> ServiceConfig {
-    let mut config = ServiceConfig::paper_pool();
-    config.chunk_size = chunk_size;
-    config.queue_cost_limit = 10_000_000; // ~67 queued jobs: backpressure shows up
-    config.cache_bytes = CACHE_BYTES;
-    config.cache_encoding = encoding;
-    config.placement = placement;
-    config.pacing = PACING;
-    // The raw/packed generations predate both reuse layers; they pay
-    // every upload and every duplicate compute.
-    config.resident_chunks = 0;
-    config.result_cache_bytes = 0;
-    // The earlier generations also predate kernel specialization; the
-    // dedicated specialized-vs-generic comparison below flips this on.
-    config.specialize = false;
-    // And they predate the library fast path; the dedicated library pass
-    // below flips both layers on.
-    config.multi_guide = false;
-    config.candidate_cache_bytes = 0;
-    config
+/// The configuration every pass starts from: the paper pool at the demo's
+/// cache budget and pacing, with every layer that postdates the packed
+/// cost-aware generation switched off. Each pass states its deltas.
+fn demo_config() -> ServiceConfig {
+    ServiceConfig {
+        chunk_size: CHUNK_SIZE,
+        cache_bytes: CACHE_BYTES,
+        pacing: PACING,
+        // The raw/packed generations predate both reuse layers; they pay
+        // every upload and every duplicate compute.
+        resident_chunks: 0,
+        result_cache_bytes: 0,
+        // The earlier generations also predate kernel specialization; the
+        // dedicated specialized-vs-generic comparison flips this on.
+        specialize: false,
+        // And they predate the library fast path; the dedicated library
+        // pass flips both layers on.
+        multi_guide: false,
+        candidate_cache_bytes: 0,
+        ..ServiceConfig::paper_pool()
+    }
+}
+
+/// Shut down a service once every other handle to it is gone.
+fn shutdown(service: Arc<Service>) {
+    match Arc::try_unwrap(service) {
+        Ok(service) => service.shutdown(),
+        Err(_) => unreachable!("submitters joined and watchers stopped"),
+    }
 }
 
 /// Submit `jobs` jobs cycling through `specs` from racing submitter
@@ -228,39 +277,16 @@ fn serve_jobs(
     sites
 }
 
-/// Serve `jobs` jobs through a fresh single-generation service and return
-/// the metrics snapshot.
-#[allow(clippy::too_many_arguments)]
+/// Serve `jobs` jobs through a fresh service started with `config` and
+/// return the metrics snapshot.
 fn serve_run(
     label: &str,
+    config: ServiceConfig,
     assembly: &Assembly,
-    encoding: ChunkEncoding,
-    placement: Placement,
-    chunk_size: usize,
     jobs: usize,
     specs: &[JobSpec],
     oracle: &[Vec<OffTarget>],
 ) -> MetricsReport {
-    serve_run_specialized(
-        label, assembly, encoding, placement, chunk_size, jobs, specs, oracle, false,
-    )
-}
-
-/// [`serve_run`] with the kernel-specialization switch exposed.
-#[allow(clippy::too_many_arguments)]
-fn serve_run_specialized(
-    label: &str,
-    assembly: &Assembly,
-    encoding: ChunkEncoding,
-    placement: Placement,
-    chunk_size: usize,
-    jobs: usize,
-    specs: &[JobSpec],
-    oracle: &[Vec<OffTarget>],
-    specialize: bool,
-) -> MetricsReport {
-    let mut config = config_with(encoding, placement, chunk_size);
-    config.specialize = specialize;
     let service = Arc::new(Service::start(config, vec![assembly.clone()]));
     let sites = serve_jobs(&service, jobs, specs, oracle);
     println!(
@@ -277,11 +303,7 @@ fn serve_run_specialized(
         );
     }
     println!();
-
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("all submitters joined"),
-    }
+    shutdown(service);
     report
 }
 
@@ -289,31 +311,39 @@ fn total_kernel_launches(report: &MetricsReport) -> u64 {
     report.devices.iter().map(|d| d.kernel_launches).sum()
 }
 
+/// Per-device busy seconds accrued between `since` and `report`.
+fn busy_since(report: &MetricsReport, since: &MetricsReport) -> Vec<f64> {
+    report
+        .devices
+        .iter()
+        .zip(&since.devices)
+        .map(|(a, b)| a.busy_s - b.busy_s)
+        .collect()
+}
+
 /// The affinity generation: `AFFINITY_ROUNDS` fresh-guide workloads
 /// through one long-lived service, then a verbatim replay of round 0.
 /// Returns the cumulative report and the replay's result-store hit rate.
 fn affinity_run(
+    assembly: &Assembly,
     jobs: usize,
     round0_specs: &[JobSpec],
     round0_oracle: &[Vec<OffTarget>],
-    serial_config: &PipelineConfig,
 ) -> (MetricsReport, f64) {
-    let assembly = genome::synth::hg38_mini(GENOME_SCALE);
-    let mut config = config_with(
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        CHUNK_SIZE,
-    );
-    config.resident_chunks = RESIDENT_CHUNKS;
-    config.result_cache_bytes = 1 << 23; // all rounds' results stay resident
+    let config = ServiceConfig {
+        resident_chunks: RESIDENT_CHUNKS,
+        result_cache_bytes: 1 << 23, // all rounds' results stay resident
+        ..demo_config()
+    };
     let service = Arc::new(Service::start(config, vec![assembly.clone()]));
 
     for round in 0..AFFINITY_ROUNDS {
         let (specs, oracle) = if round == 0 {
             (round0_specs.to_vec(), round0_oracle.to_vec())
         } else {
-            let specs = tenant_specs(0x5E4E + round as u64 * 0x9E37_79B9);
-            let oracle = serial_oracle(&assembly, serial_config, &specs);
+            let seed = 0x5E4E + round as u64 * 0x9E37_79B9;
+            let specs = guide_specs(seed, "hg38-mini", TENANT_SPECS);
+            let oracle = serial_oracle(assembly, &specs);
             (specs, oracle)
         };
         let sites = serve_jobs(&service, jobs, &specs, &oracle);
@@ -358,10 +388,7 @@ fn affinity_run(
         "every replayed job must be served from the result store"
     );
 
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("all submitters joined"),
-    }
+    shutdown(service);
     (report, replay_hit_rate)
 }
 
@@ -380,7 +407,8 @@ const QOS_ROUNDS: usize = 3;
 /// callbacks, and each result is verified byte-identical to the serial
 /// oracle. Deadline admission is exercised on top: generous (feasible)
 /// deadlines ride along and must all be met; impossible ones must be
-/// rejected up front. Returns the report plus the deadline-rejection
+/// rejected up front. Every job computes, so goodput is real device work,
+/// not result-store hits. Returns the report plus the deadline-rejection
 /// count.
 fn qos_run(
     assembly: &Assembly,
@@ -389,21 +417,18 @@ fn qos_run(
 ) -> (MetricsReport, u64) {
     let weights: [(TenantId, u32); 3] = [(TenantId(1), 4), (TenantId(2), 2), (TenantId(3), 1)];
     let job_cost = assembly.total_len() as u64;
-    let mut config = config_with(
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        CHUNK_SIZE,
-    );
-    // Budget = Σ quotas = 7 weight-shares of QOS_QUOTA_JOBS jobs each, so
-    // derived quotas land on whole job counts (4/2/1 × QOS_QUOTA_JOBS) and
-    // the budget can never bind before a tenant's quota.
-    config.queue_cost_limit = 7 * QOS_QUOTA_JOBS * job_cost;
-    // Every job computes: goodput is real device work, not cache hits.
-    config.result_cache_bytes = 0;
-    config.tenants = weights
-        .iter()
-        .map(|&(id, w)| TenantConfig::weighted(id, w))
-        .collect();
+    let config = ServiceConfig {
+        // Budget = Σ quotas = 7 weight-shares of QOS_QUOTA_JOBS jobs each,
+        // so derived quotas land on whole job counts (4/2/1 ×
+        // QOS_QUOTA_JOBS) and the budget can never bind before a tenant's
+        // quota.
+        queue_cost_limit: 7 * QOS_QUOTA_JOBS * job_cost,
+        tenants: weights
+            .iter()
+            .map(|&(id, w)| TenantConfig::weighted(id, w))
+            .collect(),
+        ..demo_config()
+    };
     let service = Arc::new(Service::start(config, vec![assembly.clone()]));
 
     let done_callbacks = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -555,28 +580,11 @@ fn qos_run(
         100.0 * deviation
     );
 
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("all submitters joined"),
-    }
+    shutdown(service);
     (report, deadline_rejections)
 }
 
-/// `SHARD_GUIDES` distinct tenant requests against `assembly`, cycling
-/// the two PAM patterns — the measured workload of the sharding pass.
-fn sharding_specs(seed: u64, assembly: &str) -> Vec<JobSpec> {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let patterns: [&[u8]; 2] = [b"NNNNNNNNNRG", b"NNNNNNNNNGG"];
-    (0..SHARD_GUIDES)
-        .map(|i| {
-            let mut guide: Vec<u8> = (0..8).map(|_| *rng.choose(b"ACGT").unwrap()).collect();
-            guide.extend_from_slice(b"NNN");
-            JobSpec::new(assembly, patterns[i % 2].to_vec(), guide, 3)
-        })
-        .collect()
-}
-
-/// What the sharding pass hands back for the summary, JSON, and gates.
+/// What the sharding pass hands back for the JSON and the gates.
 struct ShardingOutcome {
     report: MetricsReport,
     jobs: usize,
@@ -588,31 +596,33 @@ struct ShardingOutcome {
     migrated_out: usize,
 }
 
-/// This PR's tentpole: up-front planned placement. A `Placement::Planned`
-/// service partitions both assemblies' chunk spaces across the fleet by
-/// calibrated admission rate, a one-pass warmup prefetches every device's
-/// partition on first touch, and then a multi-assembly workload — one
-/// full scan of the ~128-chunk `hg38_mini` per guide plus the masked
-/// assembly alongside — runs post-warmup. The pass holds dispatch
-/// accountable to the plan twice over: near-every batch must find its
-/// chunk resident on its planned owner, and the measured makespan must
-/// land within 10% of the plan's pre-run prediction. A fleet change at
-/// the end demonstrates minimal migration (out and back are the same
-/// chunk set, and the restored plan is the original).
-fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
+/// Up-front planned placement. A `Placement::Planned` service partitions
+/// both assemblies' chunk spaces across the fleet by calibrated admission
+/// rate, a one-pass warmup prefetches every device's partition on first
+/// touch, and then a multi-assembly workload — one full scan of the
+/// ~128-chunk `hg38_mini` per guide plus the masked assembly alongside —
+/// runs post-warmup. The pass holds dispatch accountable to the plan
+/// twice over: near-every batch must find its chunk resident on its
+/// planned owner, and the measured makespan must land within 10% of the
+/// plan's pre-run prediction. A fleet change at the end demonstrates
+/// minimal migration (out and back are the same chunk set, and the
+/// restored plan is the original).
+fn sharding_run() -> ShardingOutcome {
     let assembly = genome::synth::hg38_mini(SHARD_SCALE);
     let masked_assembly = genome::synth::hg38_masked_mini(GENOME_SCALE);
-    let mut config = config_with(ChunkEncoding::Adaptive, Placement::Planned, CHUNK_SIZE);
-    // Paced drain (inherited from `config_with`) keeps queue depth
+    // Paced drain (inherited from `demo_config`) keeps queue depth
     // following simulated device speed, so owners saturate only when the
-    // plan mispredicts. Single-job batches match the prediction's
-    // per-pass unit, and the raised admission budget lets the whole
-    // measured workload queue at once.
-    config.max_batch = 1;
-    config.resident_chunks = SHARD_RESIDENT_CHUNKS;
-    config.result_cache_bytes = 0;
-    config.cache_bytes = 1 << 21;
-    config.queue_cost_limit = 100_000_000;
+    // plan mispredicts. Single-job batches match the prediction's per-pass
+    // unit, and the raised admission budget lets the whole measured
+    // workload queue at once.
+    let config = ServiceConfig {
+        placement: Placement::Planned,
+        max_batch: 1,
+        resident_chunks: SHARD_RESIDENT_CHUNKS,
+        cache_bytes: 1 << 21,
+        queue_cost_limit: 100_000_000,
+        ..demo_config()
+    };
     let service = Arc::new(Service::start(
         config,
         vec![assembly.clone(), masked_assembly.clone()],
@@ -634,10 +644,10 @@ fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
          hg38-mini shares per device: {shares:?}"
     );
 
-    let specs = sharding_specs(0xD157, "hg38-mini");
-    let masked_specs = sharding_specs(0x51AB, "hg38-masked");
-    let oracle = serial_oracle(&assembly, serial_config, &specs);
-    let masked_oracle = serial_oracle(&masked_assembly, serial_config, &masked_specs);
+    let specs = guide_specs(0xD157, "hg38-mini", SHARD_GUIDES);
+    let masked_specs = guide_specs(0x51AB, "hg38-masked", SHARD_GUIDES);
+    let oracle = serial_oracle(&assembly, &specs);
+    let masked_oracle = serial_oracle(&masked_assembly, &masked_specs);
 
     // One-pass warmup: one job per (assembly, pattern) pair. Each worker's
     // first batch of a pair triggers the prefetch of its whole partition,
@@ -686,14 +696,7 @@ fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
         }
     }
     let predicted_makespan_s = predicted.iter().cloned().fold(0.0, f64::max);
-    let warmup_predicted = service
-        .plan_warmup_prediction("hg38-mini", &specs[0].pattern)
-        .expect("plan + registered assembly");
-    println!(
-        "[sharding] predicted: makespan {predicted_makespan_s:.6} s post-warmup \
-         (one-pass warmup itself {:.6} s on the slowest device)",
-        warmup_predicted.iter().cloned().fold(0.0, f64::max)
-    );
+    println!("[sharding] predicted: makespan {predicted_makespan_s:.6} s post-warmup");
 
     // The measured scan: every distinct guide once, against both
     // assemblies — 8 full-genome scans over prefetched partitions.
@@ -707,25 +710,16 @@ fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
          to the serial pipeline"
     );
 
-    let hits: u64 = report.devices.iter().map(|d| d.resident_hits).sum::<u64>()
-        - warmed.devices.iter().map(|d| d.resident_hits).sum::<u64>();
-    let misses: u64 = report
-        .devices
-        .iter()
-        .map(|d| d.resident_misses)
-        .sum::<u64>()
-        - warmed
-            .devices
-            .iter()
-            .map(|d| d.resident_misses)
-            .sum::<u64>();
+    let residency = |r: &MetricsReport| {
+        r.devices.iter().fold((0, 0), |(hits, misses), d| {
+            (hits + d.resident_hits, misses + d.resident_misses)
+        })
+    };
+    let ((hits_after, misses_after), (hits_before, misses_before)) =
+        (residency(&report), residency(&warmed));
+    let (hits, misses) = (hits_after - hits_before, misses_after - misses_before);
     let resident_hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let measured: Vec<f64> = report
-        .devices
-        .iter()
-        .zip(&warmed.devices)
-        .map(|(a, b)| a.busy_s - b.busy_s)
-        .collect();
+    let measured = busy_since(&report, &warmed);
     let measured_makespan_s = measured.iter().cloned().fold(0.0, f64::max);
     let plan_prediction_error =
         (measured_makespan_s - predicted_makespan_s).abs() / predicted_makespan_s;
@@ -769,10 +763,7 @@ fn sharding_run(serial_config: &PipelineConfig) -> ShardingOutcome {
     print!("{report}");
     println!();
 
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("all submitters joined"),
-    }
+    shutdown(service);
     ShardingOutcome {
         report,
         jobs,
@@ -795,7 +786,7 @@ const LIBRARY_SCALE: f64 = 0.005;
 /// fused comparer launch, so the launch ratio lands at 1/16.
 const LIBRARY_MAX_BATCH: usize = 16;
 
-/// What the library pass hands back for the summary, JSON, and gates.
+/// What the library pass hands back for the JSON and the gates.
 struct LibraryOutcome {
     report: MetricsReport,
     sites: usize,
@@ -804,49 +795,43 @@ struct LibraryOutcome {
     screen_speedup: f64,
 }
 
-/// This PR's tentpole: a pooled-library screen — one PAM pattern,
-/// [`LIBRARY_GUIDES`] guides — as a single [`JobSpec::library`] job. The
-/// baseline service predates the fast path (no fused comparers, no
-/// candidate cache): every guide block pays one comparer launch per guide
-/// and every sweep re-runs the finder. The fast service screens the same
-/// library with fused multi-guide launches, then screens it *again*
-/// post-warmup, where the content-addressed candidate cache holds every
-/// chunk's finder output and the dispatch prices every sweep with its
-/// finder skipped. Both screens' unions must be byte-identical to the
-/// baseline's, and the speedup is measured warm-screen vs baseline on
-/// simulated device time.
+/// A pooled-library screen — one PAM pattern, [`LIBRARY_GUIDES`] guides —
+/// as a single [`JobSpec::library`] job. The baseline service predates
+/// the fast path (no fused comparers, no candidate cache): every guide
+/// block pays one comparer launch per guide and every sweep re-runs the
+/// finder. The fast service screens the same library with fused
+/// multi-guide launches, then screens it *again* post-warmup, where the
+/// content-addressed candidate cache holds every chunk's finder output
+/// and the dispatch prices every sweep with its finder skipped. Both
+/// screens' unions must be byte-identical to the baseline's, and the
+/// speedup is measured warm-screen vs baseline on simulated device time.
+/// Repeat screens recompute, because the result store stays off: the
+/// point is the candidate cache and fused launches, not result-store
+/// dedup (the affinity replay measures that path).
 fn library_run() -> LibraryOutcome {
     let assembly = genome::synth::hg38_mini(LIBRARY_SCALE);
     let mut rng = Xoshiro256::seed_from_u64(0x11B2);
     let guides: Vec<Vec<u8>> = (0..LIBRARY_GUIDES)
-        .map(|_| {
-            let mut g: Vec<u8> = (0..8).map(|_| *rng.choose(b"ACGT").unwrap()).collect();
-            g.extend_from_slice(b"NNN");
-            g
-        })
+        .map(|_| random_guide(&mut rng))
         .collect();
     let spec = JobSpec::library("hg38-mini", b"NNNNNNNNNRG".to_vec(), guides, 3);
 
-    let mut config = config_with(
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        CHUNK_SIZE,
-    );
-    config.max_batch = LIBRARY_MAX_BATCH;
-    // One screen costs total_len x guides admission units; let it queue.
-    config.queue_cost_limit = 1 << 31;
-    // The pass measures simulated device seconds; pacing would only
-    // stretch the wall clock of the ~3000-batch screens.
-    config.pacing = 0.0;
-    // Repeat screens must recompute: the point is the candidate cache and
-    // fused launches, not result-store dedup (that path is measured by the
-    // affinity replay above).
-    config.result_cache_bytes = 0;
+    let base_config = ServiceConfig {
+        max_batch: LIBRARY_MAX_BATCH,
+        // One screen costs total_len x guides admission units; let it queue.
+        queue_cost_limit: 1 << 31,
+        // The pass measures simulated device seconds; pacing would only
+        // stretch the wall clock of the ~3000-batch screens.
+        pacing: 0.0,
+        ..demo_config()
+    };
     // The baseline predates the fast path; the fast service gets both
     // layers at the paper-pool budget.
-    let base_config = config.clone();
-    config.multi_guide = true;
-    config.candidate_cache_bytes = 1 << 20;
+    let config = ServiceConfig {
+        multi_guide: true,
+        candidate_cache_bytes: 1 << 20,
+        ..base_config.clone()
+    };
 
     // Baseline: the pre-fast-path service screens the library with
     // per-guide comparer launches and a finder sweep per batch. Its union
@@ -863,10 +848,7 @@ fn library_run() -> LibraryOutcome {
     assert!(!oracle.is_empty(), "the screen must find sites");
     let baseline = baseline_service.metrics();
     let baseline_makespan_s = makespan_s(&baseline);
-    match Arc::try_unwrap(baseline_service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("no outstanding handles"),
-    }
+    shutdown(baseline_service);
     println!(
         "[library baseline] {LIBRARY_GUIDES} guides, {} sites; {} finder / {} comparer \
          launches, makespan {baseline_makespan_s:.6} s",
@@ -900,12 +882,7 @@ fn library_run() -> LibraryOutcome {
         "cached candidates must not change the union"
     );
     let report = service.metrics();
-    let warm_makespan_s = report
-        .devices
-        .iter()
-        .zip(&warmed.devices)
-        .map(|(a, b)| a.busy_s - b.busy_s)
-        .fold(0.0, f64::max);
+    let warm_makespan_s = busy_since(&report, &warmed).into_iter().fold(0.0, f64::max);
     let screen_speedup = baseline_makespan_s / warm_makespan_s;
     println!(
         "[library warm]     {} finder launches skipped, {:.1}% candidate hit rate, \
@@ -918,14 +895,10 @@ fn library_run() -> LibraryOutcome {
     print!("{report}");
     println!();
 
-    let sites = measured.len();
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("no outstanding handles"),
-    }
+    shutdown(service);
     LibraryOutcome {
         report,
-        sites,
+        sites: measured.len(),
         baseline_makespan_s,
         warm_makespan_s,
         screen_speedup,
@@ -1008,11 +981,14 @@ fn trace_pool_run(
     oracle: &[Vec<OffTarget>],
     autoscale: Option<AutoscaleConfig>,
 ) -> TracePoolRun {
-    let mut config = config_with(ChunkEncoding::Adaptive, Placement::Planned, CHUNK_SIZE);
-    // Open-loop: the generator never blocks on the pool, so the queue
-    // must absorb the whole burst and backpressure shows up as latency,
-    // not sheds.
-    config.queue_cost_limit = 1 << 40;
+    let config = ServiceConfig {
+        placement: Placement::Planned,
+        // Open-loop: the generator never blocks on the pool, so the queue
+        // must absorb the whole burst and backpressure shows up as
+        // latency, not sheds.
+        queue_cost_limit: 1 << 40,
+        ..demo_config()
+    };
     let service = Arc::new(Service::start(config, vec![assembly.clone()]));
     let devices = service.metrics().devices.len();
     let scaler = autoscale.map(|cfg| {
@@ -1075,7 +1051,7 @@ fn trace_pool_run(
     println!(
         "[{label}] {} jobs in {elapsed_s:.1} s wall; latency p50/p95/p99 \
          {:.0}/{:.0}/{:.0} ms, {:.2}% over the {} ms SLO; {} metric windows, \
-         max queue depth {}, {:.1} device-seconds provisioned",
+         max queue depth {}, {:.1} device-seconds provisioned; result digest {:016x}",
         events.len(),
         run.p50.as_secs_f64() * 1e3,
         run.p95.as_secs_f64() * 1e3,
@@ -1085,6 +1061,7 @@ fn trace_pool_run(
         windows.len(),
         run.max_window_depth,
         run.device_seconds,
+        run.digest,
     );
     if let Some(r) = &run.scale {
         for e in &r.events {
@@ -1104,10 +1081,7 @@ fn trace_pool_run(
             );
         }
     }
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => unreachable!("scaler stopped and submitters joined"),
-    }
+    shutdown(service);
     run
 }
 
@@ -1121,19 +1095,116 @@ fn upload_bytes_per_batch(report: &MetricsReport) -> f64 {
     h2d as f64 / report.batches_formed.max(1) as f64
 }
 
+/// One kernel's pseudo-ISA costs: the generic kernel at the pool's opt
+/// level against its constant-folded variant.
+struct VariantRow {
+    name: &'static str,
+    generic: ResourceUsage,
+    folded: ResourceUsage,
+    generic_waves: u32,
+    folded_waves: u32,
+}
+
+/// Per-variant ISA costs at pattern length `plen` on `device`, priced by
+/// the same pseudo-ISA compiler the simulator runs.
+fn variant_rows(plen: usize, device: &DeviceSpec) -> Vec<VariantRow> {
+    let nd = NdRange::linear(CHUNK_SIZE, 64);
+    VariantKind::ALL
+        .iter()
+        .map(|kind| {
+            let generic = compile(&generic_model(*kind, OptLevel::Base));
+            let folded = compile(&specialized_model(*kind, plen));
+            VariantRow {
+                name: kind.kernel_name(),
+                generic_waves: occupancy(&generic, &nd, device).waves_per_simd,
+                folded_waves: occupancy(&folded, &nd, device).waves_per_simd,
+                generic,
+                folded,
+            }
+        })
+        .collect()
+}
+
+/// A JSON value: just what `BENCH_serve.json` holds.
+enum Json {
+    Int(u64),
+    /// A float written with a fixed number of decimal places.
+    Fixed(f64, usize),
+    Bool(bool),
+    Str(&'static str),
+    Array(Vec<Json>),
+    Object(Vec<(&'static str, Json)>),
+}
+
+/// `obj! { "key": value, ... }`: a [`Json::Object`] with its keys in the
+/// order written.
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        Json::Object(vec![$(($key, $value)),*])
+    };
+}
+
+fn int<T: TryInto<u64>>(n: T) -> Json
+where
+    T::Error: std::fmt::Debug,
+{
+    Json::Int(n.try_into().expect("counts fit in u64"))
+}
+
+fn fixed(x: f64, decimals: usize) -> Json {
+    Json::Fixed(x, decimals)
+}
+
+impl Json {
+    /// Append `self` to `out`. An object of scalars goes on one line; any
+    /// other container puts each element on a line of its own, indented
+    /// past `indent`. `key` names the value in the panic on a non-finite
+    /// float.
+    fn write(&self, key: &str, indent: usize, out: &mut String) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Int(n) => return write!(out, "{n}").unwrap(),
+            Json::Fixed(x, decimals) => {
+                assert!(x.is_finite(), "BENCH_serve.json: \"{key}\" is {x}");
+                return write!(out, "{x:.decimals$}").unwrap();
+            }
+            Json::Bool(b) => return write!(out, "{b}").unwrap(),
+            Json::Str(s) => return write!(out, "{s:?}").unwrap(),
+            Json::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Object(entries) => (
+                '{',
+                '}',
+                entries.iter().map(|(k, v)| (Some(*k), v)).collect(),
+            ),
+        };
+        let flat = open == '{'
+            && items
+                .iter()
+                .all(|(_, v)| !matches!(v, Json::Array(_) | Json::Object(_)));
+        let pad = " ".repeat(indent);
+        let (sep, end) = if flat {
+            (" ".to_string(), " ".to_string())
+        } else {
+            (format!("\n{pad}  "), format!("\n{pad}"))
+        };
+        out.push(open);
+        for (i, (k, v)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&sep);
+            if let Some(k) = k {
+                write!(out, "\"{k}\": ").unwrap();
+            }
+            v.write(k.unwrap_or(key), indent + 2, out);
+        }
+        out.push_str(&end);
+        out.push(close);
+    }
+}
+
 fn main() {
-    let jobs: usize = std::env::var("CASOFF_SERVE_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-
-    let specs = tenant_specs(0x5E4E);
-
-    let config = config_with(
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        CHUNK_SIZE,
-    );
+    let jobs = jobs_from_env();
+    let config = demo_config();
     println!(
         "pool: {}",
         config
@@ -1144,151 +1215,105 @@ fn main() {
             .join(", ")
     );
 
-    // Oracle: each distinct spec through the serial OpenCL pipeline,
-    // cross-checked against the scalar CPU search.
     let assembly = genome::synth::hg38_mini(GENOME_SCALE);
-    let serial_config = PipelineConfig::new(DeviceSpec::mi100())
-        .chunk_size(CHUNK_SIZE)
-        .exec_mode(ExecMode::Sequential);
-    let oracle: Vec<Vec<OffTarget>> = specs
-        .iter()
-        .map(|spec| {
-            let input = SearchInput::parse(&spec_text(spec)).unwrap();
-            let serial = ocl::run(&assembly, &input, &serial_config)
-                .unwrap()
-                .offtargets;
-            assert_eq!(
-                serial,
-                cas_offinder::cpu::search_sequential(&assembly, &input),
-                "serial pipeline vs scalar oracle"
-            );
-            serial
-        })
-        .collect();
-
-    let packed = serve_run(
-        "packed + cost-aware (PR 3)",
-        &assembly,
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        CHUNK_SIZE,
-        jobs,
-        &specs,
-        &oracle,
+    let specs = guide_specs(0x5E4E, "hg38-mini", TENANT_SPECS);
+    let oracle = serial_oracle(&assembly, &specs);
+    let run = |label: &str, config: ServiceConfig| {
+        serve_run(label, config, &assembly, jobs, &specs, &oracle)
+    };
+    let packed = run("packed + cost-aware", config.clone());
+    let raw = run(
+        "raw + shortest-queue baseline",
+        ServiceConfig {
+            cache_encoding: ChunkEncoding::Raw,
+            placement: Placement::ShortestQueue,
+            ..config.clone()
+        },
     );
-    let raw = serve_run(
-        "raw + shortest-queue (PR 2 baseline)",
-        &assembly,
-        ChunkEncoding::Raw,
-        Placement::ShortestQueue,
-        CHUNK_SIZE,
-        jobs,
-        &specs,
-        &oracle,
-    );
-    let (affinity, replay_hit_rate) = affinity_run(jobs, &specs, &oracle, &serial_config);
+    let (affinity, replay_hit_rate) = affinity_run(&assembly, jobs, &specs, &oracle);
 
     // Exception-dense assembly: the same tenant load against soft-mask
     // runs and degenerate bases. Raw payloads put every batch on the char
     // comparer; the adaptive cache flips dense chunks to 4-bit nibbles.
     let masked_assembly = genome::synth::hg38_masked_mini(GENOME_SCALE);
-    let masked_specs: Vec<JobSpec> = tenant_specs(0x3A5C)
-        .into_iter()
-        .map(|mut s| {
-            s.assembly = "hg38-masked".into();
-            s
-        })
-        .collect();
-    let masked_oracle: Vec<Vec<OffTarget>> = masked_specs
-        .iter()
-        .map(|spec| {
-            let input = SearchInput::parse(&spec_text(spec)).unwrap();
-            let serial = ocl::run(&masked_assembly, &input, &serial_config)
-                .unwrap()
-                .offtargets;
-            assert_eq!(
-                serial,
-                cas_offinder::cpu::search_sequential(&masked_assembly, &input),
-                "serial pipeline vs scalar oracle on the masked assembly"
-            );
-            serial
-        })
-        .collect();
-    let masked_char = serve_run(
+    let masked_specs = guide_specs(0x3A5C, "hg38-masked", TENANT_SPECS);
+    let masked_oracle = serial_oracle(&masked_assembly, &masked_specs);
+    let masked_run = |label: &str, config: ServiceConfig| {
+        serve_run(
+            label,
+            config,
+            &masked_assembly,
+            jobs,
+            &masked_specs,
+            &masked_oracle,
+        )
+    };
+    let masked_config = ServiceConfig {
+        chunk_size: MASKED_CHUNK_SIZE,
+        ..config
+    };
+    let masked_char = masked_run(
         "masked + char fallback",
-        &masked_assembly,
-        ChunkEncoding::Raw,
-        Placement::EarliestCompletion,
-        MASKED_CHUNK_SIZE,
-        jobs,
-        &masked_specs,
-        &masked_oracle,
+        ServiceConfig {
+            cache_encoding: ChunkEncoding::Raw,
+            ..masked_config.clone()
+        },
     );
-    let masked = serve_run(
-        "masked + adaptive 4-bit (PR 5)",
-        &masked_assembly,
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        MASKED_CHUNK_SIZE,
-        jobs,
-        &masked_specs,
-        &masked_oracle,
-    );
+    let masked = masked_run("masked + adaptive 4-bit", masked_config.clone());
 
-    // This PR: the adaptive multi-guide workload served with
-    // per-(pattern, threshold) constant-folded kernel variants — on the
-    // nibble path both the PAM finder and the comparer fold, so this is
-    // where specialization pays most. The first specialized service pays
-    // every variant compile into the process-wide cache; a second, freshly
-    // started service finds all of them already compiled. Throughput is
-    // simulated device time, so the speedup comes from the folded kernels'
-    // smaller instruction streams — host-side compile cost shows up only
-    // in the variant-cache stats.
-    let spec_cold = serve_run_specialized(
-        "adaptive + specialized kernels, cold variant cache (this PR)",
-        &masked_assembly,
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        MASKED_CHUNK_SIZE,
-        jobs,
-        &masked_specs,
-        &masked_oracle,
-        true,
+    // The same adaptive workload served with per-(pattern, threshold)
+    // constant-folded kernel variants — on the nibble path both the PAM
+    // finder and the comparer fold, so this is where specialization pays
+    // most. The first specialized service pays every variant compile into
+    // the process-wide cache; a second, freshly started service finds all
+    // of them already compiled. Throughput is simulated device time, so
+    // the speedup comes from the folded kernels' smaller instruction
+    // streams — host-side compile cost shows up only in the variant-cache
+    // stats.
+    let plen = masked_specs[0].pattern.len();
+    let table_spec = DeviceSpec::mi100();
+    println!(
+        "kernel specialization ({} tenants, pattern length {plen}; per-variant ISA \
+         priced on {} at work-group size 64):",
+        masked_specs.len(),
+        table_spec.name
     );
-    let spec_warm = serve_run_specialized(
-        "adaptive + specialized kernels, warm variant cache (this PR)",
-        &masked_assembly,
-        ChunkEncoding::Adaptive,
-        Placement::EarliestCompletion,
-        MASKED_CHUNK_SIZE,
-        jobs,
-        &masked_specs,
-        &masked_oracle,
-        true,
+    let specialized = ServiceConfig {
+        specialize: true,
+        ..masked_config
+    };
+    let spec_cold = masked_run(
+        "adaptive + specialized kernels, cold variant cache",
+        specialized.clone(),
     );
+    let spec_warm = masked_run(
+        "adaptive + specialized kernels, warm variant cache",
+        specialized,
+    );
+    let rows = variant_rows(plen, &table_spec);
 
-    // This PR's tentpole: the multi-tenant QoS front end under sustained
-    // open-loop overload — weighted fair queuing, quota-ordered shedding,
-    // deadline admission, and fully non-blocking poll/callback completion.
+    // The multi-tenant QoS front end under sustained open-loop overload —
+    // weighted fair queuing, quota-ordered shedding, deadline admission,
+    // and fully non-blocking poll/callback completion.
     println!("multi-tenant QoS front end (weights 4/2/1, open-loop overload):");
     let (qos, deadline_rejections) = qos_run(&assembly, &specs, &oracle);
 
-    // This PR's tentpole: up-front planned placement over a production-
-    // scale chunk space, with a one-pass partition warmup and a makespan
-    // the plan predicted before dispatch.
+    // Up-front planned placement over a production-scale chunk space,
+    // with a one-pass partition warmup and a makespan the plan predicted
+    // before dispatch.
     println!("planned placement (range partition + one-pass warmup):");
-    let sharding = sharding_run(&serial_config);
+    let sharding = sharding_run();
 
-    // This PR's tentpole: the library-screen fast path — one PAM,
-    // LIBRARY_GUIDES guides as a single screen job, fused multi-guide
-    // comparer launches, and a content-addressed candidate cache that
-    // lets repeat sweeps skip the finder entirely.
+    // The library-screen fast path — one PAM, LIBRARY_GUIDES guides as a
+    // single screen job, fused multi-guide comparer launches, and a
+    // content-addressed candidate cache that lets repeat sweeps skip the
+    // finder entirely.
     println!("library screens ({LIBRARY_GUIDES} guides, fused comparers + candidate cache):");
     let library = library_run();
 
-    // This PR's tentpole: the trace-driven load harness against fixed
-    // and elastic pools. The same seeded schedule replays twice; the
-    // digest equality below is the determinism claim end to end.
+    // The trace-driven load harness against fixed and elastic pools. The
+    // same seeded schedule replays twice; the digest equality below is
+    // the determinism claim end to end.
     println!("trace-driven load harness (diurnal -> burst -> quiet, fixed vs autoscaled):");
     let trace_spec = demo_trace();
     let events = trace_spec.generate(specs.len());
@@ -1301,10 +1326,11 @@ fn main() {
         fold_results(d, &oracle[ev.spec_index])
     });
     println!(
-        "[trace] {} events over {:.0} s (schedule digest {:016x})",
+        "[trace] {} events over {:.0} s (schedule digest {:016x}, oracle result digest {:016x})",
         events.len(),
         trace_spec.horizon_s(),
         schedule_digest(&events),
+        trace_oracle_digest,
     );
     let trace_fixed = trace_pool_run("trace fixed", &assembly, &events, &specs, &oracle, None);
     let trace_auto = trace_pool_run(
@@ -1339,529 +1365,167 @@ fn main() {
 
     let packed_jobs_per_s = jobs as f64 / makespan_s(&packed);
     let raw_jobs_per_s = jobs as f64 / makespan_s(&raw);
-    let affinity_jobs = affinity.jobs_completed;
-    let affinity_jobs_per_s = affinity_jobs as f64 / makespan_s(&affinity);
     let transfer_reduction = upload_bytes_per_batch(&raw) / upload_bytes_per_batch(&packed);
     let affinity_transfer_reduction =
         upload_bytes_per_batch(&packed) / upload_bytes_per_batch(&affinity);
-
-    println!("three serving generations at the same {CACHE_BYTES} B cache budget:");
-    println!(
-        "  upload bytes/batch: raw {:.0}, packed {:.0} ({transfer_reduction:.2}x), \
-         affinity {:.0} ({affinity_transfer_reduction:.2}x further)",
-        upload_bytes_per_batch(&raw),
-        upload_bytes_per_batch(&packed),
-        upload_bytes_per_batch(&affinity),
-    );
-    println!(
-        "  cache hit rate:     raw {:.1}%, packed {:.1}%",
-        100.0 * raw.cache_hit_rate(),
-        100.0 * packed.cache_hit_rate()
-    );
-    println!(
-        "  sim throughput:     raw {raw_jobs_per_s:.0}, packed {packed_jobs_per_s:.0} \
-         ({:.2}x), affinity {affinity_jobs_per_s:.0} jobs/s over {affinity_jobs} jobs",
-        packed_jobs_per_s / raw_jobs_per_s
-    );
-    println!(
-        "  prediction error:   raw {:.1}%, packed {:.1}%, affinity {:.1}% (calibrated rates)",
-        100.0 * raw.mean_prediction_error(),
-        100.0 * packed.mean_prediction_error(),
-        100.0 * affinity.mean_prediction_error(),
-    );
-    println!(
-        "  affinity reuse:     {:.1}% of batches on a resident chunk, {} B uploads skipped, \
-         {:.1}% of jobs served without compute, replay hit rate {:.1}%",
-        100.0 * affinity.resident_hit_rate(),
-        affinity.h2d_skipped_bytes(),
-        100.0 * affinity.result_cache_hit_rate(),
-        100.0 * replay_hit_rate,
-    );
-
-    let masked_char_jobs_per_s = jobs as f64 / makespan_s(&masked_char);
     let masked_jobs_per_s = jobs as f64 / makespan_s(&masked);
     let masked_upload_ratio =
         upload_bytes_per_batch(&masked) / upload_bytes_per_batch(&masked_char);
-    println!("exception-dense assembly, same {CACHE_BYTES} B cache budget:");
-    println!(
-        "  upload bytes/batch: char {:.0}, adaptive {:.0} ({masked_upload_ratio:.2}x)",
-        upload_bytes_per_batch(&masked_char),
-        upload_bytes_per_batch(&masked),
-    );
-    println!(
-        "  comparer batches:   char run {} char / {} 2-bit / {} 4-bit; \
-         adaptive run {} char / {} 2-bit / {} 4-bit",
-        masked_char.comparer_char_batches,
-        masked_char.comparer_2bit_batches,
-        masked_char.comparer_4bit_batches,
-        masked.comparer_char_batches,
-        masked.comparer_2bit_batches,
-        masked.comparer_4bit_batches,
-    );
-    println!(
-        "  sim throughput:     char {masked_char_jobs_per_s:.0}, adaptive \
-         {masked_jobs_per_s:.0} jobs/s ({:.2}x)",
-        masked_jobs_per_s / masked_char_jobs_per_s
-    );
-    println!(
-        "  prediction error:   char {:.1}%, adaptive {:.1}% (calibrated rates)",
-        100.0 * masked_char.mean_prediction_error(),
-        100.0 * masked.mean_prediction_error(),
-    );
-
-    // Per-variant ISA costs: the generic kernels at the pool's opt level
-    // against the constant-folded variants at the tenants' pattern length,
-    // priced by the same pseudo-ISA compiler the simulator runs.
-    let plen = masked_specs[0].pattern.len();
-    let table_spec = DeviceSpec::mi100();
-    let nd = NdRange::linear(CHUNK_SIZE, 64);
-    struct VariantRow {
-        name: &'static str,
-        generic: gpu_sim::isa::ResourceUsage,
-        folded: gpu_sim::isa::ResourceUsage,
-        generic_waves: u32,
-        folded_waves: u32,
-    }
-    let rows: Vec<VariantRow> = VariantKind::ALL
-        .iter()
-        .map(|kind| {
-            let generic = compile(&generic_model(*kind, OptLevel::Base));
-            let folded = compile(&specialized_model(*kind, plen));
-            VariantRow {
-                name: kind.kernel_name(),
-                generic_waves: occupancy(&generic, &nd, &table_spec).waves_per_simd,
-                folded_waves: occupancy(&folded, &nd, &table_spec).waves_per_simd,
-                generic,
-                folded,
-            }
-        })
-        .collect();
-
-    let spec_cold_jobs_per_s = jobs as f64 / makespan_s(&spec_cold);
     let spec_warm_jobs_per_s = jobs as f64 / makespan_s(&spec_warm);
     let specialize_speedup = spec_warm_jobs_per_s / masked_jobs_per_s;
-    println!(
-        "kernel specialization, same adaptive workload ({} tenants, pattern len {plen}):",
-        masked_specs.len()
-    );
-    println!(
-        "  sim throughput:     generic {masked_jobs_per_s:.0}, specialized cold \
-         {spec_cold_jobs_per_s:.0}, warm {spec_warm_jobs_per_s:.0} jobs/s \
-         ({specialize_speedup:.2}x vs generic)"
-    );
-    println!(
-        "  variant cache:      cold {:.1}% hit rate ({} compiles, p50 {} ns / p95 {} ns), \
-         warm {:.1}% ({} compiles, {} evicted)",
-        100.0 * spec_cold.variants.hit_rate(),
-        spec_cold.variants.compiles,
-        spec_cold.variants.compile_p50_ns,
-        spec_cold.variants.compile_p95_ns,
-        100.0 * spec_warm.variants.hit_rate(),
-        spec_warm.variants.compiles,
-        spec_warm.variants.evictions,
-    );
-    println!(
-        "  prediction error:   specialized {:.1}% (calibrated rates)",
-        100.0 * spec_warm.mean_prediction_error(),
-    );
-    println!(
-        "  per-variant ISA (generic -> folded, {} wgs 64):",
-        table_spec.name
-    );
-    for row in &rows {
-        println!(
-            "    {:<18} {:>4} -> {:<4} B code, {:>2} -> {:<2} SGPRs, {:>2} -> {:<2} VGPRs, \
-             {} -> {} waves/SIMD",
-            row.name,
-            row.generic.code_bytes,
-            row.folded.code_bytes,
-            row.generic.sgprs,
-            row.folded.sgprs,
-            row.generic.vgprs,
-            row.folded.vgprs,
-            row.generic_waves,
-            row.folded_waves,
-        );
-    }
+    let generation = |report: &MetricsReport, jobs_per_s: f64| {
+        obj! {
+            "jobs_per_s": fixed(jobs_per_s, 2),
+            "cache_hit_rate": fixed(report.cache_hit_rate(), 4),
+            "upload_bytes_per_batch": fixed(upload_bytes_per_batch(report), 1),
+            "mean_prediction_error": fixed(report.mean_prediction_error(), 4),
+            "makespan_s": fixed(makespan_s(report), 6),
+        }
+    };
+    let ms = |d: Duration| fixed(d.as_secs_f64() * 1e3, 1);
 
-    println!("multi-tenant QoS summary:");
-    println!(
-        "  fairness:           max goodput deviation from the 4/2/1 weights {:.1}%",
-        100.0 * qos.fairness_max_deviation()
-    );
-    println!(
-        "  shedding:           {} quota sheds / {} budget sheds over {} admitted \
-         (every shed attributable to an over-quota tenant)",
-        qos.sheds_quota, qos.sheds_budget, qos.jobs_admitted
-    );
-    println!(
-        "  deadlines:          {} feasible-SLO misses, {} infeasible SLOs rejected up front",
-        qos.deadline_misses, deadline_rejections
-    );
-    println!(
-        "  completion:         {} blocking waits across the poll/callback harness",
-        qos.blocking_waits
-    );
-    for t in &qos.tenants {
-        println!(
-            "    tenant{} (w{}): {} admitted, {} shed ({:.0}% shed rate), \
-             goodput {} cost units, latency p50/p95/p99 {:.1}/{:.1}/{:.1} ms",
-            t.id.0,
-            t.weight,
-            t.admitted,
-            t.shed,
-            100.0 * t.shed_rate(),
-            t.goodput_cost,
-            t.latency_p50_ns as f64 / 1e6,
-            t.latency_p95_ns as f64 / 1e6,
-            t.latency_p99_ns as f64 / 1e6,
-        );
-    }
-
-    println!("planned placement summary:");
-    println!(
-        "  partition:          {} chunks over {} devices, shares sized by calibrated \
-         admission units/s",
-        sharding.chunks,
-        sharding.report.devices.len(),
-    );
-    println!(
-        "  steering:           {} planned hits / {} spill fallbacks, {} warmup prefetch uploads",
-        sharding.report.planned_hits,
-        sharding.report.spill_fallbacks,
-        sharding.report.prefetch_uploads,
-    );
-    println!(
-        "  post-warmup scan:   {:.1}% resident hit rate over {} jobs",
-        100.0 * sharding.resident_hit_rate,
-        sharding.jobs,
-    );
-    println!(
-        "  makespan:           predicted {:.6} s, measured {:.6} s ({:.1}% error)",
-        sharding.predicted_makespan_s,
-        sharding.measured_makespan_s,
-        100.0 * sharding.plan_prediction_error,
-    );
-    println!(
-        "  fleet change:       {} chunks migrated out and back (plan restored exactly)",
-        sharding.migrated_out,
-    );
-
-    println!("library screen summary:");
-    println!(
-        "  screen:             {LIBRARY_GUIDES} guides, one PAM, {} union sites",
-        library.sites
-    );
-    println!(
-        "  fused launches:     {:.3} comparer launches per job-chunk \
-         ({} fused of {} total)",
-        library.report.comparer_launch_ratio(),
-        library.report.fused_launches,
-        library.report.comparer_launches,
-    );
-    println!(
-        "  candidate cache:    {:.1}% hit rate, {} finder launches skipped, \
-         {} lists / {} B resident",
-        100.0 * library.report.candidate_hit_rate(),
-        library.report.finder_launches_skipped,
-        library.report.candidates.len,
-        library.report.candidates.resident_bytes,
-    );
-    println!(
-        "  makespan:           baseline {:.6} s, warm screen {:.6} s \
-         ({:.2}x speedup)",
-        library.baseline_makespan_s, library.warm_makespan_s, library.screen_speedup,
-    );
-
-    println!("load harness summary:");
-    println!(
-        "  trace:              {} events over {:.0} s (diurnal / bursty+hot-spot / steady)",
-        events.len(),
-        trace_spec.horizon_s(),
-    );
-    println!(
-        "  latency p50/p95/p99: fixed {:.0}/{:.0}/{:.0} ms, autoscaled {:.0}/{:.0}/{:.0} ms",
-        trace_fixed.p50.as_secs_f64() * 1e3,
-        trace_fixed.p95.as_secs_f64() * 1e3,
-        trace_fixed.p99.as_secs_f64() * 1e3,
-        trace_auto.p50.as_secs_f64() * 1e3,
-        trace_auto.p95.as_secs_f64() * 1e3,
-        trace_auto.p99.as_secs_f64() * 1e3,
-    );
-    println!(
-        "  SLO ({} ms):       fixed {:.2}% violations, autoscaled {:.2}%",
-        TRACE_SLO.as_millis(),
-        100.0 * trace_fixed.violation_rate,
-        100.0 * trace_auto.violation_rate,
-    );
-    println!(
-        "  elasticity:         {} scale-ups / {} scale-downs ({} chunks replanned), \
-         active devices {}..{}",
-        trace_scale.scale_ups(),
-        trace_scale.scale_downs(),
-        trace_scale.migrated_chunks(),
-        trace_scale.min_active,
-        trace_scale.peak_active,
-    );
-    println!(
-        "  device-seconds:     fixed {:.1}, autoscaled {:.1} ({:.1}% saved)",
-        trace_fixed.device_seconds,
-        trace_auto.device_seconds,
-        100.0 * device_seconds_saved,
-    );
-    println!(
-        "  replay digests:     fixed {:016x}, autoscaled {:016x} (oracle {:016x})",
-        trace_fixed.digest, trace_auto.digest, trace_oracle_digest,
-    );
-    println!(
-        "  prediction error:   autoscaled {:.1}% through the scale events (calibrated rates)",
-        100.0 * trace_auto.prediction_error,
-    );
-
-    let library_json = format!(
-        concat!(
-            "{{ \"guides\": {}, \"sites\": {}, \"screen_speedup\": {:.4}, ",
-            "\"baseline_makespan_s\": {:.6}, \"warm_makespan_s\": {:.6}, ",
-            "\"candidate_hit_rate\": {:.4}, \"finder_launches_skipped\": {}, ",
-            "\"comparer_launch_ratio\": {:.4}, \"fused_launches\": {}, ",
-            "\"candidate_evictions\": {} }}"
-        ),
-        LIBRARY_GUIDES,
-        library.sites,
-        library.screen_speedup,
-        library.baseline_makespan_s,
-        library.warm_makespan_s,
-        library.report.candidate_hit_rate(),
-        library.report.finder_launches_skipped,
-        library.report.comparer_launch_ratio(),
-        library.report.fused_launches,
-        library.report.candidates.evictions,
-    );
-
-    let trace_json = format!(
-        concat!(
-            "{{ \"events\": {}, \"horizon_s\": {:.1}, \"slo_ms\": {},\n",
-            "    \"fixed\": {{ \"latency_p50_ms\": {:.1}, \"latency_p95_ms\": {:.1}, ",
-            "\"latency_p99_ms\": {:.1}, \"fixed_slo_violation_rate\": {:.4}, ",
-            "\"fixed_device_seconds\": {:.2}, \"fixed_max_queue_depth\": {} }},\n",
-            "    \"autoscaled\": {{ \"latency_p50_ms\": {:.1}, \"latency_p95_ms\": {:.1}, ",
-            "\"latency_p99_ms\": {:.1}, \"p99_slo_violation_rate\": {:.4},\n",
-            "      \"autoscaled_device_seconds\": {:.2}, \"autoscaled_max_queue_depth\": {}, ",
-            "\"scale_ups\": {}, \"scale_downs\": {}, \"trace_migrated_chunks\": {}, ",
-            "\"peak_active\": {}, \"min_active\": {}, \"trace_prediction_error\": {:.4} }},\n",
-            "    \"device_seconds_saved\": {:.4},\n",
-            "    \"digests_match\": {} }}"
-        ),
-        events.len(),
-        trace_spec.horizon_s(),
-        TRACE_SLO.as_millis(),
-        trace_fixed.p50.as_secs_f64() * 1e3,
-        trace_fixed.p95.as_secs_f64() * 1e3,
-        trace_fixed.p99.as_secs_f64() * 1e3,
-        trace_fixed.violation_rate,
-        trace_fixed.device_seconds,
-        trace_fixed.max_window_depth,
-        trace_auto.p50.as_secs_f64() * 1e3,
-        trace_auto.p95.as_secs_f64() * 1e3,
-        trace_auto.p99.as_secs_f64() * 1e3,
-        trace_auto.violation_rate,
-        trace_auto.device_seconds,
-        trace_auto.max_window_depth,
-        trace_scale.scale_ups(),
-        trace_scale.scale_downs(),
-        trace_scale.migrated_chunks(),
-        trace_scale.peak_active,
-        trace_scale.min_active,
-        trace_auto.prediction_error,
-        device_seconds_saved,
-        trace_fixed.digest == trace_oracle_digest && trace_auto.digest == trace_oracle_digest,
-    );
-
-    let tenant_json: String = qos
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            format!(
-                "      {{ \"tenant\": {}, \"weight\": {}, \"admitted\": {}, \
-                 \"shed\": {}, \"completed\": {}, \"goodput_cost\": {}, \
-                 \"shed_rate\": {:.4}, \"deadline_misses\": {}, \
-                 \"latency_p50_ns\": {}, \"latency_p95_ns\": {}, \
-                 \"latency_p99_ns\": {} }}{}\n",
-                t.id.0,
-                t.weight,
-                t.admitted,
-                t.shed,
-                t.completed,
-                t.goodput_cost,
-                t.shed_rate(),
-                t.deadline_misses,
-                t.latency_p50_ns,
-                t.latency_p95_ns,
-                t.latency_p99_ns,
-                if i + 1 == qos.tenants.len() { "" } else { "," },
-            )
-        })
-        .collect();
-    let qos_json = format!(
-        concat!(
-            "{{ \"fairness_max_deviation\": {:.4}, \"sheds_quota\": {}, ",
-            "\"sheds_budget\": {}, \"deadline_misses\": {}, ",
-            "\"deadline_rejections\": {}, \"blocking_waits\": {}, ",
-            "\"jobs_admitted\": {}, \"jobs_shed\": {},\n",
-            "    \"tenants\": [\n",
-            "{}",
-            "    ] }}"
-        ),
-        qos.fairness_max_deviation(),
-        qos.sheds_quota,
-        qos.sheds_budget,
-        qos.deadline_misses,
-        deadline_rejections,
-        qos.blocking_waits,
-        qos.jobs_admitted,
-        qos.jobs_shed,
-        tenant_json,
-    );
-
-    let sharding_json = format!(
-        concat!(
-            "{{ \"jobs\": {}, \"chunks\": {}, \"resident_hit_rate\": {:.4}, ",
-            "\"plan_prediction_error\": {:.4}, \"predicted_makespan_s\": {:.6}, ",
-            "\"measured_makespan_s\": {:.6}, \"planned_hits\": {}, ",
-            "\"spill_fallbacks\": {}, \"prefetch_uploads\": {}, ",
-            "\"migrated_chunks\": {} }}"
-        ),
-        sharding.jobs,
-        sharding.chunks,
-        sharding.resident_hit_rate,
-        sharding.plan_prediction_error,
-        sharding.predicted_makespan_s,
-        sharding.measured_makespan_s,
-        sharding.report.planned_hits,
-        sharding.report.spill_fallbacks,
-        sharding.report.prefetch_uploads,
-        sharding.report.migrated_chunks,
-    );
-
-    let variant_json: String = rows
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            format!(
-                "      {{ \"kernel\": \"{}\", \"generic_code_bytes\": {}, \
-                 \"spec_code_bytes\": {}, \"generic_sgprs\": {}, \"spec_sgprs\": {}, \
-                 \"generic_vgprs\": {}, \"spec_vgprs\": {}, \"generic_waves\": {}, \
-                 \"spec_waves\": {} }}{}\n",
-                row.name,
-                row.generic.code_bytes,
-                row.folded.code_bytes,
-                row.generic.sgprs,
-                row.folded.sgprs,
-                row.generic.vgprs,
-                row.folded.vgprs,
-                row.generic_waves,
-                row.folded_waves,
-                if i + 1 == rows.len() { "" } else { "," },
-            )
-        })
-        .collect();
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"jobs\": {},\n",
-            "  \"chunk_size\": {},\n",
-            "  \"cache_bytes\": {},\n",
-            "  \"packed\": {{ \"jobs_per_s\": {:.2}, \"cache_hit_rate\": {:.4}, ",
-            "\"upload_bytes_per_batch\": {:.1}, \"mean_prediction_error\": {:.4}, ",
-            "\"makespan_s\": {:.6} }},\n",
-            "  \"raw_baseline\": {{ \"jobs_per_s\": {:.2}, \"cache_hit_rate\": {:.4}, ",
-            "\"upload_bytes_per_batch\": {:.1}, \"mean_prediction_error\": {:.4}, ",
-            "\"makespan_s\": {:.6} }},\n",
-            "  \"affinity\": {{ \"jobs\": {}, \"jobs_per_s\": {:.2}, ",
-            "\"upload_bytes_per_batch\": {:.1}, \"mean_prediction_error\": {:.4}, ",
-            "\"makespan_s\": {:.6}, \"resident_hit_rate\": {:.4}, ",
-            "\"h2d_skipped_bytes\": {}, \"result_cache_hit_rate\": {:.4}, ",
-            "\"second_pass_result_cache_hit_rate\": {:.4} }},\n",
-            "  \"masked\": {{ \"jobs\": {}, \"char_fallback_batches\": {}, ",
-            "\"comparer_4bit_batches\": {}, \"upload_bytes_per_batch\": {:.1}, ",
-            "\"char_upload_bytes_per_batch\": {:.1}, \"upload_ratio_vs_char\": {:.3}, ",
-            "\"jobs_per_s\": {:.2}, \"char_jobs_per_s\": {:.2}, ",
-            "\"cache_hit_rate\": {:.4}, \"mean_prediction_error\": {:.4} }},\n",
-            "  \"specialized\": {{ \"jobs_per_s\": {:.2}, \"cold_jobs_per_s\": {:.2}, ",
-            "\"generic_jobs_per_s\": {:.2}, \"specialize_speedup\": {:.3}, ",
-            "\"warm_variant_hit_rate\": {:.4}, \"cold_variant_hit_rate\": {:.4}, ",
-            "\"cold_variant_compiles\": {}, \"warm_variant_compiles\": {}, ",
-            "\"warm_variant_evictions\": {}, \"compile_p50_ns\": {}, ",
-            "\"compile_p95_ns\": {}, \"spec_mean_prediction_error\": {:.4},\n",
-            "    \"variants\": [\n",
-            "{}",
-            "    ] }},\n",
-            "  \"qos\": {},\n",
-            "  \"sharding\": {},\n",
-            "  \"library\": {},\n",
-            "  \"trace\": {},\n",
-            "  \"transfer_reduction_per_batch\": {:.3},\n",
-            "  \"affinity_transfer_reduction_per_batch\": {:.3},\n",
-            "  \"jobs_per_s_improvement\": {:.3}\n",
-            "}}\n"
-        ),
-        jobs,
-        CHUNK_SIZE,
-        CACHE_BYTES,
-        packed_jobs_per_s,
-        packed.cache_hit_rate(),
-        upload_bytes_per_batch(&packed),
-        packed.mean_prediction_error(),
-        makespan_s(&packed),
-        raw_jobs_per_s,
-        raw.cache_hit_rate(),
-        upload_bytes_per_batch(&raw),
-        raw.mean_prediction_error(),
-        makespan_s(&raw),
-        affinity_jobs,
-        affinity_jobs_per_s,
-        upload_bytes_per_batch(&affinity),
-        affinity.mean_prediction_error(),
-        makespan_s(&affinity),
-        affinity.resident_hit_rate(),
-        affinity.h2d_skipped_bytes(),
-        affinity.result_cache_hit_rate(),
-        replay_hit_rate,
-        jobs,
-        masked.comparer_char_batches,
-        masked.comparer_4bit_batches,
-        upload_bytes_per_batch(&masked),
-        upload_bytes_per_batch(&masked_char),
-        masked_upload_ratio,
-        masked_jobs_per_s,
-        masked_char_jobs_per_s,
-        masked.cache_hit_rate(),
-        masked.mean_prediction_error(),
-        spec_warm_jobs_per_s,
-        spec_cold_jobs_per_s,
-        masked_jobs_per_s,
-        specialize_speedup,
-        spec_warm.variants.hit_rate(),
-        spec_cold.variants.hit_rate(),
-        spec_cold.variants.compiles,
-        spec_warm.variants.compiles,
-        spec_warm.variants.evictions,
-        spec_cold.variants.compile_p50_ns,
-        spec_cold.variants.compile_p95_ns,
-        spec_warm.mean_prediction_error(),
-        variant_json,
-        qos_json,
-        sharding_json,
-        library_json,
-        trace_json,
-        transfer_reduction,
-        affinity_transfer_reduction,
-        packed_jobs_per_s / raw_jobs_per_s,
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
+    let json = obj! {
+        "jobs": int(jobs),
+        "chunk_size": int(CHUNK_SIZE),
+        "cache_bytes": int(CACHE_BYTES),
+        "packed": generation(&packed, packed_jobs_per_s),
+        "raw_baseline": generation(&raw, raw_jobs_per_s),
+        "affinity": obj! {
+            "jobs": int(affinity.jobs_completed),
+            "jobs_per_s": fixed(affinity.jobs_completed as f64 / makespan_s(&affinity), 2),
+            "upload_bytes_per_batch": fixed(upload_bytes_per_batch(&affinity), 1),
+            "mean_prediction_error": fixed(affinity.mean_prediction_error(), 4),
+            "makespan_s": fixed(makespan_s(&affinity), 6),
+            "resident_hit_rate": fixed(affinity.resident_hit_rate(), 4),
+            "h2d_skipped_bytes": int(affinity.h2d_skipped_bytes()),
+            "result_cache_hit_rate": fixed(affinity.result_cache_hit_rate(), 4),
+            "second_pass_result_cache_hit_rate": fixed(replay_hit_rate, 4),
+        },
+        "masked": obj! {
+            "jobs": int(jobs),
+            "char_fallback_batches": int(masked.comparer_char_batches),
+            "comparer_4bit_batches": int(masked.comparer_4bit_batches),
+            "upload_bytes_per_batch": fixed(upload_bytes_per_batch(&masked), 1),
+            "char_upload_bytes_per_batch": fixed(upload_bytes_per_batch(&masked_char), 1),
+            "upload_ratio_vs_char": fixed(masked_upload_ratio, 3),
+            "jobs_per_s": fixed(masked_jobs_per_s, 2),
+            "char_jobs_per_s": fixed(jobs as f64 / makespan_s(&masked_char), 2),
+            "cache_hit_rate": fixed(masked.cache_hit_rate(), 4),
+            "mean_prediction_error": fixed(masked.mean_prediction_error(), 4),
+        },
+        "specialized": obj! {
+            "jobs_per_s": fixed(spec_warm_jobs_per_s, 2),
+            "cold_jobs_per_s": fixed(jobs as f64 / makespan_s(&spec_cold), 2),
+            "generic_jobs_per_s": fixed(masked_jobs_per_s, 2),
+            "specialize_speedup": fixed(specialize_speedup, 3),
+            "warm_variant_hit_rate": fixed(spec_warm.variants.hit_rate(), 4),
+            "cold_variant_hit_rate": fixed(spec_cold.variants.hit_rate(), 4),
+            "cold_variant_compiles": int(spec_cold.variants.compiles),
+            "warm_variant_compiles": int(spec_warm.variants.compiles),
+            "warm_variant_evictions": int(spec_warm.variants.evictions),
+            "compile_p50_ns": int(spec_cold.variants.compile_p50_ns),
+            "compile_p95_ns": int(spec_cold.variants.compile_p95_ns),
+            "spec_mean_prediction_error": fixed(spec_warm.mean_prediction_error(), 4),
+            "variants": Json::Array(rows.iter().map(|row| obj! {
+                "kernel": Json::Str(row.name),
+                "generic_code_bytes": int(row.generic.code_bytes),
+                "spec_code_bytes": int(row.folded.code_bytes),
+                "generic_sgprs": int(row.generic.sgprs),
+                "spec_sgprs": int(row.folded.sgprs),
+                "generic_vgprs": int(row.generic.vgprs),
+                "spec_vgprs": int(row.folded.vgprs),
+                "generic_waves": int(row.generic_waves),
+                "spec_waves": int(row.folded_waves),
+            }).collect()),
+        },
+        "qos": obj! {
+            "fairness_max_deviation": fixed(qos.fairness_max_deviation(), 4),
+            "sheds_quota": int(qos.sheds_quota),
+            "sheds_budget": int(qos.sheds_budget),
+            "deadline_misses": int(qos.deadline_misses),
+            "deadline_rejections": int(deadline_rejections),
+            "blocking_waits": int(qos.blocking_waits),
+            "jobs_admitted": int(qos.jobs_admitted),
+            "jobs_shed": int(qos.jobs_shed),
+            "tenants": Json::Array(qos.tenants.iter().map(|t| obj! {
+                "tenant": int(t.id.0),
+                "weight": int(t.weight),
+                "admitted": int(t.admitted),
+                "shed": int(t.shed),
+                "completed": int(t.completed),
+                "goodput_cost": int(t.goodput_cost),
+                "shed_rate": fixed(t.shed_rate(), 4),
+                "deadline_misses": int(t.deadline_misses),
+                "latency_p50_ns": int(t.latency_p50_ns),
+                "latency_p95_ns": int(t.latency_p95_ns),
+                "latency_p99_ns": int(t.latency_p99_ns),
+            }).collect()),
+        },
+        "sharding": obj! {
+            "jobs": int(sharding.jobs),
+            "chunks": int(sharding.chunks),
+            "resident_hit_rate": fixed(sharding.resident_hit_rate, 4),
+            "plan_prediction_error": fixed(sharding.plan_prediction_error, 4),
+            "predicted_makespan_s": fixed(sharding.predicted_makespan_s, 6),
+            "measured_makespan_s": fixed(sharding.measured_makespan_s, 6),
+            "planned_hits": int(sharding.report.planned_hits),
+            "spill_fallbacks": int(sharding.report.spill_fallbacks),
+            "prefetch_uploads": int(sharding.report.prefetch_uploads),
+            "migrated_chunks": int(sharding.report.migrated_chunks),
+        },
+        "library": obj! {
+            "guides": int(LIBRARY_GUIDES),
+            "sites": int(library.sites),
+            "screen_speedup": fixed(library.screen_speedup, 4),
+            "baseline_makespan_s": fixed(library.baseline_makespan_s, 6),
+            "warm_makespan_s": fixed(library.warm_makespan_s, 6),
+            "candidate_hit_rate": fixed(library.report.candidate_hit_rate(), 4),
+            "finder_launches_skipped": int(library.report.finder_launches_skipped),
+            "comparer_launch_ratio": fixed(library.report.comparer_launch_ratio(), 4),
+            "fused_launches": int(library.report.fused_launches),
+            "candidate_evictions": int(library.report.candidates.evictions),
+        },
+        "trace": obj! {
+            "events": int(events.len()),
+            "horizon_s": fixed(trace_spec.horizon_s(), 1),
+            "slo_ms": int(TRACE_SLO.as_millis()),
+            "fixed": obj! {
+                "latency_p50_ms": ms(trace_fixed.p50),
+                "latency_p95_ms": ms(trace_fixed.p95),
+                "latency_p99_ms": ms(trace_fixed.p99),
+                "fixed_slo_violation_rate": fixed(trace_fixed.violation_rate, 4),
+                "fixed_device_seconds": fixed(trace_fixed.device_seconds, 2),
+                "fixed_max_queue_depth": int(trace_fixed.max_window_depth),
+            },
+            "autoscaled": obj! {
+                "latency_p50_ms": ms(trace_auto.p50),
+                "latency_p95_ms": ms(trace_auto.p95),
+                "latency_p99_ms": ms(trace_auto.p99),
+                "p99_slo_violation_rate": fixed(trace_auto.violation_rate, 4),
+                "autoscaled_device_seconds": fixed(trace_auto.device_seconds, 2),
+                "autoscaled_max_queue_depth": int(trace_auto.max_window_depth),
+                "scale_ups": int(trace_scale.scale_ups()),
+                "scale_downs": int(trace_scale.scale_downs()),
+                "trace_migrated_chunks": int(trace_scale.migrated_chunks()),
+                "peak_active": int(trace_scale.peak_active),
+                "min_active": int(trace_scale.min_active),
+                "trace_prediction_error": fixed(trace_auto.prediction_error, 4),
+            },
+            "device_seconds_saved": fixed(device_seconds_saved, 4),
+            "digests_match": Json::Bool(
+                trace_fixed.digest == trace_oracle_digest && trace_auto.digest == trace_oracle_digest
+            ),
+        },
+        "transfer_reduction_per_batch": fixed(transfer_reduction, 3),
+        "affinity_transfer_reduction_per_batch": fixed(affinity_transfer_reduction, 3),
+        "jobs_per_s_improvement": fixed(packed_jobs_per_s / raw_jobs_per_s, 3),
+    };
+    let mut text = String::new();
+    json.write("BENCH_serve.json", 0, &mut text);
+    text.push('\n');
+    std::fs::write("BENCH_serve.json", &text).expect("write BENCH_serve.json");
+    print!("{text}");
+    println!("wrote BENCH_serve.json");
 
     assert!(
         packed.coalescing_ratio() > 1.5,
