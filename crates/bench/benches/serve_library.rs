@@ -15,12 +15,10 @@
 
 use casoff_bench::microbench::Criterion;
 use casoff_bench::{criterion_group, criterion_main};
-use casoff_serve::{JobSpec, Placement, Service, ServiceConfig};
+use casoff_serve::{JobSpec, Service, ServiceConfig};
 use genome::rng::Xoshiro256;
 use genome::synth::hg38_mini;
 
-/// Scan positions per chunk — the production size the serving demo uses.
-const CHUNK_SIZE: usize = 1 << 13;
 /// Assembly scale: a couple dozen chunks, so a screen is a real sweep but
 /// a cold service start stays cheap.
 const GENOME_SCALE: f64 = 0.005;
@@ -42,8 +40,6 @@ fn screen_spec() -> JobSpec {
 
 fn service_with(fast: bool) -> Service {
     let mut config = ServiceConfig::paper_pool();
-    config.chunk_size = CHUNK_SIZE;
-    config.placement = Placement::EarliestCompletion;
     // Guide-block-sized groups: one fused launch per coalesced batch.
     config.max_batch = 16;
     config.queue_cost_limit = 1 << 31;

@@ -18,8 +18,6 @@ use casoff_bench::{criterion_group, criterion_main};
 use casoff_serve::{JobSpec, MetricsReport, Placement, Service, ServiceConfig};
 use genome::synth::hg38_mini;
 
-/// Scan positions per chunk — the production size the sharding demo uses.
-const CHUNK_SIZE: usize = 1 << 13;
 /// Assembly scale: enough chunks that every device owns a partition worth
 /// prefetching, small enough that a cold service start stays cheap.
 const GENOME_SCALE: f64 = 0.02;
@@ -28,7 +26,6 @@ const SCANS: usize = 4;
 
 fn service_with(placement: Placement) -> Service {
     let mut config = ServiceConfig::paper_pool();
-    config.chunk_size = CHUNK_SIZE;
     config.placement = placement;
     config.max_batch = 1;
     config.resident_chunks = 64;

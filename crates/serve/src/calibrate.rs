@@ -83,17 +83,6 @@ pub(crate) struct ClassRates {
     pub resident_discount_s: f64,
 }
 
-impl ClassRates {
-    /// Price of an upload-only prefetch of a `bytes`-byte payload of this
-    /// class: the bytes at the interconnect slope plus the class's fixed
-    /// per-transfer charges. This is exactly the cost a later resident
-    /// batch of the chunk avoids — warming a partition moves the measured
-    /// upload cost out of the batch window, it does not create new cost.
-    pub fn prefetch_upload_s(&self, bytes: usize, upload_s_per_byte: f64) -> f64 {
-        bytes as f64 * upload_s_per_byte + self.resident_discount_s
-    }
-}
-
 /// Measured device service rates: one [`ClassRates`] per payload class —
 /// serial and fused-multi-guide flavours — plus the marginal upload cost
 /// per byte on the interconnect.

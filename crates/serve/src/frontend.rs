@@ -1,13 +1,12 @@
-//! The non-blocking completion front end: tickets, `poll`/`try_wait`,
-//! and completion callbacks.
+//! The non-blocking completion front end: tickets, `poll`, and
+//! completion callbacks.
 //!
 //! A network layer multiplexing thousands of tenants cannot afford one
 //! parked thread per outstanding job, so completion is exposed three ways,
 //! all std-only and runtime-agnostic:
 //!
 //! - **Polling**: [`crate::Service::poll`] returns [`Poll::Pending`] or
-//!   [`Poll::Ready`] without ever blocking; [`crate::Service::try_wait`]
-//!   is the `Option`-shaped spelling of the same thing.
+//!   [`Poll::Ready`] without ever blocking.
 //! - **Callbacks**: [`crate::Service::on_complete`] registers a `FnOnce`
 //!   waker invoked from the completion path (outside every service lock),
 //!   so an async executor can wake the right task, a reactor can write the

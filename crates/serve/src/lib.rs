@@ -38,7 +38,7 @@
 //! deadline ([`JobSpec::with_deadline`]); admission consults the
 //! calibrated device models and rejects infeasible deadlines up front
 //! ([`SubmitError::DeadlineInfeasible`]). Completion is non-blocking
-//! ([frontend]): [`Service::poll`] / [`Service::try_wait`] never park,
+//! ([frontend]): [`Service::poll`] never parks,
 //! [`Service::on_complete`] registers a runtime-agnostic completion
 //! callback, and the blocking [`Service::wait`] is a thin wrapper over the
 //! same hub.

@@ -351,16 +351,6 @@ impl DeviceModel {
             + cost.candidate_fraction * scan_units * cost.jobs as f64 * class.comparer_s_per_unit
     }
 
-    /// Predicted device time of prefetching `cost`'s chunk payload into a
-    /// resident slot without running any kernel: the payload bytes at the
-    /// measured interconnect slope plus the class's fixed per-transfer
-    /// charges. A one-pass partition warmup is the sum of this over the
-    /// partition's chunks.
-    pub fn predict_prefetch_s(&self, cost: &BatchCost) -> f64 {
-        let class = self.rates.class(cost.class, false);
-        class.prefetch_upload_s(cost.chunk_bytes, self.rates.upload_s_per_byte)
-    }
-
     /// Sustained admission throughput of this device in scan-position cost
     /// units per second: a representative non-resident packed batch of one
     /// `chunk_size`-position job, priced by [`Self::predict_s`]. Deadline
@@ -616,14 +606,6 @@ impl DevicePool {
             .iter()
             .map(|q| q.len())
             .collect()
-    }
-
-    /// Predicted seconds of work pending per device (queued batches
-    /// priced under each device's bias-corrected model). A retiring
-    /// device's entry drains to zero as its queue empties — the signal
-    /// drain-before-retire waits on.
-    pub fn pending_snapshot(&self) -> Vec<f64> {
-        self.inner.lock().unwrap().pending_s.clone()
     }
 
     /// Queue `batch` on `device`, priced under that device's model and

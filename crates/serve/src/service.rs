@@ -683,15 +683,6 @@ impl Service {
         self.shared.hub.poll(id)
     }
 
-    /// `Option`-shaped [`Service::poll`]: `Some(records)` exactly once
-    /// when the job is done, `None` while it is still computing.
-    pub fn try_wait(&self, id: JobId) -> Result<Option<Vec<OffTarget>>, WaitError> {
-        match self.shared.hub.poll(id)? {
-            Poll::Ready(records) => Ok(Some(records)),
-            Poll::Pending => Ok(None),
-        }
-    }
-
     /// Register a completion waker for job `id`, invoked exactly once from
     /// the completion path, outside every service lock. Runs immediately
     /// if the job already finished (but was not yet collected); a later
@@ -793,12 +784,6 @@ impl Service {
         self.shared.pool.queue_depths()
     }
 
-    /// Predicted seconds of queued work per device; a retiring device's
-    /// entry draining to zero is the drain-before-retire signal.
-    pub fn device_pending_s(&self) -> Vec<f64> {
-        self.shared.pool.pending_snapshot()
-    }
-
     /// Summed admission cost of admitted-but-unfinished jobs.
     pub fn inflight_cost(&self) -> u64 {
         self.shared.queue.inflight_cost()
@@ -859,43 +844,6 @@ impl Service {
         resident: bool,
     ) -> Option<Vec<f64>> {
         let bias = self.shared.pool.bias_snapshot();
-        self.plan_walk(assembly, pattern, |owner, cost| {
-            passes as f64
-                * bias[owner][cost.class.index()]
-                * self.shared.models[owner].predict_s(cost, resident)
-        })
-    }
-
-    /// The scheduler's current bias corrections, per device (outer) and
-    /// payload class (inner: raw, packed 2-bit, packed char, nibble,
-    /// multi-guide): the dimensionless measured/predicted EWMA each
-    /// completion folds into the calibrated model. Surfaced so harnesses
-    /// can report how far the operational correction has drifted from the
-    /// calibrated prior.
-    pub fn bias_corrections(&self) -> Vec<[f64; PayloadClass::COUNT]> {
-        self.shared.pool.bias_snapshot()
-    }
-
-    /// Predicted per-device busy seconds of the one-pass partition warmup
-    /// for a scan of `assembly` under `pattern`: each owned chunk's
-    /// payload bytes at the owner's measured interconnect slope plus the
-    /// fixed per-transfer charges — the cost the warmup moves out of the
-    /// batch windows. `None` without a plan or for an unknown assembly.
-    pub fn plan_warmup_prediction(&self, assembly: &str, pattern: &[u8]) -> Option<Vec<f64>> {
-        self.plan_walk(assembly, pattern, |owner, cost| {
-            self.shared.models[owner].predict_prefetch_s(cost)
-        })
-    }
-
-    /// The chunk walk behind both plan predictions: per-device sums of
-    /// `price(owner, cost)`, each chunk costed as a single-job batch on the
-    /// device the installed plan assigns it.
-    fn plan_walk(
-        &self,
-        assembly: &str,
-        pattern: &[u8],
-        price: impl Fn(usize, &BatchCost) -> f64,
-    ) -> Option<Vec<f64>> {
         let plan = self.shared.pool.plan_snapshot()?;
         let asm = self.shared.assemblies.get(assembly)?;
         let plen = pattern.len();
@@ -925,9 +873,21 @@ impl Service {
                 ))
             });
             let cost = BatchCost::from_parts(pattern, &encoded, 1, residency_token(&key, index));
-            busy[owner] += price(owner, &cost);
+            busy[owner] += passes as f64
+                * bias[owner][cost.class.index()]
+                * self.shared.models[owner].predict_s(&cost, resident);
         }
         Some(busy)
+    }
+
+    /// The scheduler's current bias corrections, per device (outer) and
+    /// payload class (inner: raw, packed 2-bit, packed char, nibble,
+    /// multi-guide): the dimensionless measured/predicted EWMA each
+    /// completion folds into the calibrated model. Surfaced so harnesses
+    /// can report how far the operational correction has drifted from the
+    /// calibrated prior.
+    pub fn bias_corrections(&self) -> Vec<[f64; PayloadClass::COUNT]> {
+        self.shared.pool.bias_snapshot()
     }
 
     /// Stop admissions, drain queued work, and join all service threads.
@@ -1854,7 +1814,6 @@ mod tests {
         assert!(!got.is_empty());
         assert_eq!(service.wait(id).unwrap_err(), WaitError::Collected);
         assert_eq!(service.poll(id).unwrap_err(), WaitError::Collected);
-        assert_eq!(service.try_wait(id).unwrap_err(), WaitError::Collected);
     }
 
     #[test]
