@@ -1131,6 +1131,8 @@ enum Json {
     /// A float written with a fixed number of decimal places.
     Fixed(f64, usize),
     Bool(bool),
+    /// Written with Rust's `Debug` escapes, which are JSON's for the
+    /// printable ASCII of kernel names.
     Str(&'static str),
     Array(Vec<Json>),
     Object(Vec<(&'static str, Json)>),
@@ -1513,7 +1515,8 @@ fn main() {
             },
             "device_seconds_saved": fixed(device_seconds_saved, 4),
             "digests_match": Json::Bool(
-                trace_fixed.digest == trace_oracle_digest && trace_auto.digest == trace_oracle_digest
+                trace_fixed.digest == trace_oracle_digest
+                    && trace_auto.digest == trace_oracle_digest
             ),
         },
         "transfer_reduction_per_batch": fixed(transfer_reduction, 3),
