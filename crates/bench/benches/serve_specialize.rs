@@ -22,7 +22,7 @@ use casoff_bench::{criterion_group, criterion_main};
 use casoff_serve::cache::{ChunkKey, EncodedChunk};
 use casoff_serve::{ChunkEncoding, GenomeCache};
 use genome::{synth, Assembly, Chunker};
-use gpu_sim::{DeviceSpec, ExecMode};
+use gpu_sim::DeviceSpec;
 
 const CHUNK_SIZE: usize = 1 << 13;
 const GENOME_SCALE: f64 = 0.02;
@@ -59,7 +59,6 @@ impl Workload {
             .collect();
         let config = PipelineConfig::new(spec)
             .chunk_size(CHUNK_SIZE)
-            .exec_mode(ExecMode::Sequential)
             .specialize(specialize);
         let runner = OclChunkRunner::new(&config, &input.pattern).unwrap();
         let tables = runner.prepare_queries(&queries).unwrap();

@@ -344,10 +344,10 @@ impl KernelProgram for ComparerKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{DeviceSpec, ExecMode, NdRange};
+    use gpu_sim::{DeviceSpec, NdRange};
 
     fn device() -> Device {
-        Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
+        Device::new(DeviceSpec::mi100())
     }
 
     /// Stand up a comparer over an explicit candidate list.

@@ -20,11 +20,10 @@
 //!
 //! A block loads each candidate's reference window once and sweeps all
 //! guides × strands against it — the fused launch a library screen makes
-//! instead of one launch per guide. Under
-//! [`ExecMode::Sequential`](gpu_sim::ExecMode) each work-item emits its
-//! entries for guides in ascending order, so each guide's subsequence of
-//! the shared output is exactly its per-guide launch's output, which
-//! [`MultiComparerOutput::per_guide`] demultiplexes.
+//! instead of one launch per guide. The simulator runs work-items in order,
+//! and each emits its entries for guides in ascending order, so each
+//! guide's subsequence of the shared output is exactly its per-guide
+//! launch's output, which [`MultiComparerOutput::per_guide`] demultiplexes.
 //!
 //! The paper's Listing 1 comparer and its opt0–opt4 ladder
 //! ([`ComparerKernel`](super::ComparerKernel)) stay a kernel of their own:
@@ -833,7 +832,7 @@ mod tests {
     use crate::kernels::{ComparerKernel, OptLevel};
     use genome::fourbit::NibbleSeq;
     use genome::twobit::TwoBitSeq;
-    use gpu_sim::{DeviceSpec, ExecMode, LaunchReport, NdRange};
+    use gpu_sim::{DeviceSpec, LaunchReport, NdRange};
 
     type Entries = Vec<(u32, u8, u16)>;
 
@@ -853,7 +852,7 @@ mod tests {
     }
 
     fn device() -> Device {
-        Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
+        Device::new(DeviceSpec::mi100())
     }
 
     /// `seq` on `device` as the chunk buffers of encoding `enc`.
@@ -1216,7 +1215,7 @@ mod characterization {
     use genome::rng::Xoshiro256;
     use genome::twobit::TwoBitSeq;
     use gpu_sim::kernel::KernelProgram;
-    use gpu_sim::{isa, Device, DeviceBuffer, DeviceSpec, ExecMode, NdRange};
+    use gpu_sim::{isa, Device, DeviceBuffer, DeviceSpec, NdRange};
 
     use crate::kernels::finder::{FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE};
     use crate::kernels::specialize::{CompiledVariant, VariantKind};
@@ -1256,7 +1255,7 @@ mod characterization {
 
     impl Fixture {
         fn new() -> Fixture {
-            let device = Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential);
+            let device = Device::new(DeviceSpec::mi100());
             let seq = fixture_seq();
             let compiled: Vec<CompiledSeq> = GUIDES
                 .iter()

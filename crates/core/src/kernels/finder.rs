@@ -416,10 +416,10 @@ mod tests {
     use super::*;
     use genome::base::base_mask;
     use genome::fourbit::NibbleSeq;
-    use gpu_sim::{DeviceSpec, ExecMode, NdRange};
+    use gpu_sim::{DeviceSpec, NdRange};
 
     fn device() -> Device {
-        Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
+        Device::new(DeviceSpec::mi100())
     }
 
     fn run(seq: &[u8], pattern: &[u8]) -> Vec<(u32, u8)> {

@@ -447,11 +447,11 @@ mod tests {
     use genome::fourbit::NibbleSeq;
     use genome::rng::Xoshiro256;
     use genome::twobit::PackedSeq;
-    use gpu_sim::{Device, DeviceSpec, ExecMode, NdRange};
+    use gpu_sim::{Device, DeviceSpec, NdRange};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn device() -> Device {
-        Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
+        Device::new(DeviceSpec::mi100())
     }
 
     /// A degenerate sequence mixing concrete, soft-masked, `N`, and IUPAC

@@ -59,14 +59,11 @@ pub mod cli;
 pub mod cpu;
 pub mod kernels;
 pub mod lru;
-pub mod pam;
 pub mod pipeline;
 pub mod stats;
-pub mod verify;
 
 pub use input::{InputError, Query, SearchInput};
 pub use kernels::OptLevel;
-pub use pam::Nuclease;
 pub use pattern::CompiledSeq;
 pub use report::{Api, SearchReport, TimingBreakdown};
 pub use site::{sort_canonical, OffTarget, Strand};

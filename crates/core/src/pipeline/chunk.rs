@@ -984,7 +984,7 @@ impl Backend for OpenCl {
 
     fn new(config: &PipelineConfig, pattern: CompiledSeq) -> ClResult<Self> {
         let device_id = ClDeviceId::from_spec(config.device.clone());
-        let ctx = Context::with_mode(&[device_id], config.exec)?;
+        let ctx = Context::new(&[device_id])?;
         let queue = CommandQueue::new(&ctx, 0)?;
         let plen = pattern.plen();
 
@@ -1600,7 +1600,7 @@ impl Backend for Sycl {
     const SHARED_CANDIDATES: bool = false;
 
     fn new(config: &PipelineConfig, pattern: CompiledSeq) -> SyclResult<Self> {
-        let queue = Queue::with_mode(&SpecSelector(config.device.clone()), config.exec)?;
+        let queue = Queue::new(&SpecSelector(config.device.clone()))?;
         let pat_buf = Buffer::from_slice(pattern.comp()).constant();
         let pat_index_buf = Buffer::from_slice(pattern.comp_index()).constant();
         let pam_variant = config.specialize.then(|| {
@@ -1997,7 +1997,7 @@ mod tests {
     use crate::pipeline::entries_to_offtargets;
     use crate::site::sort_canonical;
     use genome::{Assembly, Chromosome, Chunker};
-    use gpu_sim::{DeviceSpec, ExecMode};
+    use gpu_sim::DeviceSpec;
 
     fn toy() -> (Assembly, SearchInput) {
         let mut asm = Assembly::new("toy");
@@ -2010,9 +2010,7 @@ mod tests {
     }
 
     fn config() -> PipelineConfig {
-        PipelineConfig::new(DeviceSpec::mi100())
-            .chunk_size(16)
-            .exec_mode(ExecMode::Sequential)
+        PipelineConfig::new(DeviceSpec::mi100()).chunk_size(16)
     }
 
     #[test]

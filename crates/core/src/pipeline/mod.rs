@@ -40,8 +40,6 @@ pub struct PipelineConfig {
     /// which the OpenCL runtime resolves to one wavefront (64), while the
     /// SYCL application fixes 256, exactly the paper's §IV.A setup.
     pub work_group_size: Option<usize>,
-    /// Host-thread scheduling of the simulator.
-    pub exec: ExecMode,
     /// Number of device-resident chunk payloads a chunk runner keeps alive
     /// between calls. With 1 slot a runner can only reuse the chunk it ran
     /// last; a serving layer that revisits chunks out of order wants a
@@ -64,14 +62,13 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// Defaults for `device`: 1 Mi-position chunks, baseline comparer,
-    /// runtime-chosen work-group size, parallel host execution.
+    /// runtime-chosen work-group size.
     pub fn new(device: DeviceSpec) -> Self {
         PipelineConfig {
             device,
             chunk_size: 1 << 20,
             opt: OptLevel::Base,
             work_group_size: None,
-            exec: ExecMode::default(),
             resident_slots: 1,
             specialize: false,
             multi_guide: false,
@@ -96,9 +93,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Set the simulator's host-thread scheduling.
-    pub fn exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
+    /// Returns the config unchanged: the simulator has one execution mode.
+    /// Kept only for perfbench's call sites; the benchmark change of
+    /// ROADMAP item 1 deletes it.
+    pub fn exec_mode(self, _exec: ExecMode) -> Self {
         self
     }
 
@@ -265,12 +263,10 @@ mod tests {
         let cfg = PipelineConfig::new(DeviceSpec::mi60())
             .chunk_size(4096)
             .opt(OptLevel::Opt3)
-            .work_group_size(Some(256))
-            .exec_mode(ExecMode::Sequential);
+            .work_group_size(Some(256));
         assert_eq!(cfg.chunk_size, 4096);
         assert_eq!(cfg.opt, OptLevel::Opt3);
         assert_eq!(cfg.work_group_size, Some(256));
-        assert_eq!(cfg.exec, ExecMode::Sequential);
         assert_eq!(cfg.device.name, "MI60");
     }
 
@@ -294,8 +290,7 @@ mod tests {
         let input = crate::SearchInput::canonical_example(assembly.name());
         let config = PipelineConfig::new(DeviceSpec::mi100())
             .chunk_size(chunk_size)
-            .opt(opt)
-            .exec_mode(ExecMode::Sequential);
+            .opt(opt);
         let report = match api {
             "opencl" => ocl::run(assembly, &input, &config).unwrap(),
             _ => sycl::run(assembly, &input, &config).unwrap(),

@@ -66,7 +66,7 @@ pub fn step_log_of(
 mod tests {
     use super::*;
     use genome::Chromosome;
-    use gpu_sim::{DeviceSpec, ExecMode};
+    use gpu_sim::DeviceSpec;
 
     fn toy() -> (Assembly, SearchInput) {
         let mut asm = Assembly::new("toy");
@@ -79,9 +79,7 @@ mod tests {
     }
 
     fn config() -> PipelineConfig {
-        PipelineConfig::new(DeviceSpec::mi100())
-            .chunk_size(16)
-            .exec_mode(ExecMode::Sequential)
+        PipelineConfig::new(DeviceSpec::mi100()).chunk_size(16)
     }
 
     #[test]

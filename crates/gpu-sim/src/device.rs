@@ -17,7 +17,6 @@ struct DeviceInner {
     spec: DeviceSpec,
     tracker: Arc<AllocationTracker>,
     traffic: Arc<TrafficCounters>,
-    mode: ExecMode,
     /// Static resources of every code model this device has compiled: a
     /// program is built once and launched many times (`clBuildProgram`,
     /// step 4 of the paper's Table I), not recompiled per launch.
@@ -55,41 +54,35 @@ impl fmt::Debug for Device {
         f.debug_struct("Device")
             .field("name", &self.inner.spec.name)
             .field("mem_used", &self.mem_used())
-            .field("mode", &self.inner.mode)
             .finish()
     }
 }
 
 impl Device {
-    /// Create a device with the default (parallel) execution mode.
+    /// Create a device. Its launches run work-groups in order on the
+    /// calling thread, so they are fully deterministic, including the order
+    /// of atomic output compaction.
     pub fn new(spec: DeviceSpec) -> Self {
-        Self::with_mode(spec, ExecMode::default())
-    }
-
-    /// Create a device with an explicit execution mode.
-    /// [`ExecMode::Sequential`] makes launches fully deterministic, including
-    /// the order of atomic output compaction.
-    pub fn with_mode(spec: DeviceSpec, mode: ExecMode) -> Self {
         let tracker = Arc::new(AllocationTracker::new(spec.global_mem_bytes));
         Device {
             inner: Arc::new(DeviceInner {
                 spec,
                 tracker,
                 traffic: Arc::default(),
-                mode,
                 compiled: Mutex::default(),
             }),
         }
     }
 
+    /// Same as [`Device::new`]. Kept only for perfbench's call sites; the
+    /// benchmark change of ROADMAP item 1 deletes it.
+    pub fn with_mode(spec: DeviceSpec, _mode: ExecMode) -> Self {
+        Self::new(spec)
+    }
+
     /// The device's static specification.
     pub fn spec(&self) -> &DeviceSpec {
         &self.inner.spec
-    }
-
-    /// The configured execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.inner.mode
     }
 
     /// Bytes of device global memory currently allocated.
@@ -197,7 +190,7 @@ impl Device {
             .expect("no launch panics while holding the compile map")
             .entry(kernel.code_model())
             .or_insert_with_key(isa::compile);
-        run_launch(&self.inner.spec, self.inner.mode, kernel, nd, resources)
+        run_launch(&self.inner.spec, kernel, nd, resources)
     }
 
     /// Number of distinct code models this device has compiled.

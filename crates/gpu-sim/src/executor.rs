@@ -1,10 +1,12 @@
 //! ND-range executor.
 //!
-//! Work-groups are independent (as on real hardware) and run in parallel
-//! across host threads; the work-items *within* a group run sequentially,
-//! phase by phase, which makes intra-group execution deterministic and gives
-//! barrier semantics by construction (see
-//! [`crate::KernelProgram`]).
+//! Work-groups are independent (as on real hardware) and run one after
+//! another, in linear group order, on the calling thread; the work-items
+//! *within* a group run sequentially, phase by phase, which gives barrier
+//! semantics by construction (see [`crate::KernelProgram`]). A launch is
+//! therefore fully deterministic, down to the order in which atomically
+//! compacted outputs land, and so is the simulated time of every later
+//! kernel that reads them.
 //!
 //! While executing, the executor reduces the launch to *wave-cycles*: within
 //! each wavefront of 64 work-items the lanes run in lockstep, so a wave's
@@ -14,8 +16,6 @@
 //! summed over all waves and phases and handed to the
 //! [timing model](crate::timing).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::counters::AccessCounters;
@@ -28,32 +28,15 @@ use crate::occupancy::{occupancy, Occupancy};
 use crate::spec::DeviceSpec;
 use crate::timing::{kernel_time_s, CostModel};
 
-/// How work-groups are scheduled onto host threads.
+/// How work-groups are scheduled onto the host: there is one way, in
+/// order on the calling thread.
+///
+/// Kept only as the argument of the two pass-through constructors perfbench
+/// still calls; the benchmark change of ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Groups run one after another on the calling thread. Fully
-    /// deterministic, including the order of device atomics.
+    /// Groups run one after another on the calling thread.
     Sequential,
-    /// Groups run concurrently on `threads` host threads. The result *set*
-    /// is deterministic for data-race-free kernels, but the order in which
-    /// atomically compacted outputs land is not — exactly as on a GPU.
-    /// One launch's simulated time does not depend on that order. A later
-    /// kernel that reads the compacted outputs does, though: it reads them
-    /// in landing order, so which items share a wave, and so its simulated
-    /// time, can vary from run to run.
-    Parallel {
-        /// Number of host worker threads.
-        threads: usize,
-    },
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        ExecMode::Parallel { threads }
-    }
 }
 
 /// Everything known about a finished kernel launch.
@@ -163,7 +146,6 @@ fn run_group<K: KernelProgram>(
 /// (the device's per-model memo; the local layout's bytes are added here).
 pub(crate) fn run_launch<K: KernelProgram>(
     spec: &DeviceSpec,
-    mode: ExecMode,
     kernel: &K,
     nd: NdRange,
     mut resources: ResourceUsage,
@@ -185,45 +167,13 @@ pub(crate) fn run_launch<K: KernelProgram>(
     let group_overhead = spec.group_dispatch_cycles as f64;
 
     let start = Instant::now();
-    let (counters, wave_cycles) = match mode {
-        ExecMode::Sequential => {
-            let mut counters = AccessCounters::ZERO;
-            let mut cycles = 0.0;
-            for g in 0..groups {
-                let r = run_group(kernel, &nd, &cost, &layout, g, phases, group_overhead);
-                counters += r.counters;
-                cycles += r.wave_cycles;
-            }
-            (counters, cycles)
-        }
-        ExecMode::Parallel { threads } => {
-            let threads = threads.max(1).min(groups.max(1));
-            let next = AtomicUsize::new(0);
-            let acc = Mutex::new((AccessCounters::ZERO, 0.0f64));
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| {
-                        let mut counters = AccessCounters::ZERO;
-                        let mut cycles = 0.0;
-                        loop {
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            if g >= groups {
-                                break;
-                            }
-                            let r =
-                                run_group(kernel, &nd, &cost, &layout, g, phases, group_overhead);
-                            counters += r.counters;
-                            cycles += r.wave_cycles;
-                        }
-                        let mut guard = acc.lock().unwrap();
-                        guard.0 += counters;
-                        guard.1 += cycles;
-                    });
-                }
-            });
-            acc.into_inner().unwrap()
-        }
-    };
+    let mut counters = AccessCounters::ZERO;
+    let mut wave_cycles = 0.0;
+    for g in 0..groups {
+        let r = run_group(kernel, &nd, &cost, &layout, g, phases, group_overhead);
+        counters += r.counters;
+        wave_cycles += r.wave_cycles;
+    }
     let wall_time = start.elapsed();
 
     let sim_time_s = kernel_time_s(wave_cycles, &counters, &occ, spec);
@@ -267,21 +217,19 @@ mod tests {
 
     #[test]
     fn every_item_runs_exactly_once() {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 4 }] {
-            let device = Device::with_mode(DeviceSpec::mi100(), mode);
-            let out = device.alloc::<u32>(1024).unwrap();
-            let report = device
-                .launch(&Iota { out: out.clone() }, NdRange::linear(1024, 64))
-                .unwrap();
-            let expect: Vec<u32> = (0..1024).collect();
-            assert_eq!(out.to_vec(), expect);
-            assert_eq!(report.counters.global_stores, 1024);
-        }
+        let device = Device::new(DeviceSpec::mi100());
+        let out = device.alloc::<u32>(1024).unwrap();
+        let report = device
+            .launch(&Iota { out: out.clone() }, NdRange::linear(1024, 64))
+            .unwrap();
+        let expect: Vec<u32> = (0..1024).collect();
+        assert_eq!(out.to_vec(), expect);
+        assert_eq!(report.counters.global_stores, 1024);
     }
 
     #[test]
     fn a_device_compiles_each_code_model_once() {
-        let device = Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential);
+        let device = Device::new(DeviceSpec::mi100());
         let iota = Iota {
             out: device.alloc::<u32>(256).unwrap(),
         };
@@ -302,7 +250,7 @@ mod tests {
         assert_eq!(device.compiled_models(), 2, "a new model compiles");
     }
 
-    /// Atomically counts items; checks cross-group atomics under parallelism.
+    /// Atomically counts items; checks atomics across work-groups.
     struct Count {
         n: DeviceBuffer<u32>,
     }
@@ -319,7 +267,7 @@ mod tests {
 
     #[test]
     fn atomics_are_exact_across_parallel_groups() {
-        let device = Device::with_mode(DeviceSpec::mi60(), ExecMode::Parallel { threads: 8 });
+        let device = Device::new(DeviceSpec::mi60());
         let n = device.alloc::<u32>(1).unwrap();
         device
             .launch(&Count { n: n.clone() }, NdRange::linear(4096, 128))
@@ -401,39 +349,11 @@ mod tests {
                 }
             }
         }
-        let device = Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential);
+        let device = Device::new(DeviceSpec::mi100());
         let report = device.launch(&Skewed, NdRange::linear(64, 64)).unwrap();
         let overhead = DeviceSpec::mi100().group_dispatch_cycles as f64;
         assert!(report.wave_cycles >= 64_000.0 + overhead);
         assert!(report.wave_cycles < 65_000.0 + overhead);
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree_on_counters_and_cycles() {
-        let seq = Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential);
-        let par = Device::with_mode(DeviceSpec::mi100(), ExecMode::Parallel { threads: 7 });
-        let nd = NdRange::linear(2048, 256);
-        let a = seq
-            .launch(
-                &Iota {
-                    out: seq.alloc::<u32>(2048).unwrap(),
-                },
-                nd,
-            )
-            .unwrap();
-        let b = par
-            .launch(
-                &Iota {
-                    out: par.alloc::<u32>(2048).unwrap(),
-                },
-                nd,
-            )
-            .unwrap();
-        assert_eq!(a.counters, b.counters);
-        // Every cost-model cost is a whole number of cycles, so the
-        // parallel fold of per-group wave cycles is exact in any order.
-        assert_eq!(a.wave_cycles.to_bits(), b.wave_cycles.to_bits());
-        assert_eq!(a.sim_time_s.to_bits(), b.sim_time_s.to_bits());
     }
 
     #[test]

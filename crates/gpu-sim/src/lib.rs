@@ -12,8 +12,9 @@
 //!   paper's Fig. 1: global and constant memory ([`DeviceBuffer`]), shared
 //!   local memory per work-group ([`kernel::LocalMem`]), private state per
 //!   work-item, work-group barriers (structured phases) and device-scope
-//!   atomics. Results are bit-exact; data-race-free kernels produce the same
-//!   result set in sequential and parallel execution.
+//!   atomics. Work-groups run in order on the calling thread, so results,
+//!   including the landing order of atomically compacted outputs, are the
+//!   same on every run.
 //! * **Performance model.** Every access is counted ([`AccessCounters`]);
 //!   wavefronts are priced at their slowest lane ([`executor`]); a pseudo-ISA
 //!   compiler estimates code bytes and register pressure ([`isa`]); register

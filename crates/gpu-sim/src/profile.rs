@@ -76,15 +76,6 @@ impl Profile {
         Self::default()
     }
 
-    /// Build a profile from an iterator of reports.
-    pub fn from_reports<'a, I: IntoIterator<Item = &'a LaunchReport>>(reports: I) -> Self {
-        let mut p = Profile::new();
-        for r in reports {
-            p.record_ref(r);
-        }
-        p
-    }
-
     /// Record a launch.
     pub fn record(&mut self, report: LaunchReport) {
         self.record_ref(&report);

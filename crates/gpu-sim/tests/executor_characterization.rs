@@ -1,9 +1,9 @@
 //! Characterization of the executor's functional results and its cost fold.
 //!
-//! One probe kernel runs in `ExecMode::Sequential` over 1-D, 2-D and 3-D
-//! ranges with 1–3 barrier phases. Its group sizes include ones that are
-//! not a multiple of the 64-lane wavefront, so the last wave of a group is
-//! partial, and its lanes do unequal work. It touches `u8`, `i32` and `u64`
+//! One probe kernel runs over 1-D, 2-D and 3-D ranges with 1–3 barrier
+//! phases. Its group sizes include ones that are not a multiple of the
+//! 64-lane wavefront, so the last wave of a group is partial, and its lanes
+//! do unequal work. It touches `u8`, `i32` and `u64`
 //! local arrays, scattered, cached, coalesced and constant loads, scattered
 //! and coalesced stores, and atomics of three widths. Every output buffer,
 //! the summed `AccessCounters` and the bit patterns of `wave_cycles`,
@@ -16,7 +16,7 @@
 use std::fmt::Write;
 
 use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
-use gpu_sim::{Device, DeviceBuffer, DeviceSpec, ExecMode, ItemCtx, NdRange};
+use gpu_sim::{Device, DeviceBuffer, DeviceSpec, ItemCtx, NdRange};
 
 /// The digest of [`CASES`] as the executor computed it when this test was
 /// written. Only a deliberate change to the simulated model may move it.
@@ -207,7 +207,7 @@ fn executor_digest_is_pinned() {
     };
     let mut log = String::new();
     for spec in [DeviceSpec::mi100(), fractional] {
-        let device = Device::with_mode(spec, ExecMode::Sequential);
+        let device = Device::new(spec);
         for (range, phases) in CASES {
             record(&mut log, &device, range, phases);
         }

@@ -5,7 +5,7 @@
 
 use genome::rng::Xoshiro256;
 use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
-use gpu_sim::{Device, DeviceBuffer, DeviceSpec, ExecMode, ItemCtx, NdRange};
+use gpu_sim::{Device, DeviceBuffer, DeviceSpec, ItemCtx, NdRange};
 
 /// Writes each item's global id; the canonical coverage probe.
 struct Iota {
@@ -75,9 +75,8 @@ fn every_item_executes_exactly_once() {
     for _ in 0..16 {
         let groups = rng.gen_range(1, 20);
         let local = 64usize << rng.gen_below(4);
-        let threads = rng.gen_range(1, 9);
         let n = groups * local;
-        let device = Device::with_mode(DeviceSpec::mi100(), ExecMode::Parallel { threads });
+        let device = Device::new(DeviceSpec::mi100());
         let out = device.alloc::<u32>(n).unwrap();
         out.fill(u32::MAX);
         device
@@ -86,7 +85,7 @@ fn every_item_executes_exactly_once() {
         let v = out.to_vec();
         assert!(
             v.iter().enumerate().all(|(i, &x)| x == i as u32),
-            "groups {groups} local {local} threads {threads}"
+            "groups {groups} local {local}"
         );
     }
 }
@@ -141,34 +140,54 @@ fn host_roundtrip_is_lossless() {
     }
 }
 
+/// Appends the global id of every item whose id is a multiple of `stride`
+/// at an atomically claimed slot: the finder's compaction pattern.
+struct Compact {
+    stride: usize,
+    count: DeviceBuffer<u32>,
+    out: DeviceBuffer<u32>,
+}
+
+impl KernelProgram for Compact {
+    type Private = ();
+    fn name(&self) -> &str {
+        "compact"
+    }
+    fn run_phase(&self, _p: usize, item: &mut ItemCtx, _s: &mut (), _l: &mut LocalMem) {
+        let i = item.global_id(0);
+        if i.is_multiple_of(self.stride) {
+            let slot = self.count.atomic_inc(item, 0) as usize;
+            self.out.store(item, slot, i as u32);
+        }
+    }
+}
+
 #[test]
-fn counters_are_deterministic_across_scheduling() {
+fn repeat_launches_are_bit_identical() {
     let mut rng = Xoshiro256::seed_from_u64(0xDE7);
     for _ in 0..16 {
         let groups = rng.gen_range(1, 12);
-        let threads = rng.gen_range(2, 8);
+        let stride = rng.gen_range(1, 8);
         let n = groups * 64;
-        let seq = Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential);
-        let par = Device::with_mode(DeviceSpec::mi100(), ExecMode::Parallel { threads });
-        let a = seq
-            .launch(
-                &Iota {
-                    out: seq.alloc::<u32>(n).unwrap(),
-                },
-                NdRange::linear(n, 64),
-            )
-            .unwrap();
-        let b = par
-            .launch(
-                &Iota {
-                    out: par.alloc::<u32>(n).unwrap(),
-                },
-                NdRange::linear(n, 64),
-            )
-            .unwrap();
+        let launch = || {
+            let device = Device::new(DeviceSpec::mi100());
+            let count = device.alloc::<u32>(1).unwrap();
+            let out = device.alloc::<u32>(n).unwrap();
+            let kernel = Compact {
+                stride,
+                count,
+                out: out.clone(),
+            };
+            let report = device.launch(&kernel, NdRange::linear(n, 64)).unwrap();
+            (report, out.to_vec())
+        };
+        let (a, a_out) = launch();
+        let (b, b_out) = launch();
+        assert_eq!(a_out, b_out, "compacted ids land in the same order");
         assert_eq!(a.counters, b.counters);
-        assert!((a.wave_cycles - b.wave_cycles).abs() < 1e-9);
-        assert!((a.sim_time_s - b.sim_time_s).abs() < 1e-15);
+        assert_eq!(a.wave_cycles.to_bits(), b.wave_cycles.to_bits());
+        assert_eq!(a.sim_time_s.to_bits(), b.sim_time_s.to_bits());
+        assert_eq!(a.exec_time_s.to_bits(), b.exec_time_s.to_bits());
     }
 }
 

@@ -1,6 +1,6 @@
 //! Contexts (Table I step 3).
 
-use gpu_sim::{Device, ExecMode};
+use gpu_sim::Device;
 
 use crate::error::{ClError, ClResult};
 use crate::platform::ClDeviceId;
@@ -34,16 +34,6 @@ impl Context {
     ///
     /// Returns [`ClError::DeviceNotFound`] when `devices` is empty.
     pub fn new(devices: &[ClDeviceId]) -> ClResult<Context> {
-        Self::with_mode(devices, ExecMode::default())
-    }
-
-    /// Create a context whose devices execute kernels with `mode`
-    /// ([`ExecMode::Sequential`] for fully deterministic runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClError::DeviceNotFound`] when `devices` is empty.
-    pub fn with_mode(devices: &[ClDeviceId], mode: ExecMode) -> ClResult<Context> {
         if devices.is_empty() {
             return Err(ClError::DeviceNotFound);
         }
@@ -54,7 +44,7 @@ impl Context {
         Ok(Context {
             devices: devices
                 .iter()
-                .map(|d| Device::with_mode(d.spec().clone(), mode))
+                .map(|d| Device::new(d.spec().clone()))
                 .collect(),
             log,
         })

@@ -49,7 +49,7 @@ use genome::fourbit::NibbleSeq;
 use genome::rng::Xoshiro256;
 use genome::twobit::PackedSeq;
 use gpu_sim::profile::Profile;
-use gpu_sim::{DeviceSpec, ExecMode};
+use gpu_sim::DeviceSpec;
 use opencl_rt::{ClBuffer, ClDeviceId, CommandQueue, Context, MemFlags};
 
 /// Probe pattern: nine `N`s and an `RG` PAM, the workload the paper
@@ -247,7 +247,6 @@ fn measure<B: Backend>(
     let config = PipelineConfig::new(spec.clone())
         .chunk_size(scan)
         .opt(opt)
-        .exec_mode(ExecMode::Sequential)
         .specialize(specialize);
     const SETUP: &str = "simulated setup cannot fail on the probe pattern";
     let runner = ChunkRunner::<B>::new(&config, PROBE_PATTERN).expect(SETUP);
@@ -360,8 +359,7 @@ fn upload_slope(spec: &DeviceSpec) -> f64 {
     const SMALL: usize = 1024;
     const LARGE: usize = 65536;
     let device = ClDeviceId::from_spec(spec.clone());
-    let ctx = Context::with_mode(&[device], ExecMode::Sequential)
-        .expect("one probe device is always found");
+    let ctx = Context::new(&[device]).expect("one probe device is always found");
     let queue = CommandQueue::new(&ctx, 0).expect("probe context has a device");
     let buf: ClBuffer<u8> =
         ClBuffer::create(&ctx, MemFlags::ReadWrite, LARGE).expect("probe buffer fits");

@@ -77,10 +77,6 @@ fn candidate_fraction(pattern: &[u8]) -> f64 {
     (2.0 * per_strand).min(1.0)
 }
 
-/// The fixed per-device depth the pre-cost-model scheduler used for every
-/// device. Only [`Placement::ShortestQueue`] still applies it.
-const SHORTEST_QUEUE_IN_FLIGHT: usize = 4;
-
 /// How the dispatcher places batches on device queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
@@ -90,10 +86,6 @@ pub enum Placement {
     /// limits derive from the comparer's occupancy.
     #[default]
     EarliestCompletion,
-    /// The previous scheduler, kept as a measurable baseline: fewest queued
-    /// batches wins, every device is treated alike, and the in-flight
-    /// depth is a fixed 4.
-    ShortestQueue,
     /// Deterministic placement under an installed [`ShardPlan`]: every
     /// batch goes to its chunk's planned owner. When the owner's queue
     /// sits at its occupancy-derived in-flight limit, the dispatcher
@@ -695,22 +687,12 @@ impl DevicePool {
                 if !inner.active[i] {
                     continue;
                 }
-                let limit = match self.placement {
-                    Placement::EarliestCompletion | Placement::Planned => model.in_flight_limit,
-                    Placement::ShortestQueue => SHORTEST_QUEUE_IN_FLIGHT,
-                };
-                if inner.queues[i].len() >= limit {
+                if inner.queues[i].len() >= model.in_flight_limit {
                     continue;
                 }
                 let resident = inner.residency[i].contains(cost.token);
-                let score = match self.placement {
-                    Placement::EarliestCompletion | Placement::Planned => {
-                        inner.pending_s[i]
-                            + inner.bias[i][cost.bias_class().index()]
-                                * model.predict_s(&cost, resident)
-                    }
-                    Placement::ShortestQueue => inner.queues[i].len() as f64,
-                };
+                let score = inner.pending_s[i]
+                    + inner.bias[i][cost.bias_class().index()] * model.predict_s(&cost, resident);
                 let better = match best {
                     None => true,
                     Some((_, t, r)) => score < t || (score == t && resident && !r),
@@ -959,26 +941,6 @@ mod tests {
             "heavy batch also chose MI100 over the empty RVII queue"
         );
         assert!(second.predicted_s > first.predicted_s);
-    }
-
-    #[test]
-    fn shortest_queue_placement_ignores_device_speed() {
-        // The same two batches as the cost-aware test above, under the
-        // baseline policy: the light batch ties toward device 0 (the slower
-        // Radeon VII) and the heavy batch goes to device 1 purely by count —
-        // no batch weight, no device speed.
-        let pool = DevicePool::new(
-            vec![
-                model(&DeviceSpec::radeon_vii()),
-                model(&DeviceSpec::mi100()),
-            ],
-            Placement::ShortestQueue,
-            0,
-        );
-        pool.dispatch(batch_with(0, 512, 1));
-        pool.dispatch(batch_with(1, 8192, 8));
-        assert_eq!(pool.next(0).unwrap().batch.chunk_index, 0);
-        assert_eq!(pool.next(1).unwrap().batch.chunk_index, 1);
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! # Determinism
 //!
 //! Workers run chunk batches in whatever order scheduling and stealing
-//! produce, but every device executes with [`ExecMode::Sequential`], so the
-//! entries each `(chunk, query)` pair yields are a pure function of the
-//! inputs. Each scan position is owned by exactly one chunk, so a job's
-//! records have unique `(chromosome, position, strand)` keys and the final
-//! [`sort_canonical`] is a total normalizer: results are byte-identical to
-//! the serial pipelines no matter how batches interleave. The cached 2-bit
-//! and 4-bit payloads are lossless, and the packed/nibble finders decode
-//! them on-device into matching-equivalent bytes of what the char-path
-//! finder would have uploaded, so packing changes transfer volume, never
-//! results.
+//! produce, but every device runs a launch's work-groups in order on the
+//! calling thread, so the entries each `(chunk, query)` pair yields are a
+//! pure function of the inputs. Each scan position is owned by exactly one
+//! chunk, so a job's records have unique `(chromosome, position, strand)`
+//! keys and the final [`sort_canonical`] is a total normalizer: results are
+//! byte-identical to the serial pipelines no matter how batches interleave.
+//! The cached 2-bit and 4-bit payloads are lossless, and the packed/nibble
+//! finders decode them on-device into matching-equivalent bytes of what the
+//! char-path finder would have uploaded, so packing changes transfer
+//! volume, never results.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +28,7 @@ use cas_offinder::pipeline::chunk::{Backend, ChunkRunner, OpenCl, Sites, Sycl};
 use cas_offinder::pipeline::{entries_to_offtargets, PipelineConfig};
 use cas_offinder::{sort_canonical, Api, OffTarget, OptLevel, Query, TimingBreakdown};
 use genome::{Assembly, Chunker};
-use gpu_sim::{DeviceSpec, ExecMode};
+use gpu_sim::DeviceSpec;
 
 use crate::batcher::{group_jobs, interleave_by_owner, BatchJob, BatchKey, ChunkBatch};
 use crate::cache::{ChunkEncoding, ChunkKey, ChunkPayload, EncodedChunk, GenomeCache};
@@ -1163,7 +1163,6 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
     let pipeline_config = PipelineConfig::new(slot.spec.clone())
         .chunk_size(shared.config.chunk_size)
         .opt(shared.config.opt)
-        .exec_mode(ExecMode::Sequential)
         .resident_slots(shared.config.resident_chunks.max(1))
         .specialize(shared.config.specialize)
         .multi_guide(shared.config.multi_guide);

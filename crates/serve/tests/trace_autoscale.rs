@@ -14,7 +14,7 @@ use casoff_serve::{
 };
 use genome::rng::Xoshiro256;
 use genome::Assembly;
-use gpu_sim::{DeviceSpec, ExecMode};
+use gpu_sim::DeviceSpec;
 
 const CHUNK_SIZE: usize = 512;
 
@@ -49,9 +49,7 @@ fn serial_ocl(assembly: &Assembly, spec: &JobSpec) -> Vec<OffTarget> {
         spec.max_mismatches
     );
     let input = SearchInput::parse(&text).unwrap();
-    let config = PipelineConfig::new(DeviceSpec::mi100())
-        .chunk_size(CHUNK_SIZE)
-        .exec_mode(ExecMode::Sequential);
+    let config = PipelineConfig::new(DeviceSpec::mi100()).chunk_size(CHUNK_SIZE);
     ocl::run(assembly, &input, &config).unwrap().offtargets
 }
 

@@ -220,7 +220,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "write-only accessor")]
     fn load_through_write_only_accessor_panics() {
-        let device = Device::with_mode(DeviceSpec::mi100(), gpu_sim::ExecMode::Sequential);
+        let device = Device::new(DeviceSpec::mi100());
         let dev = device.alloc::<u32>(1).unwrap();
         let k = BadRead {
             dst: Accessor::new(dev, AccessMode::Write, 0, 1),

@@ -46,7 +46,6 @@ mod queue;
 
 pub mod selector;
 pub mod steps;
-pub mod usm;
 
 pub use accessor::{AccessMode, Accessor};
 pub use buffer::{Buffer, BufferKind};
@@ -55,4 +54,3 @@ pub use event::SyclEvent;
 pub use queue::{Handler, Queue};
 pub use selector::{DefaultSelector, DeviceSelector, GpuSelector, SpecSelector};
 pub use steps::{Step, StepLog};
-pub use usm::{UsmKind, UsmPtr};

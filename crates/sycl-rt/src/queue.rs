@@ -5,9 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use gpu_sim::executor::LaunchReport;
-use gpu_sim::{
-    timing, Device, ExecMode, ItemCtx, KernelProgram, LocalMem, NdRange, Scalar, SimClock,
-};
+use gpu_sim::{timing, Device, ItemCtx, KernelProgram, LocalMem, NdRange, Scalar, SimClock};
 
 use crate::accessor::{AccessMode, Accessor};
 use crate::buffer::Buffer;
@@ -65,23 +63,12 @@ impl Queue {
     /// Returns [`SyclException::DeviceNotFound`] when the selector matches
     /// nothing.
     pub fn new(selector: &dyn DeviceSelector) -> SyclResult<Queue> {
-        Self::with_mode(selector, ExecMode::default())
-    }
-
-    /// Create a queue whose device executes kernels with `mode`
-    /// ([`ExecMode::Sequential`] for fully deterministic runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SyclException::DeviceNotFound`] when the selector matches
-    /// nothing.
-    pub fn with_mode(selector: &dyn DeviceSelector, mode: ExecMode) -> SyclResult<Queue> {
         let spec = selector.select()?;
         let log = StepLog::new();
         log.record(Step::DeviceSelector);
         log.record(Step::Queue);
         Ok(Queue {
-            device: Device::with_mode(spec, mode),
+            device: Device::new(spec),
             clock: Arc::new(SimClock::new()),
             log,
         })
@@ -100,12 +87,6 @@ impl Queue {
     /// The queue's programming-step log.
     pub fn step_log(&self) -> &StepLog {
         &self.log
-    }
-
-    /// Advance the queue's simulated clock (used by command implementations
-    /// in sibling modules, e.g. USM memcpy).
-    pub(crate) fn advance_clock(&self, duration_s: f64) -> (f64, f64) {
-        self.clock.advance(duration_s)
     }
 
     /// Submit a command group: the closure receives a [`Handler`] and

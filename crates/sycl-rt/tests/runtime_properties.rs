@@ -1,7 +1,7 @@
 //! Seeded-random property tests of the SYCL-flavoured runtime: buffer
-//! binding, ranged accessors, handler copies, USM round-trips and clock
-//! monotonicity. Cases are drawn from `genome::rng`, so runs are
-//! deterministic and need no external property-testing crate.
+//! binding, ranged accessors, handler copies and clock monotonicity. Cases
+//! are drawn from `genome::rng`, so runs are deterministic and need no
+//! external property-testing crate.
 
 use genome::rng::Xoshiro256;
 use gpu_sim::NdRange;
@@ -78,20 +78,6 @@ fn kernels_see_exactly_the_accessor_window() {
 }
 
 #[test]
-fn usm_memcpy_roundtrips() {
-    let mut rng = Xoshiro256::seed_from_u64(0x5E4);
-    for _ in 0..32 {
-        let data: Vec<u64> = (0..rng.gen_range(1, 200)).map(|_| rng.next_u64()).collect();
-        let q = queue();
-        let ptr = q.malloc_device::<u64>(data.len()).unwrap();
-        q.memcpy_to_device(&ptr, &data).unwrap();
-        let mut back = vec![0u64; data.len()];
-        q.memcpy_to_host(&mut back, &ptr).unwrap();
-        assert_eq!(back, data);
-    }
-}
-
-#[test]
 fn clock_grows_with_every_command_group() {
     let mut rng = Xoshiro256::seed_from_u64(0x71C);
     for _ in 0..8 {
@@ -115,27 +101,5 @@ fn clock_grows_with_every_command_group() {
             last = ev.end_s();
         }
         assert_eq!(buf.to_vec(), vec![1 + groups as u32; 64]);
-    }
-}
-
-#[test]
-fn shared_usm_host_view_tracks_device_writes() {
-    let mut rng = Xoshiro256::seed_from_u64(0x05A);
-    for _ in 0..16 {
-        let v = rng.next_u64() as u32;
-        let q = queue();
-        let ptr = q.malloc_shared::<u32>(4).unwrap();
-        q.host_write(&ptr, 0, &[v; 4]).unwrap();
-        q.submit(|h| {
-            let raw = ptr.raw();
-            h.parallel_for_fn("wr", NdRange::linear(4, 4), move |item| {
-                let i = item.global_id(0);
-                let x = raw.load(item, i);
-                raw.store(item, i, x ^ 0xFFFF_FFFF);
-            })
-        })
-        .unwrap();
-        ptr.mark_device_dirty();
-        assert_eq!(q.host_read(&ptr).unwrap(), vec![v ^ 0xFFFF_FFFF; 4]);
     }
 }

@@ -9,8 +9,9 @@
 //! Three generations of the serving path are compared at the same cache
 //! byte budget and written to `BENCH_serve.json`:
 //!
-//! * **raw + shortest-queue** — the PR 2 baseline: one-byte-per-base
-//!   cache payloads, shortest-queue placement, fixed in-flight depth.
+//! * **raw baseline** — one-byte-per-base cache payloads under the same
+//!   earliest-predicted-completion placement, so it differs from the
+//!   packed path only in payload encoding.
 //! * **packed + cost-aware** — the PR 3 path: adaptive payloads (2-bit
 //!   packed, 4-bit nibbles on chunks with degenerate codes) and
 //!   earliest-predicted-completion placement, every batch still paying
@@ -76,7 +77,7 @@ use genome::rng::Xoshiro256;
 use genome::Assembly;
 use gpu_sim::isa::{compile, ResourceUsage};
 use gpu_sim::occupancy::occupancy;
-use gpu_sim::{DeviceSpec, ExecMode, NdRange};
+use gpu_sim::{DeviceSpec, NdRange};
 
 const SUBMITTERS: usize = 4;
 const CHUNK_SIZE: usize = 1 << 13;
@@ -173,9 +174,7 @@ fn guide_specs(seed: u64, assembly: &str, count: usize) -> Vec<JobSpec> {
 /// Each spec through the serial OpenCL pipeline, cross-checked against
 /// the scalar CPU search: the records every served job must equal.
 fn serial_oracle(assembly: &Assembly, specs: &[JobSpec]) -> Vec<Vec<OffTarget>> {
-    let config = PipelineConfig::new(DeviceSpec::mi100())
-        .chunk_size(CHUNK_SIZE)
-        .exec_mode(ExecMode::Sequential);
+    let config = PipelineConfig::new(DeviceSpec::mi100()).chunk_size(CHUNK_SIZE);
     specs
         .iter()
         .map(|spec| {
@@ -1225,10 +1224,9 @@ fn main() {
     };
     let packed = run("packed + cost-aware", config.clone());
     let raw = run(
-        "raw + shortest-queue baseline",
+        "raw-payload baseline",
         ServiceConfig {
             cache_encoding: ChunkEncoding::Raw,
-            placement: Placement::ShortestQueue,
             ..config.clone()
         },
     );
@@ -1550,7 +1548,7 @@ fn main() {
     );
     assert!(
         packed_jobs_per_s > raw_jobs_per_s,
-        "the packed cost-aware path must out-serve the PR 2 baseline: \
+        "the packed cost-aware path must out-serve the raw-payload baseline: \
          {packed_jobs_per_s:.0} vs {raw_jobs_per_s:.0} jobs/s"
     );
     assert!(

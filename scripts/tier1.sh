@@ -58,6 +58,21 @@ cargo run --release -p casoff-bench --bin repro -- table1
 echo "== scorecard: repro summary =="
 cargo run --release -p casoff-bench --bin repro -- summary
 
+# The simulator is deterministic, so two runs of the paper's experiments
+# print the same bytes and write the same fig2.csv. Each run works in a
+# directory of its own, so the tracked fig2.csv is left as it is.
+echo "== determinism: repro experiments twice =="
+repro="$PWD/target/release/repro"
+repro_dir=$(mktemp -d)
+for run in 1 2; do
+  mkdir "$repro_dir/$run"
+  (cd "$repro_dir/$run" \
+    && "$repro" table8 table9 table10 fig2 shares ablations > stdout.txt)
+done
+diff -r "$repro_dir/1" "$repro_dir/2" \
+  || { echo "two repro runs differ"; rm -rf "$repro_dir"; exit 1; }
+rm -rf "$repro_dir"
+
 # The demo asserts its own serving gates on the unrounded values before it
 # exits (replay result-store hits, zero char fallback on the masked
 # assembly, warm variant hits and specialization speedup, QoS fairness and
