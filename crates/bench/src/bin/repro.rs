@@ -8,11 +8,12 @@
 //! per assembly); `--chunk` the chunk size in scan positions (default 2^17).
 //! An unknown subcommand prints the usage and exits 2.
 
+use cas_offinder::{Api, OptLevel};
 use casoff_bench::experiments::{
     ablations::Ablations, fig2::Fig2, summary::Summary, table1::Table1, table10::Table10,
     table8::Table8, table9::Table9,
 };
-use casoff_bench::{paper, Runner, TextTable, Workload};
+use casoff_bench::{paper, Runner, SearchKey, TextTable, Workload};
 
 /// Every subcommand `repro` accepts; `all` runs each but `summary` and
 /// `disasm`.
@@ -66,8 +67,29 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
+/// The memoised searches the experiments in `which` read: Table VIII
+/// both APIs at the baseline, Fig. 2 every SYCL opt level (which covers
+/// Table IX and the shares), the summary all of those.
+fn searches(which: &[String]) -> Vec<SearchKey> {
+    let wants = |names: &[&str]| which.iter().any(|w| names.contains(&w.as_str()));
+    let cells = || (0..2).flat_map(|d| (0..3).map(move |g| (g, d)));
+    let mut keys = Vec::new();
+    if wants(&["all", "table8", "summary"]) {
+        keys.extend(cells().map(|(g, d)| (g, d, Api::OpenCl, OptLevel::Base)));
+    }
+    if wants(&["all", "fig2", "summary"]) {
+        keys.extend(cells().flat_map(|(g, d)| OptLevel::ALL.map(|opt| (g, d, Api::Sycl, opt))));
+    }
+    if wants(&["table8", "table9", "shares"]) {
+        keys.extend(cells().map(|(g, d)| (g, d, Api::Sycl, OptLevel::Base)));
+    }
+    if wants(&["table9"]) {
+        keys.extend(cells().map(|(g, d)| (g, d, Api::Sycl, OptLevel::Opt3)));
+    }
+    keys
+}
+
 fn shares_table(runner: &mut Runner) -> TextTable {
-    use cas_offinder::{Api, OptLevel};
     let mut t = TextTable::new(
         "Hotspot shares (§IV.B) — comparer fraction of kernel and elapsed time \
          (paper: ~98% of kernel, 50-80% of elapsed)",
@@ -99,6 +121,9 @@ fn main() {
         args.scale, args.chunk
     );
     let mut runner = Runner::new(Workload::new(args.scale), args.chunk);
+    // The searches are independent, so they run side by side before any
+    // table renders; the rendering then reads them from the cache.
+    runner.precompute(&searches(&args.which));
     println!(
         "datasets: hg19-mini {} bp ({} searchable), hg38-mini {} bp ({} searchable)\n",
         runner.workload().hg19.total_len(),

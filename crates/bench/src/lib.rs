@@ -19,6 +19,7 @@ pub mod paper;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cas_offinder::pipeline::{self, PipelineConfig};
 use cas_offinder::{Api, OptLevel, SearchInput, SearchReport};
@@ -74,13 +75,16 @@ impl Workload {
     }
 }
 
+/// One memoised search: (device, dataset, API, comparer opt level).
+pub type SearchKey = (usize, usize, Api, OptLevel);
+
 /// Runs pipelines and caches their reports, so experiments that share a
 /// configuration (e.g. Table VIII's SYCL baseline and Table IX's baseline)
 /// simulate it once.
 pub struct Runner {
     workload: Workload,
     chunk_size: usize,
-    cache: HashMap<(usize, usize, Api, OptLevel), SearchReport>,
+    cache: HashMap<SearchKey, SearchReport>,
 }
 
 impl Runner {
@@ -123,27 +127,65 @@ impl Runner {
     ) -> &SearchReport {
         let key = (device, dataset, api, opt);
         if !self.cache.contains_key(&key) {
-            let spec = Self::devices()[device].clone();
-            let config = PipelineConfig::new(spec)
-                .chunk_size(self.chunk_size)
-                .opt(opt);
-            let report = match api {
-                Api::OpenCl => pipeline::ocl::run(
-                    self.workload.dataset(dataset),
-                    &self.workload.input(dataset),
-                    &config,
-                )
-                .expect("opencl pipeline failed"),
-                Api::Sycl => pipeline::sycl::run(
-                    self.workload.dataset(dataset),
-                    &self.workload.input(dataset),
-                    &config,
-                )
-                .expect("sycl pipeline failed"),
-            };
+            let report = self.simulate(key);
             self.cache.insert(key, report);
         }
         &self.cache[&key]
+    }
+
+    /// Simulate every search in `keys` that is not cached yet, on at most
+    /// `available_parallelism` scoped threads. A search's report is a pure
+    /// function of its key, so the cache ends up holding what
+    /// [`report`](Self::report) would compute one search at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pipeline fails, as [`report`](Self::report) does.
+    pub fn precompute(&mut self, keys: &[SearchKey]) {
+        let mut todo: Vec<SearchKey> = Vec::new();
+        for key in keys {
+            if !self.cache.contains_key(key) && !todo.contains(key) {
+                todo.push(*key);
+            }
+        }
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let next = AtomicUsize::new(0);
+        let this = &*self;
+        let reports: Vec<(SearchKey, SearchReport)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads.min(todo.len()))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some(&key) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            done.push((key, this.simulate(key)));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("a search thread panicked"))
+                .collect()
+        });
+        self.cache.extend(reports);
+    }
+
+    /// Run one search.
+    fn simulate(&self, (device, dataset, api, opt): SearchKey) -> SearchReport {
+        let spec = Self::devices()[device].clone();
+        let config = PipelineConfig::new(spec)
+            .chunk_size(self.chunk_size)
+            .opt(opt);
+        let (assembly, input) = (self.workload.dataset(dataset), self.workload.input(dataset));
+        match api {
+            Api::OpenCl => {
+                pipeline::ocl::run(assembly, &input, &config).expect("opencl pipeline failed")
+            }
+            Api::Sycl => {
+                pipeline::sycl::run(assembly, &input, &config).expect("sycl pipeline failed")
+            }
+        }
     }
 }
 
@@ -237,6 +279,28 @@ mod tests {
         let b = r.report(2, 0, Api::Sycl, OptLevel::Base).timing.elapsed_s;
         assert_eq!(a, b);
         assert_eq!(r.cache.len(), before);
+    }
+
+    #[test]
+    fn precomputed_searches_equal_one_at_a_time_reports() {
+        let keys = [
+            (2, 0, Api::Sycl, OptLevel::Base),
+            (0, 0, Api::OpenCl, OptLevel::Base),
+            (2, 0, Api::Sycl, OptLevel::Base),
+        ];
+        let mut parallel = Runner::new(Workload::new(0.002), 1 << 14);
+        parallel.precompute(&keys);
+        assert_eq!(parallel.cache.len(), 2, "duplicates run once");
+        let mut serial = Runner::new(Workload::new(0.002), 1 << 14);
+        for (g, d, api, opt) in keys {
+            let (a, b) = (
+                serial.report(g, d, api, opt),
+                &parallel.cache[&(g, d, api, opt)],
+            );
+            assert_eq!(a.offtargets, b.offtargets);
+            assert_eq!(a.timing.elapsed_s.to_bits(), b.timing.elapsed_s.to_bits());
+            assert_eq!(a.timing.comparer_s.to_bits(), b.timing.comparer_s.to_bits());
+        }
     }
 
     #[test]

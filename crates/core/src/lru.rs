@@ -112,11 +112,13 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Insert `value` as the most recently used entry, replacing any entry
     /// under `key`, after evicting least recently used entries until
-    /// `weight` fits the budget (or nothing is left to evict).
-    pub fn insert(&mut self, key: K, value: V, weight: usize) {
+    /// `weight` fits the budget (or nothing is left to evict). Returns the
+    /// evicted values, for owners that must release what they hold.
+    pub fn insert(&mut self, key: K, value: V, weight: usize) -> Vec<V> {
         if let Some(old) = self.map.remove(&key) {
             self.stats.resident_bytes -= old.weight;
         }
+        let mut evicted = Vec::new();
         while !self.map.is_empty() && self.stats.resident_bytes + weight > self.budget {
             // O(len) scan; resident counts stay small by construction.
             let lru = self
@@ -125,9 +127,10 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(k, _)| k.clone())
                 .expect("the map is not empty");
-            let evicted = self.map.remove(&lru).expect("the key was just found");
-            self.stats.resident_bytes -= evicted.weight;
+            let slot = self.map.remove(&lru).expect("the key was just found");
+            self.stats.resident_bytes -= slot.weight;
             self.stats.evictions += 1;
+            evicted.push(slot.value);
         }
         self.tick += 1;
         self.map.insert(
@@ -140,6 +143,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         );
         self.stats.resident_bytes += weight;
         self.stats.inserts += 1;
+        evicted
     }
 
     /// Current counters.
@@ -148,6 +152,12 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             len: self.map.len(),
             ..self.stats
         }
+    }
+
+    /// Every resident value, in no particular order, for owners that must
+    /// release what they hold.
+    pub fn into_values(self) -> Vec<V> {
+        self.map.into_values().map(|slot| slot.value).collect()
     }
 }
 
@@ -351,9 +361,12 @@ mod tests {
             check_against_model(seed, 3, 1);
         }
         let mut lru = Lru::new(2);
-        for key in 0..3 {
-            lru.insert(key, key, 1);
-        }
+        let evicted: Vec<Vec<u64>> = (0..3).map(|key| lru.insert(key, key, 1)).collect();
+        assert_eq!(
+            evicted,
+            [vec![], vec![], vec![0]],
+            "insert hands back what it evicts"
+        );
         assert_eq!(lru.stats().len, 2);
         assert_eq!(lru.stats().evictions, 1);
         assert!(lru.peek(&0).is_none(), "the oldest went first");

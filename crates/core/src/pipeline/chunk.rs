@@ -22,10 +22,17 @@
 //! list, or replay a captured list), plus an upload-only `prefetch`.
 //! `run_chunk` is the fresh raw run the serial pipelines make.
 //!
+//! One runner serves every PAM pattern on its device. The pattern-specific
+//! device state (pattern tables, the specialized PAM finder) is built on a
+//! pattern's first use; query tables name the pattern they were prepared
+//! for. Resident payloads are keyed by the caller's token for the chunk
+//! *content*, so every pattern whose chunks share that content shares one
+//! resident copy.
+//!
 //! A run is three steps. *Stage* uploads the payload or reuses its resident
 //! copy (backend). *Find* launches the backend's finder, or stages a
-//! replayed list unless the same list is still staged under the token
-//! (runner). *Compare* is the runner's guide-block loop: one backend
+//! replayed list unless the same pattern's list is still staged under the
+//! token (runner). *Compare* is the runner's guide-block loop: one backend
 //! launch per query, or one fused launch per block of guides on a
 //! multi-guide runner, demultiplexed into per-query entries.
 //!
@@ -36,7 +43,7 @@
 
 use gpu_sim::kernel::{KernelProgram, LocalLayout};
 use gpu_sim::profile::Profile;
-use gpu_sim::{Device, DeviceBuffer, NdRange, TrafficSnapshot};
+use gpu_sim::{Device, DeviceBuffer, NdRange, Scalar, TrafficSnapshot};
 use opencl_rt::{
     ClBuffer, ClDeviceId, ClKernelFunction, ClResult, CommandQueue, Context, Kernel, KernelArg,
     KernelSource, MemFlags, Program,
@@ -61,6 +68,7 @@ use crate::kernels::{
     Launcher, MultiComparerOutput, NibbleFinderKernel, OptLevel, PackedFinderKernel,
     SpecializedNibbleFinderKernel, Staged as StagedGuide, GUIDE_BLOCK,
 };
+use crate::lru::Lru;
 use crate::pattern::CompiledSeq;
 use crate::report::TimingBreakdown;
 
@@ -156,8 +164,8 @@ pub enum Sites<'a> {
     /// `timing.finder_launches_skipped`) and compare against a list
     /// captured from an earlier run over the same chunk content and PAM
     /// pattern. A replay needs the run's residency token: the list is
-    /// tracked under it, and a list still staged under the token is not
-    /// uploaded again.
+    /// tracked under it and the run's pattern, and a list still staged
+    /// under both is not uploaded again.
     Replay(&'a CandidateSites),
 }
 
@@ -239,73 +247,83 @@ impl<R, P, N> Staged<R, P, N> {
     }
 }
 
-/// Token-keyed residency, most recently used first. It ages OpenCL's
-/// preallocated slots, SYCL's retained buffers and both APIs' staged
-/// candidate lists.
-struct Lru<T> {
-    entries: RefCell<Vec<(Option<u64>, T)>>,
-    cap: usize,
-    /// Whether a token-less value still takes a slot. It does in
-    /// preallocated scratch, whose slot it overwrites; a per-run buffer is
-    /// only retained under a token.
-    untagged: bool,
+/// The key of a resident entry: the caller's residency token, or a fresh
+/// anonymous tag for a token-less value that still takes a slot — one no
+/// later lookup can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Tag {
+    Token(u64),
+    Anon(u64),
 }
 
-impl<T: Clone> Lru<T> {
-    fn new(cap: usize, untagged: bool) -> Self {
-        Lru {
-            entries: RefCell::new(Vec::new()),
-            cap,
-            untagged,
+/// Device-resident values by residency token, least recently used evicted
+/// first. Each value is one [`Lru`] entry of weight 1, so a runner's
+/// `resident_slots` counts entries, while each entry holds buffers sized to
+/// its own payload. It keeps OpenCL's 2-bit and 4-bit payloads, SYCL's
+/// retained buffers and both APIs' staged candidate lists, which `K` keys
+/// by pattern as well.
+struct Store<K, V> {
+    lru: RefCell<Lru<(Tag, K), V>>,
+    anon: Cell<u64>,
+}
+
+impl<K: Copy + Eq + Hash, V: Clone> Store<K, V> {
+    fn new(slots: usize) -> Self {
+        Store {
+            lru: RefCell::new(Lru::new(slots)),
+            anon: Cell::new(0),
         }
     }
 
-    /// Remove and return the value under `token` (a token-less value is
-    /// never found).
-    fn take(&self, token: Option<u64>) -> Option<T> {
-        let mut l = self.entries.borrow_mut();
-        let i = l.iter().position(|(t, _)| t.is_some() && *t == token)?;
-        Some(l.remove(i).1)
+    /// The value under `token` and `k`, made most recently used.
+    fn get(&self, token: u64, k: K) -> Option<V> {
+        let mut lru = self.lru.borrow_mut();
+        lru.get(&(Tag::Token(token), k)).cloned()
     }
 
-    /// Retain `value` under `token` as the most recently used entry,
-    /// dropping the least recently used beyond capacity.
-    fn put(&self, token: Option<u64>, value: T) {
-        if token.is_some() || self.untagged {
-            let mut l = self.entries.borrow_mut();
-            l.insert(0, (token, value));
-            l.truncate(self.cap);
-        }
+    /// Retain `value` under `token` and `k` as the most recently used
+    /// entry (a token-less value under a fresh anonymous tag); returns the
+    /// values evicted to make room.
+    fn put(&self, token: Option<u64>, k: K, value: V) -> Vec<V> {
+        let tag = token.map_or_else(
+            || {
+                let n = self.anon.get();
+                self.anon.set(n + 1);
+                Tag::Anon(n)
+            },
+            Tag::Token,
+        );
+        self.lru.borrow_mut().insert((tag, k), value, 1)
     }
 
-    /// The value resident under `token` (a hit: `true`), else `miss`'s —
-    /// retained under `token` either way.
-    fn claim(&self, token: Option<u64>, miss: impl FnOnce() -> T) -> (T, bool) {
-        let hit = self.take(token);
-        let reused = hit.is_some();
-        let value = hit.unwrap_or_else(miss);
-        self.put(token, value.clone());
-        (value, reused)
+    /// Every resident value, for release.
+    fn into_values(self) -> Vec<V> {
+        self.lru.into_inner().into_values()
     }
 }
 
-impl Lru<usize> {
-    /// `n` preallocated slot indices, claimed least recently used first
-    /// (slot 0 first).
-    fn slots(n: usize) -> Self {
-        let lru = Lru::new(n, true);
-        lru.entries
-            .borrow_mut()
-            .extend((0..n).rev().map(|i| (None, i)));
-        lru
-    }
-
-    /// The slot holding `token`, else the least recently used one, retagged.
-    fn claim_slot(&self, token: Option<u64>) -> (usize, bool) {
-        self.claim(token, || {
-            let lru = self.entries.borrow_mut().pop();
-            lru.expect("a runner always has at least one slot").1
-        })
+impl<V: Clone> Store<(), V> {
+    /// The payload resident under `token` (a hit: `true`), else the one
+    /// `upload` makes, retained as the most recently used entry — a
+    /// token-less one only when `keep_untagged` — with the evicted payloads
+    /// handed to `release`.
+    fn claim<E>(
+        &self,
+        token: Option<u64>,
+        keep_untagged: bool,
+        upload: impl FnOnce() -> Result<V, E>,
+        release: impl FnMut(V),
+    ) -> Result<(V, bool), E> {
+        if let Some(value) = token.and_then(|t| self.get(t, ())) {
+            return Ok((value, true));
+        }
+        let value = upload()?;
+        if token.is_some() || keep_untagged {
+            self.put(token, (), value.clone())
+                .into_iter()
+                .for_each(release);
+        }
+        Ok((value, false))
     }
 }
 
@@ -349,6 +367,9 @@ pub struct FusedBlock {
 pub trait Backend: Sized {
     /// The runtime's error: OpenCL error codes or SYCL exceptions.
     type Error: std::fmt::Debug;
+    /// Device state of one PAM pattern: its tables and the kernels that
+    /// fold it.
+    type Pattern;
     /// Device side of the per-query comparer tables.
     type Tables;
     /// A staged payload: handles on the device buffers holding it.
@@ -360,8 +381,14 @@ pub trait Backend: Sized {
     /// rather than per-run buffers a token retains.
     const SHARED_CANDIDATES: bool;
 
-    /// Set the runtime up for `pattern` on `config`'s device.
-    fn new(config: &PipelineConfig, pattern: CompiledSeq) -> Result<Self, Self::Error>;
+    /// Set the runtime up on `config`'s device, with scratch for patterns
+    /// of up to `plen` bases.
+    fn new(config: &PipelineConfig, plen: usize) -> Result<Self, Self::Error>;
+    /// Build the device state of `pattern`, growing the scratch its length
+    /// needs.
+    fn pattern(&self, pattern: CompiledSeq) -> Result<Self::Pattern, Self::Error>;
+    /// Release a pattern's device state.
+    fn release_pattern(pattern: Self::Pattern);
     /// Upload the generic comparer tables of `queries` (none when the
     /// comparers fold or fuse them).
     fn prepare(&self, queries: &[CompiledSeq]) -> Result<Self::Tables, Self::Error>;
@@ -377,10 +404,11 @@ pub trait Backend: Sized {
     ) -> Result<(Self::Staged, bool), Self::Error>;
     /// Move a freshly staged payload onto the device without a launch.
     fn bind(&self, staged: &Self::Staged) -> Result<(), Self::Error>;
-    /// Launch the finder flavour of the staged encoding; returns the
-    /// candidate list, its length and the kernel time.
+    /// Launch `pattern`'s finder flavour of the staged encoding; returns
+    /// the candidate list, its length and the kernel time.
     fn find(
         &self,
+        pattern: &Self::Pattern,
         staged: &Self::Staged,
         p: Payload<'_>,
         scan_len: usize,
@@ -405,6 +433,7 @@ pub trait Backend: Sized {
     #[allow(clippy::too_many_arguments)]
     fn compare(
         &self,
+        pattern: &Self::Pattern,
         staged: &Self::Staged,
         cands: &Self::Cands,
         n: usize,
@@ -423,10 +452,11 @@ pub trait Backend: Sized {
     fn release(self);
 }
 
-/// Per-query comparer tables: each query's compiled two-strand sequence
-/// (the fold and fusion input), its mismatch threshold, and the backend's
-/// device tables.
+/// Per-query comparer tables: the pattern they were prepared for, each
+/// query's compiled two-strand sequence (the fold and fusion input), its
+/// mismatch threshold, and the backend's device tables.
 pub struct QueryTables<B: Backend> {
+    pattern: usize,
     compiled: Vec<CompiledSeq>,
     thresholds: Vec<u16>,
     dev: B::Tables,
@@ -449,17 +479,27 @@ impl<B: Backend> QueryTables<B> {
     }
 }
 
+/// A pattern a runner has run, with its device state.
+struct PatternState<P> {
+    seq: Vec<u8>,
+    dev: P,
+}
+
 /// The chunk-level runner over one backend: owns the capacity contract,
-/// the staged candidate lists and the guide-block comparer loop, for chunks
-/// of up to `chunk_size` owned positions.
+/// the per-pattern device state, the staged candidate lists and the
+/// guide-block comparer loop, for chunks of up to `chunk_size` owned
+/// positions.
 pub struct ChunkRunner<B: Backend> {
     b: B,
-    plen: usize,
     cap: usize,
     specialize: bool,
     multi_guide: bool,
-    /// Candidate lists staged under a residency token, with their lengths.
-    cands: Lru<(usize, B::Cands)>,
+    /// Every pattern run so far, in first-use order: the construction
+    /// pattern first.
+    patterns: RefCell<Vec<PatternState<B::Pattern>>>,
+    /// Candidate lists staged under a residency token for a pattern (by
+    /// index), with their lengths.
+    cands: Store<usize, (usize, B::Cands)>,
 }
 
 /// The OpenCL chunk runner.
@@ -472,38 +512,55 @@ pub type OclQueryTables = QueryTables<OpenCl>;
 pub type SyclQueryTables = QueryTables<Sycl>;
 
 impl<B: Backend> ChunkRunner<B> {
-    /// Build the runner for `pattern_seq` on `config`'s device: on OpenCL
-    /// steps 1-8 of Table I plus the step-5 scratch allocations, on SYCL
-    /// the selector, queue and constant pattern tables.
+    /// Build the runner on `config`'s device with `pattern_seq` as its
+    /// first pattern: on OpenCL steps 1-8 of Table I plus the step-5
+    /// scratch allocations, on SYCL the selector, queue and constant
+    /// pattern tables.
     ///
     /// # Errors
     ///
     /// Propagates runtime failures (context, build, allocation).
     pub fn new(config: &PipelineConfig, pattern_seq: &[u8]) -> Result<Self, B::Error> {
-        let pattern = CompiledSeq::compile(pattern_seq);
         let slots = if B::SHARED_CANDIDATES {
             1
         } else {
             config.resident_slots.max(1)
         };
-        Ok(ChunkRunner {
-            plen: pattern.plen(),
+        let runner = ChunkRunner {
             cap: config.chunk_size,
             specialize: config.specialize,
             multi_guide: config.multi_guide,
-            cands: Lru::new(slots, B::SHARED_CANDIDATES),
-            b: B::new(config, pattern)?,
-        })
+            patterns: RefCell::new(Vec::new()),
+            cands: Store::new(slots),
+            b: B::new(config, pattern_seq.len())?,
+        };
+        runner.pattern_index(pattern_seq)?;
+        Ok(runner)
     }
 
-    /// Pattern length (PAM window) the runner was compiled for.
+    /// Pattern length (PAM window) of the runner's first pattern.
     pub fn plen(&self) -> usize {
-        self.plen
+        self.patterns.borrow()[0].seq.len()
     }
 
-    /// Compile `queries` and upload the tables their comparers read; the
-    /// tables can be reused across every chunk of a search.
-    pub(super) fn tables(&self, queries: &[Query]) -> Result<QueryTables<B>, B::Error> {
+    /// Index of `seq` among the runner's patterns, building its device
+    /// state on first use.
+    fn pattern_index(&self, seq: &[u8]) -> Result<usize, B::Error> {
+        let known = self.patterns.borrow().iter().position(|p| p.seq == seq);
+        if let Some(i) = known {
+            return Ok(i);
+        }
+        let dev = self.b.pattern(CompiledSeq::compile(seq))?;
+        let mut patterns = self.patterns.borrow_mut();
+        let seq = seq.to_vec();
+        patterns.push(PatternState { seq, dev });
+        Ok(patterns.len() - 1)
+    }
+
+    /// Compile `queries` and upload the tables their comparers read, for
+    /// the pattern at `pattern`; the tables can be reused across every
+    /// chunk of a search.
+    fn tables_at(&self, pattern: usize, queries: &[Query]) -> Result<QueryTables<B>, B::Error> {
         let compile = |q: &Query| CompiledSeq::compile(&q.seq);
         let compiled: Vec<_> = queries.iter().map(compile).collect();
         // Specialized comparers fold the compiled sequence into the kernel
@@ -516,10 +573,30 @@ impl<B: Backend> ChunkRunner<B> {
             &compiled[..]
         };
         Ok(QueryTables {
+            pattern,
             dev: self.b.prepare(generic)?,
             thresholds: queries.iter().map(|q| q.max_mismatches).collect(),
             compiled,
         })
+    }
+
+    /// Query tables for the runner's first pattern.
+    pub(super) fn tables(&self, queries: &[Query]) -> Result<QueryTables<B>, B::Error> {
+        self.tables_at(0, queries)
+    }
+
+    /// Compile `queries` and upload their comparer tables for runs under
+    /// `pattern`, building the pattern's device state on its first use.
+    ///
+    /// # Errors
+    ///
+    /// Propagates runtime failures.
+    pub fn tables_for(
+        &self,
+        pattern: &[u8],
+        queries: &[Query],
+    ) -> Result<QueryTables<B>, B::Error> {
+        self.tables_at(self.pattern_index(pattern)?, queries)
     }
 
     /// Run one finder→comparer interaction on raw `seq` with no residency:
@@ -551,17 +628,17 @@ impl<B: Backend> ChunkRunner<B> {
         run.map(|run| run.per_query)
     }
 
-    /// Run one finder→comparer interaction on payload `p`.
+    /// Run one finder→comparer interaction on payload `p` under the
+    /// pattern `tables` were prepared for.
     ///
     /// With a `token`, the backend keeps the payload resident; a later run
-    /// under the same token skips the upload (recorded on the device as
-    /// skipped h2d traffic) and reports `reused`. OpenCL keeps raw bases in
-    /// its `chr` scratch (which the decoding finders overwrite) and 2-bit
-    /// and 4-bit payloads in the least-recently-used of `resident_slots`
-    /// preallocated slots; SYCL retains the still-bound buffers of the last
-    /// `resident_slots` tokens per encoding. The token is the *caller's*
-    /// identity for the chunk content — two different chunks must never
-    /// share one.
+    /// under the same token, for any pattern, skips the upload (recorded on
+    /// the device as skipped h2d traffic) and reports `reused`. OpenCL
+    /// keeps raw bases in its `chr` scratch (which the decoding finders
+    /// overwrite); otherwise each API keeps, per encoding, the payloads of
+    /// its `resident_slots` most recently used tokens, in buffers sized to
+    /// each payload. The token is the *caller's* identity for the chunk
+    /// content — two different chunks must never share one.
     ///
     /// A 2-bit run decodes on-device in its finder and compares directly on
     /// the packed words; a 4-bit run does the same on the nibbles, which
@@ -588,15 +665,18 @@ impl<B: Backend> ChunkRunner<B> {
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> Result<ChunkRun, B::Error> {
-        self.assert_fits(p, scan_len);
+        let patterns = self.patterns.borrow();
+        let pattern = &patterns[tables.pattern];
+        self.assert_fits(p, scan_len, pattern.seq.len());
         p.assert_compare_safe();
         let (staged, reused) = self.b.stage(p, token, timing)?;
         if reused {
             self.b.device().record_h2d_skipped(p.upload_bytes());
         }
+        let at = (tables.pattern, pattern);
         let (cands, n, captured) =
-            self.find(&staged, p, scan_len, token, sites, timing, profile)?;
-        let per_query = self.compare(&staged, p, &cands, n, tables, timing, profile)?;
+            self.find(at, &staged, p, scan_len, token, sites, timing, profile)?;
+        let per_query = self.compare(pattern, &staged, p, &cands, n, tables, timing, profile)?;
         Ok(ChunkRun {
             per_query,
             reused,
@@ -604,8 +684,8 @@ impl<B: Backend> ChunkRunner<B> {
         })
     }
 
-    /// [`run`](Self::run) against freshly prepared tables for `queries`,
-    /// released afterwards.
+    /// [`run`](Self::run) under `pattern` against freshly prepared tables
+    /// for `queries`, released afterwards.
     ///
     /// # Errors
     ///
@@ -613,6 +693,7 @@ impl<B: Backend> ChunkRunner<B> {
     #[allow(clippy::too_many_arguments)]
     pub fn run_queries(
         &self,
+        pattern: &[u8],
         p: Payload<'_>,
         scan_len: usize,
         token: Option<u64>,
@@ -621,7 +702,7 @@ impl<B: Backend> ChunkRunner<B> {
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> Result<ChunkRun, B::Error> {
-        let tables = self.tables(queries)?;
+        let tables = self.tables_for(pattern, queries)?;
         let run = self.run(p, scan_len, token, sites, &tables, timing, profile)?;
         tables.release();
         Ok(run)
@@ -640,9 +721,11 @@ impl<B: Backend> ChunkRunner<B> {
     ///
     /// # Panics
     ///
-    /// Panics if the chunk exceeds the runner's configured capacity.
+    /// Panics if the chunk exceeds the runner's capacity for the longest
+    /// pattern it has run.
     pub fn prefetch(&self, token: u64, p: Payload<'_>) -> Result<bool, B::Error> {
-        self.assert_fits(p, 0);
+        let longest = self.patterns.borrow().iter().map(|s| s.seq.len()).max();
+        self.assert_fits(p, 0, longest.unwrap_or(0));
         let (staged, reused) = self
             .b
             .stage(p, Some(token), &mut TimingBreakdown::default())?;
@@ -654,9 +737,9 @@ impl<B: Backend> ChunkRunner<B> {
 
     /// The capacity contract: a chunk holds at most `chunk_size` scanned
     /// positions plus `plen` context bases.
-    fn assert_fits(&self, p: Payload<'_>, scan_len: usize) {
+    fn assert_fits(&self, p: Payload<'_>, scan_len: usize, plen: usize) {
         assert!(
-            p.seq_len() <= self.cap + self.plen && scan_len <= self.cap,
+            p.seq_len() <= self.cap + plen && scan_len <= self.cap,
             "chunk ({} bases, {scan_len} scanned) exceeds runner capacity {}",
             p.seq_len(),
             self.cap
@@ -664,12 +747,13 @@ impl<B: Backend> ChunkRunner<B> {
     }
 
     /// Produce the candidate list and its length (plus the read-back list
-    /// under [`Sites::Capture`]): launch the finder, or stage a replayed
-    /// list — skipping even that upload when the same list is still staged
-    /// under the token from an earlier run.
+    /// under [`Sites::Capture`]): launch the pattern's finder, or stage a
+    /// replayed list — skipping even that upload when the same pattern's
+    /// list is still staged under the token from an earlier run.
     #[allow(clippy::too_many_arguments)]
     fn find(
         &self,
+        (index, pattern): (usize, &PatternState<B::Pattern>),
         staged: &B::Staged,
         p: Payload<'_>,
         scan_len: usize,
@@ -684,21 +768,26 @@ impl<B: Backend> ChunkRunner<B> {
             self.b.device().record_launch_skipped();
             timing.finder_launches_skipped += 1;
             timing.candidates += n as u64;
-            let cands = match self.cands.take(Some(token)) {
+            let cands = match self.cands.get(token, index) {
                 Some((len, cands)) if len == n => {
                     self.b.device().record_h2d_skipped(list.byte_len() as u64);
                     cands
                 }
                 _ => self.b.upload_cands(list, timing)?,
             };
-            self.cands.put(Some(token), (n, cands.clone()));
+            self.cands.put(Some(token), index, (n, cands.clone()));
             return Ok((cands, n, None));
         }
-        let (cands, n, kernel_s) = self.b.find(staged, p, scan_len, timing, profile)?;
+        let found = self
+            .b
+            .find(&pattern.dev, staged, p, scan_len, timing, profile)?;
+        let (cands, n, kernel_s) = found;
         timing.finder_s += kernel_s;
         timing.finder_launches += 1;
         timing.candidates += n as u64;
-        self.cands.put(token, (n, cands.clone()));
+        if token.is_some() || B::SHARED_CANDIDATES {
+            self.cands.put(token, index, (n, cands.clone()));
+        }
         if !matches!(sites, Sites::Capture) {
             return Ok((cands, n, None));
         }
@@ -723,6 +812,7 @@ impl<B: Backend> ChunkRunner<B> {
     #[allow(clippy::too_many_arguments)]
     fn compare(
         &self,
+        pattern: &PatternState<B::Pattern>,
         staged: &B::Staged,
         p: Payload<'_>,
         cands: &B::Cands,
@@ -752,9 +842,16 @@ impl<B: Backend> ChunkRunner<B> {
                 let folded = self.specialize.then(|| p.comparer_kind());
                 Launch::Serial { qi: start, folded }
             };
-            let (kernel_s, entries) = self
-                .b
-                .compare(staged, cands, n, launch, tables, timing, profile)?;
+            let (kernel_s, entries) = self.b.compare(
+                &pattern.dev,
+                staged,
+                cands,
+                n,
+                launch,
+                tables,
+                timing,
+                profile,
+            )?;
             timing.comparer_s += kernel_s;
             timing.comparer_launches += 1;
             timing.fused_launches += usize::from(fused);
@@ -789,15 +886,18 @@ impl<B: Backend> ChunkRunner<B> {
     /// Release every owned object: step 13 on OpenCL, implicit release on
     /// SYCL.
     pub fn release(self) {
+        for pattern in self.patterns.into_inner() {
+            B::release_pattern(pattern.dev);
+        }
         self.b.release();
     }
 }
 
 impl ChunkRunner<OpenCl> {
-    /// Upload the comparer tables for `queries`: two real
-    /// `clEnqueueWriteBuffer` transfers per query, unless the runner
-    /// specializes or fuses; the tables can be reused across every chunk
-    /// of a search.
+    /// Upload the comparer tables for `queries` under the runner's first
+    /// pattern: two real `clEnqueueWriteBuffer` transfers per query, unless
+    /// the runner specializes or fuses; the tables can be reused across
+    /// every chunk of a search.
     ///
     /// # Errors
     ///
@@ -819,9 +919,9 @@ impl ChunkRunner<OpenCl> {
 }
 
 impl ChunkRunner<Sycl> {
-    /// Prepare the comparer tables for `queries`; their buffers upload
-    /// implicitly when a comparer binds them. The tables can be reused
-    /// across every chunk of a search.
+    /// Prepare the comparer tables for `queries` under the runner's first
+    /// pattern; their buffers upload implicitly when a comparer binds them.
+    /// The tables can be reused across every chunk of a search.
     pub fn prepare_queries(&self, queries: &[Query]) -> SyclQueryTables {
         self.tables(queries)
             .expect("SYCL table buffers upload on first bind, so preparing cannot fail")
@@ -835,26 +935,68 @@ impl ChunkRunner<Sycl> {
 }
 
 /// Device side of a 2-bit payload: packed words, N-mask and the exception
-/// arrays the packed finder patches in. (A nibble slot is the nibble words
-/// alone — case and host exceptions never affect matching.)
-struct PackedBufs {
+/// arrays the packed finder patches in, each sized to the payload. (A
+/// nibble payload is the nibble words alone — case and host exceptions
+/// never affect matching.)
+#[derive(Clone)]
+pub struct PackedBufs {
     packed: ClBuffer<u8>,
     mask: ClBuffer<u8>,
     exc_pos: ClBuffer<u32>,
     exc_val: ClBuffer<u8>,
 }
 
-/// What an OpenCL run staged: the `chr` scratch, or a resident slot index.
-type OclStaged = Staged<(), usize, usize>;
+impl PackedBufs {
+    /// Step 5 at the payload's own size, then step 11 (host->device). The
+    /// simulator rejects zero-length allocations, so a chunk without
+    /// exceptions gets one-element exception arrays that its exception
+    /// count keeps the finder from reading, and uploads none.
+    fn upload(
+        ctx: &Context,
+        q: &CommandQueue,
+        packed: &PackedSeq,
+        timing: &mut TimingBreakdown,
+    ) -> ClResult<Self> {
+        let ro = MemFlags::ReadOnly;
+        let exc = packed.exceptions().len().max(1);
+        let b = PackedBufs {
+            packed: ClBuffer::create(ctx, ro, packed.packed_bytes().len())?,
+            mask: ClBuffer::create(ctx, ro, packed.mask_bytes().len())?,
+            exc_pos: ClBuffer::create(ctx, ro, exc)?,
+            exc_val: ClBuffer::create(ctx, ro, exc)?,
+        };
+        let w1 = q.enqueue_write_buffer(&b.packed, true, 0, packed.packed_bytes())?;
+        let w2 = q.enqueue_write_buffer(&b.mask, true, 0, packed.mask_bytes())?;
+        timing.transfer_s += w1.duration_s() + w2.duration_s();
+        if !packed.exceptions().is_empty() {
+            let (pos, val) = packed.exception_arrays();
+            let e1 = q.enqueue_write_buffer(&b.exc_pos, true, 0, &pos)?;
+            let e2 = q.enqueue_write_buffer(&b.exc_val, true, 0, &val)?;
+            timing.transfer_s += e1.duration_s() + e2.duration_s();
+        }
+        Ok(b)
+    }
+
+    fn release(self) {
+        self.packed.release();
+        self.mask.release();
+        self.exc_pos.release();
+        self.exc_val.release();
+    }
+}
+
+/// What an OpenCL run staged: the `chr` scratch, or a resident payload.
+type OclStaged = Staged<(), PackedBufs, ClBuffer<u8>>;
 
 /// Device-side machinery of the fused multi-guide comparer path: the three
 /// generic `comparer_multi*` kernels plus scratch sized for one block of up
-/// to [`GUIDE_BLOCK`] guides and the guide tags of its compacted output.
+/// to [`GUIDE_BLOCK`] guides of the longest pattern and the guide tags of
+/// its compacted output.
 struct MultiScratch {
     /// `comparer_multi`, `comparer_multi_2bit`, `comparer_multi_4bit`.
     kernels: [Kernel; 3],
-    comp: ClBuffer<u8>,
-    comp_index: ClBuffer<i32>,
+    comp: RefCell<ClBuffer<u8>>,
+    comp_index: RefCell<ClBuffer<i32>>,
     thresholds: ClBuffer<u16>,
     guide: ClBuffer<u16>,
 }
@@ -866,6 +1008,19 @@ struct MultiScratch {
 pub struct OclTables {
     bufs: Vec<(ClBuffer<u8>, ClBuffer<i32>)>,
     spec_kernels: RefCell<HashMap<(usize, VariantKind), (Program, Kernel)>>,
+}
+
+/// OpenCL device state of one PAM pattern.
+pub struct OclPattern {
+    pattern: CompiledSeq,
+    pat: ClBuffer<u8>,
+    pat_index: ClBuffer<i32>,
+    /// The nibble finder folding the pattern, as a one-kernel program,
+    /// when the runner specializes: it scans the nibble words directly.
+    nibble_finder: Option<(Program, Kernel)>,
+    /// Lazily built specialized fused programs, keyed by (encoding, shared
+    /// block threshold).
+    spec_multi_kernels: RefCell<HashMap<(usize, u16), (Program, Kernel)>>,
 }
 
 /// Fetch the kernel cached under `key`, building its program on first use.
@@ -880,34 +1035,37 @@ fn cached<K: Hash + Eq>(
     })
 }
 
+/// Release the programs and kernels of a one-kernel program cache.
+fn release_programs<K>(programs: impl IntoIterator<Item = (K, (Program, Kernel))>) {
+    for (_, (program, kernel)) in programs {
+        kernel.release();
+        program.release();
+    }
+}
+
 /// The OpenCL backend: the 13-step machinery of Table I (context, queue,
 /// one program holding every generic kernel) plus scratch preallocated for
 /// chunks of up to `chunk_size` owned positions and reused by every run.
-/// Kernels are bound positionally with `set_arg` through
-/// [`crate::kernels::cl`].
+/// Resident 2-bit and 4-bit payloads are allocated at their own size when
+/// they miss and released when evicted. Kernels are bound positionally with
+/// `set_arg` through [`crate::kernels::cl`].
 pub struct OpenCl {
     ctx: Context,
     queue: CommandQueue,
     program: Program,
     /// `finder`, `finder_packed` and `finder_nibble`, in [`Staged`] order.
-    /// A specializing runner's nibble finder is the variant folding the
-    /// PAM pattern, known at construction: it lives in the main program
-    /// and scans the nibble words directly.
     finders: [Kernel; 3],
     /// `comparer`, `comparer_2bit`, `comparer_4bit`, in [`Staged`] order.
     comparers: [Kernel; 3],
     specialize: bool,
-    pattern: CompiledSeq,
-    /// Decoded bases, shared by raw uploads and every decoding finder;
-    /// `chr_token` names the raw payload it still holds.
-    chr: ClBuffer<u8>,
+    cap: usize,
+    /// Decoded bases for chunks of the longest pattern so far, shared by
+    /// raw uploads and every decoding finder; `chr_token` names the raw
+    /// payload it still holds.
+    chr: RefCell<ClBuffer<u8>>,
     chr_token: Cell<Option<u64>>,
-    packed: Vec<PackedBufs>,
-    packed_slots: Lru<usize>,
-    nibbles: Vec<ClBuffer<u8>>,
-    nibble_slots: Lru<usize>,
-    pat: ClBuffer<u8>,
-    pat_index: ClBuffer<i32>,
+    packed: Store<(), PackedBufs>,
+    nibbles: Store<(), ClBuffer<u8>>,
     loci: ClBuffer<u32>,
     flags: ClBuffer<u8>,
     fcount: ClBuffer<u32>,
@@ -920,33 +1078,49 @@ pub struct OpenCl {
     /// Fused multi-guide machinery, present when the runner is built with
     /// [`PipelineConfig::multi_guide`].
     multi: Option<MultiScratch>,
-    /// Lazily built specialized fused programs, keyed by (encoding,
-    /// shared block threshold) — the folded PAM pattern is fixed per
-    /// runner, so it does not participate in the key.
-    spec_multi_kernels: RefCell<HashMap<(usize, u16), (Program, Kernel)>>,
     lws: Option<usize>,
     rounding: usize,
 }
 
 impl OpenCl {
-    /// Build a one-kernel program around the specialized comparer — per
-    /// query, or `fused` — over the staged encoding, folding `variant`.
-    /// Specialized kernels embed data the shared program cannot.
+    /// Replace the scratch in `buf` with `len` fresh elements when it is
+    /// shorter, releasing the old buffer; returns whether it grew.
+    fn grow<T: Scalar>(
+        &self,
+        buf: &RefCell<ClBuffer<T>>,
+        flags: MemFlags,
+        len: usize,
+    ) -> ClResult<bool> {
+        if buf.borrow().len() >= len {
+            return Ok(false);
+        }
+        buf.replace(ClBuffer::create(&self.ctx, flags, len)?)
+            .release();
+        Ok(true)
+    }
+
+    /// Build and link a one-kernel program around `f`. Specialized kernels
+    /// embed data the shared program cannot.
+    fn one_kernel(&self, f: Arc<dyn ClKernelFunction>) -> ClResult<(Program, Kernel)> {
+        let name = f.name().to_owned();
+        let program = Program::create_with_source(&self.ctx, KernelSource::new().with_function(f));
+        program.build("-O3")?;
+        let kernel = program.create_kernel(&name)?;
+        Ok((program, kernel))
+    }
+
+    /// The specialized comparer — per query, or `fused` — over the staged
+    /// encoding, folding `variant`, as a one-kernel program.
     fn spec_kernel(
         &self,
         staged: &OclStaged,
         fused: bool,
         variant: Arc<CompiledVariant>,
     ) -> ClResult<(Program, Kernel)> {
-        let f = Arc::new(match fused {
+        self.one_kernel(Arc::new(match fused {
             true => ClFamily::block(staged.index(), Some(variant)),
             false => ClFamily::folded(staged.index(), variant),
-        });
-        let name = f.name().to_owned();
-        let program = Program::create_with_source(&self.ctx, KernelSource::new().with_function(f));
-        program.build("-O3")?;
-        let kernel = program.create_kernel(&name)?;
-        Ok((program, kernel))
+        }))
     }
 
     /// Launch `k` with `args` over `items` work-items (rounded up to the
@@ -977,16 +1151,16 @@ impl OpenCl {
 
 impl Backend for OpenCl {
     type Error = opencl_rt::ClError;
+    type Pattern = OclPattern;
     type Tables = OclTables;
     type Staged = OclStaged;
     type Cands = ();
     const SHARED_CANDIDATES: bool = true;
 
-    fn new(config: &PipelineConfig, pattern: CompiledSeq) -> ClResult<Self> {
+    fn new(config: &PipelineConfig, plen: usize) -> ClResult<Self> {
         let device_id = ClDeviceId::from_spec(config.device.clone());
         let ctx = Context::new(&[device_id])?;
         let queue = CommandQueue::new(&ctx, 0)?;
-        let plen = pattern.plen();
 
         let mut source = KernelSource::new()
             .with_function(Arc::new(ClFinder))
@@ -995,11 +1169,6 @@ impl Backend for OpenCl {
             .with_function(Arc::new(ClComparer::new(config.opt)))
             .with_function(Arc::new(ClFamily::staged(1)))
             .with_function(Arc::new(ClFamily::staged(2)));
-        if config.specialize {
-            let variant =
-                specialize::global_cache().get_or_compile(VariantKind::NibbleFinder, &pattern, 0);
-            source = source.with_function(Arc::new(ClSpecializedNibbleFinder { variant }));
-        }
         if config.multi_guide {
             for enc in 0..3 {
                 source = source.with_function(Arc::new(ClFamily::block(enc, None)));
@@ -1008,14 +1177,10 @@ impl Backend for OpenCl {
         let program = Program::create_with_source(&ctx, source);
         program.build("-O3")?;
         let kernel = |name: &str| program.create_kernel(name);
-        let nibble_finder = match config.specialize {
-            true => VariantKind::NibbleFinder.kernel_name(),
-            false => "finder_nibble",
-        };
         let finders = [
             kernel("finder")?,
             kernel("finder_packed")?,
-            kernel(nibble_finder)?,
+            kernel("finder_nibble")?,
         ];
         let comparers = [
             kernel("comparer")?,
@@ -1031,28 +1196,10 @@ impl Backend for OpenCl {
         let tables = GUIDE_BLOCK * 2 * plen;
         let lws = config.work_group_size;
         Ok(OpenCl {
-            chr: ClBuffer::create(&ctx, rw, cap + plen)?,
+            chr: RefCell::new(ClBuffer::create(&ctx, rw, cap + plen)?),
             chr_token: Cell::new(None),
-            // Scratch for the packed upload path: worst case every base
-            // carries an exception, so the exception arrays are sized like
-            // the chunk. One slot per resident chunk the runner may keep.
-            packed: (0..slots)
-                .map(|_| {
-                    Ok(PackedBufs {
-                        packed: ClBuffer::create(&ctx, ro, (cap + plen).div_ceil(4))?,
-                        mask: ClBuffer::create(&ctx, ro, (cap + plen).div_ceil(8))?,
-                        exc_pos: ClBuffer::create(&ctx, ro, cap + plen)?,
-                        exc_val: ClBuffer::create(&ctx, ro, cap + plen)?,
-                    })
-                })
-                .collect::<ClResult<_>>()?,
-            packed_slots: Lru::slots(slots),
-            nibbles: (0..slots)
-                .map(|_| ClBuffer::create(&ctx, ro, (cap + plen).div_ceil(2)))
-                .collect::<ClResult<_>>()?,
-            nibble_slots: Lru::slots(slots),
-            pat: ClBuffer::create_with_data(&ctx, MemFlags::Constant, pattern.comp())?,
-            pat_index: ClBuffer::create_with_data(&ctx, MemFlags::Constant, pattern.comp_index())?,
+            packed: Store::new(slots),
+            nibbles: Store::new(slots),
             loci: ClBuffer::create(&ctx, rw, cap)?,
             flags: ClBuffer::create(&ctx, rw, cap)?,
             fcount: ClBuffer::create(&ctx, rw, 1)?,
@@ -1069,25 +1216,66 @@ impl Backend for OpenCl {
                         kernel("comparer_multi_2bit")?,
                         kernel("comparer_multi_4bit")?,
                     ],
-                    comp: ClBuffer::create(&ctx, ro, tables)?,
-                    comp_index: ClBuffer::create(&ctx, ro, tables)?,
+                    comp: RefCell::new(ClBuffer::create(&ctx, ro, tables)?),
+                    comp_index: RefCell::new(ClBuffer::create(&ctx, ro, tables)?),
                     thresholds: ClBuffer::create(&ctx, ro, GUIDE_BLOCK)?,
                     guide: ClBuffer::create(&ctx, wo, outs)?,
                 })
             } else {
                 None
             },
-            spec_multi_kernels: RefCell::default(),
             lws,
             rounding: lws.unwrap_or(64),
             finders,
             comparers,
             specialize: config.specialize,
-            pattern,
+            cap,
             program,
             queue,
             ctx,
         })
+    }
+
+    /// The pattern's constant tables and, when the runner specializes, its
+    /// folded nibble finder. A pattern longer than any before grows the
+    /// `chr` and fused block scratch to fit it.
+    fn pattern(&self, pattern: CompiledSeq) -> ClResult<OclPattern> {
+        let plen = pattern.plen();
+        if self.grow(&self.chr, MemFlags::ReadWrite, self.cap + plen)? {
+            self.chr_token.set(None);
+        }
+        if let Some(multi) = &self.multi {
+            let ro = MemFlags::ReadOnly;
+            self.grow(&multi.comp, ro, GUIDE_BLOCK * 2 * plen)?;
+            self.grow(&multi.comp_index, ro, GUIDE_BLOCK * 2 * plen)?;
+        }
+        let nibble_finder = match self.specialize {
+            true => {
+                let cache = specialize::global_cache();
+                let variant = cache.get_or_compile(VariantKind::NibbleFinder, &pattern, 0);
+                Some(self.one_kernel(Arc::new(ClSpecializedNibbleFinder { variant }))?)
+            }
+            false => None,
+        };
+        Ok(OclPattern {
+            pat: ClBuffer::create_with_data(&self.ctx, MemFlags::Constant, pattern.comp())?,
+            pat_index: ClBuffer::create_with_data(
+                &self.ctx,
+                MemFlags::Constant,
+                pattern.comp_index(),
+            )?,
+            nibble_finder,
+            spec_multi_kernels: RefCell::default(),
+            pattern,
+        })
+    }
+
+    /// Step 13 for the pattern's tables and programs.
+    fn release_pattern(pattern: OclPattern) {
+        pattern.pat.release();
+        pattern.pat_index.release();
+        release_programs(pattern.nibble_finder.map(|pk| ((), pk)));
+        release_programs(pattern.spec_multi_kernels.into_inner());
     }
 
     /// Two real `clEnqueueWriteBuffer` transfers per query — the traffic
@@ -1118,14 +1306,13 @@ impl Backend for OpenCl {
             comp.release();
             comp_index.release();
         }
-        for (_, (program, kernel)) in tables.spec_kernels.into_inner() {
-            kernel.release();
-            program.release();
-        }
+        release_programs(tables.spec_kernels.into_inner());
     }
 
     /// Step 11 (host->device): raw bases go to the `chr` scratch, 2-bit and
-    /// 4-bit payloads to the least-recently-used of their slots.
+    /// 4-bit payloads to buffers of their own size. Every 2-bit or 4-bit
+    /// run takes a resident slot, a token-less one too, releasing the least
+    /// recently used payload when its encoding's slots are full.
     fn stage(
         &self,
         p: Payload<'_>,
@@ -1137,36 +1324,28 @@ impl Backend for OpenCl {
             Payload::Raw(seq) => {
                 let reused = token.is_some() && self.chr_token.get() == token;
                 if !reused {
-                    let w = q.enqueue_write_buffer(&self.chr, true, 0, seq)?;
+                    let w = q.enqueue_write_buffer(&self.chr.borrow(), true, 0, seq)?;
                     timing.transfer_s += w.duration_s();
                     self.chr_token.set(token);
                 }
                 (Staged::Char(()), reused)
             }
             Payload::Packed(packed) => {
-                let (i, reused) = self.packed_slots.claim_slot(token);
-                if !reused {
-                    let b = &self.packed[i];
-                    let w1 = q.enqueue_write_buffer(&b.packed, true, 0, packed.packed_bytes())?;
-                    let w2 = q.enqueue_write_buffer(&b.mask, true, 0, packed.mask_bytes())?;
-                    timing.transfer_s += w1.duration_s() + w2.duration_s();
-                    if !packed.exceptions().is_empty() {
-                        let (pos, val) = packed.exception_arrays();
-                        let e1 = q.enqueue_write_buffer(&b.exc_pos, true, 0, &pos)?;
-                        let e2 = q.enqueue_write_buffer(&b.exc_val, true, 0, &val)?;
-                        timing.transfer_s += e1.duration_s() + e2.duration_s();
-                    }
-                }
-                (Staged::TwoBit(i), reused)
+                let upload = || PackedBufs::upload(&self.ctx, q, packed, timing);
+                let (bufs, reused) = self
+                    .packed
+                    .claim(token, true, upload, PackedBufs::release)?;
+                (Staged::TwoBit(bufs), reused)
             }
             Payload::Nibble(nibble) => {
-                let (i, reused) = self.nibble_slots.claim_slot(token);
-                if !reused {
-                    let w =
-                        q.enqueue_write_buffer(&self.nibbles[i], true, 0, nibble.nibble_bytes())?;
-                    timing.transfer_s += w.duration_s();
-                }
-                (Staged::FourBit(i), reused)
+                let bytes = nibble.nibble_bytes();
+                let upload = || {
+                    let buf = ClBuffer::create(&self.ctx, MemFlags::ReadOnly, bytes.len())?;
+                    timing.transfer_s += q.enqueue_write_buffer(&buf, true, 0, bytes)?.duration_s();
+                    ClResult::Ok(buf)
+                };
+                let (buf, reused) = self.nibbles.claim(token, true, upload, ClBuffer::release)?;
+                (Staged::FourBit(buf), reused)
             }
         })
     }
@@ -1177,54 +1356,57 @@ impl Backend for OpenCl {
     }
 
     /// Steps 9-12 for the finder: zero the counter, bind and launch the
-    /// finder flavour of the staged encoding into `loci`/`flags`, read the
-    /// count back. The specialized nibble finder scans the nibble words
-    /// directly, leaving the `chr` scratch untouched (and valid); every
-    /// other flavour scans `chr`, the packed and nibble ones after decoding
-    /// their payload into it.
+    /// pattern's finder flavour of the staged encoding into `loci`/`flags`,
+    /// read the count back. The specialized nibble finder scans the nibble
+    /// words directly, leaving the `chr` scratch untouched (and valid);
+    /// every other flavour scans `chr`, the packed and nibble ones after
+    /// decoding their payload into it.
     fn find(
         &self,
+        pattern: &OclPattern,
         staged: &OclStaged,
         p: Payload<'_>,
         scan_len: usize,
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> ClResult<((), usize, f64)> {
-        let plen = self.pattern.plen();
+        let plen = pattern.pattern.plen();
         let w = self.queue.enqueue_fill_buffer(&self.fcount, 0u32)?;
         timing.transfer_s += w.duration_s();
 
         let (loci, flags) = (self.loci.device_buffer(), self.flags.device_buffer());
         let fcount = self.fcount.device_buffer();
-        let k = &self.finders[staged.index()];
-        let args = match *staged {
-            Staged::FourBit(i) if self.specialize => vec![
-                KernelArg::BufU8(self.nibbles[i].device_buffer()),
-                KernelArg::BufU32(loci),
-                KernelArg::BufU8(flags),
-                KernelArg::BufU32(fcount),
-                KernelArg::U32(scan_len as u32),
-                KernelArg::U32(p.seq_len() as u32),
-            ],
+        let (k, args) = match (staged, &pattern.nibble_finder) {
+            (Staged::FourBit(nibbles), Some((_, k))) => (
+                k,
+                vec![
+                    KernelArg::BufU8(nibbles.device_buffer()),
+                    KernelArg::BufU32(loci),
+                    KernelArg::BufU8(flags),
+                    KernelArg::BufU32(fcount),
+                    KernelArg::U32(scan_len as u32),
+                    KernelArg::U32(p.seq_len() as u32),
+                ],
+            ),
             _ => {
-                let mut args = match *staged {
+                let mut args = match staged {
                     Staged::Char(()) => vec![],
-                    Staged::TwoBit(i) => vec![
-                        KernelArg::BufU8(self.packed[i].packed.device_buffer()),
-                        KernelArg::BufU8(self.packed[i].mask.device_buffer()),
-                        KernelArg::BufU32(self.packed[i].exc_pos.device_buffer()),
-                        KernelArg::BufU8(self.packed[i].exc_val.device_buffer()),
+                    Staged::TwoBit(b) => vec![
+                        KernelArg::BufU8(b.packed.device_buffer()),
+                        KernelArg::BufU8(b.mask.device_buffer()),
+                        KernelArg::BufU32(b.exc_pos.device_buffer()),
+                        KernelArg::BufU8(b.exc_val.device_buffer()),
                         KernelArg::U32(p.exceptions() as u32),
                     ],
-                    Staged::FourBit(i) => vec![KernelArg::BufU8(self.nibbles[i].device_buffer())],
+                    Staged::FourBit(nibbles) => vec![KernelArg::BufU8(nibbles.device_buffer())],
                 };
                 if !matches!(staged, Staged::Char(_)) {
                     self.chr_token.set(None);
                 }
                 args.extend([
-                    KernelArg::BufU8(self.chr.device_buffer()),
-                    KernelArg::BufU8(self.pat.device_buffer()),
-                    KernelArg::BufI32(self.pat_index.device_buffer()),
+                    KernelArg::BufU8(self.chr.borrow().device_buffer()),
+                    KernelArg::BufU8(pattern.pat.device_buffer()),
+                    KernelArg::BufI32(pattern.pat_index.device_buffer()),
                     KernelArg::BufU32(loci),
                     KernelArg::BufU8(flags),
                     KernelArg::BufU32(fcount),
@@ -1234,7 +1416,7 @@ impl Backend for OpenCl {
                     KernelArg::Local { bytes: 2 * plen },
                     KernelArg::Local { bytes: 8 * plen },
                 ]);
-                args
+                (&self.finders[staged.index()], args)
             }
         };
         let kernel_s = self.launch(k, args, scan_len, profile)?;
@@ -1273,6 +1455,7 @@ impl Backend for OpenCl {
     /// read back the surviving entries.
     fn compare(
         &self,
+        pattern: &OclPattern,
         staged: &OclStaged,
         _: &(),
         n: usize,
@@ -1281,20 +1464,20 @@ impl Backend for OpenCl {
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> ClResult<(f64, Vec<GuideEntry>)> {
-        let (q, plen) = (&self.queue, self.pattern.plen());
-        let mut args = match *staged {
-            Staged::Char(()) => vec![KernelArg::BufU8(self.chr.device_buffer())],
-            Staged::TwoBit(i) => vec![
-                KernelArg::BufU8(self.packed[i].packed.device_buffer()),
-                KernelArg::BufU8(self.packed[i].mask.device_buffer()),
+        let (q, plen) = (&self.queue, pattern.pattern.plen());
+        let mut args = match staged {
+            Staged::Char(()) => vec![KernelArg::BufU8(self.chr.borrow().device_buffer())],
+            Staged::TwoBit(b) => vec![
+                KernelArg::BufU8(b.packed.device_buffer()),
+                KernelArg::BufU8(b.mask.device_buffer()),
             ],
-            Staged::FourBit(i) => vec![KernelArg::BufU8(self.nibbles[i].device_buffer())],
+            Staged::FourBit(nibbles) => vec![KernelArg::BufU8(nibbles.device_buffer())],
         };
         args.extend([
             KernelArg::BufU32(self.loci.device_buffer()),
             KernelArg::BufU8(self.flags.device_buffer()),
         ]);
-        let mut spec_multi_kernels = self.spec_multi_kernels.borrow_mut();
+        let mut spec_multi_kernels = pattern.spec_multi_kernels.borrow_mut();
         let mut spec_kernels = tables.dev.spec_kernels.borrow_mut();
         let mut fused = None;
         let k = match launch {
@@ -1303,13 +1486,14 @@ impl Backend for OpenCl {
                 let multi = self.multi.as_ref().expect("only multi-guide runners fuse");
                 fused = Some(multi);
                 let (g, local) = (thresholds.len(), thresholds.len() * 2 * plen);
+                let (comp, comp_index) = (multi.comp.borrow(), multi.comp_index.borrow());
                 // Uploads are per block, not per guide.
-                let w1 = q.enqueue_write_buffer(&multi.comp, true, 0, &block.comp)?;
-                let w2 = q.enqueue_write_buffer(&multi.comp_index, true, 0, &block.comp_index)?;
+                let w1 = q.enqueue_write_buffer(&comp, true, 0, &block.comp)?;
+                let w2 = q.enqueue_write_buffer(&comp_index, true, 0, &block.comp_index)?;
                 let wz = q.enqueue_fill_buffer(&self.ecount, 0u32)?;
                 timing.transfer_s += w1.duration_s() + w2.duration_s() + wz.duration_s();
-                args.push(KernelArg::BufU8(multi.comp.device_buffer()));
-                args.push(KernelArg::BufI32(multi.comp_index.device_buffer()));
+                args.push(KernelArg::BufU8(comp.device_buffer()));
+                args.push(KernelArg::BufI32(comp_index.device_buffer()));
                 if !folded {
                     let w3 = q.enqueue_write_buffer(&multi.thresholds, true, 0, thresholds)?;
                     timing.transfer_s += w3.duration_s();
@@ -1328,13 +1512,13 @@ impl Backend for OpenCl {
                     KernelArg::Local { bytes: local * 4 },
                 ]);
                 if folded {
-                    // The variant folds the runner's PAM pattern and the
-                    // threshold; the guide tables stay staged data.
+                    // The variant folds the PAM pattern and the threshold;
+                    // the guide tables stay staged data.
                     let threshold = thresholds[0];
                     cached(&mut spec_multi_kernels, (staged.index(), threshold), || {
                         let cache = specialize::global_cache();
                         let kind = VariantKind::MultiComparer;
-                        let variant = cache.get_or_compile(kind, &self.pattern, threshold);
+                        let variant = cache.get_or_compile(kind, &pattern.pattern, threshold);
                         self.spec_kernel(staged, true, variant)
                     })?
                 } else {
@@ -1422,33 +1606,25 @@ impl Backend for OpenCl {
         for k in kernels {
             k.release();
         }
-        for (_, (program, kernel)) in self.spec_multi_kernels.into_inner() {
-            kernel.release();
-            program.release();
-        }
         if let Some(m) = self.multi {
             for k in m.kernels {
                 k.release();
             }
-            m.comp.release();
-            m.comp_index.release();
+            m.comp.into_inner().release();
+            m.comp_index.into_inner().release();
             m.thresholds.release();
             m.guide.release();
         }
-        for b in self.packed {
-            b.packed.release();
-            b.mask.release();
-            b.exc_pos.release();
-            b.exc_val.release();
+        for b in self.packed.into_values() {
+            b.release();
         }
-        let bytes = [self.chr, self.pat, self.flags, self.direction];
-        for b in self.nibbles.into_iter().chain(bytes) {
+        let bytes = [self.chr.into_inner(), self.flags, self.direction];
+        for b in self.nibbles.into_values().into_iter().chain(bytes) {
             b.release();
         }
         for b in [self.loci, self.fcount, self.mm_loci, self.ecount] {
             b.release();
         }
-        self.pat_index.release();
         self.mm_count.release();
         self.program.release();
         self.queue.release();
@@ -1524,18 +1700,23 @@ fn account_launch(ev: &SyclEvent, timing: &mut TimingBreakdown, profile: &mut Pr
 /// last `resident_slots` tokens per encoding.
 pub struct Sycl {
     queue: Queue,
+    specialize: bool,
+    opt: OptLevel,
+    wgs: usize,
+    raw: Store<(), Buffer<u8>>,
+    packed: Store<(), SyclPackedResident>,
+    nibbles: Store<(), Buffer<u8>>,
+}
+
+/// SYCL device state of one PAM pattern.
+pub struct SyclPattern {
     pattern: CompiledSeq,
     pat_buf: Buffer<u8>,
     pat_index_buf: Buffer<i32>,
-    /// The PAM pattern's nibble-finder variant, folded at construction when
-    /// the runner specializes; comparer variants are fetched from the
-    /// process-wide cache at every launch.
+    /// The pattern's nibble-finder variant, folded when the runner
+    /// specializes; comparer variants are fetched from the process-wide
+    /// cache at every launch.
     pam_variant: Option<Arc<CompiledVariant>>,
-    opt: OptLevel,
-    wgs: usize,
-    raw: Lru<Buffer<u8>>,
-    packed: Lru<SyclPackedResident>,
-    nibbles: Lru<Buffer<u8>>,
 }
 
 impl Drop for Sycl {
@@ -1549,18 +1730,21 @@ impl Drop for Sycl {
 impl Sycl {
     /// Bind the pattern tables and finder outputs and assemble the plain
     /// finder over `chr` — the kernel every decoding finder wraps.
+    #[allow(clippy::too_many_arguments)]
     fn finder_kernel(
-        &self,
         h: &mut Handler<'_>,
+        pattern: &SyclPattern,
         chr: DeviceBuffer<u8>,
         out: &SyclCands,
         fcount_buf: &Buffer<u32>,
         scan_len: usize,
         seq_len: usize,
     ) -> SyclResult<FinderKernel> {
-        let plen = self.pattern.plen();
-        let pat = h.get_access(&self.pat_buf, AccessMode::Read)?.raw();
-        let pat_index = h.get_access(&self.pat_index_buf, AccessMode::Read)?.raw();
+        let plen = pattern.pattern.plen();
+        let pat = h.get_access(&pattern.pat_buf, AccessMode::Read)?.raw();
+        let pat_index = h
+            .get_access(&pattern.pat_index_buf, AccessMode::Read)?
+            .raw();
         let out = Self::finder_output(h, out, fcount_buf)?;
         let mut layout = LocalLayout::new();
         let l_pat = layout.array::<u8>(2 * plen);
@@ -1594,32 +1778,41 @@ impl Sycl {
 
 impl Backend for Sycl {
     type Error = sycl_rt::SyclException;
+    type Pattern = SyclPattern;
     type Tables = Vec<(Buffer<u8>, Buffer<i32>)>;
     type Staged = SyclStaged;
     type Cands = SyclCands;
     const SHARED_CANDIDATES: bool = false;
 
-    fn new(config: &PipelineConfig, pattern: CompiledSeq) -> SyclResult<Self> {
-        let queue = Queue::new(&SpecSelector(config.device.clone()))?;
-        let pat_buf = Buffer::from_slice(pattern.comp()).constant();
-        let pat_index_buf = Buffer::from_slice(pattern.comp_index()).constant();
-        let pam_variant = config.specialize.then(|| {
-            specialize::global_cache().get_or_compile(VariantKind::NibbleFinder, &pattern, 0)
-        });
+    /// Per-run buffers need no scratch sized by the pattern.
+    fn new(config: &PipelineConfig, _: usize) -> SyclResult<Self> {
         let slots = config.resident_slots.max(1);
         Ok(Sycl {
-            queue,
-            pattern,
-            pat_buf,
-            pat_index_buf,
-            pam_variant,
+            queue: Queue::new(&SpecSelector(config.device.clone()))?,
+            specialize: config.specialize,
             opt: config.opt,
             wgs: config.work_group_size.unwrap_or(SYCL_WORK_GROUP_SIZE),
-            raw: Lru::new(slots, false),
-            packed: Lru::new(slots, false),
-            nibbles: Lru::new(slots, false),
+            raw: Store::new(slots),
+            packed: Store::new(slots),
+            nibbles: Store::new(slots),
         })
     }
+
+    /// The pattern's constant tables and, when the runner specializes, its
+    /// folded nibble-finder variant.
+    fn pattern(&self, pattern: CompiledSeq) -> SyclResult<SyclPattern> {
+        let pam_variant = self.specialize.then(|| {
+            specialize::global_cache().get_or_compile(VariantKind::NibbleFinder, &pattern, 0)
+        });
+        Ok(SyclPattern {
+            pat_buf: Buffer::from_slice(pattern.comp()).constant(),
+            pat_index_buf: Buffer::from_slice(pattern.comp_index()).constant(),
+            pam_variant,
+            pattern,
+        })
+    }
+
+    fn release_pattern(_: SyclPattern) {}
 
     /// Unbound buffers: they upload implicitly when a comparer binds them.
     fn prepare(&self, queries: &[CompiledSeq]) -> SyclResult<Self::Tables> {
@@ -1636,7 +1829,7 @@ impl Backend for Sycl {
 
     /// Rebind the buffers still resident under `token`, or create fresh
     /// ones (uploaded by their first bind), retained as most recently used
-    /// under `token`.
+    /// under `token`; an evicted payload's buffers release as they drop.
     fn stage(
         &self,
         p: Payload<'_>,
@@ -1645,16 +1838,18 @@ impl Backend for Sycl {
     ) -> SyclResult<(SyclStaged, bool)> {
         Ok(match p {
             Payload::Raw(seq) => {
-                let (buf, reused) = self.raw.claim(token, || Buffer::from_slice(seq));
+                let make = || SyclResult::Ok(Buffer::from_slice(seq));
+                let (buf, reused) = self.raw.claim(token, false, make, drop)?;
                 (Staged::Char(buf), reused)
             }
             Payload::Packed(packed) => {
-                let (res, reused) = self.packed.claim(token, || SyclPackedResident::new(packed));
+                let make = || SyclResult::Ok(SyclPackedResident::new(packed));
+                let (res, reused) = self.packed.claim(token, false, make, drop)?;
                 (Staged::TwoBit(res), reused)
             }
             Payload::Nibble(nibble) => {
-                let make = || Buffer::from_slice(nibble.nibble_bytes());
-                let (buf, reused) = self.nibbles.claim(token, make);
+                let make = || SyclResult::Ok(Buffer::from_slice(nibble.nibble_bytes()));
+                let (buf, reused) = self.nibbles.claim(token, false, make, drop)?;
                 (Staged::FourBit(buf), reused)
             }
         })
@@ -1683,6 +1878,7 @@ impl Backend for Sycl {
     /// specialized nibble finder scans the nibble words directly.
     fn find(
         &self,
+        pattern: &SyclPattern,
         staged: &SyclStaged,
         p: Payload<'_>,
         scan_len: usize,
@@ -1700,7 +1896,8 @@ impl Backend for Sycl {
         let ev = self.queue.submit(|h| match staged {
             Staged::Char(chr) => {
                 let chr = h.get_access(chr, AccessMode::Read)?.raw();
-                let kernel = self.finder_kernel(h, chr, &cands, &fcount_buf, scan_len, seq_len)?;
+                let kernel =
+                    Self::finder_kernel(h, pattern, chr, &cands, &fcount_buf, scan_len, seq_len)?;
                 h.parallel_for(range, &kernel)
             }
             Staged::TwoBit(res) => {
@@ -1709,7 +1906,8 @@ impl Backend for Sycl {
                 let exc_pos = h.get_access(&res.exc_pos_buf, AccessMode::Read)?.raw();
                 let exc_val = h.get_access(&res.exc_val_buf, AccessMode::Read)?.raw();
                 let chr = h.get_access(&scratch, AccessMode::ReadWrite)?.raw();
-                let inner = self.finder_kernel(h, chr, &cands, &fcount_buf, scan_len, seq_len)?;
+                let inner =
+                    Self::finder_kernel(h, pattern, chr, &cands, &fcount_buf, scan_len, seq_len)?;
                 let kernel = PackedFinderKernel {
                     inner,
                     packed,
@@ -1722,7 +1920,7 @@ impl Backend for Sycl {
             }
             Staged::FourBit(nibbles) => {
                 let nibbles = h.get_access(nibbles, AccessMode::Read)?.raw();
-                if let Some(variant) = &self.pam_variant {
+                if let Some(variant) = &pattern.pam_variant {
                     let kernel = SpecializedNibbleFinderKernel {
                         nibbles,
                         out: Self::finder_output(h, &cands, &fcount_buf)?,
@@ -1733,7 +1931,8 @@ impl Backend for Sycl {
                     return h.parallel_for(range, &kernel);
                 }
                 let chr = h.get_access(&scratch, AccessMode::ReadWrite)?.raw();
-                let inner = self.finder_kernel(h, chr, &cands, &fcount_buf, scan_len, seq_len)?;
+                let inner =
+                    Self::finder_kernel(h, pattern, chr, &cands, &fcount_buf, scan_len, seq_len)?;
                 h.parallel_for(range, &NibbleFinderKernel { inner, nibbles })
             }
         })?;
@@ -1788,6 +1987,7 @@ impl Backend for Sycl {
     /// handler copies of the entries.
     fn compare(
         &self,
+        pattern: &SyclPattern,
         staged: &SyclStaged,
         (loci_buf, flags_buf): &SyclCands,
         n: usize,
@@ -1796,7 +1996,7 @@ impl Backend for Sycl {
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> SyclResult<(f64, Vec<GuideEntry>)> {
-        let plen = self.pattern.plen();
+        let plen = pattern.pattern.plen();
         let range = NdRange::linear(round_up(n, self.wgs), self.wgs);
         let (ev, outs) = match launch {
             Launch::Fused(block) => {
@@ -1805,7 +2005,7 @@ impl Backend for Sycl {
                 let comp_index_buf = Buffer::from_vec(block.comp_index);
                 let variant = folded.then(|| {
                     let cache = specialize::global_cache();
-                    cache.get_or_compile(VariantKind::MultiComparer, &self.pattern, thr[0])
+                    cache.get_or_compile(VariantKind::MultiComparer, &pattern.pattern, thr[0])
                 });
                 let thr_buf = Buffer::from_vec(thr.clone());
                 let outs = Outputs::new(2 * g * n, true);
@@ -1989,7 +2189,6 @@ impl Outputs {
         Ok((0..m).map(|i| (gid[i], pos[i], dir[i], mm[i])).collect())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3707,6 +3906,61 @@ mod tests {
             timing.entries,
         ));
         steps
+    }
+
+    /// One runner, two PAM patterns of one length whose candidate lists
+    /// on the chunk have equal lengths but different loci. The payload
+    /// staged under the token serves both patterns; the candidate list
+    /// staged under it belongs to one, so pattern B's replay after pattern
+    /// A's capture must upload B's list, not compare against A's.
+    fn check_patterns_share_payloads_not_candidates<Be: Backend>() {
+        const A: &[u8] = b"NNNNNNNNNAG";
+        const B: &[u8] = b"NNNNNNNNNGA";
+        const TOKEN: u64 = 0x5EED;
+        // Threshold 8 of 8 concrete bases: every candidate is an entry.
+        let queries = [Query::new(b"ACGTACGTNNN".to_vec(), 8)];
+        let cfg = config().chunk_size(64).resident_slots(2);
+        let runner = ChunkRunner::<Be>::new(&cfg, A).unwrap();
+        let (a, b) = (
+            runner.tables_for(A, &queries).unwrap(),
+            runner.tables_for(B, &queries).unwrap(),
+        );
+        let packed = PackedSeq::encode(&CHARACTERIZATION_SEQ[..64 + A.len()]);
+        let mut timing = TimingBreakdown::default();
+        let mut profile = gpu_sim::profile::Profile::new();
+        let mut run = |tables: &QueryTables<Be>, token: Option<u64>, sites: Sites<'_>| {
+            let p = Payload::Packed(&packed);
+            runner
+                .run(p, 64, token, sites, tables, &mut timing, &mut profile)
+                .unwrap()
+        };
+        let fresh_b = run(&b, None, Sites::Capture);
+        let fresh_a = run(&a, Some(TOKEN), Sites::Capture);
+        assert!(!fresh_a.reused, "the first run under the token uploads");
+        let (list_a, list_b) = (fresh_a.captured.unwrap(), fresh_b.captured.unwrap());
+        assert_eq!(
+            list_a.len(),
+            list_b.len(),
+            "the fixture needs equal lengths"
+        );
+        assert_ne!(list_a, list_b);
+        assert_ne!(fresh_a.per_query, fresh_b.per_query);
+
+        let replay_b = run(&b, Some(TOKEN), Sites::Replay(&list_b));
+        assert!(replay_b.reused, "pattern B reuses the payload A uploaded");
+        assert_eq!(replay_b.per_query, fresh_b.per_query);
+        let replay_a = run(&a, Some(TOKEN), Sites::Replay(&list_a));
+        assert!(replay_a.reused);
+        assert_eq!(replay_a.per_query, fresh_a.per_query);
+        a.release();
+        b.release();
+        runner.release();
+    }
+
+    #[test]
+    fn patterns_share_resident_payloads_but_not_staged_candidates() {
+        check_patterns_share_payloads_not_candidates::<OpenCl>();
+        check_patterns_share_payloads_not_candidates::<Sycl>();
     }
 
     #[test]

@@ -40,10 +40,11 @@ pub struct PipelineConfig {
     /// which the OpenCL runtime resolves to one wavefront (64), while the
     /// SYCL application fixes 256, exactly the paper's §IV.A setup.
     pub work_group_size: Option<usize>,
-    /// Number of device-resident chunk payloads a chunk runner keeps alive
-    /// between calls. With 1 slot a runner can only reuse the chunk it ran
-    /// last; a serving layer that revisits chunks out of order wants a
-    /// budget matching its working set. Residency only pays off when a
+    /// Number of device-resident chunk payloads per encoding a chunk
+    /// runner keeps alive between calls, each sized to its payload. With 1
+    /// slot a runner can only reuse the chunk it ran last; a serving layer
+    /// that revisits chunks out of order wants a budget matching its
+    /// working set. Residency only pays off when a
     /// caller passes a token to [`chunk::ChunkRunner::run`] or
     /// [`chunk::ChunkRunner::prefetch`] — the serial pipelines stream
     /// chunks exactly once, without one, and are unaffected.

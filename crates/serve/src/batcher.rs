@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use cas_offinder::Query;
 
-use crate::cache::EncodedChunk;
+use crate::cache::{ChunkKey, EncodedChunk};
 use crate::job::{Job, JobId};
 
 /// What makes jobs coalescible: same assembly, same PAM pattern (the
@@ -44,6 +44,17 @@ pub struct ChunkBatch {
     pub chunk: Arc<EncodedChunk>,
     /// Jobs coalesced onto this chunk, in admission order.
     pub jobs: Vec<BatchJob>,
+}
+
+impl ChunkBatch {
+    /// The genome cache's key of the batch's chunk: what names its content.
+    pub(crate) fn chunk_key(&self) -> ChunkKey {
+        ChunkKey {
+            assembly: self.key.assembly.clone(),
+            plen: self.key.pattern.len(),
+            index: self.chunk_index,
+        }
+    }
 }
 
 /// Partition `jobs` into coalescible groups of at most `max_batch`

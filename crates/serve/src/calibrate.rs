@@ -160,7 +160,16 @@ fn probe<B: Backend>(
     let (timing, profile): &mut (TimingBreakdown, Profile) = &mut Default::default();
     let before = runner.elapsed_s();
     runner
-        .run_queries(payload, scan, token, Sites::Find, queries, timing, profile)
+        .run_queries(
+            PROBE_PATTERN,
+            payload,
+            scan,
+            token,
+            Sites::Find,
+            queries,
+            timing,
+            profile,
+        )
         .expect("simulated launch cannot fail");
     ProbeRun {
         elapsed_s: runner.elapsed_s() - before,

@@ -16,11 +16,15 @@
 //! (`JobSpec::with_bulges`) are expanded into per-variant unit searches by
 //! the batcher and served as one job.
 //!
-//! Two further layers avoid repeating work the pool already did. Devices
-//! keep a budget of **resident chunk payloads** (`resident_chunks`): the
-//! scheduler prices uploads at zero for chunks a device still holds, so
-//! repeat chunks steer back to the device that uploaded them and the
-//! runner skips the transfer outright. And a **content-addressed result
+//! Two further layers avoid repeating work the pool already did. Each
+//! device keeps one **resident genome**: its worker's single chunk runner
+//! serves every PAM pattern from one store of chunk payloads, keyed by the
+//! chunk's content (assembly, pattern length, ordinal), each entry sized to
+//! its payload and the store bounded by `resident_chunks` entries. The
+//! scheduler predicts that store with the same LRU policy and budget and
+//! prices uploads at zero for chunks a device still holds, so repeat chunks
+//! — under any pattern of the same length — steer back to the device that
+//! uploaded them and the runner skips the transfer outright. And a **content-addressed result
 //! store** (`result_cache_bytes`) keyed by a canonical digest of the spec
 //! serves repeat jobs straight from memory — concurrent identical specs
 //! coalesce onto a single in-flight compute. The per-device cost model is

@@ -13,9 +13,10 @@
 //! predicted time under that device's model.
 //!
 //! The model is also **residency-aware**: each device tracks the chunk
-//! payloads its workers keep uploaded (an LRU of residency tokens mirroring
-//! the chunk runners' slot budget), and a batch whose chunk is resident on
-//! a device is priced without the chunk upload there. That discount is what
+//! payloads its worker's one chunk runner keeps uploaded (a
+//! [`cas_offinder::lru::Lru`] of residency tokens with the runner's budget
+//! and weights), and a batch whose chunk is resident on a device is priced
+//! without the chunk upload there. That discount is what
 //! steers repeat chunks back to the device already holding them; an exact
 //! score tie further breaks toward the resident device before falling back
 //! to the lower index. The scheduler's resident set is a *prediction* —
@@ -39,13 +40,14 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use cas_offinder::kernels::specialize::specialized_model;
 use cas_offinder::kernels::{ComparerKernel, VariantKind, GUIDE_BLOCK};
+use cas_offinder::lru::Lru;
 use cas_offinder::{Api, OptLevel};
 use gpu_sim::isa::compile_program;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::{DeviceSpec, NdRange};
 
-use crate::batcher::{BatchKey, ChunkBatch};
-use crate::cache::{ChunkPayload, EncodedChunk};
+use crate::batcher::ChunkBatch;
+use crate::cache::{ChunkKey, ChunkPayload, EncodedChunk};
 use crate::calibrate::{kernel_rates, ClassRates, KernelRates};
 use crate::candidates::{CandidateCache, CandidateKey};
 use crate::results::{fnv1a64, FNV_OFFSET};
@@ -103,14 +105,17 @@ pub enum Placement {
 
 /// Identity of a chunk's uploaded payload: what the scheduler predicts
 /// residency with and what the chunk runners verify before skipping an
-/// upload. Identical `(assembly, pattern, chunk ordinal)` triples — and
-/// only those — produce identical tokens, so a token match means the
-/// bytes already on the device are the bytes this batch would upload.
-pub(crate) fn residency_token(key: &BatchKey, chunk_index: usize) -> u64 {
+/// upload. It names the chunk's *content* by the genome cache's key —
+/// identical `(assembly, pattern length, chunk ordinal)` triples, and only
+/// those, produce identical tokens — so a token match means the bytes
+/// already on the device are the bytes this batch would upload. Patterns
+/// of one length slice an assembly into the same chunks and share every
+/// resident payload; patterns of different lengths never share one.
+pub(crate) fn residency_token(key: &ChunkKey) -> u64 {
     let mut h = fnv1a64(FNV_OFFSET, key.assembly.as_bytes());
     h = fnv1a64(h, &[0]);
-    h = fnv1a64(h, &key.pattern);
-    fnv1a64(h, &(chunk_index as u64).to_le_bytes())
+    h = fnv1a64(h, &(key.plen as u64).to_le_bytes());
+    fnv1a64(h, &(key.index as u64).to_le_bytes())
 }
 
 /// Which upload + kernel combination a batch's payload selects; each class
@@ -184,7 +189,7 @@ impl BatchCost {
             &batch.key.pattern,
             &batch.chunk,
             batch.jobs.len(),
-            residency_token(&batch.key, batch.chunk_index),
+            residency_token(&batch.chunk_key()),
         )
     }
 
@@ -365,39 +370,6 @@ impl DeviceModel {
     }
 }
 
-/// The scheduler's prediction of which chunk payloads a device holds: an
-/// LRU of residency tokens with the same budget as the workers' chunk
-/// runners. Predictive only — the runners' token check is the guard.
-struct ResidentSet {
-    cap: usize,
-    /// Front = most recently used.
-    order: VecDeque<u64>,
-}
-
-impl ResidentSet {
-    fn new(cap: usize) -> Self {
-        ResidentSet {
-            cap,
-            order: VecDeque::new(),
-        }
-    }
-
-    fn contains(&self, token: u64) -> bool {
-        self.order.contains(&token)
-    }
-
-    fn insert(&mut self, token: u64) {
-        if self.cap == 0 {
-            return;
-        }
-        if let Some(pos) = self.order.iter().position(|&t| t == token) {
-            self.order.remove(pos);
-        }
-        self.order.push_front(token);
-        self.order.truncate(self.cap);
-    }
-}
-
 struct Pending {
     batch: ChunkBatch,
     cost: BatchCost,
@@ -424,13 +396,32 @@ struct PoolInner {
     /// Decayed sums of model-predicted (`.0`) and measured (`.1`) service
     /// seconds backing each bias cell.
     bias_sums: Vec<[(f64, f64); PayloadClass::COUNT]>,
-    /// Per device: predicted resident chunk tokens.
-    residency: Vec<ResidentSet>,
+    /// Per device: the predicted resident chunk tokens, weighted 1 each
+    /// under the runner's `resident_chunks` budget, as the runner weighs
+    /// its store. Predictive only — the runner's token check is the guard.
+    residency: Vec<Lru<u64, ()>>,
+    /// That budget; 0 disables residency.
+    resident_budget: usize,
     /// Per device: in the fleet? Out-of-fleet devices receive no new
     /// placements (planned, fallback, or stolen); already-queued batches
     /// still drain through their worker.
     active: Vec<bool>,
     closed: bool,
+}
+
+impl PoolInner {
+    /// Whether `device` is predicted to hold the chunk `token` names.
+    fn resident(&self, device: usize, token: u64) -> bool {
+        self.residency[device].peek(&token).is_some()
+    }
+
+    /// Predict that `device` holds `token`'s chunk from now on, as its most
+    /// recently used payload (nothing, with residency off).
+    fn note_resident(&mut self, device: usize, token: u64) {
+        if self.resident_budget != 0 {
+            self.residency[device].insert(token, (), 1);
+        }
+    }
 }
 
 /// A pool of `n` device work queues shared by one dispatcher and `n`
@@ -502,7 +493,8 @@ impl DevicePool {
                 pending_s: vec![0.0; n],
                 bias: vec![[1.0; PayloadClass::COUNT]; n],
                 bias_sums: vec![[(0.0, 0.0); PayloadClass::COUNT]; n],
-                residency: (0..n).map(|_| ResidentSet::new(resident_budget)).collect(),
+                residency: (0..n).map(|_| Lru::new(resident_budget)).collect(),
+                resident_budget,
                 active: vec![true; n],
                 closed: false,
             }),
@@ -569,7 +561,7 @@ impl DevicePool {
     /// prediction, so planned batches get priced with the upload discount
     /// their runner will actually deliver.
     pub fn note_resident(&self, worker: usize, token: u64) {
-        self.inner.lock().unwrap().residency[worker].insert(token);
+        self.inner.lock().unwrap().note_resident(worker, token);
     }
 
     /// Current per-device, per-class bias corrections (the dimensionless
@@ -615,14 +607,14 @@ impl DevicePool {
         cost: BatchCost,
         assume_resident: bool,
     ) {
-        let resident = (assume_resident && inner.residency[device].cap != 0)
-            || inner.residency[device].contains(cost.token);
+        let resident =
+            (assume_resident && inner.resident_budget != 0) || inner.resident(device, cost.token);
         let model_s = self.models[device].predict_s(&cost, resident);
         let predicted_s = inner.bias[device][cost.bias_class().index()] * model_s;
         inner.pending_s[device] += predicted_s;
         // Optimistic: once queued here the chunk will be uploaded here, so
         // later siblings of this chunk see the discount.
-        inner.residency[device].insert(cost.token);
+        inner.note_resident(device, cost.token);
         inner.queues[device].push_back(Pending {
             batch,
             cost,
@@ -690,7 +682,7 @@ impl DevicePool {
                 if inner.queues[i].len() >= model.in_flight_limit {
                     continue;
                 }
-                let resident = inner.residency[i].contains(cost.token);
+                let resident = inner.resident(i, cost.token);
                 let score = inner.pending_s[i]
                     + inner.bias[i][cost.bias_class().index()] * model.predict_s(&cost, resident);
                 let better = match best {
@@ -708,8 +700,7 @@ impl DevicePool {
                 // backlog plus a (usually resident) run. Otherwise wait for
                 // owner room rather than scatter the partition.
                 (Some(o), Some((device, eta, _))) => {
-                    let resident =
-                        inner.residency[o].cap != 0 || inner.residency[o].contains(cost.token);
+                    let resident = inner.resident_budget != 0 || inner.resident(o, cost.token);
                     let owner_eta = inner.pending_s[o]
                         + inner.bias[o][cost.bias_class().index()]
                             * self.models[o].predict_s(&cost, resident);
@@ -747,7 +738,7 @@ impl DevicePool {
         loop {
             let inner_ref = &mut *inner;
             if let Some(p) = inner_ref.queues[worker].pop_front() {
-                inner_ref.residency[worker].insert(p.cost.token);
+                inner_ref.note_resident(worker, p.cost.token);
                 drop(inner);
                 self.space.notify_all();
                 return Some(Assignment {
@@ -778,20 +769,19 @@ impl DevicePool {
                 .flatten();
             if let Some(v) = victim {
                 let queue = &inner_ref.queues[v];
-                let thief_res = &inner_ref.residency[worker];
                 let pick = queue
                     .iter()
-                    .rposition(|p| thief_res.contains(p.cost.token))
+                    .rposition(|p| inner_ref.resident(worker, p.cost.token))
                     .unwrap_or(queue.len() - 1);
                 let p = inner_ref.queues[v]
                     .remove(pick)
                     .expect("pick is in bounds of a non-empty queue");
                 inner_ref.pending_s[v] = (inner_ref.pending_s[v] - p.predicted_s).max(0.0);
-                let resident = inner_ref.residency[worker].contains(p.cost.token);
+                let resident = inner_ref.resident(worker, p.cost.token);
                 let model_s = self.models[worker].predict_s(&p.cost, resident);
                 let predicted_s = inner_ref.bias[worker][p.cost.bias_class().index()] * model_s;
                 inner_ref.pending_s[worker] += predicted_s;
-                inner_ref.residency[worker].insert(p.cost.token);
+                inner_ref.note_resident(worker, p.cost.token);
                 drop(inner);
                 self.space.notify_all();
                 return Some(Assignment {
@@ -1033,8 +1023,7 @@ mod tests {
         // discount makes device 1 strictly cheaper, beating the index tie.
         let pool = DevicePool::new(vec![model(&DeviceSpec::mi60()); 2], Placement::default(), 4);
         let b = batch(7);
-        let token = residency_token(&b.key, b.chunk_index);
-        pool.inner.lock().unwrap().residency[1].insert(token);
+        pool.note_resident(1, residency_token(&b.chunk_key()));
         pool.dispatch(b);
         let a = pool.next(1).unwrap();
         assert!(!a.stolen, "placed on the resident device, not stolen");
@@ -1069,8 +1058,7 @@ mod tests {
         {
             let mut inner = pool.inner.lock().unwrap();
             inner.pending_s[1] = 0.0;
-            let b = batch(7);
-            inner.residency[1].insert(residency_token(&b.key, b.chunk_index));
+            inner.note_resident(1, residency_token(&batch(7).chunk_key()));
         }
         let a = pool.next(1).unwrap();
         assert!(a.stolen);
@@ -1084,17 +1072,21 @@ mod tests {
 
     #[test]
     fn resident_sets_evict_least_recently_used_tokens() {
-        let mut set = ResidentSet::new(2);
-        set.insert(1);
-        set.insert(2);
-        set.insert(1); // refresh: 2 is now LRU
-        set.insert(3); // evicts 2
-        assert!(set.contains(1));
-        assert!(!set.contains(2));
-        assert!(set.contains(3));
-        let mut off = ResidentSet::new(0);
-        off.insert(1);
-        assert!(!off.contains(1), "budget 0 disables residency");
+        let pool = DevicePool::new(vec![model(&DeviceSpec::mi60())], Placement::default(), 2);
+        // 1 is refreshed, so 3 evicts 2.
+        for token in [1, 2, 1, 3] {
+            pool.note_resident(0, token);
+        }
+        let inner = pool.inner.lock().unwrap();
+        assert!(inner.resident(0, 1));
+        assert!(!inner.resident(0, 2));
+        assert!(inner.resident(0, 3));
+        let off = DevicePool::new(vec![model(&DeviceSpec::mi60())], Placement::default(), 0);
+        off.note_resident(0, 1);
+        assert!(
+            !off.inner.lock().unwrap().resident(0, 1),
+            "budget 0 disables residency"
+        );
     }
 
     /// A plan over the tests' `"a"` assembly (`n` chunks) with one weight
@@ -1303,23 +1295,24 @@ mod tests {
     }
 
     #[test]
-    fn residency_tokens_separate_chunk_identity() {
-        let key = BatchKey {
-            assembly: "a".into(),
-            pattern: b"NGG".to_vec(),
+    fn residency_tokens_name_chunk_content_not_the_pattern() {
+        let token = |assembly: &str, pattern: &[u8], index| {
+            let key = BatchKey {
+                assembly: assembly.into(),
+                pattern: pattern.to_vec(),
+            };
+            let b = ChunkBatch {
+                key,
+                chunk_index: index,
+                ..batch(index)
+            };
+            residency_token(&b.chunk_key())
         };
-        let other_asm = BatchKey {
-            assembly: "b".into(),
-            pattern: b"NGG".to_vec(),
-        };
-        let other_pat = BatchKey {
-            assembly: "a".into(),
-            pattern: b"NAG".to_vec(),
-        };
-        let t = residency_token(&key, 3);
-        assert_eq!(t, residency_token(&key, 3), "stable across calls");
-        assert_ne!(t, residency_token(&key, 4));
-        assert_ne!(t, residency_token(&other_asm, 3));
-        assert_ne!(t, residency_token(&other_pat, 3));
+        let t = token("a", b"NGG", 3);
+        assert_eq!(t, token("a", b"NGG", 3), "stable across calls");
+        assert_ne!(t, token("a", b"NGG", 4));
+        assert_ne!(t, token("b", b"NGG", 3));
+        assert_eq!(t, token("a", b"NAG", 3), "equal lengths share the chunk");
+        assert_ne!(t, token("a", b"NNGG", 3), "other lengths slice it anew");
     }
 }

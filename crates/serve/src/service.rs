@@ -30,7 +30,7 @@ use cas_offinder::{sort_canonical, Api, OffTarget, OptLevel, Query, TimingBreakd
 use genome::{Assembly, Chunker};
 use gpu_sim::DeviceSpec;
 
-use crate::batcher::{group_jobs, interleave_by_owner, BatchJob, BatchKey, ChunkBatch};
+use crate::batcher::{group_jobs, interleave_by_owner, BatchJob, ChunkBatch};
 use crate::cache::{ChunkEncoding, ChunkKey, ChunkPayload, EncodedChunk, GenomeCache};
 use crate::candidates::{CandidateCache, CandidateKey, CandidateLookup};
 use crate::frontend::{Completion, CompletionHub, JobEntry, Poll, Ticket, WaitError};
@@ -87,10 +87,13 @@ pub struct ServiceConfig {
     /// of host speed. `0.0` (the default) disables pacing; measurement
     /// harnesses enable it so placement quality shows up in the makespan.
     pub pacing: f64,
-    /// Chunk payloads each device keeps uploaded between batches. A batch
-    /// landing on a device that still holds its chunk skips the chunk
-    /// upload entirely, and the scheduler prices (and steers) accordingly.
-    /// `0` disables residency: every batch uploads its chunk.
+    /// Chunk payloads each device keeps uploaded between batches, per
+    /// encoding: the budget of the one resident store that every pattern
+    /// on the device shares, counted in entries, each sized to its own
+    /// payload. A batch landing on a device that still holds its chunk —
+    /// for any pattern of the same length — skips the chunk upload
+    /// entirely, and the scheduler prices (and steers) accordingly. `0`
+    /// disables residency: every batch uploads its chunk.
     pub resident_chunks: usize,
     /// Byte budget of the content-addressed result cache. A repeat of an
     /// already-served spec is answered at submit time with zero kernel
@@ -162,7 +165,7 @@ impl ServiceConfig {
             opt: OptLevel::Base,
             placement: Placement::EarliestCompletion,
             pacing: 0.0,
-            resident_chunks: 8,
+            resident_chunks: 256,
             result_cache_bytes: 1 << 20,
             specialize: true,
             tenants: Vec::new(),
@@ -847,10 +850,6 @@ impl Service {
         let plan = self.shared.pool.plan_snapshot()?;
         let asm = self.shared.assemblies.get(assembly)?;
         let plen = pattern.len();
-        let key = BatchKey {
-            assembly: assembly.to_string(),
-            pattern: pattern.to_vec(),
-        };
         let mut busy = vec![0.0; self.shared.models.len()];
         for (index, chunk) in Chunker::new(asm, self.shared.config.chunk_size, plen).enumerate() {
             if chunk.seq.len() < plen {
@@ -872,7 +871,7 @@ impl Service {
                     self.shared.config.cache_encoding,
                 ))
             });
-            let cost = BatchCost::from_parts(pattern, &encoded, 1, residency_token(&key, index));
+            let cost = BatchCost::from_parts(pattern, &encoded, 1, residency_token(&cache_key));
             busy[owner] += passes as f64
                 * bias[owner][cost.class.index()]
                 * self.shared.models[owner].predict_s(&cost, resident);
@@ -1155,9 +1154,10 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-/// One serving worker over the `B` backend. Runners are built inside the
-/// thread that drives them (device contexts are not `Send`), one per PAM
-/// pattern, so repeat batches skip steps 1-8.
+/// One serving worker over the `B` backend. Its one chunk runner is built
+/// inside the thread that drives it (device contexts are not `Send`) on the
+/// first batch, so later batches skip steps 1-8, and it serves every PAM
+/// pattern: the device keeps one resident store all patterns share.
 fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
     let slot = &shared.config.devices[w];
     let pipeline_config = PipelineConfig::new(slot.spec.clone())
@@ -1166,10 +1166,11 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
         .resident_slots(shared.config.resident_chunks.max(1))
         .specialize(shared.config.specialize)
         .multi_guide(shared.config.multi_guide);
-    let mut runners: HashMap<Vec<u8>, ChunkRunner<B>> = HashMap::new();
-    // (pattern, assembly) pairs whose planned partition this worker has
-    // already warmed — the one-pass prefetch runs on first touch only.
-    let mut prefetched: HashSet<(Vec<u8>, String)> = HashSet::new();
+    let mut runner: Option<ChunkRunner<B>> = None;
+    // (pattern length, assembly) pairs whose planned partition this worker
+    // has already warmed — the one-pass prefetch runs on first touch only,
+    // and patterns of one length share the chunks it uploads.
+    let mut prefetched: HashSet<(usize, String)> = HashSet::new();
     let mut timing = TimingBreakdown::default();
     let mut profile = gpu_sim::profile::Profile::new();
     let device = &shared.metrics.devices[w];
@@ -1182,38 +1183,44 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
             device.steals.fetch_add(1, Ordering::Relaxed);
         }
 
-        let runner = runners.entry(batch.key.pattern.clone()).or_insert_with(|| {
-            ChunkRunner::new(&pipeline_config, &batch.key.pattern)
-                .expect("simulated setup cannot fail on valid patterns")
+        const SETUP: &str = "simulated setup cannot fail on valid patterns";
+        let runner = runner.get_or_insert_with(|| {
+            ChunkRunner::new(&pipeline_config, &batch.key.pattern).expect(SETUP)
         });
-        // One-pass warmup: on this worker's first batch of an (assembly,
-        // pattern), upload its whole planned partition into the runner's
-        // resident slots up front instead of demand-missing chunk by
-        // chunk. The uploads bill the device's busy time (they are real
-        // transfers) but sit outside the per-batch prediction window —
-        // dispatch prices warmed batches as resident, not as paying them.
-        if shared.config.resident_chunks > 0
-            && shared.config.placement == Placement::Planned
-            && prefetched.insert((batch.key.pattern.clone(), batch.key.assembly.clone()))
-        {
-            if let Some(plan) = shared.pool.plan_snapshot() {
-                let before = runner.elapsed_s();
-                prefetch_partition(shared, w, runner, &plan, &batch.key);
-                device.busy_ns.fetch_add(
-                    busy_ns_from_s((runner.elapsed_s() - before).max(0.0)),
-                    Ordering::Relaxed,
-                );
-            }
-        }
         let queries: Vec<Query> = batch.jobs.iter().map(|job| job.query.clone()).collect();
         let plen = batch.key.pattern.len();
         let busy_before = runner.elapsed_s();
-        // With residency enabled, batches run through the runners' resident
+        // Preparing the tables builds the pattern's device state on its
+        // first batch, so the runner knows its length before a warmup.
+        let tables = runner
+            .tables_for(&batch.key.pattern, &queries)
+            .expect(SETUP);
+        // One-pass warmup: on this worker's first batch of an (assembly,
+        // pattern length), upload its whole planned partition into the
+        // runner's resident store up front instead of demand-missing chunk
+        // by chunk. The uploads bill the device's busy time (they are real
+        // transfers) but sit outside the per-batch prediction window —
+        // dispatch prices warmed batches as resident, not as paying them.
+        let mut warmup_s = 0.0;
+        if shared.config.resident_chunks > 0
+            && shared.config.placement == Placement::Planned
+            && prefetched.insert((plen, batch.key.assembly.clone()))
+        {
+            if let Some(plan) = shared.pool.plan_snapshot() {
+                let before = runner.elapsed_s();
+                prefetch_partition(shared, w, runner, &plan, &batch.key.assembly, plen);
+                warmup_s = (runner.elapsed_s() - before).max(0.0);
+                device
+                    .busy_ns
+                    .fetch_add(busy_ns_from_s(warmup_s), Ordering::Relaxed);
+            }
+        }
+        // With residency enabled, batches run through the runner's resident
         // entry points: the runner checks the chunk's token against its
-        // resident slots and skips the chunk upload on a match. `reused` is
+        // resident store and skips the chunk upload on a match. `reused` is
         // the runner's verdict (ground truth), not the scheduler's guess.
-        let token = (shared.config.resident_chunks > 0)
-            .then(|| residency_token(&batch.key, batch.chunk_index));
+        let chunk_token = residency_token(&batch.chunk_key());
+        let token = (shared.config.resident_chunks > 0).then_some(chunk_token);
         let scan_len = batch.chunk.scan_len;
         // Candidate-cache flow: a chunk already swept under this pattern
         // replays its cached finder output (`Hit`) instead of launching
@@ -1248,24 +1255,22 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
         // token: repeat sweeps then also skip the chunk upload when the
         // payload is still on-device.
         let (run_token, sites) = match &cached_sites {
-            Some(list) => (
-                Some(residency_token(&batch.key, batch.chunk_index)),
-                Sites::Replay(list),
-            ),
+            Some(list) => (Some(chunk_token), Sites::Replay(list)),
             None if lead => (token, Sites::Capture),
             None => (token, Sites::Find),
         };
         let run = runner
-            .run_queries(
+            .run(
                 batch.chunk.payload().as_payload(),
                 scan_len,
                 run_token,
                 sites,
-                &queries,
+                &tables,
                 &mut timing,
                 &mut profile,
             )
             .expect("simulated launch cannot fail");
+        tables.release();
         if lead {
             let (cache, key) = candidate_cache.as_ref().expect("lead implies a cache");
             match run.captured {
@@ -1306,7 +1311,7 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
             };
             counter.fetch_add(1, Ordering::Relaxed);
         }
-        let busy_delta = (runner.elapsed_s() - busy_before).max(0.0);
+        let busy_delta = (runner.elapsed_s() - busy_before - warmup_s).max(0.0);
         device
             .busy_ns
             .fetch_add(busy_ns_from_s(busy_delta), Ordering::Relaxed);
@@ -1332,24 +1337,16 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
             busy_delta,
         );
 
-        // Traffic is a per-device gauge: sum over this worker's runners.
-        let mut launches = 0;
-        let mut h2d = 0;
-        let mut d2h = 0;
-        let mut h2d_skipped = 0;
-        for r in runners.values() {
-            let t = r.traffic();
-            launches += t.kernel_launches;
-            h2d += t.h2d_bytes;
-            d2h += t.d2h_bytes;
-            h2d_skipped += t.h2d_skipped_bytes;
-        }
-        device.kernel_launches.store(launches, Ordering::Relaxed);
-        device.h2d_bytes.store(h2d, Ordering::Relaxed);
-        device.d2h_bytes.store(d2h, Ordering::Relaxed);
+        // Traffic is a per-device gauge: the runner's device counters.
+        let traffic = runner.traffic();
+        device
+            .kernel_launches
+            .store(traffic.kernel_launches, Ordering::Relaxed);
+        device.h2d_bytes.store(traffic.h2d_bytes, Ordering::Relaxed);
+        device.d2h_bytes.store(traffic.d2h_bytes, Ordering::Relaxed);
         device
             .h2d_skipped_bytes
-            .store(h2d_skipped, Ordering::Relaxed);
+            .store(traffic.h2d_skipped_bytes, Ordering::Relaxed);
 
         // Fold each job's entries into its record set; the last chunk of a
         // job sorts and publishes. Record extraction decodes only the hit
@@ -1393,31 +1390,31 @@ fn worker_loop<B: Backend>(shared: &Shared, w: usize) {
     }
 }
 
-/// Upload every chunk of `key`'s assembly that `plan` assigns to worker
-/// `w` into `runner`'s resident slots — one sequential pass over the
-/// partition — and mirror each token into the scheduler's residency
-/// prediction so planned batches get priced with the discount the runner
-/// will deliver. Chunks already resident (a warm runner, or a re-warm
-/// after plan recompute) are skipped without re-uploading; only real
-/// transfers count toward the prefetch metric.
+/// Upload every chunk of `assembly`, sliced for patterns of `plen` bases,
+/// that `plan` assigns to worker `w` into `runner`'s resident store — one
+/// sequential pass over the partition — and mirror each token into the
+/// scheduler's residency prediction so planned batches get priced with the
+/// discount the runner will deliver. Chunks already resident (a warm
+/// runner, or a re-warm after plan recompute) are skipped without
+/// re-uploading; only real transfers count toward the prefetch metric.
 fn prefetch_partition<B: Backend>(
     shared: &Shared,
     w: usize,
     runner: &ChunkRunner<B>,
     plan: &ShardPlan,
-    key: &BatchKey,
+    name: &str,
+    plen: usize,
 ) {
-    let Some(assembly) = shared.assemblies.get(&key.assembly) else {
+    let Some(assembly) = shared.assemblies.get(name) else {
         return;
     };
-    let plen = key.pattern.len();
     let mut uploads = 0u64;
     for (index, chunk) in Chunker::new(assembly, shared.config.chunk_size, plen).enumerate() {
-        if chunk.seq.len() < plen || plan.owner_of(&key.assembly, index) != w {
+        if chunk.seq.len() < plen || plan.owner_of(name, index) != w {
             continue;
         }
         let cache_key = ChunkKey {
-            assembly: key.assembly.clone(),
+            assembly: name.to_string(),
             plen,
             index,
         };
@@ -1431,7 +1428,7 @@ fn prefetch_partition<B: Backend>(
                 shared.config.cache_encoding,
             )
         });
-        let token = residency_token(key, index);
+        let token = residency_token(&cache_key);
         let uploaded = runner.prefetch(token, encoded.payload().as_payload());
         if uploaded.expect("simulated prefetch cannot fail") {
             uploads += 1;

@@ -47,6 +47,17 @@ echo "== perfbench: serve_mixed =="
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload serve_mixed --seed 1 --seconds 2 --trace 0
 
+# A traced run of the same workload, gated on one per-layer metric read
+# by key from the closing JSON record: every pattern on a device shares
+# its one resident store, so nearly every batch finds its chunk there.
+echo "== perfbench: serve_mixed resident hit rate (traced) =="
+hit_rate=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve_mixed --seed 1 --seconds 2 --trace 1 \
+  | tail -n 1 | jq -e '.metrics["scheduler.resident_hit_rate"].value')
+echo "scheduler.resident_hit_rate $hit_rate"
+jq -en --argjson rate "$hit_rate" '$rate >= 0.9' > /dev/null \
+  || { echo "resident hit rate $hit_rate is below 0.9"; exit 1; }
+
 echo "== perfbench: library_screen =="
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload library_screen --seed 1 --seconds 2 --trace 0
