@@ -19,6 +19,7 @@ use std::sync::Arc;
 use super::comparer::{ComparerKernel, ComparerOutput};
 use super::family::{
     dispatch, Block, GuideThresholds, Launcher, MultiComparerOutput, Shape, Staged, ENCODINGS,
+    GUIDE_BLOCK,
 };
 use super::finder::{FinderKernel, FinderOutput, NibbleFinderKernel, PackedFinderKernel};
 use super::specialize::{CompiledVariant, SpecializedNibbleFinderKernel, VariantKind};
@@ -429,8 +430,14 @@ impl<'a> Args<'a> {
         if self.layout.contains(&Plen) {
             plen = self.get::<u32>(Plen)? as usize;
         }
-        if self.layout.contains(&Nguides) {
-            guides = self.get::<u32>(Nguides)? as usize;
+        if let Some(index) = self.layout.iter().position(|&r| r == Nguides) {
+            guides = get::<u32>(self.args, index)? as usize;
+            if guides > GUIDE_BLOCK {
+                return Err(ClError::InvalidArgValue {
+                    index,
+                    expected: format!("at most {GUIDE_BLOCK} guides, got {guides}"),
+                });
+            }
         }
         for (i, role) in self.layout.iter().enumerate() {
             if let Some(bytes) = role.local_bytes(plen, guides) {
@@ -720,5 +727,19 @@ mod tests {
         check(&ClFamily::block(1, multi()), name, 16, &s, 3);
         let (name, s) = ("comparer_multi-4bit-spec", sig(one, folded_block));
         check(&ClFamily::block(2, multi()), name, 15, &s, 3);
+    }
+
+    #[test]
+    fn a_block_binding_refuses_more_guides_than_a_block_holds() {
+        let signature = "b8 b32 b8 b8 i32 b16 n p g b16 b8 b32 b16 b32 L2 L8 Lt";
+        let d = Device::new(DeviceSpec::mi100());
+        let binding = ClFamily::block(0, None);
+        assert!(binding.bind(&args(&d, signature, GUIDE_BLOCK)).is_ok());
+        let err = binding.bind(&args(&d, signature, GUIDE_BLOCK + 1));
+        let err = err.map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, ClError::InvalidArgValue { index: 8, .. }),
+            "{err:?}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The serving comparer family: one kernel, [`Comparer<R, G>`], for every
 //! comparer the serving pipelines launch besides the paper's own.
 //!
-//! Every serving comparer runs the same strand loop: for each candidate,
+//! Every serving comparer makes the same comparison: for each candidate,
 //! for each guide, for each strand the finder flagged, walk the pattern's
 //! non-`N` positions, count mismatches with early exit at the threshold and
 //! compact passing strands through one atomic counter. Two things vary:
@@ -18,19 +18,42 @@
 //!   to [`GUIDE_BLOCK`] guides staged together whose thresholds are
 //!   per-guide or folded.
 //!
-//! A block loads each candidate's reference window once and sweeps all
-//! guides × strands against it — the fused launch a library screen makes
-//! instead of one launch per guide. The simulator runs work-items in order,
-//! and each emits its entries for guides in ascending order, so each
-//! guide's subsequence of the shared output is exactly its per-guide
-//! launch's output, which [`MultiComparerOutput::per_guide`] demultiplexes.
+//! A single guide runs the scalar strand walk: one position per step, two
+//! local loads per step, a data-dependent exit. A block loads each
+//! candidate's reference window once and sweeps all guides × strands
+//! against it — the fused launch a library screen makes instead of one
+//! launch per guide — and is evaluated bit-parallel:
+//!
+//! * once per launch, the block's staged tables are decoded into per-strand
+//!   bit planes over window positions (the compared positions, and those
+//!   whose pattern mask lacks each base bit) plus prefix sums of compared
+//!   positions and of the char encoding's ladder arms. `comp_index` lists a
+//!   strand's positions in ascending order, so position order is loop
+//!   order;
+//! * the window preload builds one plane per base bit of the genome masks
+//!   and one of empty masks, 64 positions to a word;
+//! * a strand's mismatch set is `valid & (empty | ⋃_b (W_b & lacks_b))`,
+//!   the subset rule of the scalar walk; the walk's early exit is the
+//!   `(thr + 1)`-th set bit, from which `Walk` derives in closed form the
+//!   iterations, `lmm`, local loads and ops the scalar walk would have
+//!   made.
+//!
+//! The kernel charges those counts in bulk ([`LocalMem::charge_loads`],
+//! [`ItemCtx::ops`]). The rule every bulk charge keeps: its counts equal
+//! those of the loop it replaces, so counters, cycles and simulated times
+//! are bit-identical to the scalar walk's (the pinned digests below and in
+//! the chunk runners hold them there).
+//!
+//! The simulator runs work-items in order, and each emits its entries for
+//! guides in ascending order, so each guide's subsequence of a block's
+//! shared output is exactly its per-guide launch's output.
 //!
 //! The paper's Listing 1 comparer and its opt0–opt4 ladder
 //! ([`ComparerKernel`](super::ComparerKernel)) stay a kernel of their own:
 //! they are the subject of Table X.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gpu_sim::isa::{CodeModel, Staging};
 use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
@@ -312,7 +335,7 @@ pub enum Source<'a> {
     /// One guide and its threshold folded into immediates.
     Folded(&'a CompiledVariant),
     /// A block's tables staged to local memory, and its thresholds.
-    Block(&'a Tables, &'a BlockThresholds),
+    Block(&'a Block),
 }
 
 impl<'a> Source<'a> {
@@ -321,14 +344,17 @@ impl<'a> Source<'a> {
         match self {
             Source::Staged(..) => Shape::Staged,
             Source::Folded(_) => Shape::Folded,
-            Source::Block(_, BlockThresholds::PerGuide(..)) => Shape::Block,
-            Source::Block(..) => Shape::FoldedBlock,
+            Source::Block(b) => match b.thresholds {
+                BlockThresholds::PerGuide(..) => Shape::Block,
+                BlockThresholds::Folded(..) => Shape::FoldedBlock,
+            },
         }
     }
 
     fn tables(self) -> Option<&'a Tables> {
         match self {
-            Source::Staged(t, _) | Source::Block(t, _) => Some(t),
+            Source::Staged(t, _) => Some(t),
+            Source::Block(b) => Some(&b.tables),
             Source::Folded(_) => None,
         }
     }
@@ -336,7 +362,8 @@ impl<'a> Source<'a> {
     /// Pattern length and guide count.
     fn dims(self) -> (usize, usize) {
         match self {
-            Source::Staged(t, _) | Source::Block(t, _) => (t.plen, t.guides),
+            Source::Staged(t, _) => (t.plen, t.guides),
+            Source::Block(b) => (b.tables.plen, b.tables.guides),
             Source::Folded(v) => (v.pattern.plen(), 1),
         }
     }
@@ -346,8 +373,10 @@ impl<'a> Source<'a> {
         match self {
             Source::Staged(_, threshold) => threshold,
             Source::Folded(v) => v.pattern.threshold(),
-            Source::Block(_, BlockThresholds::PerGuide(_, l_thr)) => local.load(item, *l_thr, g),
-            Source::Block(_, BlockThresholds::Folded(threshold, _)) => *threshold,
+            Source::Block(b) => match &b.thresholds {
+                BlockThresholds::PerGuide(_, l_thr) => local.load(item, *l_thr, g),
+                BlockThresholds::Folded(threshold, _) => *threshold,
+            },
         }
     }
 }
@@ -408,10 +437,17 @@ pub struct Block {
     pub tables: Tables,
     /// Per-guide or folded thresholds.
     pub thresholds: BlockThresholds,
+    /// The tables' bit planes, decoded at the block's first compare. A
+    /// block is built per launch, over tables fixed for that launch.
+    planes: OnceLock<Planes>,
 }
 
 impl Block {
     /// Stage the concatenated tables of `guides` guides of length `plen`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `guides` exceeds [`GUIDE_BLOCK`].
     pub fn new(
         comp: DeviceBuffer<u8>,
         comp_index: DeviceBuffer<i32>,
@@ -419,6 +455,10 @@ impl Block {
         plen: usize,
         guides: usize,
     ) -> Block {
+        assert!(
+            guides <= GUIDE_BLOCK,
+            "a block holds at most {GUIDE_BLOCK} guides, not {guides}"
+        );
         let mut layout = LocalLayout::new();
         let tables = Tables::declare(&mut layout, comp, comp_index, plen, guides);
         let thresholds = match thresholds {
@@ -427,7 +467,22 @@ impl Block {
                 BlockThresholds::Folded(threshold, variant)
             }
         };
-        Block { tables, thresholds }
+        Block {
+            tables,
+            thresholds,
+            planes: OnceLock::new(),
+        }
+    }
+
+    /// The bit planes of the tables, decoded on first use. The read is the
+    /// simulator's, not the kernel's: it records no traffic, and the kernel
+    /// charges the local loads of the walk the planes stand for.
+    fn planes(&self) -> &Planes {
+        self.planes.get_or_init(|| {
+            let t = &self.tables;
+            let (comp, index) = (t.comp.snapshot(), t.comp_index.snapshot());
+            Planes::decode(&comp, &index, t.plen, t.guides)
+        })
     }
 }
 
@@ -435,7 +490,7 @@ impl Guides for Block {
     type Output = MultiComparerOutput;
 
     fn source(&self) -> Source<'_> {
-        Source::Block(&self.tables, &self.thresholds)
+        Source::Block(self)
     }
 }
 
@@ -475,24 +530,226 @@ impl MultiComparerOutput {
         let guide = device.alloc(capacity)?;
         Ok(MultiComparerOutput { entries, guide })
     }
-
-    /// Read back and demultiplex the shared output into per-guide entry
-    /// lists, preserving compaction order within each guide — the order the
-    /// per-guide kernel would have produced.
-    pub fn per_guide(&self, nguides: usize) -> Vec<Vec<(u32, u8, u16)>> {
-        let guide = self.guide.to_vec();
-        let mut out = vec![Vec::new(); nguides];
-        for (i, entry) in self.entries.entries().into_iter().enumerate() {
-            out[guide[i] as usize].push(entry);
-        }
-        out
-    }
 }
 
 impl Output for MultiComparerOutput {
     fn emit(&self, item: &mut ItemCtx, g: usize, locus: u32, half: usize, lmm: u16) {
         let slot = self.entries.push(item, locus, half, lmm);
         self.guide.store(item, slot, g as u16);
+    }
+}
+
+/// One strand's bit planes over one word of the window: bit `i` of word
+/// `w` stands for position `64w + i`.
+#[derive(Debug, Clone, Copy, Default)]
+struct StrandWord {
+    /// Compared (non-`N`) positions.
+    valid: u64,
+    /// Compared positions whose pattern mask lacks base bit `b`.
+    lacks: [u64; 4],
+}
+
+impl StrandWord {
+    /// The mismatching positions against `window`: an empty genome mask,
+    /// or one with a base the pattern lacks — the scalar walk's subset
+    /// rule, a word at a time.
+    #[inline]
+    fn mismatches(&self, window: &WindowWord) -> u64 {
+        let (has, lacks) = (&window.has, &self.lacks);
+        (self.valid & window.empty)
+            | (has[0] & lacks[0])
+            | (has[1] & lacks[1])
+            | (has[2] & lacks[2])
+            | (has[3] & lacks[3])
+    }
+}
+
+/// One word of a candidate's reference window as bit planes.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowWord {
+    /// Positions whose genome mask has base bit `b`.
+    has: [u64; 4],
+    /// Positions whose genome mask is empty (an invalid byte).
+    empty: u64,
+}
+
+impl WindowWord {
+    /// The planes of the first `len` genome masks of `masks`, eight
+    /// positions at a time: a multiply gathers the low bit of each byte of
+    /// a word into one byte.
+    fn from_masks(masks: &[u8; 64], len: usize) -> WindowWord {
+        const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+        let gather = |x: u64| (x & LOW_BITS).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        let mut word = WindowWord::default();
+        for (i, eight) in masks.chunks_exact(8).take(len.div_ceil(8)).enumerate() {
+            let x = u64::from_le_bytes(eight.try_into().expect("eight masks"));
+            for (b, has) in word.has.iter_mut().enumerate() {
+                *has |= gather(x >> b) << (8 * i);
+            }
+            word.empty |= gather(!(x | x >> 1 | x >> 2 | x >> 3)) << (8 * i);
+        }
+        if len < 64 {
+            word.empty &= (1 << len) - 1;
+        }
+        word
+    }
+}
+
+/// Running sums over one strand's positions `0..k`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Prefix {
+    /// Compared positions.
+    count: u32,
+    /// Ladder arms of their pattern characters ([`ladder_rank`]).
+    ladder: u32,
+}
+
+/// A block's staged tables decoded into per-strand bit planes; strand
+/// `s = 2g + half` is half `half` of guide `g`.
+#[derive(Debug, Clone)]
+struct Planes {
+    /// Pattern length.
+    plen: usize,
+    /// Words per strand: `ceil(plen / 64)`.
+    words: usize,
+    /// Strand `s`, word `w` at `s * words + w`.
+    planes: Vec<StrandWord>,
+    /// Strand `s`, prefix `k` (over positions `0..k`, `k` in `0..=plen`)
+    /// at `s * (plen + 1) + k`.
+    prefix: Vec<Prefix>,
+}
+
+impl Planes {
+    /// Decode the `[fwd | rc]` tables of `guides` guides of length `plen`,
+    /// laid out as [`Tables`] stages them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless each strand's `comp_index` lists positions below
+    /// `plen` in strictly ascending order, which makes position order the
+    /// scalar walk's loop order.
+    fn decode(comp: &[u8], comp_index: &[i32], plen: usize, guides: usize) -> Planes {
+        let words = plen.div_ceil(64);
+        let mut planes = vec![StrandWord::default(); 2 * guides * words];
+        let mut prefix = Vec::with_capacity(2 * guides * (plen + 1));
+        for s in 0..2 * guides {
+            let (base, strand) = (s * plen, &mut planes[s * words..(s + 1) * words]);
+            let mut last = None;
+            for &k in comp_index[base..base + plen]
+                .iter()
+                .take_while(|&&k| k >= 0)
+            {
+                let k = k as usize;
+                assert!(
+                    k < plen && last.is_none_or(|last| last < k),
+                    "comp_index must list a strand's positions in ascending order"
+                );
+                last = Some(k);
+                let (c, bit, word) = (comp[base + k], 1 << (k % 64), &mut strand[k / 64]);
+                word.valid |= bit;
+                for (b, lacks) in word.lacks.iter_mut().enumerate() {
+                    if base_mask(c) >> b & 1 == 0 {
+                        *lacks |= bit;
+                    }
+                }
+            }
+            let mut sum = Prefix::default();
+            prefix.push(sum);
+            for k in 0..plen {
+                if strand[k / 64].valid >> (k % 64) & 1 == 1 {
+                    sum.count += 1;
+                    sum.ladder += ladder_rank(comp[base + k]) as u32;
+                }
+                prefix.push(sum);
+            }
+        }
+        Planes {
+            plen,
+            words,
+            planes,
+            prefix,
+        }
+    }
+
+    #[inline]
+    fn word(&self, s: usize, w: usize) -> &StrandWord {
+        &self.planes[s * self.words + w]
+    }
+
+    fn prefix(&self, s: usize) -> &[Prefix] {
+        let n = self.plen + 1;
+        &self.prefix[s * n..(s + 1) * n]
+    }
+}
+
+/// One strand's progress through the window words: mismatches so far, and
+/// the position where the count passed the threshold, if it did.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    lmm: u16,
+    exit: Option<usize>,
+}
+
+impl Progress {
+    /// Fold in word `w`'s mismatch set `m` under threshold `thr`; `false`
+    /// once the strand has exited. The exit is the `(thr + 1)`-th mismatch
+    /// in position order, where the scalar walk breaks.
+    #[inline]
+    fn step(&mut self, w: usize, m: u64, thr: u16) -> bool {
+        // Clear mismatches in position order while the budget lasts; one
+        // left over is the exit. Serving thresholds are small, so this is
+        // a few steps, with no population count.
+        let (mut rest, mut seen) = (m, 0);
+        while rest != 0 && seen < thr - self.lmm {
+            rest &= rest - 1;
+            seen += 1;
+        }
+        if rest == 0 {
+            self.lmm += seen;
+            return true;
+        }
+        self.exit = Some(w * 64 + rest.trailing_zeros() as usize);
+        self.lmm = thr + 1;
+        false
+    }
+}
+
+/// What the scalar walk of one strand did, in closed form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Walk {
+    /// Compared positions visited.
+    iters: u64,
+    /// The mismatch count it ended with (`thr + 1` after an exit).
+    lmm: u16,
+    /// Local loads: a `comp_index` and a `comp` read per visit, plus the
+    /// `-1` terminator when the walk reaches it.
+    loads: u64,
+    /// Ops, as the walk charged them.
+    ops: u64,
+}
+
+impl Walk {
+    /// The walk over a strand with prefix sums `prefix` that ended as
+    /// `progress` records, under `enc`'s cost row: `lmm = 0` and the final
+    /// test; per visit, the index test, the ladder arms when `enc` charges
+    /// them and the mismatch test; one op per mismatch; and the terminator's
+    /// test when the walk ran off the compared positions of an `N`-bearing
+    /// pattern.
+    fn derive(prefix: &[Prefix], progress: Progress, enc: &Encoding) -> Walk {
+        let plen = prefix.len() - 1;
+        let (done, tail) = match progress.exit {
+            Some(k) => (prefix[k + 1], false),
+            None => (prefix[plen], (prefix[plen].count as usize) < plen),
+        };
+        let (iters, tail) = (u64::from(done.count), u64::from(tail));
+        let ladder = u64::from(done.ladder) * u64::from(enc.ladder);
+        let lmm = progress.lmm;
+        Walk {
+            iters,
+            lmm,
+            loads: 2 * iters + tail,
+            ops: 2 + iters * (1 + enc.test_ops) + ladder + u64::from(lmm) + tail,
+        }
     }
 }
 
@@ -680,7 +937,11 @@ impl<R: Reference, G: Guides> Comparer<R, G> {
             local.store(item, t.l_comp_index, k, idx);
             item.ops(2);
         }
-        if let Source::Block(_, BlockThresholds::PerGuide(table, l_thr)) = source {
+        if let Source::Block(Block {
+            thresholds: BlockThresholds::PerGuide(table, l_thr),
+            ..
+        }) = source
+        {
             for g in (li..t.guides).step_by(group) {
                 let thr = table.load(item, g);
                 local.store(item, *l_thr, g, thr);
@@ -689,37 +950,89 @@ impl<R: Reference, G: Guides> Comparer<R, G> {
         }
     }
 
-    /// The candidate's reference window, loaded once for a whole block.
-    fn window(&self, item: &mut ItemCtx, locus: usize, plen: usize) -> Vec<u8> {
-        let mut cache = R::COLD;
-        let window = (0..plen)
-            .map(|k| self.reference.fetch(item, &mut cache, locus + k))
-            .collect();
-        item.ops(R::ENCODING.window_ops * plen as u64);
-        window
-    }
-
-    /// Compare strand `half` (0 forward, 1 reverse) of guide `g` at `locus`
-    /// — against the block's `window`, or fetching as it goes — and emit
-    /// the strand when its mismatch count stays within `thr`.
-    #[allow(clippy::too_many_arguments)]
-    fn strand(
+    /// Word `w` of the reference window at `locus`: the genome masks of
+    /// positions `64w..` up to `plen` as bit planes, fetched through `cache`
+    /// (one cache across a window's words, as the scalar preload kept).
+    fn window_word(
         &self,
         item: &mut ItemCtx,
-        local: &LocalMem,
-        window: Option<&[u8]>,
-        locus: u32,
-        g: usize,
-        thr: u16,
-        half: usize,
-    ) {
+        cache: &mut R::Cache,
+        locus: usize,
+        w: usize,
+        plen: usize,
+    ) -> WindowWord {
+        let (start, mut masks) = (w * 64, [0; 64]);
+        let len = (plen - start).min(64);
+        for (i, mask) in masks[..len].iter_mut().enumerate() {
+            *mask = self.reference.fetch(item, cache, locus + start + i);
+        }
+        WindowWord::from_masks(&masks, len)
+    }
+
+    /// Compare every flagged strand of every guide of `block` at `locus`
+    /// bit-parallel against the candidate's window, loaded once; charge
+    /// what the scalar walk of each strand would have charged, and emit the
+    /// passing strands in guide order. The window is in bounds: the finder
+    /// only emits loci with a full `plen` window.
+    fn block(&self, item: &mut ItemCtx, local: &LocalMem, block: &Block, locus: u32, flag: u8) {
+        let (enc, source) = (&R::ENCODING, self.guides.source());
+        let (t, planes) = (&block.tables, block.planes());
+        let (fwd, rev) = (
+            flag == FLAG_BOTH || flag == FLAG_FORWARD,
+            flag == FLAG_BOTH || flag == FLAG_REVERSE,
+        );
+        // Strand `s = 2g + half`, in the scalar loop's order.
+        let mut thr = [0u16; GUIDE_BLOCK];
+        let mut flagged = 0u32;
+        for (g, thr) in thr.iter_mut().enumerate().take(t.guides) {
+            *thr = source.threshold(item, local, g);
+            flagged |= (u32::from(fwd) | u32::from(rev) << 1) << (2 * g);
+        }
+        let mut progress = [Progress::default(); 2 * GUIDE_BLOCK];
+        let (mut live, mut cache) = (flagged, R::COLD);
+        for w in 0..planes.words {
+            let window = self.window_word(item, &mut cache, locus as usize, w, t.plen);
+            let mut rest = live;
+            while rest != 0 {
+                let s = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let m = planes.word(s, w).mismatches(&window);
+                if !progress[s].step(w, m, thr[s / 2]) {
+                    live &= !(1 << s);
+                }
+            }
+        }
+        // The window preload's ops, and the two strand-flag tests per guide.
+        let mut ops = enc.window_ops * t.plen as u64 + 4 * t.guides as u64;
+        let (mut comp_loads, mut index_loads) = (0, 0);
+        let mut rest = flagged;
+        while rest != 0 {
+            let s = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let walk = Walk::derive(planes.prefix(s), progress[s], enc);
+            ops += walk.ops;
+            comp_loads += walk.iters;
+            index_loads += walk.loads - walk.iters;
+            if progress[s].exit.is_none() {
+                self.out.emit(item, s / 2, locus, s % 2, walk.lmm);
+            }
+        }
+        item.ops(ops);
+        local.charge_loads(item, t.l_comp_index, index_loads);
+        local.charge_loads(item, t.l_comp, comp_loads);
+    }
+
+    /// Compare strand `half` (0 forward, 1 reverse) of the single guide at
+    /// `locus`, fetching as it goes, and emit the strand when its mismatch
+    /// count stays within `thr`.
+    fn strand(&self, item: &mut ItemCtx, local: &LocalMem, locus: u32, thr: u16, half: usize) {
         let (enc, source) = (&R::ENCODING, self.guides.source());
         let plen = source.dims().0;
-        let base = (g * 2 + half) * plen;
+        let base = half * plen;
         let mut cache = R::COLD;
         let mut lmm: u16 = 0;
-        // `lmm = 0`, plus resetting the byte cache when fetching as we go.
-        item.ops(1 + if window.is_none() { enc.reset_ops } else { 0 });
+        // `lmm = 0`, and resetting the byte cache.
+        item.ops(1 + enc.reset_ops);
         for j in 0..plen {
             let (k, p, test_ops) = match source {
                 Source::Folded(v) => {
@@ -729,7 +1042,7 @@ impl<R: Reference, G: Guides> Comparer<R, G> {
                     }
                     (k as usize, v.pattern.mask(half, k as usize), 1)
                 }
-                Source::Staged(t, _) | Source::Block(t, _) => {
+                Source::Staged(t, _) => {
                     let k = local.load(item, t.l_comp_index, base + j);
                     item.ops(1);
                     if k < 0 {
@@ -741,11 +1054,9 @@ impl<R: Reference, G: Guides> Comparer<R, G> {
                     }
                     (k as usize, base_mask(c), enc.test_ops)
                 }
+                Source::Block(_) => unreachable!("a block is compared bit-parallel"),
             };
-            let gm = match window {
-                Some(w) => w[k],
-                None => self.reference.fetch(item, &mut cache, locus as usize + k),
-            };
+            let gm = self.reference.fetch(item, &mut cache, locus as usize + k);
             item.ops(test_ops);
             // Subset rule: the genome mask must be non-empty and contained
             // in the pattern's.
@@ -759,7 +1070,7 @@ impl<R: Reference, G: Guides> Comparer<R, G> {
         }
         item.ops(1);
         if lmm <= thr {
-            self.out.emit(item, g, locus, half, lmm);
+            self.out.emit(item, 0, locus, half, lmm);
         }
     }
 }
@@ -783,8 +1094,10 @@ impl<R: Reference, G: Guides> KernelProgram for Comparer<R, G> {
             let _ = layout.array::<u8>(t.len());
             let _ = layout.array::<i32>(t.len());
         }
-        if let Source::Block(t, BlockThresholds::PerGuide(..)) = source {
-            let _ = layout.array::<u16>(t.guides);
+        if let Source::Block(b) = source {
+            if let BlockThresholds::PerGuide(..) = b.thresholds {
+                let _ = layout.array::<u16>(b.tables.guides);
+            }
         }
         layout
     }
@@ -806,21 +1119,17 @@ impl<R: Reference, G: Guides> KernelProgram for Comparer<R, G> {
         let flag = self.flags.load(item, i);
         let locus = self.loci.load(item, i);
         let source = self.guides.source();
-        let (plen, guides) = source.dims();
-        // A block's window is in bounds: the finder only emits loci with a
-        // full `plen` window.
-        let window =
-            matches!(source, Source::Block(..)).then(|| self.window(item, locus as usize, plen));
-        for g in 0..guides {
-            let thr = source.threshold(item, local, g);
-            item.ops(2);
-            if flag == FLAG_BOTH || flag == FLAG_FORWARD {
-                self.strand(item, local, window.as_deref(), locus, g, thr, 0);
-            }
-            item.ops(2);
-            if flag == FLAG_BOTH || flag == FLAG_REVERSE {
-                self.strand(item, local, window.as_deref(), locus, g, thr, 1);
-            }
+        if let Source::Block(block) = source {
+            return self.block(item, local, block, locus, flag);
+        }
+        let thr = source.threshold(item, local, 0);
+        item.ops(2);
+        if flag == FLAG_BOTH || flag == FLAG_FORWARD {
+            self.strand(item, local, locus, thr, 0);
+        }
+        item.ops(2);
+        if flag == FLAG_BOTH || flag == FLAG_REVERSE {
+            self.strand(item, local, locus, thr, 1);
         }
     }
 }
@@ -938,6 +1247,16 @@ mod tests {
             (out.entries(), report)
         }
 
+        /// One guide through the family's own staged kernel, on every
+        /// encoding. Entries in compaction order.
+        fn staged(&self, query: &[u8], threshold: u16) -> Entries {
+            let compiled = CompiledSeq::compile(query);
+            let (comp, comp_index) = (self.buf(compiled.comp()), self.buf(compiled.comp_index()));
+            let out = ComparerOutput::allocate(&self.device, 2 * self.n + 1).unwrap();
+            let guides = Staged::new(comp, comp_index, threshold, compiled.plen());
+            self.run(guides, out).1.entries()
+        }
+
         /// A fused block, with `folded` as the shared threshold or per-guide
         /// thresholds, demultiplexed per guide.
         fn fused(&self, guides: &[(Vec<u8>, u16)], folded: Option<u16>) -> Vec<Entries> {
@@ -973,8 +1292,19 @@ mod tests {
             );
             let cap = 2 * self.n * guides.len() + 1;
             let out = MultiComparerOutput::allocate(&self.device, cap).unwrap();
-            self.run(block, out).1.per_guide(guides.len())
+            per_guide(&self.run(block, out).1, guides.len())
         }
+    }
+
+    /// Demultiplex a block's shared output into per-guide entry lists,
+    /// keeping compaction order within each guide — the order the per-guide
+    /// kernel produces.
+    fn per_guide(out: &MultiComparerOutput, nguides: usize) -> Vec<Entries> {
+        let mut lists = vec![Vec::new(); nguides];
+        for (entry, g) in out.entries.entries().into_iter().zip(out.guide.to_vec()) {
+            lists[g as usize].push(entry);
+        }
+        lists
     }
 
     fn everywhere(len: u32) -> (Vec<u32>, Vec<u8>) {
@@ -1148,6 +1478,205 @@ mod tests {
                 serial,
                 "folded enc {enc} must be byte-identical"
             );
+        }
+    }
+
+    /// The scalar walk of strand `s` of the tables `comp`/`index`, with
+    /// the positions set in `mism` mismatching: the loop [`Walk::derive`]
+    /// stands for, charged step by step as the single-guide kernels charge
+    /// it (minus the byte-cache reset a block does not pay).
+    fn scalar_walk(
+        (comp, index): (&[u8], &[i32]),
+        plen: usize,
+        s: usize,
+        mism: &[u64],
+        thr: u16,
+        enc: &Encoding,
+    ) -> Walk {
+        let base = s * plen;
+        let (mut iters, mut lmm, mut loads, mut ops) = (0, 0u16, 0, 1);
+        for j in 0..plen {
+            let k = index[base + j];
+            loads += 1;
+            ops += 1;
+            if k < 0 {
+                break;
+            }
+            let (k, c) = (k as usize, comp[base + k as usize]);
+            loads += 1;
+            iters += 1;
+            if enc.ladder {
+                ops += ladder_rank(c);
+            }
+            ops += enc.test_ops;
+            if mism[k / 64] >> (k % 64) & 1 == 1 {
+                lmm += 1;
+                ops += 1;
+                if lmm > thr {
+                    break;
+                }
+            }
+        }
+        Walk {
+            iters,
+            lmm,
+            loads,
+            ops: ops + 1,
+        }
+    }
+
+    /// The bit-parallel evaluation of the same strand: decode, mask the
+    /// mismatch set to the compared positions, step word by word, derive.
+    fn planes_walk(
+        planes: &Planes,
+        s: usize,
+        mism: &[u64],
+        thr: u16,
+        enc: &Encoding,
+    ) -> (Walk, Progress) {
+        let mut progress = Progress::default();
+        for (w, &m) in mism.iter().enumerate() {
+            if !progress.step(w, m & planes.word(s, w).valid, thr) {
+                break;
+            }
+        }
+        (Walk::derive(planes.prefix(s), progress, enc), progress)
+    }
+
+    /// A pattern of `plen` IUPAC letters (every ladder rank), with `N`s
+    /// (the last position among them) when `with_n`.
+    fn closed_form_pattern(plen: usize, with_n: bool) -> Vec<u8> {
+        (0..plen)
+            .map(|k| match with_n && (k % 4 == 3 || k + 1 == plen) {
+                true => b'N',
+                false => b"ACGTRYSWKMBDHV"[k % 14],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn closed_form_equals_the_scalar_walk_exhaustively() {
+        for plen in 1..=12 {
+            for with_n in [false, true] {
+                let c = CompiledSeq::compile(&closed_form_pattern(plen, with_n));
+                let planes = Planes::decode(c.comp(), c.comp_index(), plen, 1);
+                let tables = (c.comp(), c.comp_index());
+                for (s, enc) in (0..2).flat_map(|s| ENCODINGS.map(|e| (s, e))) {
+                    for mism in 0..1u64 << plen {
+                        for thr in 0..=plen as u16 {
+                            let want = scalar_walk(tables, plen, s, &[mism], thr, enc);
+                            let (got, _) = planes_walk(&planes, s, &[mism], thr, enc);
+                            assert_eq!(
+                                got, want,
+                                "plen {plen} N {with_n} strand {s} {} mism {mism:#b} thr {thr}",
+                                enc.names[0]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_holds_across_plane_words() {
+        let mut rng = genome::rng::Xoshiro256::seed_from_u64(0xB17);
+        for plen in [63, 64, 65, 100, 128, 129, 200] {
+            for with_n in [false, true] {
+                let c = CompiledSeq::compile(&closed_form_pattern(plen, with_n));
+                let planes = Planes::decode(c.comp(), c.comp_index(), plen, 1);
+                for _ in 0..300 {
+                    // Sparse to dense mismatch sets, thresholds on both sides.
+                    let density = rng.gen_range(1, 8);
+                    let mism: Vec<u64> = (0..plen.div_ceil(64))
+                        .map(|_| (0..density).fold(!0, |m, _| m & rng.next_u64()))
+                        .collect();
+                    let thr = rng.gen_range(0, plen + 2) as u16;
+                    let (s, enc) = (rng.gen_below(2), ENCODINGS[rng.gen_below(3)]);
+                    let want = scalar_walk((c.comp(), c.comp_index()), plen, s, &mism, thr, enc);
+                    let (got, _) = planes_walk(&planes, s, &mism, thr, enc);
+                    assert_eq!(got, want, "plen {plen} N {with_n} thr {thr} {mism:x?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_planes_gather_every_mask_at_every_position() {
+        let mut rng = genome::rng::Xoshiro256::seed_from_u64(0x91A);
+        for len in (1..=64).chain([64; 20]) {
+            let mut masks = [0u8; 64];
+            for m in &mut masks[..len] {
+                *m = rng.gen_below(16) as u8;
+            }
+            let word = WindowWord::from_masks(&masks, len);
+            for (i, &m) in masks.iter().enumerate() {
+                let bit = |plane: u64| plane >> i & 1 == 1;
+                for b in 0..4 {
+                    assert_eq!(
+                        bit(word.has[b]),
+                        m >> b & 1 == 1,
+                        "len {len} pos {i} bit {b}"
+                    );
+                }
+                assert_eq!(bit(word.empty), i < len && m == 0, "len {len} pos {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn decode_refuses_an_unordered_index() {
+        Planes::decode(b"ACGT", &[1, 0, -1, -1, 0, 1, 2, 3], 4, 1);
+    }
+
+    #[test]
+    fn blocks_match_staged_launches_on_random_fixtures() {
+        use genome::rng::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0xB10C);
+        // Concrete, soft-masked, `N`, degenerate and invalid genome bytes.
+        let genome = b"ACGTACGTACGTACGTACGTacgtnNRYSWKMBDHV-";
+        let iupac = b"ACGTACGTACGTRYSWKMBDHV";
+        for plen in [1, 23, 64, 65, 100] {
+            let seq: Vec<u8> = (0..plen + 160)
+                .map(|_| genome[rng.gen_below(genome.len())])
+                .collect();
+            // Guides with no `N`, with IUPAC codes, and with an `N` run,
+            // at thresholds from 0 past `plen`.
+            let guides: Vec<(Vec<u8>, u16)> = (0..5)
+                .map(|g| {
+                    let mut p: Vec<u8> = (0..plen)
+                        .map(|k| match g {
+                            0 => seq[40 + k].to_ascii_uppercase(),
+                            1 => b"ACGT"[rng.gen_below(4)],
+                            _ => iupac[rng.gen_below(iupac.len())],
+                        })
+                        .collect();
+                    if g >= 3 {
+                        let run = rng.gen_range(1, plen.div_ceil(3) + 1);
+                        p[plen - run..].fill(b'N');
+                    }
+                    let thr = [0, plen / 8, plen / 3, plen, plen + 3][g];
+                    (p, thr as u16)
+                })
+                .collect();
+            for enc in [CHAR, TWO_BIT, FOUR_BIT] {
+                let l = fixture_launch(enc, &seq, plen);
+                let staged: Vec<Entries> = guides.iter().map(|(p, t)| l.staged(p, *t)).collect();
+                assert!(staged.iter().any(|g| !g.is_empty()), "plen {plen} must hit");
+                assert_eq!(l.fused(&guides, None), staged, "plen {plen} enc {enc}");
+                for thr in [0, plen as u16 / 4, plen as u16] {
+                    let folded: Vec<(Vec<u8>, u16)> =
+                        guides.iter().map(|(p, _)| (p.clone(), thr)).collect();
+                    let staged: Vec<Entries> =
+                        folded.iter().map(|(p, t)| l.staged(p, *t)).collect();
+                    assert_eq!(
+                        l.fused(&folded, Some(thr)),
+                        staged,
+                        "plen {plen} enc {enc} folded {thr}"
+                    );
+                }
+            }
         }
     }
 

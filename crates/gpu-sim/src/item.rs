@@ -178,6 +178,10 @@ impl ItemCtx {
         self.counters.local_loads += 1;
     }
 
+    pub(crate) fn count_local_loads(&mut self, n: u64) {
+        self.counters.local_loads += n;
+    }
+
     pub(crate) fn count_local_store(&mut self) {
         self.counters.local_stores += 1;
     }

@@ -185,6 +185,21 @@ impl LocalMem {
         T::from_word(T::Word::narrow(self.bits(h)[i]))
     }
 
+    /// Count `n` loads of the local array `h` against `item` without reading
+    /// it — for a kernel that derives in closed form what a loop over `h`
+    /// would load. Counters are per-work-item totals, so charging in bulk
+    /// prices exactly like loading one by one, provided `n` equals the loads
+    /// of the loop it replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` was declared by a different layout.
+    #[inline]
+    pub fn charge_loads<T: Scalar>(&self, item: &mut ItemCtx, h: LocalHandle<T>, n: u64) {
+        let _ = self.bits(h);
+        item.count_local_loads(n);
+    }
+
     /// Store `v` to element `i` of the local array `h`.
     ///
     /// # Panics
@@ -308,6 +323,45 @@ mod tests {
         let mut it = item();
         // Slot 0 exists but holds u8s, not i32s.
         mem.load(&mut it, h_i32, 0);
+    }
+
+    #[test]
+    fn bulk_charged_loads_count_like_loads() {
+        let mut layout = LocalLayout::new();
+        let a = layout.array::<u8>(4);
+        let b = layout.array::<i32>(4);
+        let mem = layout.instantiate();
+        let (mut loaded, mut charged) = (item(), item());
+        for i in [0, 1, 3] {
+            mem.load(&mut loaded, a, i);
+        }
+        mem.load(&mut loaded, b, 2);
+        mem.charge_loads(&mut charged, a, 3);
+        mem.charge_loads(&mut charged, b, 1);
+        mem.charge_loads(&mut charged, b, 0);
+        assert_eq!(charged.counters(), loaded.counters());
+        assert_eq!(charged.counters().local_loads, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn bulk_charge_through_a_foreign_handle_panics() {
+        // Slot 0 holds u8s: a same-slot handle of another type is refused.
+        let mut l1 = LocalLayout::new();
+        let _a = l1.array::<u8>(4);
+        let h_i32 = LocalLayout::new().array::<i32>(4);
+        l1.instantiate().charge_loads(&mut item(), h_i32, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn bulk_charge_past_the_declared_slots_panics() {
+        let mut l2 = LocalLayout::new();
+        let _a = l2.array::<u8>(4);
+        let h = l2.array::<u8>(4);
+        LocalLayout::new()
+            .instantiate()
+            .charge_loads(&mut item(), h, 1);
     }
 
     #[test]

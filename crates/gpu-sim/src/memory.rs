@@ -317,6 +317,17 @@ impl<T: Scalar> DeviceBuffer<T> {
     /// Read the entire buffer into a freshly allocated `Vec`.
     pub fn to_vec(&self) -> Vec<T> {
         self.storage.traffic.record_d2h(self.storage.bytes);
+        self.snapshot()
+    }
+
+    /// Copy the buffer's contents without recording a transfer or a kernel
+    /// access. This is the simulator reading on a kernel's behalf — say, to
+    /// decode a launch's tables once instead of walking them per work-item
+    /// — and the kernel still charges every access it models (see
+    /// [`LocalMem::charge_loads`](crate::LocalMem::charge_loads)). A real
+    /// device-to-host copy is [`to_vec`](Self::to_vec) or
+    /// [`read_to_host`](Self::read_to_host).
+    pub fn snapshot(&self) -> Vec<T> {
         self.storage.cells.iter().map(|c| c.load()).collect()
     }
 
@@ -653,6 +664,24 @@ mod tests {
         let buf = alloc::<i32>(64, 3, AddressSpace::Global).unwrap();
         buf.fill(-1);
         assert_eq!(buf.to_vec(), vec![-1, -1, -1]);
+    }
+
+    #[test]
+    fn snapshot_reads_without_recording_a_transfer() {
+        let traffic = Arc::new(TrafficCounters::default());
+        let buf = DeviceBuffer::<u16>::allocate(
+            tracker(64),
+            Arc::clone(&traffic),
+            3,
+            AddressSpace::Global,
+        )
+        .unwrap();
+        buf.write_from_host(0, &[4, 5, 6]).unwrap();
+        let before = traffic.snapshot();
+        assert_eq!(buf.snapshot(), vec![4, 5, 6]);
+        assert_eq!(traffic.snapshot(), before);
+        buf.to_vec();
+        assert_ne!(traffic.snapshot(), before, "to_vec is a transfer");
     }
 
     #[test]

@@ -13,9 +13,10 @@ echo "== tests =="
 cargo test -q --workspace
 
 # Release builds wrap integer overflow where debug builds panic, so the
-# simulator's and the sequence crate's size arithmetic is tested in both.
-echo "== tests (release): gpu-sim, genome =="
-cargo test --release -q -p gpu-sim -p genome
+# simulator's and the sequence crate's size arithmetic, and the kernels'
+# bit-plane shifts at word boundaries, are tested in both.
+echo "== tests (release): gpu-sim, genome, cas-offinder =="
+cargo test --release -q -p gpu-sim -p genome -p cas-offinder
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
